@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import config as cfg
 from .backtest import equity_to_csv, run
-from .errors import EngineError, LengthMismatch, MissingInput
+from .errors import EngineError, InvalidArgument, LengthMismatch, MissingInput, PathError
 from .indicators import AmaParams, ama, ema, rmi, rsi, sma
 from .kelly import KellyParams, curve_to_csv, expected_log_return, kelly_curve, optimal_fraction
 from .market_data import parse_csv, serialize_csv
@@ -195,13 +195,15 @@ def cmd_sweep(args) -> int:
     series = parsed.series
     spec = cfg.sweep_from_dict(_config_tree(args))
     benchmark_closes = _load_benchmark_closes(args, series)
-    rows = run_sweep(series, spec, benchmark_closes, args.trading_days, jobs=args.jobs)
+    result = run_sweep(series, spec, benchmark_closes, args.trading_days, jobs=args.jobs)
     out = _out_dir(args)
-    sweep_to_csv(rows, spec, out / "sweep.csv")
-    best = rows[0]
+    sweep_to_csv(result.rows, spec, out / "sweep.csv")
+    best = result.rows[0]
     _emit({
         "command": "sweep",
-        "cells_ranked": len(rows),
+        "cells_ranked": len(result.rows),
+        "dropped_by_kind": result.dropped,
+        "below_min_trades": result.below_min_trades,
         "grid_size": spec.grid_size(),
         "objective": spec.objective,
         "best_params": {path: value for path, value in best.params},
@@ -260,13 +262,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.trading_days < 1:
+            raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        _emit({"error": {"kind": "MissingInput", "message": str(exc)}})
-        return 2
+    except OSError as exc:
+        # a missing file, a directory where a file belongs, no permission, ...
+        return _fail(MissingInput(str(exc)) if isinstance(exc, FileNotFoundError)
+                     else PathError(str(exc)))
     except EngineError as exc:
-        _emit({"error": {"kind": exc.kind, "message": str(exc)}})
-        return exc.exit_code
+        return _fail(exc)
+
+
+def _fail(exc: EngineError) -> int:
+    _emit({"error": {"kind": exc.kind, "message": str(exc)}})
+    return exc.exit_code
 
 
 def entrypoint() -> None:

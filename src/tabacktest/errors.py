@@ -38,6 +38,15 @@ class ConfigError(InputError):
     pass
 
 
+class InvalidArgument(InputError):
+    """A command-line flag value outside its domain."""
+
+
+class PathError(InputError):
+    """A path that cannot be used as given: a directory where a file is
+    expected, a file without read permission, and the like."""
+
+
 class RowError(InputError):
     """Input error tied to a specific data row (1-based, header excluded)."""
 

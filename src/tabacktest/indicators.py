@@ -235,6 +235,24 @@ def typical_price(series: OhlcvSeries) -> list[float]:
     return [(h + l + c) / 3.0 for h, l, c in zip(series.highs, series.lows, series.closes)]
 
 
+def offset_bands(
+    middle: IndicatorSeries, width: IndicatorSeries, mult: float, flat: int = 0
+) -> BandSet:
+    """Bands at middle +/- mult * width, warm once both inputs are.
+
+    The first ``flat`` bars have no width yet and sit on the middle line.
+    """
+    m, w = middle.values, width.values
+    upper = m[:flat] + [mi + mult * wi for mi, wi in zip(m[flat:], w[flat:])]
+    lower = m[:flat] + [mi - mult * wi for mi, wi in zip(m[flat:], w[flat:])]
+    warmup = max(middle.warmup_len, width.warmup_len)
+    return BandSet(
+        middle=middle,
+        upper=IndicatorSeries(upper, warmup),
+        lower=IndicatorSeries(lower, warmup),
+    )
+
+
 def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
     """Volatility channel: an MA of typical price offset by mult * ATR.
 
@@ -243,15 +261,7 @@ def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
     if mult < 0:
         raise InvalidParams("band multiplier must be >= 0")
     middle = moving_average(typical_price(series), ma_spec)
-    band_width = atr(series, ma_reference_period(ma_spec))
-    warmup = max(middle.warmup_len, band_width.warmup_len)
-    upper = [m + mult * w for m, w in zip(middle.values, band_width.values)]
-    lower = [m - mult * w for m, w in zip(middle.values, band_width.values)]
-    return BandSet(
-        middle=middle,
-        upper=IndicatorSeries(upper, warmup),
-        lower=IndicatorSeries(lower, warmup),
-    )
+    return offset_bands(middle, atr(series, ma_reference_period(ma_spec)), mult)
 
 
 def rsi(closes, n: int) -> IndicatorSeries:
@@ -371,6 +381,18 @@ def _window_std(window: Sequence[float]) -> float:
     return var ** 0.5
 
 
+def rolling_std(data, n: int) -> IndicatorSeries:
+    """Population standard deviation of the n values ending at i; bars
+    without a full window read 0.0."""
+    if n < 1:
+        raise ZeroPeriod("rolling std period must be >= 1")
+    x = _values(data)
+    out = [0.0] * len(x)
+    for i in range(n - 1, len(x)):
+        out[i] = _window_std(x[i - n + 1 : i + 1])
+    return IndicatorSeries(out, min(n - 1, len(x)))
+
+
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:
     """Bands around a moving average of typical price, offset by dev
     population standard deviations of typical price.
@@ -390,22 +412,7 @@ def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) ->
             raise ZeroPeriod("bollinger period must be >= 1")
         middle = sma(tp, window)
         sigma_window = window
-    upper: list[float] = []
-    lower: list[float] = []
-    for i, m in enumerate(middle.values):
-        if i < sigma_window - 1:
-            upper.append(m)
-            lower.append(m)
-        else:
-            sigma = _window_std(tp[i - sigma_window + 1 : i + 1])
-            upper.append(m + dev * sigma)
-            lower.append(m - dev * sigma)
-    warmup = max(middle.warmup_len, min(sigma_window - 1, len(tp)))
-    return BandSet(
-        middle=middle,
-        upper=IndicatorSeries(upper, warmup),
-        lower=IndicatorSeries(lower, warmup),
-    )
+    return offset_bands(middle, rolling_std(tp, sigma_window), dev, flat=sigma_window - 1)
 
 
 def macd(

@@ -48,20 +48,26 @@ def max_drawdown(values: Sequence[float]) -> float:
     return worst
 
 
-def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+def _moments(xs: Sequence[float]) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mean = sum(xs) / len(xs)
+    return mean, math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
 
 
-def _population_std(xs: Sequence[float]) -> float:
-    mean = _mean(xs)
-    return math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
-
-
-def _require_dispersion(xs: Sequence[float], what: str) -> None:
+def _annualized_ratio(
+    xs: Sequence[float], excess_mean: float, std: float, what: str, trading_days: int
+) -> float:
+    """Mean excess over std, scaled to a year: the Sharpe and information ratio."""
     # an all-equal series has zero dispersion by definition, even when the
     # rounded mean makes the computed std a denormal instead of 0.0
-    if min(xs) == max(xs):
+    if min(xs) == max(xs) or std == 0.0:
         raise ZeroVolatility(f"{what} have zero standard deviation")
+    return excess_mean / std * math.sqrt(trading_days)
+
+
+def _require_two(returns: Sequence[float]) -> None:
+    if len(returns) < 2:
+        raise TooShort("need at least two returns")
 
 
 def sharpe_annual(
@@ -70,13 +76,9 @@ def sharpe_annual(
     trading_days: int = TRADING_DAYS_PER_YEAR,
 ) -> float:
     """Annualized excess return per unit of return volatility."""
-    if len(returns) < 2:
-        raise TooShort("need at least two returns")
-    _require_dispersion(returns, "returns")
-    std = _population_std(returns)
-    if std == 0.0:
-        raise ZeroVolatility("returns have zero standard deviation")
-    return (_mean(returns) - rf_daily) / std * math.sqrt(trading_days)
+    _require_two(returns)
+    mean, std = _moments(returns)
+    return _annualized_ratio(returns, mean - rf_daily, std, "returns", trading_days)
 
 
 def information_ratio_annual(
@@ -87,14 +89,9 @@ def information_ratio_annual(
     """Annualized mean/std of the daily difference against a benchmark."""
     if len(returns) != len(benchmark_returns):
         raise LengthMismatch(f"{len(returns)} returns vs {len(benchmark_returns)} benchmark returns")
-    if len(returns) < 2:
-        raise TooShort("need at least two returns")
+    _require_two(returns)
     diff = [r - b for r, b in zip(returns, benchmark_returns)]
-    _require_dispersion(diff, "excess returns")
-    std = _population_std(diff)
-    if std == 0.0:
-        raise ZeroVolatility("excess returns have zero standard deviation")
-    return _mean(diff) / std * math.sqrt(trading_days)
+    return _annualized_ratio(diff, *_moments(diff), "excess returns", trading_days)
 
 
 def yearly_rr(equity: EquityCurve | Sequence[float], ranges: Sequence[tuple[int, int]],
@@ -117,9 +114,8 @@ def yearly_rr(equity: EquityCurve | Sequence[float], ranges: Sequence[tuple[int,
 
 def gaussian_fit(returns: Sequence[float]) -> tuple[float, float]:
     """Sample mean and population standard deviation of daily returns."""
-    if len(returns) < 2:
-        raise TooShort("need at least two returns")
-    return _mean(returns), _population_std(returns)
+    _require_two(returns)
+    return _moments(returns)
 
 
 @dataclass(frozen=True)
@@ -171,23 +167,36 @@ def build_report(
     Sharpe and information ratios degrade to None instead of failing
     when the relevant volatility is zero (e.g. a flat, trade-free curve).
     """
+    returns = daily_returns(equity.values)
+    return report_from_returns(equity, returns, daily_returns(benchmark_closes), buy_count,
+                               trading_days)
+
+
+def report_from_returns(
+    equity: EquityCurve,
+    returns: Sequence[float],
+    benchmark_returns: Sequence[float],
+    buy_count: int,
+    trading_days: int = TRADING_DAYS_PER_YEAR,
+) -> MetricReport:
+    """``build_report`` given the daily returns of the equity curve and of
+    the benchmark, so that many curves can share one benchmark pass."""
     values = equity.values
-    returns = daily_returns(values)
-    bench_returns = daily_returns(benchmark_closes)
     rr_whole = equity.final_price / equity.initial_price
     years = len(values) / trading_days
     rr_per_year = rr_whole ** (1.0 / years)
     ranges = slice_years(len(values), trading_days)
     rr_by_year = yearly_rr(equity, ranges)
-    try:
-        sr = sharpe_annual(returns, 0.0, trading_days)
+    _require_two(returns)
+    fit_mean, fit_std = _moments(returns)
+    try:  # the Sharpe ratio at a zero risk-free rate, from the fit's moments
+        sr = _annualized_ratio(returns, fit_mean, fit_std, "returns", trading_days)
     except ZeroVolatility:
         sr = None
     try:
-        ir = information_ratio_annual(returns, bench_returns, trading_days)
+        ir = information_ratio_annual(returns, benchmark_returns, trading_days)
     except ZeroVolatility:
         ir = None
-    fit_mean, fit_std = gaussian_fit(returns)
     return MetricReport(
         initial_price=equity.initial_price,
         final_price=equity.final_price,

@@ -12,20 +12,27 @@ close is strictly beyond the band.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 from .errors import InvalidParams, TooShort
 from .indicators import (
+    MA_SMA,
     AmaParams,
+    IndicatorSeries,
     MaLike,
+    MaSpec,
     aroon,
-    bollinger,
-    keltner,
+    atr,
+    ma_reference_period,
     macd,
     moving_average,
+    offset_bands,
+    rolling_std,
     rsi,
     sma,
+    typical_price,
 )
 from .market_data import OhlcvSeries
 
@@ -159,6 +166,47 @@ StrategyConfig = Union[
 ]
 
 
+class KernelMemo:
+    """Indicator outputs over one fixed series, shared by the cells of a sweep.
+
+    A key names the kernel, its input column and its frozen parameters. The
+    series is not part of the key, so a memo must not outlive its series or
+    serve another one. Entries are kept as ``array('d')`` plus the warm-up
+    length, 8 bytes a value instead of a list slot and a float object, and
+    every hit hands out fresh lists, so no caller can change what the next
+    one reads. Threads may share a memo: dict reads and writes are atomic,
+    so a race at worst computes an identical entry twice.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict = {}
+
+    def get(self, key: tuple, compute: Callable):
+        """``compute()``'s result for ``key``: an IndicatorSeries or a tuple of them."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            return _unpack(entry)
+        result = compute()
+        self._entries[key] = _pack(result)
+        return result
+
+
+def _pack(result):
+    if isinstance(result, IndicatorSeries):
+        return array("d", result.values), result.warmup_len
+    return tuple(_pack(part) for part in result)
+
+
+def _unpack(entry):
+    if isinstance(entry[0], array):
+        return IndicatorSeries(list(entry[0]), entry[1])
+    return tuple(_unpack(part) for part in entry)
+
+
+def _cached(memo: Optional[KernelMemo], key: tuple, compute: Callable):
+    return compute() if memo is None else memo.get(key, compute)
+
+
 def _line_cross_signals(fast: list[float], slow: list[float], start: int, end: int) -> list[SignalEvent]:
     """Strict-cross state machine over [start, end)."""
     events: list[SignalEvent] = []
@@ -175,28 +223,43 @@ def _line_cross_signals(fast: list[float], slow: list[float], start: int, end: i
     return events
 
 
-def two_average_signals(series: OhlcvSeries, config: TwoAverageConfig) -> list[SignalEvent]:
+def two_average_signals(
+    series: OhlcvSeries, config: TwoAverageConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
     closes = series.closes
-    fast = moving_average(closes, config.fast)
-    slow = moving_average(closes, config.slow)
+    fast = _cached(memo, ("moving_average", "close", config.fast),
+                   lambda: moving_average(closes, config.fast))
+    slow = _cached(memo, ("moving_average", "close", config.slow),
+                   lambda: moving_average(closes, config.slow))
     start = max(fast.warmup_len, slow.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
     return _line_cross_signals(fast.values, slow.values, start, len(closes))
 
 
-def price_cross_signals(series: OhlcvSeries, config: PriceCrossConfig) -> list[SignalEvent]:
+def price_cross_signals(
+    series: OhlcvSeries, config: PriceCrossConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
     closes = series.closes
-    line = moving_average(closes, config.ma)
+    line = _cached(memo, ("moving_average", "close", config.ma),
+                   lambda: moving_average(closes, config.ma))
     start = line.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
     return _line_cross_signals(closes, line.values, start, len(closes))
 
 
-def keltner_signals(series: OhlcvSeries, config: KeltnerConfig) -> list[SignalEvent]:
+def keltner_signals(
+    series: OhlcvSeries, config: KeltnerConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
+    # indicators.keltner, with the middle line and the ATR kept apart so
+    # that cells differing only in mult share them
     closes = series.closes
-    bands = keltner(series, config.ma, config.mult)
+    period = ma_reference_period(config.ma)
+    middle = _cached(memo, ("moving_average", "typical", config.ma),
+                     lambda: moving_average(typical_price(series), config.ma))
+    width = _cached(memo, ("atr", "ohlc", period), lambda: atr(series, period))
+    bands = offset_bands(middle, width, config.mult)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the channel warm-up")
@@ -215,9 +278,20 @@ def keltner_signals(series: OhlcvSeries, config: KeltnerConfig) -> list[SignalEv
     return events
 
 
-def bollinger_signals(series: OhlcvSeries, config: BollingerConfig) -> list[SignalEvent]:
+def bollinger_signals(
+    series: OhlcvSeries, config: BollingerConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
+    # indicators.bollinger, with the middle line and the deviation kept
+    # apart so that cells differing only in dev share them
     closes = series.closes
-    bands = bollinger(series, config.window, config.dev)
+    window = config.window
+    ma = window if isinstance(window, AmaParams) else MaSpec(MA_SMA, window)
+    period = ma_reference_period(ma)
+    middle = _cached(memo, ("moving_average", "typical", ma),
+                     lambda: moving_average(typical_price(series), ma))
+    sigma = _cached(memo, ("rolling_std", "typical", period),
+                    lambda: rolling_std(typical_price(series), period))
+    bands = offset_bands(middle, sigma, config.dev, flat=period - 1)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the band warm-up")
@@ -236,12 +310,17 @@ def bollinger_signals(series: OhlcvSeries, config: BollingerConfig) -> list[Sign
     return events
 
 
-def rsi_signals(series: OhlcvSeries, config: RsiConfig) -> list[SignalEvent]:
+def rsi_signals(
+    series: OhlcvSeries, config: RsiConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
     closes = series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"rsi strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
-    strength = rsi(closes, config.n).values
-    ma_line = sma(closes, config.sma_n).values if config.rsitype == 2 else None
+    strength = _cached(memo, ("rsi", "close", config.n), lambda: rsi(closes, config.n)).values
+    ma_line = None
+    if config.rsitype == 2:
+        ma_line = _cached(memo, ("sma", "close", config.sma_n),
+                          lambda: sma(closes, config.sma_n)).values
     events: list[SignalEvent] = []
     in_position = False
     for i in range(OSCILLATOR_SCAN_START, len(closes) - 1):
@@ -264,11 +343,13 @@ def rsi_signals(series: OhlcvSeries, config: RsiConfig) -> list[SignalEvent]:
     return events
 
 
-def aroon_signals(series: OhlcvSeries, config: AroonConfig) -> list[SignalEvent]:
+def aroon_signals(
+    series: OhlcvSeries, config: AroonConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
     closes = series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"aroon strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
-    up, down, _ = aroon(series, config.n)
+    up, down, _ = _cached(memo, ("aroon", "ohlc", config.n), lambda: aroon(series, config.n))
     up_v, down_v = up.values, down.values
     events: list[SignalEvent] = []
     in_position = False
@@ -298,9 +379,12 @@ def aroon_signals(series: OhlcvSeries, config: AroonConfig) -> list[SignalEvent]
     return events
 
 
-def macd_signals(series: OhlcvSeries, config: MacdConfig) -> list[SignalEvent]:
+def macd_signals(
+    series: OhlcvSeries, config: MacdConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
     closes = series.closes
-    line, signal, _ = macd(closes, config.short_n, config.long_n, config.signal_n)
+    periods = (config.short_n, config.long_n, config.signal_n)
+    line, signal, _ = _cached(memo, ("macd", "close", *periods), lambda: macd(closes, *periods))
     start = max(line.warmup_len, signal.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the macd warm-up")
@@ -317,23 +401,15 @@ _DISPATCH = {
     MacdConfig: macd_signals,
 }
 
-STRATEGY_TAGS = {
-    TwoAverageConfig: "two_average",
-    PriceCrossConfig: "price_cross",
-    KeltnerConfig: "keltner",
-    RsiConfig: "rsi",
-    AroonConfig: "aroon",
-    BollingerConfig: "bollinger",
-    MacdConfig: "macd",
-}
-
-
-def generate_signals(series: OhlcvSeries, config: StrategyConfig) -> list[SignalEvent]:
+def generate_signals(
+    series: OhlcvSeries, config: StrategyConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
+    """Signals of one strategy; indicator series come from ``memo`` when given."""
     try:
         runner = _DISPATCH[type(config)]
     except KeyError:
         raise InvalidParams(f"unknown strategy config {type(config).__name__}") from None
-    return runner(series, config)
+    return runner(series, config, memo)
 
 
 def signals_to_csv(events: list[SignalEvent], target) -> None:

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import copy
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .backtest import run
 from .config import SweepSpec, set_leaf, strategy_from_dict
-from .errors import EmptyGridAfterFilter, EngineError
+from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import MetricReport, build_report
-from .strategies import generate_signals
+from .metrics import MetricReport, daily_returns, report_from_returns
+from .strategies import KernelMemo, generate_signals
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,15 @@ class SweepRow:
         return dict(self.params)
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Ranked rows, and why every other cell of the grid is missing."""
+
+    rows: list[SweepRow]
+    dropped: dict[str, int]  # error kind -> cells it dropped, sorted by kind
+    below_min_trades: int
+
+
 def _objective_value(report: MetricReport, objective: str) -> Optional[float]:
     if objective == "sharpe_annual":
         return report.sr
@@ -43,23 +53,28 @@ def _objective_value(report: MetricReport, objective: str) -> Optional[float]:
 def _evaluate_cell(
     series: OhlcvSeries,
     spec: SweepSpec,
-    benchmark_closes: Sequence[float],
+    benchmark_returns: Sequence[float],
     trading_days: int,
+    memo: KernelMemo,
     assignment: tuple[tuple[str, Any], ...],
-) -> Optional[SweepRow]:
+) -> SweepRow | str:
+    """The cell's row, or the kind of error that drops it."""
     tree = copy.deepcopy(spec.base_tree)
     for path, value in assignment:
         set_leaf(tree, path, value)
     try:
         config = strategy_from_dict(tree)
-        signals = generate_signals(series, config)
+        signals = generate_signals(series, config, memo)
         result = run(series, signals)
-        report = build_report(result.equity, benchmark_closes, result.buy_count, trading_days)
-    except EngineError:
-        return None  # cell is invalid or degenerate for this series; drop it
+        returns = daily_returns(result.equity.values)
+        report = report_from_returns(result.equity, returns, benchmark_returns,
+                                     result.buy_count, trading_days)
+    except EngineError as exc:
+        return exc.kind
     value = _objective_value(report, spec.objective)
     if value is None:
-        return None
+        # only a ratio is ever None: its volatility was zero
+        return ZeroVolatility.__name__
     return SweepRow(assignment, report.buy_count, value, report)
 
 
@@ -69,8 +84,13 @@ def run_sweep(
     benchmark_closes: Sequence[float] | None = None,
     trading_days: int = 252,
     jobs: int = 1,
-) -> list[SweepRow]:
-    """Evaluate every grid cell, filter by min_trades, rank by objective."""
+) -> SweepResult:
+    """Evaluate every grid cell, filter by min_trades, rank by objective.
+
+    Cells share one pass over the benchmark's returns and one computation
+    of each distinct indicator series, so the result is the same as
+    evaluating each cell on its own.
+    """
     benchmark = list(benchmark_closes) if benchmark_closes is not None else series.closes
     names = [path for path, _ in spec.axes]
     value_lists = [values for _, values in spec.axes]
@@ -78,30 +98,36 @@ def run_sweep(
         tuple(zip(names, combo)) for combo in itertools.product(*value_lists)
     ] or [()]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(
-                pool.map(
-                    lambda a: _evaluate_cell(series, spec, benchmark, trading_days, a),
-                    assignments,
-                )
-            )
+    try:
+        benchmark_returns = daily_returns(benchmark)
+    except EngineError as exc:
+        # every cell's report needs these returns, so no cell can survive
+        cells: list[SweepRow | str] = [exc.kind] * len(assignments)
     else:
-        cells = [
-            _evaluate_cell(series, spec, benchmark, trading_days, a) for a in assignments
-        ]
+        memo = KernelMemo()
 
-    rows = [
-        row
-        for row in cells
-        if row is not None and row.buy_count >= spec.min_trades
-    ]
+        def evaluate(assignment):
+            return _evaluate_cell(series, spec, benchmark_returns, trading_days, memo, assignment)
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                cells = list(pool.map(evaluate, assignments))
+        else:
+            cells = [evaluate(a) for a in assignments]
+
+    dropped = Counter(cell for cell in cells if isinstance(cell, str))
+    evaluated = [cell for cell in cells if not isinstance(cell, str)]
+    rows = sorted(
+        (row for row in evaluated if row.buy_count >= spec.min_trades),
+        key=lambda row: (-row.objective_value, _param_key(row.params)),
+    )
+    result = SweepResult(rows, dict(sorted(dropped.items())), len(evaluated) - len(rows))
     if not rows:
         raise EmptyGridAfterFilter(
-            f"no grid cell survived evaluation with min_trades={spec.min_trades}"
+            f"no grid cell survived evaluation with min_trades={spec.min_trades} "
+            f"(dropped {result.dropped}, below min_trades {result.below_min_trades})"
         )
-    rows.sort(key=lambda row: (-row.objective_value, _param_key(row.params)))
-    return rows
+    return result
 
 
 def _param_key(params: tuple[tuple[str, Any], ...]) -> str:

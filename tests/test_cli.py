@@ -191,6 +191,27 @@ class TestSweepCommand:
         summary = json.loads(out)
         assert summary["grid_size"] == 3
         assert summary["cells_ranked"] == 3
+        assert summary["dropped_by_kind"] == {}
+        assert summary["below_min_trades"] == 0
+
+    def test_sweep_reports_drops(self, tmp_path, capsys):
+        # the 600-bar windows are longer than the 510-bar series, and
+        # 2/2 never crosses, so it has no trade
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "strategy = two_average\nobjective = rr_whole\nmin_trades = 1\n"
+            "fast.kind = sma\nfast.period = 2,3\n"
+            "slow.kind = sma\nslow.period = 2,10,600\n"
+        )
+        code, out = run_cli(
+            capsys, "sweep", "--data", str(DATA_DIR / "regime_fixture.csv"),
+            "--config", str(config), "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["dropped_by_kind"] == {"TooShort": 2}
+        assert summary["below_min_trades"] == 1
+        assert summary["cells_ranked"] == 3
 
     def test_empty_grid_after_filter(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
@@ -205,6 +226,20 @@ class TestSweepCommand:
         )
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "EmptyGridAfterFilter"
+
+
+@pytest.mark.parametrize("flags, kind", [
+    (["--trading-days", "0"], "InvalidArgument"),
+    (["--trading-days", "-3"], "InvalidArgument"),
+    (["--data", str(DATA_DIR)], "PathError"),
+])
+def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
+    argv = ["report", "--data", str(V_FIXTURE), "--out-dir", str(tmp_path)] + flags
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == kind
 
 
 class TestKellyCommand:

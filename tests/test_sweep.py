@@ -1,12 +1,14 @@
+import copy
 import io
 import random
+import sys
 
 import pytest
 
 from conftest import random_ohlcv
-from tabacktest import errors
+from tabacktest import errors, strategies
 from tabacktest.backtest import run
-from tabacktest.config import parse_kv_text, strategy_from_dict, sweep_from_dict
+from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
 from tabacktest.metrics import build_report
 from tabacktest.strategies import generate_signals
 from tabacktest.sweep import run_sweep, sweep_to_csv
@@ -37,7 +39,7 @@ def test_single_cell_matches_direct_backtest(series):
     """
     spec = sweep_from_dict(parse_kv_text(text))
     assert spec.grid_size() == 1
-    rows = run_sweep(series, spec)
+    rows = run_sweep(series, spec).rows
     assert len(rows) == 1
     config = strategy_from_dict(parse_kv_text(text))
     result = run(series, generate_signals(series, config))
@@ -48,7 +50,7 @@ def test_single_cell_matches_direct_backtest(series):
 def test_grid_rows_sorted_and_complete(series):
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     assert spec.grid_size() == 6
-    rows = run_sweep(series, spec)
+    rows = run_sweep(series, spec).rows
     values = [row.objective_value for row in rows]
     assert values == sorted(values, reverse=True)
     # every surviving row reproduces its own cell run exactly
@@ -75,7 +77,7 @@ def test_parallel_matches_serial(series):
 
 def test_csv_shape(series):
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
-    rows = run_sweep(series, spec)
+    rows = run_sweep(series, spec).rows
     buffer = io.StringIO()
     sweep_to_csv(rows, spec, buffer)
     lines = buffer.getvalue().strip().splitlines()
@@ -83,15 +85,106 @@ def test_csv_shape(series):
     assert len(lines) == len(rows) + 1
 
 
+DEGENERATE_TEXT = """
+strategy = two_average
+min_trades = 1
+fast.kind = sma
+fast.period = 5
+slow.kind = sma
+slow.period = 5,15
+"""
+
+
 def test_degenerate_cells_are_dropped(series):
     # slow.period == fast.period never crosses -> zero trades -> filtered
-    text = """
-    strategy = two_average
-    min_trades = 1
-    fast.kind = sma
-    fast.period = 5
-    slow.kind = sma
-    slow.period = 5,15
-    """
-    rows = run_sweep(series, sweep_from_dict(parse_kv_text(text)))
+    rows = run_sweep(series, sweep_from_dict(parse_kv_text(DEGENERATE_TEXT))).rows
     assert all(dict(row.params)["slow.period"] == 15 for row in rows)
+
+
+@pytest.mark.parametrize("objective, extra_slow, dropped, below_min_trades", [
+    # the flat 5/5 cell has no volatility, so its Sharpe ratio is undefined
+    ("sharpe_annual", "", {"ZeroVolatility": 1}, 0),
+    # rr_whole is defined for it, so min_trades filters it instead
+    ("rr_whole", "", {}, 1),
+    # a window longer than the series drops its cell with the error's kind
+    ("sharpe_annual", ",400", {"TooShort": 1, "ZeroVolatility": 1}, 0),
+])
+def test_drops_are_counted_by_kind(series, objective, extra_slow, dropped, below_min_trades):
+    text = DEGENERATE_TEXT.replace("5,15", "5,15" + extra_slow) + f"objective = {objective}\n"
+    spec = sweep_from_dict(parse_kv_text(text))
+    result = run_sweep(series, spec)
+    assert result.dropped == dropped
+    assert result.below_min_trades == below_min_trades
+    assert len(result.rows) + sum(dropped.values()) + below_min_trades == spec.grid_size()
+
+
+def test_failing_benchmark_returns_drop_every_cell():
+    # one bar: every cell's strategy is too short, and so are the
+    # benchmark's returns; the sweep must still report an empty grid
+    one_bar = random_ohlcv(random.Random(5), 1)
+    with pytest.raises(errors.EmptyGridAfterFilter, match="'TooShort': 6"):
+        run_sweep(one_bar, sweep_from_dict(parse_kv_text(SWEEP_TEXT)))
+
+
+# One small grid per strategy. rr_whole is never undefined and min_trades
+# is 0, so every cell that does not raise is ranked.
+STRATEGY_GRIDS = {
+    "two_average": "fast.kind = sma,ema\nfast.period = 3,5\nslow.kind = sma\nslow.period = 15,25\n",
+    "price_cross": "ma.matype = 1,2\nma.timeperiod_long = 21,31\nma.timeperiod_short = 3\n"
+                   "ma.ada_win = 8\n",
+    "keltner": "ma.kind = ema\nma.period = 10,20\nkeltner.mult = 0.5,1,2\n",
+    "rsi": "rsi.n = 7,14\nrsi.down_thres = 30,45\nrsi.upper_thres = 55,70\nrsi.rsitype = 2\n"
+           "rsi.sma_n = 10,20\nrsi.diff_rate = 0.02\n",
+    "aroon": "aroon.n = 10,25\naroon.aroon_type = 1,2\naroon.weak_thres = 30,45\n",
+    "bollinger": "bollinger.n = 10,20\nbollinger.dev = 0.5,1,2\n",
+    "macd": "macd.short_n = 6,12\nmacd.long_n = 26\nmacd.signal_n = 5,9\n",
+}
+
+
+def _direct_report(series, spec, params):
+    tree = copy.deepcopy(spec.base_tree)
+    for path, value in params:
+        set_leaf(tree, path, value)
+    result = run(series, generate_signals(series, strategy_from_dict(tree)))
+    return build_report(result.equity, series.closes, result.buy_count, 252)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
+def test_shared_work_matches_direct_backtests(series, strategy, jobs):
+    text = f"strategy = {strategy}\nobjective = rr_whole\nmin_trades = 0\n"
+    spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
+    result = run_sweep(series, spec, jobs=jobs)
+    assert len(result.rows) == spec.grid_size()
+    for row in result.rows:
+        assert row.report == _direct_report(series, spec, row.params)
+
+
+def test_each_moving_average_is_computed_once(series, monkeypatch):
+    calls = []
+
+    def counting(data, spec):
+        calls.append(spec)
+        return original(data, spec)
+
+    original = strategies.moving_average
+    monkeypatch.setattr(strategies, "moving_average", counting)
+    text = SWEEP_TEXT.replace("2:4:1", "2:20:2").replace("12,20", "30:120:10")
+    spec = sweep_from_dict(parse_kv_text(text))
+    assert spec.grid_size() == 100
+    run_sweep(series, spec)
+    assert len(calls) == 20
+    assert len(set(calls)) == 20
+
+
+def test_many_threads_share_the_memo(series):
+    text = SWEEP_TEXT.replace("2:4:1", "2:20:2").replace("12,20", "30:120:10")
+    spec = sweep_from_dict(parse_kv_text(text))
+    serial = run_sweep(series, spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threaded = run_sweep(series, spec, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
