@@ -85,14 +85,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(load, path, **kwargs):
+    """``load(path, **kwargs)``, with a path that exists but cannot be read
+    as a file (a directory, no permission, ...) reported as an input error."""
+    try:
+        return load(path, **kwargs)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise PathError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load_series(args):
-    return parse_csv(args.data, mode=args.mode, use_adjusted=args.use_adjusted)
+    return _read_input(parse_csv, args.data, mode=args.mode, use_adjusted=args.use_adjusted)
 
 
 def _load_benchmark_closes(args, series):
     if args.benchmark == "self":
         return series.closes
-    bench = parse_csv(args.benchmark, mode=args.mode, use_adjusted=args.use_adjusted)
+    bench = _read_input(parse_csv, args.benchmark, mode=args.mode, use_adjusted=args.use_adjusted)
     if len(bench.series) != len(series):
         raise LengthMismatch(
             f"benchmark has {len(bench.series)} bars, data has {len(series)}"
@@ -109,7 +120,7 @@ def _out_dir(args) -> Path:
 def _config_tree(args) -> dict:
     if not args.config:
         raise MissingInput("this command needs --config")
-    return cfg.parse_kv_file(args.config)
+    return _read_input(cfg.parse_kv_file, args.config)
 
 
 def cmd_ingest(args) -> int:
@@ -145,7 +156,7 @@ def _indicator_values(series, column: cfg.IndicatorColumn) -> list[float]:
 
 def cmd_indicators(args) -> int:
     parsed = _load_series(args)
-    tree = cfg.parse_kv_file(args.config) if args.config else {}
+    tree = _read_input(cfg.parse_kv_file, args.config) if args.config else {}
     for extra in args.indicator:
         if "=" not in extra:
             raise MissingInput(f"--indicator expects NAME=SPEC, got {extra!r}")
@@ -265,10 +276,8 @@ def main(argv=None) -> int:
         if args.trading_days < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        # a missing file, a directory where a file belongs, no permission, ...
-        return _fail(MissingInput(str(exc)) if isinstance(exc, FileNotFoundError)
-                     else PathError(str(exc)))
+    except FileNotFoundError as exc:
+        return _fail(MissingInput(str(exc)))
     except EngineError as exc:
         return _fail(exc)
 

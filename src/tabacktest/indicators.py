@@ -253,15 +253,19 @@ def offset_bands(
     )
 
 
-def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
-    """Volatility channel: an MA of typical price offset by mult * ATR.
+def keltner_parts(series: OhlcvSeries, ma_spec: MaLike) -> tuple[IndicatorSeries, IndicatorSeries]:
+    """The middle line and the ATR width of a Keltner channel; neither
+    depends on the band multiplier. The ATR period follows the MA's
+    nominal window."""
+    middle = moving_average(typical_price(series), ma_spec)
+    return middle, atr(series, ma_reference_period(ma_spec))
 
-    The ATR period follows the MA's nominal window.
-    """
+
+def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
+    """Volatility channel: an MA of typical price offset by mult * ATR."""
     if mult < 0:
         raise InvalidParams("band multiplier must be >= 0")
-    middle = moving_average(typical_price(series), ma_spec)
-    return offset_bands(middle, atr(series, ma_reference_period(ma_spec)), mult)
+    return offset_bands(*keltner_parts(series, ma_spec), mult)
 
 
 def rsi(closes, n: int) -> IndicatorSeries:
@@ -393,26 +397,35 @@ def rolling_std(data, n: int) -> IndicatorSeries:
     return IndicatorSeries(out, min(n - 1, len(x)))
 
 
-def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:
-    """Bands around a moving average of typical price, offset by dev
-    population standard deviations of typical price.
+def bollinger_parts(
+    series: OhlcvSeries, window: int | AmaParams
+) -> tuple[IndicatorSeries, IndicatorSeries]:
+    """The middle line and the rolling sigma of Bollinger bands; neither
+    depends on the band deviation.
 
     A plain integer window uses an SMA middle; AmaParams swap in the
     adaptive middle, with the deviation window tied to its long period.
-    Warm-up bars pass through with zero width.
     """
-    if dev < 0:
-        raise InvalidParams("dev must be >= 0")
     tp = typical_price(series)
     if isinstance(window, AmaParams):
-        middle = ama(tp, window)
-        sigma_window = window.timeperiod_long
-    else:
-        if window < 1:
-            raise ZeroPeriod("bollinger period must be >= 1")
-        middle = sma(tp, window)
-        sigma_window = window
-    return offset_bands(middle, rolling_std(tp, sigma_window), dev, flat=sigma_window - 1)
+        return ama(tp, window), rolling_std(tp, window.timeperiod_long)
+    if window < 1:
+        raise ZeroPeriod("bollinger period must be >= 1")
+    return sma(tp, window), rolling_std(tp, window)
+
+
+def bollinger_bands(middle: IndicatorSeries, sigma: IndicatorSeries, dev: float) -> BandSet:
+    """Bollinger bands from ``bollinger_parts``: the bars before sigma's
+    first full window pass through with zero width."""
+    return offset_bands(middle, sigma, dev, flat=sigma.warmup_len)
+
+
+def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:
+    """Bands around a moving average of typical price, offset by dev
+    population standard deviations of typical price."""
+    if dev < 0:
+        raise InvalidParams("dev must be >= 0")
+    return bollinger_bands(*bollinger_parts(series, window), dev)
 
 
 def macd(

@@ -18,21 +18,18 @@ from typing import Callable, Optional, Union
 
 from .errors import InvalidParams, TooShort
 from .indicators import (
-    MA_SMA,
     AmaParams,
     IndicatorSeries,
     MaLike,
-    MaSpec,
     aroon,
-    atr,
-    ma_reference_period,
+    bollinger_bands,
+    bollinger_parts,
+    keltner_parts,
     macd,
     moving_average,
     offset_bands,
-    rolling_std,
     rsi,
     sma,
-    typical_price,
 )
 from .market_data import OhlcvSeries
 
@@ -252,14 +249,11 @@ def price_cross_signals(
 def keltner_signals(
     series: OhlcvSeries, config: KeltnerConfig, memo: Optional[KernelMemo] = None
 ) -> list[SignalEvent]:
-    # indicators.keltner, with the middle line and the ATR kept apart so
-    # that cells differing only in mult share them
+    # the parts do not depend on mult, so cells differing only in mult share them
     closes = series.closes
-    period = ma_reference_period(config.ma)
-    middle = _cached(memo, ("moving_average", "typical", config.ma),
-                     lambda: moving_average(typical_price(series), config.ma))
-    width = _cached(memo, ("atr", "ohlc", period), lambda: atr(series, period))
-    bands = offset_bands(middle, width, config.mult)
+    parts = _cached(memo, ("keltner_parts", "ohlc", config.ma),
+                    lambda: keltner_parts(series, config.ma))
+    bands = offset_bands(*parts, config.mult)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the channel warm-up")
@@ -281,17 +275,11 @@ def keltner_signals(
 def bollinger_signals(
     series: OhlcvSeries, config: BollingerConfig, memo: Optional[KernelMemo] = None
 ) -> list[SignalEvent]:
-    # indicators.bollinger, with the middle line and the deviation kept
-    # apart so that cells differing only in dev share them
+    # the parts do not depend on dev, so cells differing only in dev share them
     closes = series.closes
-    window = config.window
-    ma = window if isinstance(window, AmaParams) else MaSpec(MA_SMA, window)
-    period = ma_reference_period(ma)
-    middle = _cached(memo, ("moving_average", "typical", ma),
-                     lambda: moving_average(typical_price(series), ma))
-    sigma = _cached(memo, ("rolling_std", "typical", period),
-                    lambda: rolling_std(typical_price(series), period))
-    bands = offset_bands(middle, sigma, config.dev, flat=period - 1)
+    parts = _cached(memo, ("bollinger_parts", "ohlc", config.window),
+                    lambda: bollinger_parts(series, config.window))
+    bands = bollinger_bands(*parts, config.dev)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the band warm-up")

@@ -232,6 +232,7 @@ class TestSweepCommand:
     (["--trading-days", "0"], "InvalidArgument"),
     (["--trading-days", "-3"], "InvalidArgument"),
     (["--data", str(DATA_DIR)], "PathError"),
+    (["--benchmark", str(DATA_DIR)], "PathError"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     argv = ["report", "--data", str(V_FIXTURE), "--out-dir", str(tmp_path)] + flags

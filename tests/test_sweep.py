@@ -177,6 +177,28 @@ def test_each_moving_average_is_computed_once(series, monkeypatch):
     assert len(set(calls)) == 20
 
 
+@pytest.mark.parametrize("strategy, parts", [
+    ("keltner", "keltner_parts"),
+    ("bollinger", "bollinger_parts"),
+])
+def test_band_parts_are_shared_across_widths(series, monkeypatch, strategy, parts):
+    # the grid has 2 windows x 3 band widths; the parts depend only on the window
+    calls = []
+    original = getattr(strategies, parts)
+
+    def counting(data, window):
+        calls.append(window)
+        return original(data, window)
+
+    monkeypatch.setattr(strategies, parts, counting)
+    text = f"strategy = {strategy}\nobjective = rr_whole\nmin_trades = 0\n"
+    spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
+    assert spec.grid_size() == 6
+    run_sweep(series, spec)
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
 def test_many_threads_share_the_memo(series):
     text = SWEEP_TEXT.replace("2:4:1", "2:20:2").replace("12,20", "30:120:10")
     spec = sweep_from_dict(parse_kv_text(text))
