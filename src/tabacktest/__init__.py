@@ -26,7 +26,7 @@ from .indicators import (
     true_range,
 )
 from .kelly import KellyParams, expected_log_return, kelly_curve, optimal_fraction
-from .market_data import Bar, OhlcvSeries, parse_csv, serialize_csv, slice_years
+from .market_data import OhlcvSeries, parse_csv, serialize_csv, slice_years
 from .metrics import (
     MetricReport,
     build_report,
@@ -56,7 +56,6 @@ __all__ = [
     "AroonConfig",
     "BacktestResult",
     "BandSet",
-    "Bar",
     "BollingerConfig",
     "EngineError",
     "EquityCurve",

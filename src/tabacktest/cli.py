@@ -14,7 +14,14 @@ from pathlib import Path
 
 from . import config as cfg
 from .backtest import equity_to_csv, run
-from .errors import EngineError, InvalidArgument, LengthMismatch, MissingInput, PathError
+from .errors import (
+    EngineError,
+    InvalidArgument,
+    LengthMismatch,
+    MissingInput,
+    PathError,
+    UndecodableInput,
+)
 from .indicators import AmaParams, ama, ema, rmi, rsi, sma
 from .kelly import KellyParams, curve_to_csv, expected_log_return, kelly_curve, optimal_fraction
 from .market_data import parse_csv, serialize_csv
@@ -87,13 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_input(load, path, **kwargs):
     """``load(path, **kwargs)``, with a path that exists but cannot be read
-    as a file (a directory, no permission, ...) reported as an input error."""
+    as a file (a directory, no permission, ...) or whose bytes are not
+    UTF-8 reported as an input error."""
     try:
         return load(path, **kwargs)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise PathError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _load_series(args):
@@ -127,13 +137,13 @@ def cmd_ingest(args) -> int:
     parsed = _load_series(args)
     out = _out_dir(args)
     serialize_csv(parsed.series, out / "ingested.csv")
-    first, last = parsed.series.bars[0], parsed.series.bars[-1]
+    dates = parsed.series.dates
     _emit({
         "command": "ingest",
         "symbol": parsed.series.symbol,
         "bars": len(parsed.series),
-        "first_date": first.date.isoformat(),
-        "last_date": last.date.isoformat(),
+        "first_date": dates[0].isoformat(),
+        "last_date": dates[-1].isoformat(),
         "warnings": parsed.warnings,
         "output": "ingested.csv",
     })

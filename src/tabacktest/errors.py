@@ -47,6 +47,10 @@ class PathError(InputError):
     expected, a file without read permission, and the like."""
 
 
+class UndecodableInput(InputError):
+    """An input file whose bytes are not valid UTF-8."""
+
+
 class RowError(InputError):
     """Input error tied to a specific data row (1-based, header excluded)."""
 

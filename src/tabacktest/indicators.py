@@ -450,17 +450,3 @@ def macd(
         IndicatorSeries(hist, signal_warmup),
     )
 
-
-def dump_csv(indicator: IndicatorSeries, target) -> None:
-    """Write `index,value` rows for plotting."""
-    from pathlib import Path as _Path
-
-    own = isinstance(target, (str, _Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        handle.write("index,value\n")
-        for i, v in enumerate(indicator.values):
-            handle.write(f"{i},{v!r}\n")
-    finally:
-        if own:
-            handle.close()

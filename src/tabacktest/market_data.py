@@ -2,7 +2,7 @@
 
 Canonical CSV columns are ``date,open,high,low,close,adj_close,volume``
 with ``adj_close`` optional. Dates are ISO-8601 and must be strictly
-increasing. All values are immutable after construction.
+increasing. A series stores one immutable column per field.
 """
 from __future__ import annotations
 
@@ -10,12 +10,16 @@ import csv
 import datetime as dt
 import io
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     EmptySeries,
+    InvalidArgument,
+    InvalidParams,
     InvariantViolation,
+    LengthMismatch,
     MissingColumn,
     MissingInput,
     NonMonotonicDates,
@@ -28,57 +32,89 @@ LENIENT = "lenient"
 _REQUIRED_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One trading day. Prices are finite and strictly positive; low <= high."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
-
-    def __post_init__(self):
-        for price in (self.open, self.high, self.low, self.close):
-            if not math.isfinite(price) or price <= 0.0:
-                raise ValueError(f"prices must be finite and positive, got {price}")
-        if self.low > self.high:
-            raise ValueError(f"low {self.low} > high {self.high}")
-        if self.volume < 0:
-            raise ValueError(f"volume must be non-negative, got {self.volume}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OhlcvSeries:
-    symbol: str
-    bars: tuple[Bar, ...]
+    """Daily bars stored column by column.
 
-    def __post_init__(self):
-        if not self.bars:
-            raise ValueError("a series needs at least one bar")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(f"dates must strictly increase: {prev.date} -> {cur.date}")
+    Invariants, checked once per column on construction: at least one bar,
+    equal column lengths, strictly increasing dates, finite and strictly
+    positive prices, low <= high and volume >= 0. A violation raises
+    ``EmptySeries`` or ``LengthMismatch``, or ``NonMonotonicDates`` or
+    ``InvariantViolation`` whose row is the 1-based position of the first
+    bad bar. The column accessors return fresh lists.
+    """
+
+    symbol: str
+    _dates: tuple
+    _opens: tuple
+    _highs: tuple
+    _lows: tuple
+    _closes: tuple
+    _volumes: tuple
+
+    def __init__(self, symbol, dates, opens, highs, lows, closes, volumes):
+        columns = tuple(map(tuple, (dates, opens, highs, lows, closes, volumes)))
+        _validate(*columns)
+        object.__setattr__(self, "symbol", symbol)
+        for name, column in zip(("_dates", "_opens", "_highs", "_lows", "_closes", "_volumes"),
+                                columns):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    @property
-    def closes(self) -> list[float]:
-        return [b.close for b in self.bars]
-
-    @property
-    def highs(self) -> list[float]:
-        return [b.high for b in self.bars]
-
-    @property
-    def lows(self) -> list[float]:
-        return [b.low for b in self.bars]
+        return len(self._dates)
 
     @property
     def dates(self) -> list[dt.date]:
-        return [b.date for b in self.bars]
+        return list(self._dates)
+
+    @property
+    def opens(self) -> list[float]:
+        return list(self._opens)
+
+    @property
+    def highs(self) -> list[float]:
+        return list(self._highs)
+
+    @property
+    def lows(self) -> list[float]:
+        return list(self._lows)
+
+    @property
+    def closes(self) -> list[float]:
+        return list(self._closes)
+
+    @property
+    def volumes(self) -> list[int]:
+        return list(self._volumes)
+
+
+def _first(flags) -> int:
+    """1-based position of the first false flag."""
+    return next(i for i, ok in enumerate(flags, start=1) if not ok)
+
+
+def _validate(dates, opens, highs, lows, closes, volumes) -> None:
+    if not dates:
+        raise EmptySeries("a series needs at least one bar")
+    if any(len(column) != len(dates) for column in (opens, highs, lows, closes, volumes)):
+        raise LengthMismatch("all columns of a series need one entry per date")
+    if not all(map(operator.lt, dates, dates[1:])):
+        row = _first(map(operator.lt, dates, dates[1:])) + 1
+        raise NonMonotonicDates(
+            row, f"dates must strictly increase: {dates[row - 2]} -> {dates[row - 1]}"
+        )
+    for column in (opens, highs, lows, closes):
+        if not (all(map(math.isfinite, column)) and min(column) > 0.0):
+            row = _first(math.isfinite(p) and p > 0.0 for p in column)
+            raise InvariantViolation(
+                row, f"prices must be finite and positive, got {column[row - 1]}"
+            )
+    if not all(map(operator.le, lows, highs)):
+        row = _first(map(operator.le, lows, highs))
+        raise InvariantViolation(row, f"low {lows[row - 1]} > high {highs[row - 1]}")
+    if min(volumes) < 0:
+        row = _first(v >= 0 for v in volumes)
+        raise InvariantViolation(row, f"volume must be non-negative, got {volumes[row - 1]}")
 
 
 @dataclass(frozen=True)
@@ -109,17 +145,34 @@ def parse_csv(
 ) -> ParseResult:
     """Parse a daily OHLCV CSV file.
 
-    In strict mode any invariant violation aborts with the offending
-    1-based data row number. In lenient mode open/close are clamped into
-    [low, high], a swapped low/high pair is re-ordered, and rows whose
-    prices cannot be repaired (empty, non-finite, non-positive) are
-    dropped; each remedy increments the returned warning count.
+    The first record is the header; its names are matched stripped and
+    case-insensitively, and ``date``, ``open``, ``high``, ``low``,
+    ``close`` and ``volume`` must be present (``MissingColumn``). With
+    ``use_adjusted`` the ``adj_close`` column must be present too and
+    replaces ``close`` before validation.
 
-    With ``use_adjusted`` the optional ``adj_close`` column replaces
-    ``close`` before validation.
+    Data rows are numbered from 1 after the header, blank rows included.
+    Each row is checked in this order; cells are stripped and a cell
+    missing from a short row reads as empty:
+
+    1. A row whose cells are all blank is skipped without a warning.
+    2. The row is unparsable if all four price cells are empty, the date
+       is not ISO-8601, a price is not a finite float, or the volume is
+       not a finite whole number (``UnparsableRow``).
+    3. A date that does not follow the previous parsed row's date raises
+       ``NonMonotonicDates`` in both modes. Unparsable rows set no date.
+    4. A price <= 0 makes the row unrepairable (``InvariantViolation``);
+       its date still counts as the previous date.
+    5. A swapped low/high pair, an open or a close outside [low, high]
+       and a negative volume are each an ``InvariantViolation``.
+
+    In strict mode the first violation aborts with its row number. In
+    lenient mode the rows of 2 and 4 are dropped with one warning each,
+    and each remedy of 5 counts one warning: low and high are swapped,
+    open and close are clamped into [low, high], and the volume becomes 0.
+    A file with no accepted row raises ``EmptySeries``. An unknown
+    ``mode`` raises ``InvalidArgument``.
     """
-    if mode not in (STRICT, LENIENT):
-        raise ValueError(f"unknown parse mode {mode!r}")
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
@@ -137,6 +190,8 @@ def parse_csv_text(
 
 
 def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseResult:
+    if mode not in (STRICT, LENIENT):
+        raise InvalidArgument(f"unknown parse mode {mode!r}")
     reader = csv.reader(handle)
     try:
         header = next(reader)
@@ -148,19 +203,54 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
         raise MissingColumn(f"missing column(s): {', '.join(missing)}")
     if use_adjusted and "adj_close" not in columns:
         raise MissingColumn("missing column(s): adj_close (required by use_adjusted)")
-    index = {name: columns.index(name) for name in columns}
-    close_col = index["adj_close"] if use_adjusted else index["close"]
+    date_col, open_col, high_col, low_col, close_col, volume_col = (
+        columns.index(name) for name in
+        ("date", "open", "high", "low", "adj_close" if use_adjusted else "close", "volume")
+    )
 
     strict = mode == STRICT
-    bars: list[Bar] = []
+    dates: list[dt.date] = []
+    opens: list[float] = []
+    highs: list[float] = []
+    lows: list[float] = []
+    closes: list[float] = []
+    volumes: list[int] = []
     warnings = 0
     prev_date: dt.date | None = None
+    fromisoformat = dt.date.fromisoformat
+    inf = math.inf
 
     for row_no, row in enumerate(reader, start=1):
+        # Fast path: a row that passes every check as it stands. float()
+        # ignores the surrounding whitespace that the checks below strip.
+        try:
+            date = fromisoformat(row[date_col])
+            open_ = float(row[open_col])
+            high = float(row[high_col])
+            low = float(row[low_col])
+            close = float(row[close_col])
+            volume = float(row[volume_col])
+        except (ValueError, IndexError):
+            pass
+        else:
+            if (0.0 < low <= open_ <= high < inf and low <= close <= high
+                    and volume >= 0.0 and volume.is_integer()
+                    and (prev_date is None or date > prev_date)):
+                dates.append(date)
+                opens.append(open_)
+                highs.append(high)
+                lows.append(low)
+                closes.append(close)
+                volumes.append(int(volume))
+                prev_date = date
+                continue
+
+        # Every other row takes the checks one at a time, in the
+        # documented order, to name the first violation or repair it.
         if not row or all(not cell.strip() for cell in row):
             continue
-        price_cells = [row[index[k]].strip() if index[k] < len(row) else ""
-                       for k in ("open", "high", "low")]
+        price_cells = [row[col].strip() if col < len(row) else ""
+                       for col in (open_col, high_col, low_col)]
         price_cells.append(row[close_col].strip() if close_col < len(row) else "")
         if all(not cell for cell in price_cells):
             if strict:
@@ -168,9 +258,9 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
             warnings += 1
             continue
         try:
-            date = dt.date.fromisoformat(row[index["date"]].strip())
+            date = fromisoformat(row[date_col].strip())
             open_, high, low, close = (_parse_price(cell) for cell in price_cells)
-            volume = _parse_volume(row[index["volume"]].strip())
+            volume = _parse_volume(row[volume_col].strip())
         except (ValueError, IndexError) as exc:
             if strict:
                 raise UnparsableRow(row_no, str(exc)) from None
@@ -207,11 +297,16 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
             volume = 0
             warnings += 1
 
-        bars.append(Bar(date, open_, high, low, close, volume))
+        dates.append(date)
+        opens.append(open_)
+        highs.append(high)
+        lows.append(low)
+        closes.append(close)
+        volumes.append(volume)
 
-    if not bars:
+    if not dates:
         raise EmptySeries("no valid data rows")
-    return ParseResult(OhlcvSeries(symbol, tuple(bars)), warnings)
+    return ParseResult(OhlcvSeries(symbol, dates, opens, highs, lows, closes, volumes), warnings)
 
 
 def serialize_csv(series: OhlcvSeries, target) -> None:
@@ -219,17 +314,13 @@ def serialize_csv(series: OhlcvSeries, target) -> None:
     own = isinstance(target, (str, Path))
     handle = open(target, "w", encoding="utf-8", newline="") if own else target
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["date", "open", "high", "low", "close", "volume"])
-        for bar in series.bars:
-            writer.writerow([
-                bar.date.isoformat(),
-                repr(bar.open),
-                repr(bar.high),
-                repr(bar.low),
-                repr(bar.close),
-                bar.volume,
-            ])
+        handle.write("date,open,high,low,close,volume\n")
+        handle.writelines(
+            f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
+            for date, open_, high, low, close, volume in zip(
+                series._dates, series._opens, series._highs,
+                series._lows, series._closes, series._volumes)
+        )
     finally:
         if own:
             handle.close()
@@ -248,10 +339,10 @@ def slice_years(series_or_length, bars_per_year: int) -> list[tuple[int, int]]:
     ranges partition the whole series.
     """
     if bars_per_year < 1:
-        raise ValueError("bars_per_year must be >= 1")
+        raise InvalidParams(f"bars_per_year must be >= 1, got {bars_per_year}")
     length = series_or_length if isinstance(series_or_length, int) else len(series_or_length)
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise InvalidParams(f"length must be non-negative, got {length}")
     ranges: list[tuple[int, int]] = []
     start = 0
     while start < length:

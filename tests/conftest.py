@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tabacktest.market_data import Bar, OhlcvSeries
+from tabacktest.market_data import OhlcvSeries
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -17,15 +17,14 @@ def make_series(closes, highs=None, lows=None, opens=None, volumes=None, symbol=
     lows = [float(l) for l in lows] if lows is not None else [c * 0.99 for c in closes]
     opens = [float(o) for o in opens] if opens is not None else list(closes)
     volumes = list(volumes) if volumes is not None else [1000] * len(closes)
-    start = dt.date(2020, 1, 1)
-    bars = []
-    day = start
-    for i in range(len(closes)):
+    dates = []
+    day = dt.date(2020, 1, 1)
+    for _ in closes:
         while day.weekday() >= 5:
             day += dt.timedelta(days=1)
-        bars.append(Bar(day, opens[i], highs[i], lows[i], closes[i], volumes[i]))
+        dates.append(day)
         day += dt.timedelta(days=1)
-    return OhlcvSeries(symbol, tuple(bars))
+    return OhlcvSeries(symbol, dates, opens, highs, lows, closes, volumes)
 
 
 def random_walk(rng: random.Random, n: int, start: float = 100.0, step: float = 1.0):

@@ -26,7 +26,7 @@ import oracles  # noqa: E402
 
 from tabacktest.backtest import run  # noqa: E402
 from tabacktest.indicators import AmaParams, MaSpec  # noqa: E402
-from tabacktest.market_data import Bar, OhlcvSeries, serialize_csv  # noqa: E402
+from tabacktest.market_data import OhlcvSeries, serialize_csv  # noqa: E402
 from tabacktest.metrics import build_report, max_drawdown  # noqa: E402
 from tabacktest.strategies import (  # noqa: E402
     BUY,
@@ -52,19 +52,19 @@ def business_days(start: dt.date, count: int) -> list[dt.date]:
 
 
 def to_series(closes, symbol, start_date, rng) -> OhlcvSeries:
-    dates = business_days(start_date, len(closes))
-    bars = []
+    opens, highs, lows, volumes = [], [], [], []
     prev_close = closes[0]
-    for i, close in enumerate(closes):
+    for close in closes:
         open_ = prev_close
         spread_up = abs(rng.normal(0.0, 0.003)) + 1e-4
         spread_dn = abs(rng.normal(0.0, 0.003)) + 1e-4
-        high = max(open_, close) * (1.0 + spread_up)
-        low = min(open_, close) * (1.0 - spread_dn)
-        volume = int(rng.integers(1_000_000, 5_000_000))
-        bars.append(Bar(dates[i], float(open_), float(high), float(low), float(close), volume))
+        opens.append(float(open_))
+        highs.append(float(max(open_, close) * (1.0 + spread_up)))
+        lows.append(float(min(open_, close) * (1.0 - spread_dn)))
+        volumes.append(int(rng.integers(1_000_000, 5_000_000)))
         prev_close = close
-    return OhlcvSeries(symbol, tuple(bars))
+    return OhlcvSeries(symbol, business_days(start_date, len(closes)), opens, highs, lows,
+                       [float(c) for c in closes], volumes)
 
 
 def make_regime_fixture() -> None:
@@ -122,10 +122,9 @@ def make_regime_fixture() -> None:
 def make_v_fixture() -> None:
     closes = [100.0 - i for i in range(40)] + [61.0 + i for i in range(1, 41)]
     dates = business_days(dt.date(2021, 1, 4), len(closes))
-    bars = [
-        Bar(dates[i], c, c + 0.5, c - 0.5, c, 1000 + i) for i, c in enumerate(closes)
-    ]
-    series = OhlcvSeries("vfix", tuple(bars))
+    series = OhlcvSeries("vfix", dates, closes, [c + 0.5 for c in closes],
+                         [c - 0.5 for c in closes], closes,
+                         [1000 + i for i in range(len(closes))])
     serialize_csv(series, HERE / "v_fixture.csv")
 
     config = TwoAverageConfig(fast=MaSpec("sma", 2), slow=MaSpec("sma", 5))

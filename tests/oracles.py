@@ -5,6 +5,9 @@ shared with the package, trading speed for obviousness.
 """
 from __future__ import annotations
 
+import csv
+import datetime as dt
+import io
 import math
 
 import numpy as np
@@ -212,3 +215,90 @@ def naive_equity(closes, signal_pairs, length):
         for i in range(stop + 1, length):
             values[i] = level
     return values
+
+
+class OracleParseError(Exception):
+    """Outcome of ``naive_parse`` on a rejected input: the package's error
+    class name and the 1-based data row (None when no row is to blame)."""
+
+    def __init__(self, kind, row=None):
+        super().__init__(kind, row)
+        self.kind = kind
+        self.row = row
+
+
+def naive_parse(text, mode, use_adjusted=False):
+    """Row-by-row parse of a daily OHLCV CSV, following the rules stated in
+    the ``parse_csv`` docstring one at a time.
+
+    Returns ``(rows, warnings)`` with rows as (date, open, high, low, close,
+    volume) tuples, or raises ``OracleParseError``.
+    """
+    records = list(csv.reader(io.StringIO(text)))
+    if not records:
+        raise OracleParseError("EmptySeries")
+    names = [name.strip().lower() for name in records[0]]
+    needed = ["date", "open", "high", "low", "close", "volume"]
+    if use_adjusted:
+        needed.append("adj_close")
+    if any(name not in names for name in needed):
+        raise OracleParseError("MissingColumn")
+    close_name = "adj_close" if use_adjusted else "close"
+    strict = mode == "strict"
+
+    def cell(record, name):
+        position = names.index(name)
+        return record[position].strip() if position < len(record) else ""
+
+    rows = []
+    warnings = 0
+    last_date = None
+    for number, record in enumerate(records[1:], start=1):
+        if all(not c.strip() for c in record):
+            continue
+        texts = [cell(record, name) for name in ("open", "high", "low", close_name)]
+        try:
+            if all(t == "" for t in texts):
+                raise ValueError("no prices")
+            date = dt.date.fromisoformat(cell(record, "date"))
+            prices = [float(t) for t in texts]
+            volume = float(cell(record, "volume"))
+            if not all(math.isfinite(p) for p in prices):
+                raise ValueError("non-finite price")
+            if not math.isfinite(volume) or volume != math.floor(volume):
+                raise ValueError("volume is no whole number")
+        except ValueError:
+            if strict:
+                raise OracleParseError("UnparsableRow", number) from None
+            warnings += 1
+            continue
+        if last_date is not None and date <= last_date:
+            raise OracleParseError("NonMonotonicDates", number)
+        last_date = date
+        if any(p <= 0.0 for p in prices):
+            if strict:
+                raise OracleParseError("InvariantViolation", number)
+            warnings += 1
+            continue
+        open_, high, low, close = prices
+        volume = int(volume)
+        remedies = 0
+        if low > high:
+            low, high = high, low
+            remedies += 1
+        if open_ < low or open_ > high:
+            open_ = low if open_ < low else high
+            remedies += 1
+        if close < low or close > high:
+            close = low if close < low else high
+            remedies += 1
+        if volume < 0:
+            volume = 0
+            remedies += 1
+        if remedies and strict:
+            raise OracleParseError("InvariantViolation", number)
+        warnings += remedies
+        rows.append((date, open_, high, low, close, volume))
+    if not rows:
+        raise OracleParseError("EmptySeries")
+    return rows, warnings

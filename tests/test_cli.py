@@ -94,6 +94,7 @@ class TestIngestCommand:
         summary = json.loads(out)
         assert summary["bars"] == 80
         assert summary["warnings"] == 0
+        assert (summary["first_date"], summary["last_date"]) == ("2021-01-04", "2021-04-23")
         assert (tmp_path / "ingested.csv").read_bytes() == V_FIXTURE.read_bytes()
 
     def test_lenient_flag(self, tmp_path, capsys):
@@ -228,14 +229,24 @@ class TestSweepCommand:
         assert json.loads(out)["error"]["kind"] == "EmptyGridAfterFilter"
 
 
+NOT_UTF8 = "<a file holding the byte 0xff>"
+
+
 @pytest.mark.parametrize("flags, kind", [
     (["--trading-days", "0"], "InvalidArgument"),
     (["--trading-days", "-3"], "InvalidArgument"),
     (["--data", str(DATA_DIR)], "PathError"),
     (["--benchmark", str(DATA_DIR)], "PathError"),
+    (["--data", NOT_UTF8], "UndecodableInput"),
+    (["--benchmark", NOT_UTF8], "UndecodableInput"),
+    (["--config", NOT_UTF8], "UndecodableInput"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
-    argv = ["report", "--data", str(V_FIXTURE), "--out-dir", str(tmp_path)] + flags
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(V_FIXTURE.read_bytes().replace(b"2021-01-05", b"2021-01-05\xff"))
+    flags = [str(not_utf8) if flag == NOT_UTF8 else flag for flag in flags]
+    argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
+            "--out-dir", str(tmp_path)] + flags
     code, out = run_cli(capsys, *argv)
     assert code == 2
     lines = out.splitlines()

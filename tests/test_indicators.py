@@ -345,14 +345,3 @@ class TestOracleEquivalence:
         params = AmaParams(3, 1, 2, 1)
         assert moving_average(closes, params).values == ama(closes, params).values
 
-
-def test_dump_csv_schema(tmp_path):
-    from tabacktest.indicators import dump_csv
-
-    out = sma([1.0, 2.0, 4.0], 2)
-    target = tmp_path / "series.csv"
-    dump_csv(out, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "index,value"
-    assert lines[1] == "0,1.0"
-    assert [float(line.split(",")[1]) for line in lines[1:]] == out.values

@@ -2,11 +2,13 @@ import datetime as dt
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import make_series, random_ohlcv
 from tabacktest import errors
 from tabacktest.market_data import (
+    OhlcvSeries,
     parse_csv,
     parse_csv_text,
     serialize_csv_text,
@@ -30,7 +32,7 @@ def test_well_formed_round_trip():
     parsed = parse_csv_text(WELL_FORMED)
     assert len(parsed.series) == 3
     assert parsed.warnings == 0
-    assert parsed.series.bars[0].date == dt.date(2021, 1, 4)
+    assert parsed.series.dates[0] == dt.date(2021, 1, 4)
     assert parsed.series.closes == [10.5, 11.0, 11.5]
 
 
@@ -43,11 +45,10 @@ def test_strict_rejects_close_above_high_with_row_number():
 def test_lenient_clamps_close_and_counts_warning():
     parsed = parse_csv_text(CLOSE_ABOVE_HIGH, mode="lenient")
     assert parsed.warnings == 1
-    bar = parsed.series.bars[1]
-    assert bar.close == bar.high == 11.5
+    assert parsed.series.closes[1] == parsed.series.highs[1] == 11.5
     # re-read the clamped output: it is now strict-valid
     round_tripped = parse_csv_text(serialize_csv_text(parsed.series), mode="strict")
-    assert round_tripped.series.bars == parsed.series.bars
+    assert round_tripped.series == parsed.series
 
 
 def test_missing_column():
@@ -91,7 +92,7 @@ def test_use_adjusted_maps_adj_close():
 2021-01-04,10.0,11.0,9.5,10.5,10.0,1000
 """
     parsed = parse_csv_text(text, use_adjusted=True)
-    assert parsed.series.bars[0].close == 10.0
+    assert parsed.series.closes[0] == 10.0
     with pytest.raises(errors.MissingColumn):
         parse_csv_text(WELL_FORMED, use_adjusted=True)
 
@@ -116,24 +117,72 @@ def test_serialization_round_trip_random_series():
     assert parsed.warnings == 0
 
 
+
+@pytest.mark.parametrize("reader", ["text", "file"])
+def test_unknown_mode_is_invalid_argument(reader, tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_text(CLOSE_ABOVE_HIGH)
+    with pytest.raises(errors.InvalidArgument):
+        if reader == "text":
+            parse_csv_text(CLOSE_ABOVE_HIGH, mode="bogus")
+        else:
+            parse_csv(path, mode="bogus")
+
+
+_DAYS = [dt.date(2021, 1, 4), dt.date(2021, 1, 5), dt.date(2021, 1, 6)]
+
+
+@pytest.mark.parametrize("change, kind, row", [
+    ({"dates": []}, "EmptySeries", None),
+    ({"volumes": [1, 1]}, "LengthMismatch", None),
+    ({"dates": [_DAYS[0], _DAYS[2], _DAYS[1]]}, "NonMonotonicDates", 3),
+    ({"dates": [_DAYS[0], _DAYS[0], _DAYS[1]]}, "NonMonotonicDates", 2),
+    ({"opens": [2.0, 0.0, 2.0]}, "InvariantViolation", 2),
+    ({"closes": [2.0, 2.0, float("nan")]}, "InvariantViolation", 3),
+    ({"highs": [float("inf"), 3.0, 3.0]}, "InvariantViolation", 1),
+    ({"lows": [1.0, 3.5, 1.0]}, "InvariantViolation", 2),
+    ({"volumes": [1, 1, -1]}, "InvariantViolation", 3),
+])
+def test_series_invariants_raise_engine_errors(change, kind, row):
+    columns = {"dates": _DAYS, "opens": [2.0] * 3, "highs": [3.0] * 3,
+               "lows": [1.0] * 3, "closes": [2.0] * 3, "volumes": [1] * 3}
+    columns.update(change)
+    with pytest.raises(errors.EngineError) as err:
+        OhlcvSeries("s", **columns)
+    assert err.value.kind == kind
+    assert getattr(err.value, "row", None) == row
+
+
+def test_series_columns_are_immutable_copies():
+    series = make_series([1.0, 2.0])
+    series.closes.append(3.0)
+    assert series.closes == series.opens == [1.0, 2.0]
+    assert series.volumes == [1000, 1000]
+    assert len(series) == 2
+    with pytest.raises(AttributeError):
+        series.symbol = "other"
+
+
+@pytest.mark.parametrize("length, bars_per_year", [(10, 0), (-1, 252)])
+def test_slice_years_rejects_bad_arguments(length, bars_per_year):
+    with pytest.raises(errors.InvalidParams):
+        slice_years(length, bars_per_year)
+
 @st.composite
 def valid_series(draw):
-    import datetime as dt
-
-    from tabacktest.market_data import Bar, OhlcvSeries
-
     length = draw(st.integers(1, 40))
     day = dt.date(2015, 1, 2)
-    bars = []
+    columns = ([], [], [], [], [], [])
     for _ in range(length):
         low = draw(st.floats(0.01, 1e6, allow_nan=False, allow_infinity=False))
         high = low * (1.0 + draw(st.floats(0.0, 0.5, allow_nan=False)))
         open_ = min(max(draw(st.floats(0.01, 1e6, allow_nan=False)), low), high)
         close = min(max(draw(st.floats(0.01, 1e6, allow_nan=False)), low), high)
         volume = draw(st.integers(0, 10**12))
-        bars.append(Bar(day, open_, high, low, close, volume))
+        for column, value in zip(columns, (day, open_, high, low, close, volume)):
+            column.append(value)
         day += dt.timedelta(days=draw(st.integers(1, 5)))
-    return OhlcvSeries("gen", tuple(bars))
+    return OhlcvSeries("gen", *columns)
 
 
 @given(series=valid_series())
@@ -165,3 +214,88 @@ def test_slice_years_partitions(length, bars_per_year):
     assert position == length
     if length >= bars_per_year:
         assert all(end - start == bars_per_year for start, end in ranges[:-1])
+
+
+def test_lenient_drop_order_against_repeated_date():
+    """A non-finite row is dropped before its date counts; a non-positive
+    row is dropped after, so a following repeat of its date is rejected."""
+    head = "date,open,high,low,close,volume\n2021-01-04,10,11,9,10,100\n"
+    repeat = "2021-01-05,10,11,9,10,100\n"
+    parsed = parse_csv_text(head + "2021-01-05,10,inf,9,10,100\n" + repeat, mode="lenient")
+    assert [d.isoformat() for d in parsed.series.dates] == ["2021-01-04", "2021-01-05"]
+    assert parsed.warnings == 1
+    with pytest.raises(errors.NonMonotonicDates) as err:
+        parse_csv_text(head + "2021-01-05,10,11,-9,10,100\n" + repeat, mode="lenient")
+    assert err.value.row == 3
+
+
+def test_first_bad_price_cell_is_reported():
+    text = "date,open,high,low,close,volume\n2021-01-04,nan,abc,9,10,100\n"
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_csv_text(text, mode="strict")
+    assert err.value.row == 1
+    assert str(err.value) == "row 1: non-finite price 'nan'"
+
+
+_BAD_PRICES = ("", " ", "nan", "inf", "-inf", "0", "-1.5", "abc", "1e999")
+_VOLUMES = ("1000", "0", " 250 ", "1e3", "-5", "2.5", "", "nan", "abc")
+
+
+@st.composite
+def dirty_csv(draw):
+    """CSV text with adj_close, mostly clean rows and, at random, blank and
+    short rows, bad or repeated dates, bad prices, swapped low/high,
+    open/close outside [low, high] and bad volumes."""
+    lines = ["date,open,high,low,close,adj_close,volume"]
+    day = dt.date(2021, 1, 4)
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.sampled_from(["", ",,,,,,", "  , "])))
+            continue
+        step = draw(st.integers(0, 40))
+        day += dt.timedelta(days=-1 if step == 0 else 0 if step == 1 else 1 + step % 3)
+        low = draw(st.integers(1, 2000)) / 8.0
+        high = low + draw(st.integers(0, 80)) / 8.0
+        inside = [low + draw(st.integers(0, 8)) * (high - low) / 8.0 for _ in range(3)]
+        if draw(st.integers(0, 9)) == 0:
+            low, high = high, low
+        for i in range(3):
+            if draw(st.integers(0, 9)) == 0:
+                inside[i] = draw(st.sampled_from([low / 2.0, high * 2.0, 0.001, 5000.0]))
+        cells = [day.isoformat(), repr(inside[0]), repr(high), repr(low),
+                 repr(inside[1]), repr(inside[2]), draw(st.sampled_from(_VOLUMES[:3]))]
+        for i in range(len(cells)):
+            if draw(st.integers(0, 29)) == 0:
+                pool = (("", "2021-02-30", "soon") if i == 0
+                        else _VOLUMES if i == 6 else _BAD_PRICES)
+                cells[i] = draw(st.sampled_from(pool))
+        if draw(st.integers(0, 19)) == 0:
+            cells = cells[:draw(st.integers(1, 6))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _columns(series):
+    """The series as (date, open, high, low, close, volume) rows, read back
+    from its canonical serialization."""
+    return [
+        (dt.date.fromisoformat(d), float(o), float(h), float(l), float(c), int(v))
+        for d, o, h, l, c, v in (
+            line.split(",") for line in serialize_csv_text(series).splitlines()[1:]
+        )
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=dirty_csv(), mode=st.sampled_from(["strict", "lenient"]), adjusted=st.booleans())
+def test_parse_matches_naive_oracle(text, mode, adjusted):
+    try:
+        expected = oracles.naive_parse(text, mode, use_adjusted=adjusted)
+    except oracles.OracleParseError as exc:
+        expected = (exc.kind, exc.row)
+    try:
+        parsed = parse_csv_text(text, mode=mode, use_adjusted=adjusted)
+        got = (_columns(parsed.series), parsed.warnings)
+    except errors.EngineError as exc:
+        got = (exc.kind, getattr(exc, "row", None))
+    assert got == expected
