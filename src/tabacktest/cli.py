@@ -20,7 +20,6 @@ from .errors import (
     LengthMismatch,
     MissingInput,
     PathError,
-    UndecodableInput,
 )
 from .indicators import AmaParams, ama, ema, rmi, rsi, sma
 from .kelly import KellyParams, curve_to_csv, expected_log_return, kelly_curve, optimal_fraction
@@ -94,16 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_input(load, path, **kwargs):
     """``load(path, **kwargs)``, with a path that exists but cannot be read
-    as a file (a directory, no permission, ...) or whose bytes are not
-    UTF-8 reported as an input error."""
+    as a file (a directory, no permission, ...) reported as an input
+    error."""
     try:
         return load(path, **kwargs)
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise PathError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _load_series(args):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigError, InvalidParams, MissingInput
+from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
 from .strategies import (
     AroonConfig,
@@ -118,7 +118,11 @@ def parse_kv_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such config file: {path}")
-    return parse_kv_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_kv_text(text)
 
 
 def _require_scalar(value: Any, key: str) -> Any:

@@ -4,13 +4,22 @@ Every kernel returns a series of exactly the input length. Leading bars
 without a full window are passed through unchanged (never NaN) and
 reported via ``warmup_len``. All kernels are pure functions of their
 inputs, so repeated runs are bit-identical.
+
+``sma`` and ``rolling_std`` run in O(n) on exact integer window sums:
+each SMA value is the exactly rounded window mean, and each sigma is the
+correctly rounded square root of the exactly rounded population
+variance, on every interpreter. ``aroon`` finds its window extremes with
+a monotonic deque of indices (Lemire 2006).
 """
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate, islice, repeat
+from operator import add, mul, sub, truediv
 
-from .errors import InvalidParams, TooShort, ZeroPeriod
+from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
 
 # Floor for the efficiency-ratio noise denominator on flat stretches.
@@ -93,18 +102,48 @@ def _values(data) -> list[float]:
     return [float(v) for v in data]
 
 
+def _exact_ints(x: list[float]) -> tuple[list[int], int]:
+    """Integers m and one scale with x[i] == m[i] / 2**scale exactly.
+
+    Sums of the m never round, so one division of a window sum gives the
+    exactly rounded mean. A non-finite value raises ``DomainError``.
+    """
+    smallest = min(filter(None, map(abs, x)), default=1.0)
+    # f * 2**e with 0.5 <= |f| < 1 is a whole multiple of 2**(e - 53), and
+    # every nonzero |value| >= smallest has an exponent e no lower.
+    scale = max(0, 53 - math.frexp(smallest)[1])
+    try:
+        return list(map(int, map(math.ldexp, x, repeat(scale)))), scale
+    except (OverflowError, ValueError):
+        if not all(map(math.isfinite, x)):
+            raise DomainError("windowed sums need finite values") from None
+    # Magnitudes too far apart for one float exponent (say 5e-324 and
+    # 1e300): shift each exact ratio, whose denominator is a power of two.
+    return [num << (scale - den.bit_length() + 1)
+            for num, den in (v.as_integer_ratio() for v in x)], scale
+
+
+def _window_sums(ints: list[int], n: int):
+    """The exact sum of every full window of n values, in order, streamed;
+    needs len(ints) >= n."""
+    return accumulate(map(sub, islice(ints, n, None), ints), initial=sum(ints[:n]))
+
+
+def _sma(x: list[float], ints: list[int], scale: int, n: int) -> IndicatorSeries:
+    if len(x) < n:
+        return IndicatorSeries(list(x), len(x))
+    # int / int true division rounds correctly
+    means = map(truediv, _window_sums(ints, n), repeat(n << scale))
+    return IndicatorSeries(x[: n - 1] + list(means), n - 1)
+
+
 def sma(data, n: int) -> IndicatorSeries:
-    """Simple moving average of the previous n values (window ending at i)."""
+    """Simple moving average of the previous n values (window ending at i),
+    exactly rounded."""
     if n < 1:
         raise ZeroPeriod("sma period must be >= 1")
     x = _values(data)
-    out: list[float] = []
-    for i, v in enumerate(x):
-        if i < n - 1:
-            out.append(v)
-        else:
-            out.append(sum(x[i - n + 1 : i + 1]) / n)
-    return IndicatorSeries(out, min(n - 1, len(x)))
+    return _sma(x, *_exact_ints(x), n)
 
 
 def ema(data, n: int, s: float = 2.0) -> IndicatorSeries:
@@ -354,47 +393,58 @@ def aroon(series: OhlcvSeries, n: int) -> tuple[IndicatorSeries, IndicatorSeries
         raise ZeroPeriod("aroon period must be >= 1")
     if len(series) <= n:
         raise TooShort("aroon needs more bars than its period")
-    highs, lows = series.highs, series.lows
-    up: list[float] = []
-    down: list[float] = []
-    osc: list[float] = []
-    for i in range(len(series)):
-        lo = max(0, i - n)
-        best_high = best_low = lo
-        for k in range(lo, i + 1):
-            if highs[k] >= highs[best_high]:
-                best_high = k
-            if lows[k] <= lows[best_low]:
-                best_low = k
-        up_i = 100.0 * (n - (i - best_high)) / n
-        down_i = 100.0 * (n - (i - best_low)) / n
-        up.append(up_i)
-        down.append(down_i)
-        osc.append(up_i - down_i)
+    best_high = _recent_argmax(series.highs, n)
+    best_low = _recent_argmax([-v for v in series.lows], n)
+    up = [100.0 * (n - (i - best)) / n for i, best in enumerate(best_high)]
+    down = [100.0 * (n - (i - best)) / n for i, best in enumerate(best_low)]
     warmup = min(n, len(series))
     return (
         IndicatorSeries(up, warmup),
         IndicatorSeries(down, warmup),
-        IndicatorSeries(osc, warmup),
+        IndicatorSeries(list(map(sub, up, down)), warmup),
     )
 
 
-def _window_std(window: Sequence[float]) -> float:
-    mean = sum(window) / len(window)
-    var = sum((v - mean) ** 2 for v in window) / len(window)
-    return var ** 0.5
+def _recent_argmax(values: list[float], n: int) -> list[int]:
+    """Index of the most recent maximum of each trailing window of n+1
+    values, from a deque of indices whose values strictly decrease."""
+    window: deque[int] = deque()
+    out: list[int] = []
+    for i, v in enumerate(values):
+        # popping ties too lets the most recent maximum win
+        while window and values[window[-1]] <= v:
+            window.pop()
+        window.append(i)
+        if window[0] < i - n:
+            window.popleft()
+        out.append(window[0])
+    return out
+
+
+def _rolling_std(ints: list[int], scale: int, n: int) -> IndicatorSeries:
+    if len(ints) < n:
+        return IndicatorSeries([0.0] * len(ints), len(ints))
+    # new**2 - old**2 == (new - old) * (new + old) streams the sums of
+    # squares without a list of squares.
+    steps = map(mul, map(sub, islice(ints, n, None), ints), map(add, islice(ints, n, None), ints))
+    head = ints[:n]
+    square_sums = accumulate(steps, initial=sum(map(mul, head, head)))
+    # n * sum(x**2) - sum(x)**2 is n**2 times the variance, exact and >= 0
+    scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, _window_sums(ints, n), repeat(2)))
+    try:
+        sigma = list(map(math.sqrt, map(truediv, scaled, repeat(n * n << 2 * scale))))
+    except OverflowError:
+        raise DomainError("a window variance exceeds the float range") from None
+    return IndicatorSeries([0.0] * (n - 1) + sigma, n - 1)
 
 
 def rolling_std(data, n: int) -> IndicatorSeries:
-    """Population standard deviation of the n values ending at i; bars
-    without a full window read 0.0."""
+    """Population standard deviation of the n values ending at i: the
+    square root of the exactly rounded variance. Bars without a full
+    window read 0.0."""
     if n < 1:
         raise ZeroPeriod("rolling std period must be >= 1")
-    x = _values(data)
-    out = [0.0] * len(x)
-    for i in range(n - 1, len(x)):
-        out[i] = _window_std(x[i - n + 1 : i + 1])
-    return IndicatorSeries(out, min(n - 1, len(x)))
+    return _rolling_std(*_exact_ints(_values(data)), n)
 
 
 def bollinger_parts(
@@ -411,7 +461,8 @@ def bollinger_parts(
         return ama(tp, window), rolling_std(tp, window.timeperiod_long)
     if window < 1:
         raise ZeroPeriod("bollinger period must be >= 1")
-    return sma(tp, window), rolling_std(tp, window)
+    ints, scale = _exact_ints(tp)
+    return _sma(tp, ints, scale, window), _rolling_std(ints, scale, window)
 
 
 def bollinger_bands(middle: IndicatorSeries, sigma: IndicatorSeries, dev: float) -> BandSet:

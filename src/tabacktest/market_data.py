@@ -23,6 +23,7 @@ from .errors import (
     MissingColumn,
     MissingInput,
     NonMonotonicDates,
+    UndecodableInput,
     UnparsableRow,
 )
 
@@ -172,12 +173,20 @@ def parse_csv(
     open and close are clamped into [low, high], and the volume becomes 0.
     A file with no accepted row raises ``EmptySeries``. An unknown
     ``mode`` raises ``InvalidArgument``.
+
+    A record the ``csv`` module cannot read, such as one with a field
+    longer than its field size limit, raises ``UnparsableRow`` in both
+    modes (row 0 is the header). A file that is not UTF-8 raises
+    ``UndecodableInput``.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
     with path.open("r", encoding="utf-8", newline="") as handle:
-        return _parse_stream(handle, mode, use_adjusted, symbol or path.stem)
+        try:
+            return _parse_stream(handle, mode, use_adjusted, symbol or path.stem)
+        except UnicodeDecodeError as exc:
+            raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
 def parse_csv_text(
@@ -197,6 +206,8 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
         header = next(reader)
     except StopIteration:
         raise EmptySeries("file has no header row") from None
+    except csv.Error as exc:
+        raise UnparsableRow(0, f"header: {exc}") from None
     columns = [cell.strip().lower() for cell in header]
     missing = [name for name in _REQUIRED_COLUMNS if name not in columns]
     if missing:
@@ -220,89 +231,96 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
     fromisoformat = dt.date.fromisoformat
     inf = math.inf
 
-    for row_no, row in enumerate(reader, start=1):
-        # Fast path: a row that passes every check as it stands. float()
-        # ignores the surrounding whitespace that the checks below strip.
-        try:
-            date = fromisoformat(row[date_col])
-            open_ = float(row[open_col])
-            high = float(row[high_col])
-            low = float(row[low_col])
-            close = float(row[close_col])
-            volume = float(row[volume_col])
-        except (ValueError, IndexError):
-            pass
-        else:
-            if (0.0 < low <= open_ <= high < inf and low <= close <= high
-                    and volume >= 0.0 and volume.is_integer()
-                    and (prev_date is None or date > prev_date)):
-                dates.append(date)
-                opens.append(open_)
-                highs.append(high)
-                lows.append(low)
-                closes.append(close)
-                volumes.append(int(volume))
-                prev_date = date
+    row_no = 0
+    # The try wraps the whole loop, not each read, to keep the per-row
+    # cost of clean rows at zero; only the reader raises csv.Error.
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            # Fast path: a row that passes every check as it stands. float()
+            # ignores the surrounding whitespace that the checks below strip.
+            try:
+                date = fromisoformat(row[date_col])
+                open_ = float(row[open_col])
+                high = float(row[high_col])
+                low = float(row[low_col])
+                close = float(row[close_col])
+                volume = float(row[volume_col])
+            except (ValueError, IndexError):
+                pass
+            else:
+                if (0.0 < low <= open_ <= high < inf and low <= close <= high
+                        and volume >= 0.0 and volume.is_integer()
+                        and (prev_date is None or date > prev_date)):
+                    dates.append(date)
+                    opens.append(open_)
+                    highs.append(high)
+                    lows.append(low)
+                    closes.append(close)
+                    volumes.append(int(volume))
+                    prev_date = date
+                    continue
+
+            # Every other row takes the checks one at a time, in the
+            # documented order, to name the first violation or repair it.
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            price_cells = [row[col].strip() if col < len(row) else ""
+                           for col in (open_col, high_col, low_col)]
+            price_cells.append(row[close_col].strip() if close_col < len(row) else "")
+            if all(not cell for cell in price_cells):
+                if strict:
+                    raise UnparsableRow(row_no, "all price cells empty")
+                warnings += 1
+                continue
+            try:
+                date = fromisoformat(row[date_col].strip())
+                open_, high, low, close = (_parse_price(cell) for cell in price_cells)
+                volume = _parse_volume(row[volume_col].strip())
+            except (ValueError, IndexError) as exc:
+                if strict:
+                    raise UnparsableRow(row_no, str(exc)) from None
+                warnings += 1
                 continue
 
-        # Every other row takes the checks one at a time, in the
-        # documented order, to name the first violation or repair it.
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        price_cells = [row[col].strip() if col < len(row) else ""
-                       for col in (open_col, high_col, low_col)]
-        price_cells.append(row[close_col].strip() if close_col < len(row) else "")
-        if all(not cell for cell in price_cells):
-            if strict:
-                raise UnparsableRow(row_no, "all price cells empty")
-            warnings += 1
-            continue
-        try:
-            date = fromisoformat(row[date_col].strip())
-            open_, high, low, close = (_parse_price(cell) for cell in price_cells)
-            volume = _parse_volume(row[volume_col].strip())
-        except (ValueError, IndexError) as exc:
-            if strict:
-                raise UnparsableRow(row_no, str(exc)) from None
-            warnings += 1
-            continue
+            if prev_date is not None and date <= prev_date:
+                raise NonMonotonicDates(row_no, f"{date} does not follow {prev_date}")
+            prev_date = date
 
-        if prev_date is not None and date <= prev_date:
-            raise NonMonotonicDates(row_no, f"{date} does not follow {prev_date}")
-        prev_date = date
+            if min(open_, high, low, close) <= 0.0:
+                if strict:
+                    raise InvariantViolation(row_no, "prices must be strictly positive")
+                warnings += 1
+                continue
+            if low > high:
+                if strict:
+                    raise InvariantViolation(row_no, f"low {low} > high {high}")
+                low, high = high, low
+                warnings += 1
+            if not low <= open_ <= high:
+                if strict:
+                    raise InvariantViolation(row_no, f"open {open_} outside [{low}, {high}]")
+                open_ = min(max(open_, low), high)
+                warnings += 1
+            if not low <= close <= high:
+                if strict:
+                    raise InvariantViolation(row_no, f"close {close} outside [{low}, {high}]")
+                close = min(max(close, low), high)
+                warnings += 1
+            if volume < 0:
+                if strict:
+                    raise InvariantViolation(row_no, f"negative volume {volume}")
+                volume = 0
+                warnings += 1
 
-        if min(open_, high, low, close) <= 0.0:
-            if strict:
-                raise InvariantViolation(row_no, "prices must be strictly positive")
-            warnings += 1
-            continue
-        if low > high:
-            if strict:
-                raise InvariantViolation(row_no, f"low {low} > high {high}")
-            low, high = high, low
-            warnings += 1
-        if not low <= open_ <= high:
-            if strict:
-                raise InvariantViolation(row_no, f"open {open_} outside [{low}, {high}]")
-            open_ = min(max(open_, low), high)
-            warnings += 1
-        if not low <= close <= high:
-            if strict:
-                raise InvariantViolation(row_no, f"close {close} outside [{low}, {high}]")
-            close = min(max(close, low), high)
-            warnings += 1
-        if volume < 0:
-            if strict:
-                raise InvariantViolation(row_no, f"negative volume {volume}")
-            volume = 0
-            warnings += 1
+            dates.append(date)
+            opens.append(open_)
+            highs.append(high)
+            lows.append(low)
+            closes.append(close)
+            volumes.append(volume)
 
-        dates.append(date)
-        opens.append(open_)
-        highs.append(high)
-        lows.append(low)
-        closes.append(close)
-        volumes.append(volume)
+    except csv.Error as exc:
+        raise UnparsableRow(row_no + 1, str(exc)) from None
 
     if not dates:
         raise EmptySeries("no valid data rows")

@@ -9,6 +9,7 @@ import csv
 import datetime as dt
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,6 +128,26 @@ def naive_aroon(highs, lows, n):
 def naive_population_std(xs):
     mean = sum(xs) / len(xs)
     return math.sqrt(sum((v - mean) ** 2 for v in xs) / len(xs))
+
+
+def exact_sma(x, n):
+    """Each full window's mean in rational arithmetic, rounded once to a
+    float; bars before the first full window pass through."""
+    out = []
+    for i in range(len(x)):
+        if i + 1 < n:
+            out.append(x[i])
+        else:
+            out.append(float(sum(Fraction(v) for v in x[i - n + 1 : i + 1]) / n))
+    return out
+
+
+def exact_population_std(xs):
+    """Square root of the population variance, which is computed in
+    rational arithmetic and rounded once to a float."""
+    mean = sum(Fraction(v) for v in xs) / len(xs)
+    variance = sum((Fraction(v) - mean) ** 2 for v in xs) / len(xs)
+    return math.sqrt(float(variance))
 
 
 def naive_bollinger(tp, n, dev):

@@ -230,6 +230,7 @@ class TestSweepCommand:
 
 
 NOT_UTF8 = "<a file holding the byte 0xff>"
+LONG_FIELD = "<a one-row CSV whose open cell has 200,000 digits>"
 
 
 @pytest.mark.parametrize("flags, kind", [
@@ -240,11 +241,18 @@ NOT_UTF8 = "<a file holding the byte 0xff>"
     (["--data", NOT_UTF8], "UndecodableInput"),
     (["--benchmark", NOT_UTF8], "UndecodableInput"),
     (["--config", NOT_UTF8], "UndecodableInput"),
+    (["--data", LONG_FIELD], "UnparsableRow"),
+    (["--data", LONG_FIELD, "--lenient"], "UnparsableRow"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(V_FIXTURE.read_bytes().replace(b"2021-01-05", b"2021-01-05\xff"))
-    flags = [str(not_utf8) if flag == NOT_UTF8 else flag for flag in flags]
+    long_field = tmp_path / "long_field.csv"
+    long_field.write_text(
+        "date,open,high,low,close,volume\n2021-01-04," + "1" * 200_000 + ",2,1,1,10\n"
+    )
+    paths = {NOT_UTF8: str(not_utf8), LONG_FIELD: str(long_field)}
+    flags = [paths.get(flag, flag) for flag in flags]
     argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
             "--out-dir", str(tmp_path)] + flags
     code, out = run_cli(capsys, *argv)

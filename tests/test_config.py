@@ -4,6 +4,7 @@ from tabacktest import errors
 from tabacktest.config import (
     indicator_columns_from_dict,
     ma_from_dict,
+    parse_kv_file,
     parse_kv_text,
     strategy_from_dict,
     sweep_from_dict,
@@ -50,6 +51,12 @@ class TestKvParser:
             parse_kv_text("a = \n")
         with pytest.raises(errors.ConfigError):
             parse_kv_text("a.b = 1\na = 2\n")
+
+    def test_non_utf8_file_is_undecodable_input(self, tmp_path):
+        path = tmp_path / "strategy.cfg"
+        path.write_bytes(b"strategy = macd\nmacd.short_n = 12\xff\n")
+        with pytest.raises(errors.UndecodableInput):
+            parse_kv_file(path)
 
 
 class TestMaFromDict:

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
-from conftest import make_series, random_ohlcv, random_walk
+from conftest import DATA_DIR, make_series, random_ohlcv, random_walk
 from tabacktest import errors
 from tabacktest.indicators import (
     AmaParams,
@@ -13,16 +14,19 @@ from tabacktest.indicators import (
     aroon,
     atr,
     bollinger,
+    bollinger_parts,
     efficiency_ratio,
     ema,
     keltner,
     macd,
     moving_average,
     rmi,
+    rolling_std,
     rsi,
     sma,
     true_range,
 )
+from tabacktest.market_data import parse_csv
 
 
 def assert_close_lists(actual, expected, tol=1e-12):
@@ -345,3 +349,96 @@ class TestOracleEquivalence:
         params = AmaParams(3, 1, 2, 1)
         assert moving_average(closes, params).values == ama(closes, params).values
 
+
+
+def exact_rolling_std(x, n):
+    head = [0.0] * min(n - 1, len(x))
+    return head + [oracles.exact_population_std(x[i - n + 1 : i + 1]) for i in range(n - 1, len(x))]
+
+
+def typical_prices(series):
+    return [(h + l + c) / 3.0 for h, l, c in zip(series.highs, series.lows, series.closes)]
+
+
+def assert_exact_windowed_kernels(series, n):
+    """sma, rolling_std, atr and the Bollinger parts equal the rational
+    oracles bit for bit."""
+    closes = series.closes
+    assert sma(closes, n).values == oracles.exact_sma(closes, n)
+    assert rolling_std(closes, n).values == exact_rolling_std(closes, n)
+    tr = oracles.naive_true_range(series.highs, series.lows, closes)
+    assert atr(series, n).values == oracles.exact_sma(tr, n)
+    tp = typical_prices(series)
+    middle, sigma = bollinger_parts(series, n)
+    assert middle.values == oracles.exact_sma(tp, n)
+    assert sigma.values == exact_rolling_std(tp, n)
+
+
+# Signed values from 1e-9 to 1e9 and zeros, mixed in one series.
+wide_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda digits, exponent, sign: sign * digits * 10.0 ** exponent,
+        st.floats(1.0, 9.999), st.integers(-9, 8), st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+class TestExactContract:
+    """sma and rolling_std are exactly rounded; aroon equals its oracle."""
+
+    @pytest.mark.parametrize("name", ["synthetic_sp500", "v_fixture", "regime_fixture"])
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_fixtures(self, name, n):
+        series = parse_csv(DATA_DIR / f"{name}.csv").series
+        assert_exact_windowed_kernels(series, n)
+        up, down, osc = aroon(series, n)
+        expected_up, expected_down = oracles.naive_aroon(series.highs, series.lows, n)
+        assert up.values == expected_up
+        assert down.values == expected_down
+        assert osc.values == [u - d for u, d in zip(expected_up, expected_down)]
+
+    @given(x=st.lists(wide_floats, min_size=1, max_size=40), n=st.integers(1, 45))
+    @example(x=[1e-9, -3.5, 0.0, 1e9, 2.25e-7, 7e8, -0.0, 1e-9], n=3)
+    def test_sma_and_std_on_wide_values(self, x, n):
+        assert sma(x, n).values == oracles.exact_sma(x, n)
+        assert rolling_std(x, n).values == exact_rolling_std(x, n)
+
+    @given(closes=st.lists(wide_floats.map(abs).filter(bool), min_size=1, max_size=40),
+           n=st.integers(1, 45))
+    def test_atr_and_bollinger_on_wide_prices(self, closes, n):
+        series = make_series(closes, highs=[c * 1.5 for c in closes],
+                             lows=[c * 0.75 for c in closes])
+        assert_exact_windowed_kernels(series, n)
+
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_aroon_with_tied_extremes(self, data, n):
+        # few distinct levels make plateaus of tied highs and lows
+        length = data.draw(st.integers(n + 1, 60))
+        lows = data.draw(st.lists(st.integers(1, 3), min_size=length, max_size=length))
+        highs = data.draw(st.lists(st.integers(4, 6), min_size=length, max_size=length))
+        series = make_series(lows, highs=highs, lows=lows)
+        up, down, osc = aroon(series, n)
+        expected_up, expected_down = oracles.naive_aroon(series.highs, series.lows, n)
+        assert up.values == expected_up
+        assert down.values == expected_down
+        assert osc.values == [u - d for u, d in zip(expected_up, expected_down)]
+
+    def test_non_finite_input_is_domain_error(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            for kernel in (sma, rolling_std):
+                with pytest.raises(errors.DomainError):
+                    kernel([1.0, bad, 2.0], 2)
+                with pytest.raises(errors.DomainError):
+                    kernel([bad], 5)
+
+    def test_magnitudes_wider_than_one_float_exponent(self):
+        # 5e-324 * 2**scale is whole only for a scale that overflows 1e300
+        x = [5e-324, 1e300, 2.5, 5e-324, -1e300]
+        assert sma(x, 2).values == oracles.exact_sma(x, 2)
+        y = [5e-324, 1e150, 2.5, 5e-324, -1e150]
+        assert rolling_std(y, 2).values == exact_rolling_std(y, 2)
+
+    def test_variance_past_the_float_range_is_domain_error(self):
+        with pytest.raises(errors.DomainError):
+            rolling_std([1e200, -1e200], 2)

@@ -66,6 +66,25 @@ def test_unparsable_row_strict_vs_lenient():
     assert parsed.warnings == 1
 
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_record_over_csv_field_limit_is_unparsable_row(mode):
+    long_row = "2021-01-07," + "1" * 200_000 + ",12.0,10.5,11.5,900\n"
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_csv_text(WELL_FORMED + long_row, mode=mode)
+    assert err.value.row == 4
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_csv_text("date,open,high,low,close,volume," + "x" * 200_000 + "\n", mode=mode)
+    assert err.value.row == 0
+
+
+def test_non_utf8_file_is_undecodable_input(tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_bytes(WELL_FORMED.encode() + b"2021-01-07,11.0\xff,12.0,10.5,11.5,900\n")
+    for mode in ("strict", "lenient"):
+        with pytest.raises(errors.UndecodableInput):
+            parse_csv(path, mode=mode)
+
+
 def test_non_monotonic_dates_rejected_in_both_modes():
     text = """date,open,high,low,close,volume
 2021-01-05,10.0,11.0,9.5,10.5,1000

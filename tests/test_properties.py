@@ -1,5 +1,6 @@
 """Property-based invariants: bounds, alignment, fixed points, ordering."""
 import math
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from tabacktest.indicators import (
     ama,
     aroon,
     bollinger,
+    bollinger_parts,
     efficiency_ratio,
     ema,
     keltner,
@@ -25,7 +27,11 @@ from tabacktest.strategies import BUY, SELL, SignalEvent, generate_signals, Macd
 
 prices = st.floats(min_value=0.5, max_value=5000.0, allow_nan=False, allow_infinity=False)
 price_lists = st.lists(prices, min_size=2, max_size=64)
-# integer-valued floats keep window means exact, so fixed points hold bitwise
+# exact window sums make sma and the band widths hold any positive finite
+# constant bitwise
+positive_constant = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# ama matype 2 still averages with float sum(), which is exact for
+# integer-valued floats
 friendly_constant = st.integers(min_value=1, max_value=10**6).map(float)
 
 
@@ -82,28 +88,41 @@ def test_adaptive_period_stays_inside_bounds(er, short_n, spread):
     assert params.timeperiod_short <= period <= params.timeperiod_long
 
 
-@given(constant=friendly_constant, length=st.integers(2, 48), n=st.integers(1, 12))
+@given(constant=positive_constant, length=st.integers(2, 48), n=st.integers(1, 12))
 def test_constant_fixed_point_all_ma_variants(constant, length, n):
     closes = [constant] * length
     assert sma(closes, n).values == closes
     assert ema(closes, n).values == closes
     short_n = max(1, n // 2)
     long_n = short_n + max(1, n)
-    for matype in (1, 2):
-        assert ama(closes, AmaParams(long_n, short_n, 5, matype)).values == closes
+    assert ama(closes, AmaParams(long_n, short_n, 5, 1)).values == closes
 
 
-@given(constant=friendly_constant, length=st.integers(5, 48), n=st.integers(1, 10))
+@given(constant=friendly_constant, length=st.integers(2, 48), n=st.integers(1, 12))
+def test_constant_fixed_point_sum_based_ama(constant, length, n):
+    closes = [constant] * length
+    short_n = max(1, n // 2)
+    long_n = short_n + max(1, n)
+    assert ama(closes, AmaParams(long_n, short_n, 5, 2)).values == closes
+
+
+# below a quarter of the float range, so the typical price's sum h + l + c
+# stays finite
+@given(constant=st.floats(min_value=0.0, max_value=sys.float_info.max / 4, exclude_min=True),
+       length=st.integers(5, 48), n=st.integers(1, 10))
 def test_constant_fixed_point_bands_and_macd(constant, length, n):
     closes = [constant] * length
     series = make_series(closes, highs=closes, lows=closes)
+    # (c + c + c) / 3 need not round back to c
+    typical = [(constant + constant + constant) / 3.0] * length
+    assert bollinger_parts(series, n)[1].values == [0.0] * length
     bands = bollinger(series, n, 2.0)
-    assert bands.middle.values == closes
-    assert bands.upper.values == closes
-    assert bands.lower.values == closes
+    assert bands.middle.values == typical
+    assert bands.upper.values == typical
+    assert bands.lower.values == typical
     channel = keltner(series, MaSpec("sma", n), 2.0)
-    assert channel.middle.values == closes
-    assert channel.upper.values == closes
+    assert channel.middle.values == typical
+    assert channel.upper.values == typical
     line, signal, hist = macd(closes, 3, 7, 3)
     assert line.values == [0.0] * length
     assert signal.values == [0.0] * length
