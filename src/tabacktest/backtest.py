@@ -108,16 +108,8 @@ def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
     return BacktestResult(equity, trades)
 
 
-def equity_to_csv(result: BacktestResult, series: OhlcvSeries, target) -> None:
-    """Write `bar_index,equity,close` rows for figure reproduction."""
-    from pathlib import Path as _Path
-
-    own = isinstance(target, (str, _Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        handle.write("bar_index,equity,close\n")
-        for i, (value, close) in enumerate(zip(result.equity.values, series.closes)):
-            handle.write(f"{i},{value!r},{close!r}\n")
-    finally:
-        if own:
-            handle.close()
+def equity_to_csv(result: BacktestResult, series: OhlcvSeries, handle) -> None:
+    """Write `bar_index,equity,close` rows for figure reproduction to an open text handle."""
+    handle.write("bar_index,equity,close\n")
+    for i, (value, close) in enumerate(zip(result.equity.values, series.closes)):
+        handle.write(f"{i},{value!r},{close!r}\n")

@@ -15,13 +15,16 @@ from pathlib import Path
 from . import config as cfg
 from .backtest import equity_to_csv, run
 from .errors import (
+    DomainError,
     EngineError,
     InvalidArgument,
     LengthMismatch,
     MissingInput,
     PathError,
 )
-from .indicators import AmaParams, ama, ema, rmi, rsi, sma
+# perfbench/test_perfbench.py checks through this name that its span tracer
+# rebinds the copies `from .indicators import ...` makes in other modules
+from .indicators import sma  # noqa: F401
 from .kelly import KellyParams, curve_to_csv, expected_log_return, kelly_curve, optimal_fraction
 from .market_data import parse_csv, serialize_csv
 from .metrics import build_report
@@ -29,12 +32,33 @@ from .strategies import generate_signals, signals_to_csv
 from .sweep import run_sweep, sweep_to_csv
 
 
+def _json(payload: dict, indent: int | None = None) -> str:
+    """The one JSON encoding of stdout and of the .json artifacts."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("a result is not a finite number, so it has no JSON form") from None
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(_json(payload))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _save(out_dir: str, name: str, write, *data) -> None:
+    """Write the artifact ``name`` in ``out_dir`` as ``write(*data, handle)``:
+    UTF-8, with ``\\n`` line ends on every platform."""
+    path = Path(out_dir) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise PathError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with handle:
+        write(*data, handle)
+
+
+def _write_text(text: str, handle) -> None:
+    handle.write(text)
 
 
 def _common_flags(parser: argparse.ArgumentParser, need_data: bool = True) -> None:
@@ -118,12 +142,6 @@ def _load_benchmark_closes(args, series):
     return bench.series.closes
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _config_tree(args) -> dict:
     if not args.config:
         raise MissingInput("this command needs --config")
@@ -132,8 +150,7 @@ def _config_tree(args) -> dict:
 
 def cmd_ingest(args) -> int:
     parsed = _load_series(args)
-    out = _out_dir(args)
-    serialize_csv(parsed.series, out / "ingested.csv")
+    _save(args.out_dir, "ingested.csv", serialize_csv, parsed.series)
     dates = parsed.series.dates
     _emit({
         "command": "ingest",
@@ -147,18 +164,11 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _indicator_values(series, column: cfg.IndicatorColumn) -> list[float]:
-    spec = column.spec
-    if isinstance(spec, AmaParams):
-        return ama(series.closes, spec).values
-    kind = spec[0]
-    if kind == "sma":
-        return sma(series.closes, spec[1]).values
-    if kind == "ema":
-        return ema(series.closes, spec[1]).values
-    if kind == "rsi":
-        return rsi(series.closes, spec[1]).values
-    return rmi(series.closes, spec[1], spec[2]).values
+def _indicators_to_csv(closes: list[float], values: list[tuple[str, list[float]]], handle) -> None:
+    handle.write(",".join(["index", "close"] + [name for name, _ in values]) + "\n")
+    for i in range(len(closes)):
+        row = [str(i), repr(closes[i])] + [repr(vals[i]) for _, vals in values]
+        handle.write(",".join(row) + "\n")
 
 
 def cmd_indicators(args) -> int:
@@ -171,14 +181,9 @@ def cmd_indicators(args) -> int:
         cfg.set_leaf(tree, f"indicator.{name.strip()}", spec.strip())
     columns = cfg.indicator_columns_from_dict(tree)
     series = parsed.series
-    values = [(column.name, _indicator_values(series, column)) for column in columns]
-    out = _out_dir(args)
-    with open(out / "indicators.csv", "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(["index", "close"] + [name for name, _ in values]) + "\n")
-        closes = series.closes
-        for i in range(len(series)):
-            row = [str(i), repr(closes[i])] + [repr(vals[i]) for _, vals in values]
-            handle.write(",".join(row) + "\n")
+    closes = series.closes
+    values = [(column.name, column.values(closes)) for column in columns]
+    _save(args.out_dir, "indicators.csv", _indicators_to_csv, closes, values)
     _emit({
         "command": "indicators",
         "bars": len(series),
@@ -196,10 +201,9 @@ def cmd_backtest(args) -> int:
     signals = generate_signals(series, strategy)
     result = run(series, signals)
     report = build_report(result.equity, benchmark_closes, result.buy_count, args.trading_days)
-    out = _out_dir(args)
-    _write_json(out / "report.json", report.to_dict())
-    equity_to_csv(result, series, out / "equity.csv")
-    signals_to_csv(signals, out / "signals.csv")
+    _save(args.out_dir, "report.json", _write_text, _json(report.to_dict(), indent=2))
+    _save(args.out_dir, "equity.csv", equity_to_csv, result, series)
+    _save(args.out_dir, "signals.csv", signals_to_csv, signals)
     _emit({
         "command": "backtest",
         "report": report.to_dict(),
@@ -214,8 +218,7 @@ def cmd_sweep(args) -> int:
     spec = cfg.sweep_from_dict(_config_tree(args))
     benchmark_closes = _load_benchmark_closes(args, series)
     result = run_sweep(series, spec, benchmark_closes, args.trading_days, jobs=args.jobs)
-    out = _out_dir(args)
-    sweep_to_csv(result.rows, spec, out / "sweep.csv")
+    _save(args.out_dir, "sweep.csv", sweep_to_csv, result.rows, spec)
     best = result.rows[0]
     _emit({
         "command": "sweep",
@@ -235,8 +238,7 @@ def cmd_kelly(args) -> int:
     params = KellyParams(p=args.p, l_gain=args.l_gain, m_loss=args.m_loss)
     best = optimal_fraction(params)
     curve = kelly_curve(params, args.grid_points)
-    out = _out_dir(args)
-    curve_to_csv(curve, out / "kelly_curve.csv")
+    _save(args.out_dir, "kelly_curve.csv", curve_to_csv, curve)
     payload = {
         "command": "kelly",
         "p": params.p,
@@ -246,7 +248,7 @@ def cmd_kelly(args) -> int:
         "expected_log_return_at_optimum": expected_log_return(best, params) if best < 1.0 else None,
         "output": "kelly_curve.csv",
     }
-    _write_json(out / "kelly.json", payload)
+    _save(args.out_dir, "kelly.json", _write_text, _json(payload, indent=2))
     _emit(payload)
     return 0
 
@@ -260,8 +262,7 @@ def cmd_report(args) -> int:
     benchmark_closes = _load_benchmark_closes(args, series)
     equity = EquityCurve(tuple(closes), closes[0], closes[-1])
     report = build_report(equity, benchmark_closes, 0, args.trading_days)
-    out = _out_dir(args)
-    _write_json(out / "report.json", report.to_dict())
+    _save(args.out_dir, "report.json", _write_text, _json(report.to_dict(), indent=2))
     _emit({"command": "report", "report": report.to_dict(), "output": "report.json"})
     return 0
 
@@ -282,6 +283,8 @@ def main(argv=None) -> int:
     try:
         if args.trading_days < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidArgument(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         return _fail(MissingInput(str(exc)))

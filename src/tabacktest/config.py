@@ -20,10 +20,12 @@ adaptive (`matype` + `timeperiod_long` + `timeperiod_short` + `ada_win`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
+from . import indicators
 from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
 from .strategies import (
@@ -125,41 +127,51 @@ def parse_kv_file(path: str | Path) -> dict:
     return parse_kv_text(text)
 
 
-def _require_scalar(value: Any, key: str) -> Any:
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a name"}
+
+
+def _coerce(value: Any, kind: type, key: str) -> Any:
+    """``value`` as a field of type ``kind`` (int, float or str).
+
+    An int field takes integers and integral floats (``5.0``); a float
+    field takes finite numbers. Lists, bools and anything else are
+    ConfigErrors.
+    """
     if isinstance(value, list):
         raise ConfigError(f"{key} must be a single value here (lists belong in sweep configs)")
-    return value
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        # false for inf, nan and an int too large for a float
+        if kind is float and abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _from_fields(cls, node: dict, namespace: str, **given: Any):
+    """``cls(**given)`` with every other field read from ``node``: a field
+    without a default is required, and keys that name no field are
+    ConfigErrors."""
+    read = [f for f in fields(cls) if f.name not in given]
+    unknown = set(node) - {f.name for f in read}
+    if unknown:
+        raise ConfigError(f"unknown {namespace} keys: {sorted(unknown)}")
+    missing = [f.name for f in read if f.name not in node and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"{namespace} missing keys: {sorted(missing)}")
+    types = _FIELD_TYPES[cls]
+    values = {f.name: _coerce(node[f.name], types[f.name], f"{namespace}.{f.name}")
+              for f in read if f.name in node}
+    return cls(**given, **values)
 
 
 def ma_from_dict(node: dict, namespace: str) -> MaLike:
+    """An adaptive average when ``node`` has a ``matype``, else a plain one."""
     if not isinstance(node, dict):
         raise ConfigError(f"{namespace}.* must be a table of keys")
-    keys = set(node)
-    if "matype" in keys:
-        required = {"matype", "timeperiod_long", "timeperiod_short", "ada_win"}
-        if keys - required:
-            raise ConfigError(f"unknown {namespace} keys: {sorted(keys - required)}")
-        if required - keys:
-            raise ConfigError(f"{namespace} missing keys: {sorted(required - keys)}")
-        return AmaParams(
-            timeperiod_long=int(_require_scalar(node["timeperiod_long"], f"{namespace}.timeperiod_long")),
-            timeperiod_short=int(_require_scalar(node["timeperiod_short"], f"{namespace}.timeperiod_short")),
-            ada_win=int(_require_scalar(node["ada_win"], f"{namespace}.ada_win")),
-            matype=int(_require_scalar(node["matype"], f"{namespace}.matype")),
-        )
-    required = {"kind", "period"}
-    allowed = required | {"smoothing"}
-    if keys - allowed:
-        raise ConfigError(f"unknown {namespace} keys: {sorted(keys - allowed)}")
-    if required - keys:
-        raise ConfigError(f"{namespace} missing keys: {sorted(required - keys)}")
-    spec = {
-        "kind": str(_require_scalar(node["kind"], f"{namespace}.kind")),
-        "period": int(_require_scalar(node["period"], f"{namespace}.period")),
-    }
-    if "smoothing" in node:
-        spec["smoothing"] = float(_require_scalar(node["smoothing"], f"{namespace}.smoothing"))
-    return MaSpec(**spec)
+    return _from_fields(AmaParams if "matype" in node else MaSpec, node, namespace)
 
 
 def _section(tree: dict, name: str) -> dict:
@@ -169,90 +181,79 @@ def _section(tree: dict, name: str) -> dict:
     return dict(node)
 
 
+_STRATEGIES = {
+    "two_average": TwoAverageConfig,
+    "price_cross": PriceCrossConfig,
+    "keltner": KeltnerConfig,
+    "rsi": RsiConfig,
+    "aroon": AroonConfig,
+    "bollinger": BollingerConfig,
+    "macd": MacdConfig,
+}
+
+# resolved once: get_type_hints evaluates the annotation strings on every call
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (MaSpec, AmaParams, *_STRATEGIES.values())}
+
+# Fields that hold a moving average; each reads its own `<field>.*` namespace.
+_MA_FIELDS = ("fast", "slow", "ma")
+
+
+def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
+    """``bollinger.n``, or else an adaptive ``ma.*``; taking ``n`` out of ``params``."""
+    if ("n" in params) == isinstance(tree.get("ma"), dict):
+        raise ConfigError("bollinger needs exactly one of bollinger.n or ma.* (adaptive)")
+    if "n" in params:
+        return _coerce(params.pop("n"), int, "bollinger.n")
+    window = ma_from_dict(tree["ma"], "ma")
+    if not isinstance(window, AmaParams):
+        raise ConfigError("bollinger ma.* must be adaptive (matype et al.)")
+    return window
+
+
 def strategy_from_dict(tree: dict) -> StrategyConfig:
-    """Build a strategy config from a parsed tree (see module docstring)."""
+    """Build a strategy config from a parsed tree (see module docstring).
+
+    Moving-average fields come from their own namespaces and every scalar
+    field from the `<tag>.*` section, with the defaults the config class
+    declares.
+    """
     tag = tree.get("strategy")
     if not isinstance(tag, str):
         raise ConfigError("config needs a 'strategy = <tag>' line")
+    cls = _STRATEGIES.get(tag)
+    if cls is None:
+        raise ConfigError(f"unknown strategy tag {tag!r}")
+    params = _section(tree, tag)
     try:
-        if tag == "two_average":
-            return TwoAverageConfig(
-                fast=ma_from_dict(tree.get("fast"), "fast"),
-                slow=ma_from_dict(tree.get("slow"), "slow"),
-            )
-        if tag == "price_cross":
-            return PriceCrossConfig(ma=ma_from_dict(tree.get("ma"), "ma"))
-        if tag == "keltner":
-            params = _section(tree, "keltner")
-            mult = float(_require_scalar(params.pop("mult", 2.0), "keltner.mult"))
-            if params:
-                raise ConfigError(f"unknown keltner keys: {sorted(params)}")
-            return KeltnerConfig(ma=ma_from_dict(tree.get("ma"), "ma"), mult=mult)
-        if tag == "rsi":
-            params = _section(tree, "rsi")
-            known = {"n", "down_thres", "upper_thres", "diff_rate", "rsitype", "sma_n", "sma_rate"}
-            if set(params) - known:
-                raise ConfigError(f"unknown rsi keys: {sorted(set(params) - known)}")
-            if "n" not in params:
-                raise ConfigError("rsi.n is required")
-            return RsiConfig(
-                n=int(_require_scalar(params["n"], "rsi.n")),
-                down_thres=float(_require_scalar(params.get("down_thres", 30.0), "rsi.down_thres")),
-                upper_thres=float(_require_scalar(params.get("upper_thres", 70.0), "rsi.upper_thres")),
-                diff_rate=float(_require_scalar(params.get("diff_rate", 0.0024), "rsi.diff_rate")),
-                rsitype=int(_require_scalar(params.get("rsitype", 1), "rsi.rsitype")),
-                sma_n=int(_require_scalar(params.get("sma_n", 0), "rsi.sma_n")),
-                sma_rate=float(_require_scalar(params.get("sma_rate", 0.001), "rsi.sma_rate")),
-            )
-        if tag == "aroon":
-            params = _section(tree, "aroon")
-            known = {"n", "aroon_type", "weak_thres"}
-            if set(params) - known:
-                raise ConfigError(f"unknown aroon keys: {sorted(set(params) - known)}")
-            if "n" not in params:
-                raise ConfigError("aroon.n is required")
-            return AroonConfig(
-                n=int(_require_scalar(params["n"], "aroon.n")),
-                aroon_type=int(_require_scalar(params.get("aroon_type", 1), "aroon.aroon_type")),
-                weak_thres=float(_require_scalar(params.get("weak_thres", 45.0), "aroon.weak_thres")),
-            )
-        if tag == "bollinger":
-            params = _section(tree, "bollinger")
-            dev = float(_require_scalar(params.pop("dev", 2.0), "bollinger.dev"))
-            has_n = "n" in params
-            has_ma = isinstance(tree.get("ma"), dict)
-            if has_n == has_ma:
-                raise ConfigError("bollinger needs exactly one of bollinger.n or ma.* (adaptive)")
-            if has_n:
-                window: int | AmaParams = int(_require_scalar(params.pop("n"), "bollinger.n"))
-            else:
-                window = ma_from_dict(tree.get("ma"), "ma")
-                if not isinstance(window, AmaParams):
-                    raise ConfigError("bollinger ma.* must be adaptive (matype et al.)")
-            if params:
-                raise ConfigError(f"unknown bollinger keys: {sorted(params)}")
-            return BollingerConfig(window=window, dev=dev)
-        if tag == "macd":
-            params = _section(tree, "macd")
-            known = {"short_n", "long_n", "signal_n"}
-            if set(params) - known:
-                raise ConfigError(f"unknown macd keys: {sorted(set(params) - known)}")
-            return MacdConfig(
-                short_n=int(_require_scalar(params.get("short_n", 12), "macd.short_n")),
-                long_n=int(_require_scalar(params.get("long_n", 26), "macd.long_n")),
-                signal_n=int(_require_scalar(params.get("signal_n", 9), "macd.signal_n")),
-            )
+        given = {f.name: ma_from_dict(tree.get(f.name), f.name)
+                 for f in fields(cls) if f.name in _MA_FIELDS}
+        if cls is BollingerConfig:
+            given["window"] = _bollinger_window(tree, params)
+        return _from_fields(cls, params, tag, **given)
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown strategy tag {tag!r}")
 
 
 # -- indicator dump specs ----------------------------------------------------
 
+# A spec's first token names its kernel in `indicators`; the value is the
+# count of integer arguments that follow it. The kernel is looked up by
+# name at call time, so a rebinding of the module attribute (as the
+# benchmark's span tracer does) sees every call.
+_INDICATOR_ARGS = {"sma": 1, "ema": 1, "rsi": 1, "rmi": 2, "ama": 4}
+
+
 @dataclass(frozen=True)
 class IndicatorColumn:
     name: str
-    spec: Any  # ("sma", n) | ("ema", n) | ("rsi", n) | ("rmi", n, m) | MaLike
+    spec: Any  # ("sma", n) | ("ema", n) | ("rsi", n) | ("rmi", n, m) | AmaParams
+
+    def values(self, closes: list[float]) -> list[float]:
+        """This column over ``closes``, aligned to them."""
+        if isinstance(self.spec, AmaParams):
+            return indicators.ama(closes, self.spec).values
+        kind, *args = self.spec
+        return getattr(indicators, kind)(closes, *args).values
 
 
 def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
@@ -268,29 +269,14 @@ def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
         raw = section[name]
         if not isinstance(raw, str):
             raise ConfigError(f"indicator.{name} must be a spec string")
-        tokens = raw.split()
-        kind = tokens[0] if tokens else ""
+        kind, *tokens = raw.split() or [""]
+        if len(tokens) != _INDICATOR_ARGS.get(kind):
+            raise ConfigError(f"indicator.{name}: unknown spec {raw!r}")
         try:
-            if kind in ("sma", "ema", "rsi") and len(tokens) == 2:
-                columns.append(IndicatorColumn(name, (kind, int(tokens[1]))))
-            elif kind == "rmi" and len(tokens) == 3:
-                columns.append(IndicatorColumn(name, (kind, int(tokens[1]), int(tokens[2]))))
-            elif kind == "ama" and len(tokens) == 5:
-                columns.append(
-                    IndicatorColumn(
-                        name,
-                        AmaParams(
-                            timeperiod_long=int(tokens[1]),
-                            timeperiod_short=int(tokens[2]),
-                            ada_win=int(tokens[3]),
-                            matype=int(tokens[4]),
-                        ),
-                    )
-                )
-            else:
-                raise ConfigError(f"indicator.{name}: unknown spec {raw!r}")
+            args = [int(token) for token in tokens]
         except ValueError as exc:
             raise ConfigError(f"indicator.{name}: {exc}") from None
+        columns.append(IndicatorColumn(name, AmaParams(*args) if kind == "ama" else (kind, *args)))
     return columns
 
 

@@ -18,10 +18,13 @@ class KellyParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise InvalidParams("p must be in [0, 1]")
-        if self.l_gain <= 0.0:
-            raise InvalidParams("l_gain must be > 0")
+        if not 0.0 < self.l_gain < math.inf:
+            raise InvalidParams("l_gain must be finite and > 0")
         if not 0.0 < self.m_loss <= 1.0:
             raise InvalidParams("m_loss must be in (0, 1]")
+        if self.l_gain * self.m_loss == 0.0:
+            # the closed-form optimum divides by this product
+            raise InvalidParams("l_gain * m_loss underflows to 0")
 
     @property
     def q(self) -> float:
@@ -62,15 +65,8 @@ def kelly_curve(params: KellyParams, grid_points: int = 101) -> list[tuple[float
     return [(i * step, expected_log_return(i * step, params)) for i in range(grid_points)]
 
 
-def curve_to_csv(curve: list[tuple[float, float]], target) -> None:
-    from pathlib import Path as _Path
-
-    own = isinstance(target, (str, _Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        handle.write("x,expected_log_return\n")
-        for x, value in curve:
-            handle.write(f"{x!r},{value!r}\n")
-    finally:
-        if own:
-            handle.close()
+def curve_to_csv(curve: list[tuple[float, float]], handle) -> None:
+    """Write `x,expected_log_return` rows to an open text handle."""
+    handle.write("x,expected_log_return\n")
+    for x, value in curve:
+        handle.write(f"{x!r},{value!r}\n")

@@ -327,21 +327,16 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
     return ParseResult(OhlcvSeries(symbol, dates, opens, highs, lows, closes, volumes), warnings)
 
 
-def serialize_csv(series: OhlcvSeries, target) -> None:
-    """Write a series in canonical column order; parse(serialize(s)) == s."""
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        handle.write("date,open,high,low,close,volume\n")
-        handle.writelines(
-            f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
-            for date, open_, high, low, close, volume in zip(
-                series._dates, series._opens, series._highs,
-                series._lows, series._closes, series._volumes)
-        )
-    finally:
-        if own:
-            handle.close()
+def serialize_csv(series: OhlcvSeries, handle) -> None:
+    """Write a series in canonical column order to an open text handle;
+    parse(serialize(s)) == s."""
+    handle.write("date,open,high,low,close,volume\n")
+    handle.writelines(
+        f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
+        for date, open_, high, low, close, volume in zip(
+            series._dates, series._opens, series._highs,
+            series._lows, series._closes, series._volumes)
+    )
 
 
 def serialize_csv_text(series: OhlcvSeries) -> str:

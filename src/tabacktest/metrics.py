@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .backtest import EquityCurve
-from .errors import LengthMismatch, NonPositivePrice, TooShort, ZeroVolatility
+from .errors import DomainError, LengthMismatch, NonPositivePrice, TooShort, ZeroVolatility
 from .market_data import slice_years
 
 TRADING_DAYS_PER_YEAR = 252
@@ -94,17 +94,11 @@ def information_ratio_annual(
     return _annualized_ratio(diff, *_moments(diff), "excess returns", trading_days)
 
 
-def yearly_rr(equity: EquityCurve | Sequence[float], ranges: Sequence[tuple[int, int]],
-              initial_price: Optional[float] = None) -> list[float]:
+def yearly_rr(equity: EquityCurve, ranges: Sequence[tuple[int, int]]) -> list[float]:
     """Per-range growth ratios; their product telescopes to final/initial."""
-    if isinstance(equity, EquityCurve):
-        values = equity.values
-        start_value = equity.initial_price
-    else:
-        values = list(equity)
-        start_value = values[0] if initial_price is None else initial_price
+    values = equity.values
     out: list[float] = []
-    prev = start_value
+    prev = equity.initial_price
     for _, end in ranges:
         current = values[end - 1]
         out.append(current / prev)
@@ -184,7 +178,12 @@ def report_from_returns(
     values = equity.values
     rr_whole = equity.final_price / equity.initial_price
     years = len(values) / trading_days
-    rr_per_year = rr_whole ** (1.0 / years)
+    try:
+        rr_per_year = rr_whole ** (1.0 / years)
+    except OverflowError:
+        raise DomainError(
+            f"rr_whole {rr_whole!r} over {years!r} years overflows the yearly rate"
+        ) from None
     ranges = slice_years(len(values), trading_days)
     rr_by_year = yearly_rr(equity, ranges)
     _require_two(returns)

@@ -13,6 +13,7 @@ close is strictly beyond the band.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -204,20 +205,40 @@ def _cached(memo: Optional[KernelMemo], key: tuple, compute: Callable):
     return compute() if memo is None else memo.get(key, compute)
 
 
-def _line_cross_signals(fast: list[float], slow: list[float], start: int, end: int) -> list[SignalEvent]:
-    """Strict-cross state machine over [start, end)."""
+def _alternate(buys: list[int], sells: list[int]) -> list[SignalEvent]:
+    """The long-only Buy/Sell alternation over two sorted lists of candidate bars.
+
+    The first buy, then the first sell after it, then the first buy after
+    that sell, and so on; the candidates in between are passed over.
+
+    Precondition: no bar is in both lists. The strategies are defined with
+    the entry test first and no exit test on a bar whose entry test held;
+    the precondition makes that order moot. Opposite strict crosses
+    exclude each other, a band bar would need close < lower <= upper <
+    close, and an RSI bar strength < down_thres < upper_thres < strength.
+    """
     events: list[SignalEvent] = []
-    in_position = False
-    for i in range(start, end):
-        if fast[i - 1] < slow[i - 1] and fast[i] > slow[i]:
-            if not in_position:
-                events.append(SignalEvent(i, BUY))
-                in_position = True
-        elif fast[i - 1] > slow[i - 1] and fast[i] < slow[i]:
-            if in_position:
-                events.append(SignalEvent(i, SELL))
-                in_position = False
+    last = -1
+    candidates, action = buys, BUY
+    while (k := bisect_right(candidates, last)) < len(candidates):
+        last = candidates[k]
+        events.append(SignalEvent(last, action))
+        candidates, action = (sells, SELL) if action == BUY else (buys, BUY)
     return events
+
+
+def _crosses(fast: list[float], slow: list[float], bars: range) -> tuple[list[int], list[int]]:
+    """The bars where ``fast`` crosses strictly above ``slow``, and strictly below it."""
+    return ([i for i in bars if fast[i - 1] < slow[i - 1] and fast[i] > slow[i]],
+            [i for i in bars if fast[i - 1] > slow[i - 1] and fast[i] < slow[i]])
+
+
+def _breaks(closes: list[float], upper: list[float], lower: list[float],
+            bars: range) -> tuple[list[int], list[int]]:
+    """The bars where the close leaves the band above ``upper``, and below
+    ``lower``; a close exactly on a band is still inside it."""
+    return ([i for i in bars if closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]],
+            [i for i in bars if closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]])
 
 
 def two_average_signals(
@@ -231,7 +252,7 @@ def two_average_signals(
     start = max(fast.warmup_len, slow.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
-    return _line_cross_signals(fast.values, slow.values, start, len(closes))
+    return _alternate(*_crosses(fast.values, slow.values, range(start, len(closes))))
 
 
 def price_cross_signals(
@@ -243,7 +264,7 @@ def price_cross_signals(
     start = line.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
-    return _line_cross_signals(closes, line.values, start, len(closes))
+    return _alternate(*_crosses(closes, line.values, range(start, len(closes))))
 
 
 def keltner_signals(
@@ -257,19 +278,8 @@ def keltner_signals(
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the channel warm-up")
-    upper, lower = bands.upper.values, bands.lower.values
-    events: list[SignalEvent] = []
-    in_position = False
-    for i in range(start, len(closes)):
-        if closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]:
-            if not in_position:
-                events.append(SignalEvent(i, BUY))
-                in_position = True
-        elif closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]:
-            if in_position:
-                events.append(SignalEvent(i, SELL))
-                in_position = False
-    return events
+    return _alternate(*_breaks(closes, bands.upper.values, bands.lower.values,
+                               range(start, len(closes))))
 
 
 def bollinger_signals(
@@ -283,19 +293,9 @@ def bollinger_signals(
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the band warm-up")
-    upper, lower = bands.upper.values, bands.lower.values
-    events: list[SignalEvent] = []
-    in_position = False
-    for i in range(start, len(closes)):
-        if closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]:
-            if not in_position:
-                events.append(SignalEvent(i, BUY))
-                in_position = True
-        elif closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]:
-            if in_position:
-                events.append(SignalEvent(i, SELL))
-                in_position = False
-    return events
+    above, below = _breaks(closes, bands.upper.values, bands.lower.values,
+                           range(start, len(closes)))
+    return _alternate(below, above)
 
 
 def rsi_signals(
@@ -305,30 +305,18 @@ def rsi_signals(
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"rsi strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
     strength = _cached(memo, ("rsi", "close", config.n), lambda: rsi(closes, config.n)).values
-    ma_line = None
+    bars = range(OSCILLATOR_SCAN_START, len(closes) - 1)
+    # oversold (overbought) after a fall (rise) of at most diff_rate
+    buys = [i for i in bars if strength[i] < config.down_thres
+            and 0 <= (closes[i - 1] - closes[i]) / closes[i - 1] <= config.diff_rate]
+    sells = [i for i in bars if strength[i] > config.upper_thres
+             and 0 <= (closes[i] - closes[i - 1]) / closes[i - 1] <= config.diff_rate]
     if config.rsitype == 2:
-        ma_line = _cached(memo, ("sma", "close", config.sma_n),
-                          lambda: sma(closes, config.sma_n)).values
-    events: list[SignalEvent] = []
-    in_position = False
-    for i in range(OSCILLATOR_SCAN_START, len(closes) - 1):
-        if config.rsitype == 1:
-            oversold_gate = True
-            overbought_gate = True
-        else:
-            oversold_gate = closes[i] < (1 - config.sma_rate) * ma_line[i]
-            overbought_gate = closes[i] > (1 + config.sma_rate) * ma_line[i]
-        if strength[i] < config.down_thres and oversold_gate:
-            downrate = (closes[i - 1] - closes[i]) / closes[i - 1]
-            if 0 <= downrate <= config.diff_rate and not in_position:
-                events.append(SignalEvent(i, BUY))
-                in_position = True
-        elif strength[i] > config.upper_thres and overbought_gate:
-            uprate = (closes[i] - closes[i - 1]) / closes[i - 1]
-            if 0 <= uprate <= config.diff_rate and in_position:
-                events.append(SignalEvent(i, SELL))
-                in_position = False
-    return events
+        line = _cached(memo, ("sma", "close", config.sma_n),
+                       lambda: sma(closes, config.sma_n)).values
+        buys = [i for i in buys if closes[i] < (1 - config.sma_rate) * line[i]]
+        sells = [i for i in sells if closes[i] > (1 + config.sma_rate) * line[i]]
+    return _alternate(buys, sells)
 
 
 def aroon_signals(
@@ -339,32 +327,12 @@ def aroon_signals(
         raise TooShort(f"aroon strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
     up, down, _ = _cached(memo, ("aroon", "ohlc", config.n), lambda: aroon(series, config.n))
     up_v, down_v = up.values, down.values
-    events: list[SignalEvent] = []
-    in_position = False
-    for i in range(OSCILLATOR_SCAN_START, len(closes) - 1):
-        if config.aroon_type == 1:
-            buy_gate = True
-            sell_gate = True
-        else:
-            buy_gate = down_v[i] < config.weak_thres
-            sell_gate = up_v[i] < config.weak_thres
-        if (
-            up_v[i - 1] < down_v[i - 1]
-            and up_v[i] > down_v[i]
-            and buy_gate
-            and not in_position
-        ):
-            events.append(SignalEvent(i, BUY))
-            in_position = True
-        elif (
-            up_v[i - 1] > down_v[i - 1]
-            and up_v[i] < down_v[i]
-            and sell_gate
-            and in_position
-        ):
-            events.append(SignalEvent(i, SELL))
-            in_position = False
-    return events
+    buys, sells = _crosses(up_v, down_v, range(OSCILLATOR_SCAN_START, len(closes) - 1))
+    if config.aroon_type == 2:
+        # enter only while the downtrend is weak, exit only while the uptrend is
+        buys = [i for i in buys if down_v[i] < config.weak_thres]
+        sells = [i for i in sells if up_v[i] < config.weak_thres]
+    return _alternate(buys, sells)
 
 
 def macd_signals(
@@ -376,7 +344,7 @@ def macd_signals(
     start = max(line.warmup_len, signal.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the macd warm-up")
-    return _line_cross_signals(line.values, signal.values, start, len(closes))
+    return _alternate(*_crosses(line.values, signal.values, range(start, len(closes))))
 
 
 _DISPATCH = {
@@ -400,15 +368,8 @@ def generate_signals(
     return runner(series, config, memo)
 
 
-def signals_to_csv(events: list[SignalEvent], target) -> None:
-    from pathlib import Path as _Path
-
-    own = isinstance(target, (str, _Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
-        handle.write("bar_index,action\n")
-        for event in events:
-            handle.write(f"{event.bar_index},{event.action}\n")
-    finally:
-        if own:
-            handle.close()
+def signals_to_csv(events: list[SignalEvent], handle) -> None:
+    """Write `bar_index,action` rows to an open text handle."""
+    handle.write("bar_index,action\n")
+    for event in events:
+        handle.write(f"{event.bar_index},{event.action}\n")

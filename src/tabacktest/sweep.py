@@ -29,9 +29,6 @@ class SweepRow:
     objective_value: float
     report: MetricReport
 
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -134,25 +131,18 @@ def _param_key(params: tuple[tuple[str, Any], ...]) -> str:
     return ",".join(f"{path}={value!r}" for path, value in params)
 
 
-def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec, target) -> None:
-    """One row per surviving cell: parameter columns, then the metrics."""
-    from pathlib import Path as _Path
-
-    own = isinstance(target, (str, _Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
+def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec, handle) -> None:
+    """One row per surviving cell, written to an open text handle:
+    parameter columns, then the metrics."""
     param_names = [path for path, _ in spec.axes]
-    try:
-        header = param_names + ["buy_count", "rr_whole", "sharpe_annual", "ir_annual", "objective"]
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            values = dict(row.params)
-            cells = [repr(values[name]) for name in param_names]
-            cells.append(str(row.buy_count))
-            cells.append(repr(row.report.rr_whole))
-            cells.append("" if row.report.sr is None else repr(row.report.sr))
-            cells.append("" if row.report.ir is None else repr(row.report.ir))
-            cells.append(repr(row.objective_value))
-            handle.write(",".join(cells) + "\n")
-    finally:
-        if own:
-            handle.close()
+    header = param_names + ["buy_count", "rr_whole", "sharpe_annual", "ir_annual", "objective"]
+    handle.write(",".join(header) + "\n")
+    for row in rows:
+        values = dict(row.params)
+        cells = [repr(values[name]) for name in param_names]
+        cells.append(str(row.buy_count))
+        cells.append(repr(row.report.rr_whole))
+        cells.append("" if row.report.sr is None else repr(row.report.sr))
+        cells.append("" if row.report.ir is None else repr(row.report.ir))
+        cells.append(repr(row.objective_value))
+        handle.write(",".join(cells) + "\n")

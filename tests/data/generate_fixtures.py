@@ -51,6 +51,11 @@ def business_days(start: dt.date, count: int) -> list[dt.date]:
     return days
 
 
+def write_csv(series: OhlcvSeries, name: str) -> None:
+    with open(HERE / name, "w", encoding="utf-8", newline="") as handle:
+        serialize_csv(series, handle)
+
+
 def to_series(closes, symbol, start_date, rng) -> OhlcvSeries:
     opens, highs, lows, volumes = [], [], [], []
     prev_close = closes[0]
@@ -81,7 +86,7 @@ def make_regime_fixture() -> None:
         level -= 1.0
         closes.append(level + rng.uniform(-0.1, 0.1))
     series = to_series(closes, "regime", dt.date(2019, 1, 1), rng)
-    serialize_csv(series, HERE / "regime_fixture.csv")
+    write_csv(series, "regime_fixture.csv")
 
     # golden signals straight from the brute-force cross oracle
     fast = oracles.naive_sma(series.closes, 5)
@@ -125,7 +130,7 @@ def make_v_fixture() -> None:
     series = OhlcvSeries("vfix", dates, closes, [c + 0.5 for c in closes],
                          [c - 0.5 for c in closes], closes,
                          [1000 + i for i in range(len(closes))])
-    serialize_csv(series, HERE / "v_fixture.csv")
+    write_csv(series, "v_fixture.csv")
 
     config = TwoAverageConfig(fast=MaSpec("sma", 2), slow=MaSpec("sma", 5))
     signals = generate_signals(series, config)
@@ -180,7 +185,7 @@ def make_synthetic_sp500() -> None:
     for r in draws:
         closes.append(max(1.0, closes[-1] * (1.0 + float(r))))
     series = to_series(closes, "synthetic_spx", dt.date(2011, 1, 14), rng)
-    serialize_csv(series, HERE / "synthetic_sp500.csv")
+    write_csv(series, "synthetic_sp500.csv")
 
     config = PriceCrossConfig(ma=AmaParams(51, 5, 12, 2))
     result = run(series, generate_signals(series, config))

@@ -1,7 +1,9 @@
 """Naive reference implementations used to check the engine kernels.
 
 Everything here recomputes results from the definitions with no code
-shared with the package, trading speed for obviousness.
+shared with the package, trading speed for obviousness. The one
+exception is ``reference_signals``, which reads its indicator lines from
+the package's kernels so that only the per-bar signal logic is compared.
 """
 from __future__ import annotations
 
@@ -323,3 +325,107 @@ def naive_parse(text, mode, use_adjusted=False):
     if not rows:
         raise OracleParseError("EmptySeries")
     return rows, warnings
+
+
+def _scan(bars, enter, leave):
+    """Alternating (bar, action) events; the exit test is not evaluated on a
+    bar whose entry test held."""
+    events, holding = [], False
+    for i in bars:
+        if enter(i):
+            if not holding:
+                events.append((i, "Buy"))
+                holding = True
+        elif leave(i):
+            if holding:
+                events.append((i, "Sell"))
+                holding = False
+    return events
+
+
+def _line_scan(fast, slow, start):
+    return _scan(range(start, len(fast)),
+                 lambda i: fast[i - 1] < slow[i - 1] and fast[i] > slow[i],
+                 lambda i: fast[i - 1] > slow[i - 1] and fast[i] < slow[i])
+
+
+def _rsi_scan(closes, strength, line, c):
+    """The RSI loop: the rate test sits inside the oversold/overbought test,
+    so a bar that is oversold but falls too fast still skips the exit test."""
+    events, holding = [], False
+    for i in range(60, len(closes) - 1):
+        if c.rsitype == 1:
+            oversold_gate = overbought_gate = True
+        else:
+            oversold_gate = closes[i] < (1 - c.sma_rate) * line[i]
+            overbought_gate = closes[i] > (1 + c.sma_rate) * line[i]
+        if strength[i] < c.down_thres and oversold_gate:
+            if 0 <= (closes[i - 1] - closes[i]) / closes[i - 1] <= c.diff_rate and not holding:
+                events.append((i, "Buy"))
+                holding = True
+        elif strength[i] > c.upper_thres and overbought_gate:
+            if 0 <= (closes[i] - closes[i - 1]) / closes[i - 1] <= c.diff_rate and holding:
+                events.append((i, "Sell"))
+                holding = False
+    return events
+
+
+def _aroon_scan(up, down, c):
+    """The Aroon loop: being flat is part of the entry test itself."""
+    events, holding = [], False
+    for i in range(60, len(up) - 1):
+        buy_gate = c.aroon_type == 1 or down[i] < c.weak_thres
+        sell_gate = c.aroon_type == 1 or up[i] < c.weak_thres
+        if up[i - 1] < down[i - 1] and up[i] > down[i] and buy_gate and not holding:
+            events.append((i, "Buy"))
+            holding = True
+        elif up[i - 1] > down[i - 1] and up[i] < down[i] and sell_gate and holding:
+            events.append((i, "Sell"))
+            holding = False
+    return events
+
+
+def reference_signals(series, config):
+    """(bar, action) signals of one strategy config, from a plain per-strategy
+    loop: scan ranges, warm-ups, cross and band conventions as the engine
+    documents them. Raises the engine's TooShort where the engine must."""
+    from tabacktest import indicators as ind
+    from tabacktest.errors import TooShort
+
+    closes = series.closes
+    kind = type(config).__name__
+
+    def warm(start):
+        if len(closes) <= start:
+            raise TooShort("series shorter than the warm-up")
+        return start
+
+    if kind == "TwoAverageConfig":
+        fast = ind.moving_average(closes, config.fast)
+        slow = ind.moving_average(closes, config.slow)
+        return _line_scan(fast.values, slow.values, warm(max(fast.warmup_len, slow.warmup_len) + 1))
+    if kind == "PriceCrossConfig":
+        line = ind.moving_average(closes, config.ma)
+        return _line_scan(closes, line.values, warm(line.warmup_len + 1))
+    if kind == "MacdConfig":
+        line, signal, _ = ind.macd(closes, config.short_n, config.long_n, config.signal_n)
+        return _line_scan(line.values, signal.values, warm(max(line.warmup_len, signal.warmup_len) + 1))
+    if kind in ("KeltnerConfig", "BollingerConfig"):
+        if kind == "KeltnerConfig":
+            bands = ind.keltner(series, config.ma, config.mult)
+        else:
+            bands = ind.bollinger(series, config.window, config.dev)
+        upper, lower = bands.upper.values, bands.lower.values
+        above = lambda i: closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]  # noqa: E731
+        below = lambda i: closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]  # noqa: E731
+        bars = range(warm(bands.upper.warmup_len + 1), len(closes))
+        # Keltner buys a break above the channel, Bollinger a break below
+        return _scan(bars, above, below) if kind == "KeltnerConfig" else _scan(bars, below, above)
+    if len(closes) < 62:
+        raise TooShort("the oscillator scan starts at bar 60")
+    if kind == "RsiConfig":
+        strength = ind.rsi(closes, config.n).values
+        line = ind.sma(closes, config.sma_n).values if config.rsitype == 2 else None
+        return _rsi_scan(closes, strength, line, config)
+    up, down, _ = ind.aroon(series, config.n)
+    return _aroon_scan(up.values, down.values, config)

@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
 from tabacktest.cli import main
@@ -76,6 +79,15 @@ class TestBacktestCommand:
         )
         assert code == 3  # 30 bars is shorter than the bar-60 scan window needs
         assert json.loads(out)["error"]["kind"] == "TooShort"
+
+    def test_overflowing_yearly_rate_is_a_domain_error(self, tmp_path, capsys):
+        # rr_whole ** (1 / years) overflows when 80 bars are a tiny fraction of a year
+        code, out = run_cli(
+            capsys, "backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
+            "--trading-days", "1000000", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "DomainError"
 
     def test_benchmark_path(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -214,6 +226,42 @@ class TestSweepCommand:
         assert summary["below_min_trades"] == 1
         assert summary["cells_ranked"] == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, jobs, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("strategy = two_average\nfast.kind = sma\nfast.period = 2,3\n"
+                          "slow.kind = sma\nslow.period = 10\n")
+        code, out = run_cli(
+            capsys, "sweep", "--data", str(DATA_DIR / "regime_fixture.csv"),
+            "--config", str(config), "--jobs", jobs, "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InvalidArgument"
+
+    def test_bad_cell_values_drop_cells(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("strategy = rsi\nrsi.n = 2,abc\nrsi.diff_rate = 0.05\n")
+        code, out = run_cli(
+            capsys, "sweep", "--data", str(DATA_DIR / "synthetic_sp500.csv"),
+            "--config", str(config), "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["dropped_by_kind"] == {"ConfigError": 1}
+        assert summary["cells_ranked"] == 1
+
+    def test_overflowing_cells_are_dropped_as_domain_errors(self, tmp_path, capsys):
+        # a yearly rate from a gain over a tiny fraction of a year overflows
+        config = tmp_path / "sweep.cfg"
+        config.write_text("strategy = two_average\nfast.kind = sma\nfast.period = 2,3\n"
+                          "slow.kind = sma\nslow.period = 10\n")
+        code, out = run_cli(
+            capsys, "sweep", "--data", str(DATA_DIR / "regime_fixture.csv"),
+            "--config", str(config), "--trading-days", "1000000", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "'DomainError': 2" in json.loads(out)["error"]["message"]
+
     def test_empty_grid_after_filter(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text(
@@ -231,6 +279,17 @@ class TestSweepCommand:
 
 NOT_UTF8 = "<a file holding the byte 0xff>"
 LONG_FIELD = "<a one-row CSV whose open cell has 200,000 digits>"
+# config values of the wrong type, each in an otherwise valid config
+BAD_VALUES = {
+    "<rsi.n = abc>": "strategy = rsi\nrsi.n = abc\n",
+    "<keltner.mult = x>": "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = x\n",
+    "<keltner.mult = inf>": "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = inf\n",
+    "<keltner.mult = nan>": "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = nan\n",
+    "<ma.smoothing = abc>": "strategy = price_cross\nma.kind = ema\nma.period = 5\nma.smoothing = abc\n",
+    "<fast.period = 2.7>": "strategy = two_average\nfast.kind = sma\nfast.period = 2.7\n"
+                           "slow.kind = sma\nslow.period = 5\n",
+    "<aroon.n = true>": "strategy = aroon\naroon.n = true\n",
+}
 
 
 @pytest.mark.parametrize("flags, kind", [
@@ -243,6 +302,8 @@ LONG_FIELD = "<a one-row CSV whose open cell has 200,000 digits>"
     (["--config", NOT_UTF8], "UndecodableInput"),
     (["--data", LONG_FIELD], "UnparsableRow"),
     (["--data", LONG_FIELD, "--lenient"], "UnparsableRow"),
+    *((["--config", placeholder], "ConfigError") for placeholder in BAD_VALUES),
+    (["--out-dir", str(V_FIXTURE)], "PathError"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
@@ -252,6 +313,9 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
         "date,open,high,low,close,volume\n2021-01-04," + "1" * 200_000 + ",2,1,1,10\n"
     )
     paths = {NOT_UTF8: str(not_utf8), LONG_FIELD: str(long_field)}
+    for number, (placeholder, text) in enumerate(BAD_VALUES.items()):
+        paths[placeholder] = str(tmp_path / f"bad_value_{number}.cfg")
+        (tmp_path / f"bad_value_{number}.cfg").write_text(text)
     flags = [paths.get(flag, flag) for flag in flags]
     argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
             "--out-dir", str(tmp_path)] + flags
@@ -276,6 +340,20 @@ class TestKellyCommand:
         assert len(curve) == 102
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--p", "0.6", "--l-gain", "inf"],
+        ["--p", "0.6", "--l-gain", "nan"],
+        ["--p", "inf", "--l-gain", "2"],
+        ["--p", "0.6", "--l-gain", "2", "--m-loss", "nan"],
+        ["--p", "0.5", "--l-gain", "1e-308", "--m-loss", "1e-308"],
+    ])
+    def test_non_finite_inputs_are_invalid_params(self, flags, tmp_path, capsys):
+        code, out = run_cli(capsys, "kelly", *flags, "--out-dir", str(tmp_path))
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "InvalidParams"
+        assert not (tmp_path / "kelly_curve.csv").exists()
+
+
 class TestReportCommand:
     def test_series_self_report(self, tmp_path, capsys):
         code, out = run_cli(
@@ -288,6 +366,19 @@ class TestReportCommand:
         assert report["ir"] is None  # benchmark is the series itself
         assert len(report["rr_by_year"]) == 11
         assert report["return_fit_std"] == pytest.approx(1.08e-2, rel=0.1)
+
+
+    def test_non_finite_measures_are_a_domain_error(self, tmp_path, capsys):
+        # a close ratio of 1e600 overflows to inf, and the report's moments with it
+        data = tmp_path / "extreme.csv"
+        data.write_text("date,open,high,low,close,volume\n"
+                        "2021-01-04,1e-300,1e-300,1e-300,1e-300,1\n"
+                        "2021-01-05,1e300,1e300,1e300,1e300,1\n"
+                        "2021-01-06,1e300,1e300,1e300,1e300,1\n")
+        code, out = run_cli(capsys, "report", "--data", str(data), "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == "DomainError"
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestDeterminism:
@@ -318,3 +409,80 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# -- the error contract under fuzzed configs and flags ---------------------------
+
+CONFIG_KEYS = [
+    "fast.kind", "fast.period", "fast.smoothing", "slow.kind", "slow.period",
+    "ma.kind", "ma.period", "ma.smoothing", "ma.matype", "ma.timeperiod_long",
+    "ma.timeperiod_short", "ma.ada_win",
+    "keltner.mult", "bollinger.n", "bollinger.dev",
+    "rsi.n", "rsi.down_thres", "rsi.upper_thres", "rsi.diff_rate", "rsi.rsitype",
+    "rsi.sma_n", "rsi.sma_rate", "aroon.n", "aroon.aroon_type", "aroon.weak_thres",
+    "macd.short_n", "macd.long_n", "macd.signal_n",
+    "objective", "min_trades",
+    "rsi.bogus", "ma.bogus", "macd", "two_average.n", "fast",
+]
+VALUE_TOKENS = [
+    "abc", "inf", "-inf", "nan", "2.7", "5.0", "true", "-1", "0", "1", "2", "5", "12",
+    "30", "70", "0.5", "1e308", "sma", "ema", "rr_whole", "1,2", "2,abc", "0.5,inf",
+    "2:6:2", "0:1:0.5", "1:x:2",
+]
+# a valid config per tag, which the drawn lines then extend or override
+BASE_CONFIGS = {
+    "two_average": "fast.kind = sma\nfast.period = 2\nslow.kind = sma\nslow.period = 5\n",
+    "price_cross": "ma.kind = ema\nma.period = 5\n",
+    "keltner": "ma.kind = ema\nma.period = 5\n",
+    "rsi": "rsi.n = 6\n",
+    "aroon": "aroon.n = 5\n",
+    "bollinger": "bollinger.n = 5\n",
+    "macd": "",
+    "hodl": "",
+}
+KELLY_TOKENS = ["0", "0.5", "0.9", "1", "1.1", "2", "-1", "inf", "-inf", "nan", "1e308",
+                "1e-308", "5e-324"]
+
+
+def _forbid_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+def _assert_contract(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 1 and stdout.getvalue().endswith("\n")
+    json.loads(lines[0], parse_constant=_forbid_constant)
+    assert "Traceback" not in stderr.getvalue()
+
+
+def test_fuzzed_configs_meet_the_error_contract(tmp_path):
+    @settings(max_examples=150, deadline=None)
+    @given(tag=st.sampled_from(sorted(BASE_CONFIGS)),
+           lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(VALUE_TOKENS)),
+                          max_size=5),
+           command=st.sampled_from(["backtest", "sweep"]), jobs=st.sampled_from(["1", "2"]))
+    def check(tag, lines, command, jobs):
+        config = tmp_path / "fuzz.cfg"
+        config.write_text(f"strategy = {tag}\n" + BASE_CONFIGS[tag]
+                          + "".join(f"{k} = {v}\n" for k, v in lines))
+        argv = [command, "--data", str(V_FIXTURE), "--config", str(config),
+                "--out-dir", str(tmp_path / "out")]
+        _assert_contract(argv + (["--jobs", jobs] if command == "sweep" else []))
+
+    check()
+
+
+def test_fuzzed_kelly_flags_meet_the_error_contract(tmp_path):
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from(KELLY_TOKENS), gain=st.sampled_from(KELLY_TOKENS),
+           loss=st.sampled_from(KELLY_TOKENS), points=st.sampled_from(["0", "1", "2", "7"]))
+    def check(p, gain, loss, points):
+        # `--flag=value`, since argparse reads a bare "-inf" as an option
+        _assert_contract(["kelly", f"--p={p}", f"--l-gain={gain}", f"--m-loss={loss}",
+                          "--grid-points", points, "--out-dir", str(tmp_path / "out")])
+
+    check()

@@ -133,6 +133,33 @@ class TestStrategyFromDict:
         with pytest.raises(errors.ConfigError):
             strategy_from_dict(parse_kv_text("strategy = bollinger\nbollinger.dev = 2\n"))
 
+    # the offending line comes last and names the case
+    @pytest.mark.parametrize("text", [
+        "strategy = rsi\nrsi.n = abc\n",
+        "strategy = rsi\nrsi.n = 2.7\n",
+        "strategy = rsi\nrsi.n = 6\nrsi.diff_rate = 1" + "0" * 400 + "\n",
+        "strategy = aroon\naroon.n = true\n",
+        "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = x\n",
+        "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = inf\n",
+        "strategy = keltner\nma.kind = ema\nma.period = 5\nkeltner.mult = nan\n",
+        "strategy = price_cross\nma.kind = ema\nma.period = 5\nma.smoothing = abc\n",
+        "strategy = price_cross\nma.period = 5\nma.kind = 5\n",
+        "strategy = two_average\nfast.kind = sma\nslow.kind = sma\nslow.period = 5\nfast.period = 2.7\n",
+        "strategy = bollinger\nbollinger.n = 1,2\n",
+        "strategy = two_average\nfast.kind = sma\nfast.period = 2\nslow.kind = sma\nslow.period = 5\n"
+        "two_average.bogus = 1\n",
+        "strategy = macd\nmacd = 3\n",
+    ], ids=lambda text: text.splitlines()[-1][:32])
+    def test_values_must_have_the_field_type(self, text):
+        with pytest.raises(errors.ConfigError):
+            strategy_from_dict(parse_kv_text(text))
+
+    def test_integral_floats_and_ints_convert(self):
+        config = strategy_from_dict(parse_kv_text(
+            "strategy = rsi\nrsi.n = 6.0\nrsi.down_thres = 20\nrsi.sma_rate = 0\n"))
+        assert config == RsiConfig(n=6, down_thres=20.0, sma_rate=0.0)
+        assert type(config.n) is int and type(config.down_thres) is float
+
 
 class TestIndicatorColumns:
     def test_specs(self):

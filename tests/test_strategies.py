@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series, random_ohlcv, random_walk
@@ -340,3 +341,71 @@ class TestSignalInvariants:
         ]
         for config in configs:
             assert generate_signals(series, config) == []
+
+
+# -- equivalence with the per-strategy loops ----------------------------------
+
+TICK = 0.25  # prices on a binary grid, so plateaus make averages equal closes exactly
+
+
+@st.composite
+def walks(draw):
+    """OHLC bars of a random walk on a 0.25 grid with many flat steps, and
+    bars whose high and low equal the close, so ties and exact band
+    touches are common. Drifting stretches push the oscillators to their
+    extremes. 62+ bars reach past the oscillator scan start. The steps
+    come from a drawn seed: uniform steps find more ties than the small
+    values hypothesis favours."""
+    n = draw(st.integers(min_value=62, max_value=140))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    closes, drift = [200.0], 0
+    for _ in range(n - 1):
+        if rng.random() < 0.04:
+            drift = rng.choice((-1, 0, 1))
+        closes.append(closes[-1] + (drift + rng.choice((-2, -1, 0, 0, 0, 1, 2))) * TICK)
+    spreads = [rng.choice((0, 0, 1, 2)) * TICK for _ in closes]
+    return make_series(closes, highs=[c + s for c, s in zip(closes, spreads)],
+                       lows=[c - s for c, s in zip(closes, spreads)])
+
+
+# sampled_from draws evenly, where integers() favours the small bounds
+periods = st.sampled_from(range(1, 31))
+adaptive = st.builds(
+    lambda short, extra, win, matype: AmaParams(short + extra, short, win, matype),
+    st.integers(1, 10), st.integers(1, 20), st.integers(1, 15), st.sampled_from([1, 2]))
+lines = st.one_of(st.builds(MaSpec, st.sampled_from(["sma", "ema"]), periods), adaptive)
+widths = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5])
+STRATEGY_CONFIGS = {
+    "two_average": st.builds(TwoAverageConfig, lines, lines),
+    "price_cross": st.builds(PriceCrossConfig, lines),
+    "keltner": st.builds(KeltnerConfig, lines, widths),
+    "rsi": st.builds(
+        lambda n, thresholds, rate, rsitype, sma_n, sma_rate: RsiConfig(
+            n, *thresholds, diff_rate=rate, rsitype=rsitype, sma_n=sma_n, sma_rate=sma_rate),
+        st.sampled_from(range(1, 21)), st.sampled_from([(30.0, 70.0), (45.0, 55.0)]),
+        # short SMA gates, so plateaus make the close equal its SMA
+        st.sampled_from([0.0, 0.0024, 0.01, 0.05]), st.sampled_from([1, 2]),
+        st.sampled_from([1, 2, 3, 5, 10, 20]), st.sampled_from([0.0, 0.001])),
+    # weak thresholds the Aroon lines can equal exactly, so the type-2 gate meets ties
+    "aroon": st.sampled_from(range(2, 13)).flatmap(lambda n: st.builds(
+        AroonConfig, st.just(n), st.sampled_from([1, 2]),
+        st.sampled_from([100.0 * (n - k) / n for k in range(1, n)]))),
+    "bollinger": st.builds(BollingerConfig, st.one_of(periods, adaptive), widths),
+    "macd": st.builds(MacdConfig, st.integers(1, 20), st.integers(1, 30), st.integers(1, 12)),
+}
+
+
+def _outcome(signals):
+    try:
+        return signals()
+    except errors.EngineError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_CONFIGS))
+@settings(max_examples=150, deadline=None)
+@given(series=walks(), data=st.data())
+def test_signals_match_the_per_strategy_loops(strategy, series, data):
+    config = data.draw(STRATEGY_CONFIGS[strategy])
+    engine = _outcome(lambda: [(e.bar_index, e.action) for e in generate_signals(series, config)])
+    assert engine == _outcome(lambda: oracles.reference_signals(series, config))
