@@ -8,7 +8,9 @@ valued at the final close.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate, chain, islice, repeat
+from operator import mul, truediv
+from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, NonAlternatingSignals
 from .market_data import OhlcvSeries
@@ -59,6 +61,43 @@ def _validate_signals(signals: list[SignalEvent], length: int) -> None:
         expected = SELL if expected == BUY else BUY
 
 
+def _pairs(signals: list[SignalEvent]) -> list[tuple[int, Optional[int]]]:
+    """(entry bar, exit bar or None while still open) of each trade."""
+    return [(signals[k].bar_index,
+             signals[k + 1].bar_index if k + 1 < len(signals) else None)
+            for k in range(0, len(signals), 2)]
+
+
+def close_ratios(closes: Sequence[float]) -> list[float]:
+    """``closes[i] / closes[i - 1]`` for bars 1 to n - 1, at index i - 1:
+    a held position's growth over each bar."""
+    return list(map(truediv, islice(closes, 1, None), closes))
+
+
+def exposure_runs(
+    closes: Sequence[float], signals: list[SignalEvent], ratios: Sequence[float]
+) -> tuple[float, list[tuple[int, list[float]]]]:
+    """The strategy equity of a Buy/Sell sequence, which it validates, as exposure runs.
+
+    Returns the initial value and one ``(entry bar, values)`` run per
+    trade, ``values`` being the equity from the entry bar to the exit bar
+    (the last bar for an open trade). ``ratios`` is ``close_ratios(closes)``.
+    Before the first Buy the equity is the initial value; between trades
+    it holds the last run's final value.
+    """
+    _validate_signals(signals, len(closes))
+    if not signals:
+        return closes[0], []
+    initial = held = closes[signals[0].bar_index]
+    runs = []
+    for entry, exit_index in _pairs(signals):
+        stop = exit_index if exit_index is not None else len(closes) - 1
+        values = list(accumulate(ratios[entry:stop], mul, initial=held))
+        runs.append((entry, values))
+        held = values[-1]
+    return initial, runs
+
+
 def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
     """Apply a validated Buy/Sell sequence to a price series.
 
@@ -66,34 +105,13 @@ def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
     and zero trades.
     """
     closes = series.closes
-    _validate_signals(signals, len(closes))
-
-    if not signals:
-        flat = closes[0]
-        equity = EquityCurve(tuple([flat] * len(closes)), flat, flat)
-        return BacktestResult(equity, ())
-
-    pairs: list[tuple[int, Optional[int]]] = []
-    for i in range(0, len(signals), 2):
-        entry = signals[i].bar_index
-        exit_index = signals[i + 1].bar_index if i + 1 < len(signals) else None
-        pairs.append((entry, exit_index))
-
-    exposed = [False] * len(closes)
-    for entry, exit_index in pairs:
-        stop = exit_index if exit_index is not None else len(closes) - 1
-        for i in range(entry + 1, stop + 1):
-            exposed[i] = True
-
-    first_buy = pairs[0][0]
-    initial = closes[first_buy]
-    values = [initial] * len(closes)
-    for i in range(first_buy + 1, len(closes)):
-        if exposed[i]:
-            values[i] = values[i - 1] * (closes[i] / closes[i - 1])
-        else:
-            values[i] = values[i - 1]
-
+    initial, runs = exposure_runs(closes, signals, close_ratios(closes))
+    parts = []
+    held, done = initial, 0
+    for entry, values in runs:
+        parts += (repeat(held, entry - done), values)
+        held, done = values[-1], entry + len(values)
+    parts.append(repeat(held, len(closes) - done))
     trades = tuple(
         Trade(
             entry_index=entry,
@@ -102,9 +120,9 @@ def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
             exit_price=closes[exit_index if exit_index is not None else -1],
             return_factor=closes[exit_index if exit_index is not None else -1] / closes[entry],
         )
-        for entry, exit_index in pairs
+        for entry, exit_index in _pairs(signals)
     )
-    equity = EquityCurve(tuple(values), initial, values[-1])
+    equity = EquityCurve(tuple(chain.from_iterable(parts)), initial, held)
     return BacktestResult(equity, trades)
 
 

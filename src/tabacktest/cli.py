@@ -76,9 +76,17 @@ def _common_flags(parser: argparse.ArgumentParser, need_data: bool = True) -> No
                         help="bars per year for annualization and year slicing")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``InvalidArgument``s, so that they
+    follow the one-JSON-line contract instead of printing usage to stderr.
+    Its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise InvalidArgument(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tabacktest",
-                                     description="Deterministic technical-analysis backtesting")
+    parser = _Parser(prog="tabacktest", description="Deterministic technical-analysis backtesting")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse, validate and normalize an OHLCV CSV")
@@ -278,9 +286,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.trading_days < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
         if getattr(args, "jobs", 1) < 1:

@@ -210,6 +210,22 @@ def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
     return window
 
 
+# Top-level keys any strategy config may hold besides its namespaces; a
+# sweep reads the last two.
+_COMMON_KEYS = ("strategy", "objective", "min_trades")
+
+
+def _check_top_level(tree: dict, tag: str) -> None:
+    """A ConfigError naming every top-level key the ``tag`` strategy would not read."""
+    cls = _STRATEGIES[tag]
+    known = {*_COMMON_KEYS, tag, *(f.name for f in fields(cls) if f.name in _MA_FIELDS)}
+    if cls is BollingerConfig:
+        known.add("ma")  # the adaptive middle line
+    unknown = set(tree) - known
+    if unknown:
+        raise ConfigError(f"unknown top-level keys for strategy {tag}: {sorted(unknown)}")
+
+
 def strategy_from_dict(tree: dict) -> StrategyConfig:
     """Build a strategy config from a parsed tree (see module docstring).
 
@@ -223,6 +239,7 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
     cls = _STRATEGIES.get(tag)
     if cls is None:
         raise ConfigError(f"unknown strategy tag {tag!r}")
+    _check_top_level(tree, tag)
     params = _section(tree, tag)
     try:
         given = {f.name: ma_from_dict(tree.get(f.name), f.name)
@@ -332,6 +349,9 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     min_trades = tree.get("min_trades", 0)
     if not isinstance(min_trades, int) or min_trades < 0:
         raise ConfigError("min_trades must be an integer >= 0")
+    if tag in _STRATEGIES:
+        # an axis no cell reads would rank copies of one cell
+        _check_top_level(tree, tag)
 
     base: dict = {}
     axes: list[tuple[str, tuple[Any, ...]]] = []

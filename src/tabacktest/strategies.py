@@ -12,10 +12,12 @@ close is strictly beyond the band.
 """
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from operator import gt, lt
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import InvalidParams, TooShort
 from .indicators import (
@@ -227,18 +229,42 @@ def _alternate(buys: list[int], sells: list[int]) -> list[SignalEvent]:
     return events
 
 
+# In a packed run of flags, one flag turning true and one turning false;
+# a match ends at the flag that changed.
+_TURNS_TRUE = re.compile(b"\x00(?=\x01)")
+_TURNS_FALSE = re.compile(b"\x01(?=\x00)")
+
+
+def _turns(flags: Iterable[bool], first: int) -> tuple[list[int], list[int]]:
+    """The bars where ``flags`` turns true, and where it turns false; flag k
+    is bar ``first + k``. The flags are compared in C and packed into
+    bytes, so Python only touches the few bars where a flag changes."""
+    packed = bytes(flags)
+    return ([first + m.end() for m in _TURNS_TRUE.finditer(packed)],
+            [first + m.end() for m in _TURNS_FALSE.finditer(packed)])
+
+
 def _crosses(fast: list[float], slow: list[float], bars: range) -> tuple[list[int], list[int]]:
     """The bars where ``fast`` crosses strictly above ``slow``, and strictly below it."""
-    return ([i for i in bars if fast[i - 1] < slow[i - 1] and fast[i] > slow[i]],
-            [i for i in bars if fast[i - 1] > slow[i - 1] and fast[i] < slow[i]])
+    first = bars.start - 1
+    prior = slice(first, bars.stop)
+    # a cross ends or starts `fast < slow`; the other side may still be a tie
+    into_below, out_of_below = _turns(map(lt, fast[prior], slow[prior]), first)
+    return ([i for i in out_of_below if fast[i] > slow[i]],
+            [i for i in into_below if fast[i - 1] > slow[i - 1]])
 
 
 def _breaks(closes: list[float], upper: list[float], lower: list[float],
             bars: range) -> tuple[list[int], list[int]]:
     """The bars where the close leaves the band above ``upper``, and below
     ``lower``; a close exactly on a band is still inside it."""
-    return ([i for i in bars if closes[i - 1] <= upper[i - 1] and closes[i] > upper[i]],
-            [i for i in bars if closes[i - 1] >= lower[i - 1] and closes[i] < lower[i]])
+    first = bars.start - 1
+    prior = slice(first, bars.stop)
+    over, _ = _turns(map(gt, closes[prior], upper[prior]), first)
+    under, _ = _turns(map(lt, closes[prior], lower[prior]), first)
+    # not above the band before is `<=` unless a band value is NaN
+    return ([i for i in over if closes[i - 1] <= upper[i - 1]],
+            [i for i in under if closes[i - 1] >= lower[i - 1]])
 
 
 def two_average_signals(

@@ -14,11 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from .backtest import run
+from .backtest import close_ratios, exposure_runs
 from .config import SweepSpec, set_leaf, strategy_from_dict
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import MetricReport, daily_returns, report_from_returns
+from .metrics import MetricReport, daily_returns, report_from_runs
 from .strategies import KernelMemo, generate_signals
 
 
@@ -50,6 +50,8 @@ def _objective_value(report: MetricReport, objective: str) -> Optional[float]:
 def _evaluate_cell(
     series: OhlcvSeries,
     spec: SweepSpec,
+    closes: list[float],
+    ratios: list[float],
     benchmark_returns: Sequence[float],
     trading_days: int,
     memo: KernelMemo,
@@ -62,10 +64,9 @@ def _evaluate_cell(
     try:
         config = strategy_from_dict(tree)
         signals = generate_signals(series, config, memo)
-        result = run(series, signals)
-        returns = daily_returns(result.equity.values)
-        report = report_from_returns(result.equity, returns, benchmark_returns,
-                                     result.buy_count, trading_days)
+        initial, runs = exposure_runs(closes, signals, ratios)
+        report = report_from_runs(initial, runs, len(closes), benchmark_returns, len(runs),
+                                  trading_days)
     except EngineError as exc:
         return exc.kind
     value = _objective_value(report, spec.objective)
@@ -84,11 +85,13 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every grid cell, filter by min_trades, rank by objective.
 
-    Cells share one pass over the benchmark's returns and one computation
-    of each distinct indicator series, so the result is the same as
-    evaluating each cell on its own.
+    Cells share one pass over the benchmark's returns, one list of close
+    ratios and one computation of each distinct indicator series, and
+    each cell's equity stays in exposure runs, so the result is the same
+    as evaluating each cell on its own.
     """
-    benchmark = list(benchmark_closes) if benchmark_closes is not None else series.closes
+    closes = series.closes
+    benchmark = list(benchmark_closes) if benchmark_closes is not None else closes
     names = [path for path, _ in spec.axes]
     value_lists = [values for _, values in spec.axes]
     assignments = [
@@ -102,9 +105,11 @@ def run_sweep(
         cells: list[SweepRow | str] = [exc.kind] * len(assignments)
     else:
         memo = KernelMemo()
+        ratios = close_ratios(closes)
 
         def evaluate(assignment):
-            return _evaluate_cell(series, spec, benchmark_returns, trading_days, memo, assignment)
+            return _evaluate_cell(series, spec, closes, ratios, benchmark_returns, trading_days,
+                                  memo, assignment)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -240,6 +240,116 @@ def naive_equity(closes, signal_pairs, length):
     return values
 
 
+class OracleMetricError(Exception):
+    """Outcome of ``naive_report`` on a failing case: the package's error
+    class name (``kind``) and message."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _naive_daily_returns(values):
+    if len(values) < 2:
+        raise OracleMetricError("TooShort", "need at least two values for returns")
+    out = []
+    for i in range(1, len(values)):
+        prev, cur = values[i - 1], values[i]
+        if prev <= 0 or cur <= 0 or not (math.isfinite(prev) and math.isfinite(cur)):
+            raise OracleMetricError("NonPositivePrice", f"non-positive price at index {i}")
+        out.append(cur / prev - 1.0)
+    return out
+
+
+def _naive_moments(xs):
+    mean = sum(xs) / len(xs)
+    return mean, math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
+
+
+def _naive_ratio(xs, mean, std, trading_days):
+    if min(xs) == max(xs) or std == 0.0:
+        return None
+    return mean / std * math.sqrt(trading_days)
+
+
+def naive_report(closes, signals, benchmark_closes, trading_days):
+    """The measure block (``MetricReport.to_dict()``) of backtesting
+    ``signals`` on ``closes``, by dense per-bar loops over the whole curve.
+
+    ``signals`` is a valid alternating list of ``(bar, "Buy"|"Sell")``
+    pairs. Every bar of the equity curve is materialised, flat or not, and
+    every measure is a plain loop over it: the reference the package's
+    run-based measure block must equal bit for bit. A failure raises
+    ``OracleMetricError`` with the package's error kind, in the order the
+    package checks them.
+    """
+    n = len(closes)
+    bars = [bar for bar, _ in signals]
+    pairs = [(bars[k], bars[k + 1] if k + 1 < len(bars) else None)
+             for k in range(0, len(bars), 2)]
+    if not pairs:
+        initial = closes[0]
+        values = [initial] * n
+    else:
+        exposed = [False] * n
+        for entry, exit_index in pairs:
+            stop = exit_index if exit_index is not None else n - 1
+            for i in range(entry + 1, stop + 1):
+                exposed[i] = True
+        first_buy = pairs[0][0]
+        initial = closes[first_buy]
+        values = [initial] * n
+        for i in range(first_buy + 1, n):
+            if exposed[i]:
+                values[i] = values[i - 1] * (closes[i] / closes[i - 1])
+            else:
+                values[i] = values[i - 1]
+    final = values[-1]
+    returns = _naive_daily_returns(values)
+    benchmark_returns = _naive_daily_returns(benchmark_closes)
+    rr_whole = final / initial
+    years = n / trading_days
+    try:
+        rr_per_year = rr_whole ** (1.0 / years)
+    except OverflowError:
+        raise OracleMetricError("DomainError", "rr_per_year overflows") from None
+    rr_by_year = []
+    prev, start = initial, 0
+    while start < n:
+        end = min(start + trading_days, n)
+        rr_by_year.append(values[end - 1] / prev)
+        prev, start = values[end - 1], end
+    if len(returns) < 2:
+        raise OracleMetricError("TooShort", "need at least two returns")
+    fit_mean, fit_std = _naive_moments(returns)
+    if len(returns) != len(benchmark_returns):
+        raise OracleMetricError("LengthMismatch", "returns and benchmark returns differ in length")
+    diff = [r - b for r, b in zip(returns, benchmark_returns)]
+    diff_mean, diff_std = _naive_moments(diff)
+    peak, mdd = values[0], 0.0
+    for v in values:
+        if v > peak:
+            peak = v
+        if (peak - v) / peak > mdd:
+            mdd = (peak - v) / peak
+    return {
+        "initial_price": initial,
+        "final_price": final,
+        "rr_whole": rr_whole,
+        "rr_per_year": rr_per_year,
+        "rr_by_year": rr_by_year,
+        "buy_count": len(pairs),
+        "max_rate": max(rr_by_year),
+        "min_rate": min(rr_by_year),
+        "mdd": mdd,
+        "sr": _naive_ratio(returns, fit_mean, fit_std, trading_days),
+        "ir": _naive_ratio(diff, diff_mean, diff_std, trading_days),
+        "vol_annual": fit_std * math.sqrt(trading_days),
+        "return_fit_mean": fit_mean,
+        "return_fit_std": fit_std,
+    }
+
+
 class OracleParseError(Exception):
     """Outcome of ``naive_parse`` on a rejected input: the package's error
     class name and the 1-based data row (None when no row is to blame)."""

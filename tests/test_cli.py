@@ -290,6 +290,9 @@ BAD_VALUES = {
                            "slow.kind = sma\nslow.period = 5\n",
     "<aroon.n = true>": "strategy = aroon\naroon.n = true\n",
 }
+# a sweep axis on a key no cell reads: every cell would be the default-mult cell
+UNREAD_AXIS = "<a keltner sweep with a top-level mult axis>"
+UNREAD_AXIS_TEXT = "strategy = keltner\nma.kind = ema\nma.period = 5\nmult = 0:3:0.5\n"
 
 
 @pytest.mark.parametrize("flags, kind", [
@@ -304,6 +307,14 @@ BAD_VALUES = {
     (["--data", LONG_FIELD, "--lenient"], "UnparsableRow"),
     *((["--config", placeholder], "ConfigError") for placeholder in BAD_VALUES),
     (["--out-dir", str(V_FIXTURE)], "PathError"),
+    # from here on, whole command lines
+    (["sweep", "--data", str(V_FIXTURE), "--config", UNREAD_AXIS], "ConfigError"),
+    (["sweep", "--data", str(V_FIXTURE), "--config", str(V_CONFIG), "--jobs", "x"],
+     "InvalidArgument"),
+    (["kelly", "--p", "0.5", "--l-gain", "2", "--m-loss", "-inf"], "InvalidArgument"),
+    (["kelly", "--p", "0.5"], "InvalidArgument"),
+    (["backtest", "--config", str(V_CONFIG)], "InvalidArgument"),
+    (["frobnicate", "--data", str(V_FIXTURE)], "InvalidArgument"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
@@ -313,17 +324,31 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
         "date,open,high,low,close,volume\n2021-01-04," + "1" * 200_000 + ",2,1,1,10\n"
     )
     paths = {NOT_UTF8: str(not_utf8), LONG_FIELD: str(long_field)}
-    for number, (placeholder, text) in enumerate(BAD_VALUES.items()):
+    for number, (placeholder, text) in enumerate({**BAD_VALUES, UNREAD_AXIS: UNREAD_AXIS_TEXT}
+                                                 .items()):
         paths[placeholder] = str(tmp_path / f"bad_value_{number}.cfg")
         (tmp_path / f"bad_value_{number}.cfg").write_text(text)
     flags = [paths.get(flag, flag) for flag in flags]
-    argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
-            "--out-dir", str(tmp_path)] + flags
-    code, out = run_cli(capsys, *argv)
+    out_dir = ["--out-dir", str(tmp_path)]
+    if flags[0].startswith("--"):
+        argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG)] + out_dir + flags
+    else:
+        argv = flags + out_dir
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    lines = out.splitlines()
+    lines = captured.out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == kind
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tabacktest")
 
 
 class TestKellyCommand:
@@ -456,7 +481,7 @@ def _assert_contract(argv):
     lines = stdout.getvalue().splitlines()
     assert len(lines) == 1 and stdout.getvalue().endswith("\n")
     json.loads(lines[0], parse_constant=_forbid_constant)
-    assert "Traceback" not in stderr.getvalue()
+    assert stderr.getvalue() == ""
 
 
 def test_fuzzed_configs_meet_the_error_contract(tmp_path):
@@ -479,10 +504,15 @@ def test_fuzzed_configs_meet_the_error_contract(tmp_path):
 def test_fuzzed_kelly_flags_meet_the_error_contract(tmp_path):
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from(KELLY_TOKENS), gain=st.sampled_from(KELLY_TOKENS),
-           loss=st.sampled_from(KELLY_TOKENS), points=st.sampled_from(["0", "1", "2", "7"]))
-    def check(p, gain, loss, points):
-        # `--flag=value`, since argparse reads a bare "-inf" as an option
-        _assert_contract(["kelly", f"--p={p}", f"--l-gain={gain}", f"--m-loss={loss}",
-                          "--grid-points", points, "--out-dir", str(tmp_path / "out")])
+           loss=st.sampled_from(KELLY_TOKENS), points=st.sampled_from(["0", "1", "2", "7"]),
+           joined=st.booleans())
+    def check(p, gain, loss, points, joined):
+        # `--flag value` reads a bare "-inf" as an option: an InvalidArgument
+        flags = {"--p": p, "--l-gain": gain, "--m-loss": loss, "--grid-points": points}
+        if joined:
+            argv = [f"{flag}={value}" for flag, value in flags.items()]
+        else:
+            argv = [token for pair in flags.items() for token in pair]
+        _assert_contract(["kelly", *argv, "--out-dir", str(tmp_path / "out")])
 
     check()

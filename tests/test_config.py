@@ -154,6 +154,22 @@ class TestStrategyFromDict:
         with pytest.raises(errors.ConfigError):
             strategy_from_dict(parse_kv_text(text))
 
+    @pytest.mark.parametrize("text, key", [
+        ("strategy = rsi\nrsi.n = 6\nrs.diff_rate = 0.5\n", "rs"),
+        ("strategy = keltner\nma.kind = ema\nma.period = 5\nmult = 3\n", "mult"),
+        ("strategy = rsi\nrsi.n = 6\nma.kind = sma\nma.period = 5\n", "ma"),
+        ("strategy = price_cross\nma.kind = ema\nma.period = 5\nfast.kind = sma\n", "fast"),
+        ("strategy = macd\nkeltner.mult = 2\n", "keltner"),
+    ])
+    def test_top_level_keys_the_strategy_does_not_read(self, text, key):
+        with pytest.raises(errors.ConfigError, match=repr(key)):
+            strategy_from_dict(parse_kv_text(text))
+
+    def test_sweep_and_namespace_keys_are_read(self):
+        text = ("strategy = bollinger\nobjective = rr_whole\nmin_trades = 1\nma.matype = 1\n"
+                "ma.timeperiod_long = 24\nma.timeperiod_short = 8\nma.ada_win = 18\n")
+        assert strategy_from_dict(parse_kv_text(text)) == BollingerConfig(AmaParams(24, 8, 18, 1))
+
     def test_integral_floats_and_ints_convert(self):
         config = strategy_from_dict(parse_kv_text(
             "strategy = rsi\nrsi.n = 6.0\nrsi.down_thres = 20\nrsi.sma_rate = 0\n"))
@@ -212,3 +228,9 @@ class TestSweepFromDict:
             sweep_from_dict(parse_kv_text("strategy = aroon\nobjective = vibes\n"))
         with pytest.raises(errors.ConfigError):
             sweep_from_dict(parse_kv_text("strategy = aroon\nmin_trades = -1\n"))
+
+    def test_an_axis_no_cell_reads_is_rejected(self):
+        # it would rank copies of one cell, each at the default mult
+        text = "strategy = keltner\nma.kind = ema\nma.period = 5,10\nmult = 0:3:0.5\n"
+        with pytest.raises(errors.ConfigError, match="'mult'"):
+            sweep_from_dict(parse_kv_text(text))

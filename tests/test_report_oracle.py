@@ -1,0 +1,145 @@
+"""The measure block against ``oracles.naive_report``, a dense per-bar transcription.
+
+``build_report(run(...))`` and every ``run_sweep`` row must equal the
+oracle with ``==``, float for float; a failing case must fail with the
+oracle's error kind.
+"""
+import copy
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from conftest import make_series
+from tabacktest import SignalEvent, build_report, run
+from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
+from tabacktest.errors import EmptyGridAfterFilter, EngineError
+from tabacktest.strategies import BUY, SELL, generate_signals
+from tabacktest.sweep import run_sweep
+
+# day-over-day close moves: 1.0 leaves a close unchanged inside a position,
+# 1e150 and 1e-150 push a compounded curve past the float range
+MOVES = (1.0, 1.0, 1.01, 0.99, 1.2, 0.8, 2.0, 0.5, 1e150, 1e-150)
+TRADING_DAYS = (1, 2, 3, 5, 20, 252)
+
+
+def _closes(start, moves):
+    closes = [start]
+    for move in moves:
+        closes.append(min(1e300, max(1e-300, closes[-1] * move)))
+    return closes
+
+
+@st.composite
+def _series_closes(draw, min_bars=1, max_bars=40):
+    moves = draw(st.lists(st.sampled_from(MOVES), min_size=min_bars - 1, max_size=max_bars - 1))
+    return _closes(draw(st.sampled_from([1.0, 100.0, 3.7])), moves)
+
+
+@st.composite
+def _cases(draw):
+    closes = draw(_series_closes())
+    bars = draw(st.lists(st.integers(0, len(closes) - 1), unique=True, max_size=8))
+    signals = [(bar, BUY if k % 2 == 0 else SELL) for k, bar in enumerate(sorted(bars))]
+    benchmark = draw(st.one_of(
+        st.just(closes),
+        st.lists(st.sampled_from(MOVES[:8]), min_size=len(closes) - 1,
+                 max_size=len(closes) - 1).map(lambda moves: _closes(50.0, moves)),
+    ))
+    return closes, signals, benchmark, draw(st.sampled_from(TRADING_DAYS))
+
+
+def _outcome(compute):
+    """``compute()``, or the kind of error it raised."""
+    try:
+        return compute()
+    except oracles.OracleMetricError as exc:
+        return exc.kind
+    except EngineError as exc:
+        return exc.kind
+
+
+def _engine_report(closes, signals, benchmark, trading_days):
+    result = run(make_series(closes), [SignalEvent(bar, action) for bar, action in signals])
+    return build_report(result.equity, benchmark, result.buy_count, trading_days).to_dict()
+
+
+UP = [100.0, 101.0, 101.0, 103.0, 99.0, 98.0, 98.0, 104.0, 105.0, 101.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+@example((UP, [], UP, 252))                                         # no trades
+@example((UP, [(2, BUY), (5, SELL), (7, BUY)], UP, 3))              # a position left open
+@example((UP, [(3, BUY), (4, SELL), (9, BUY)], UP, 2))              # a Buy on the last bar
+@example((UP, [(0, BUY), (1, SELL), (5, BUY), (6, SELL)], UP, 1))   # one-bar positions
+@example((UP, [(1, BUY), (2, SELL), (5, BUY)], _closes(7.0, MOVES[:9]), 4))  # own benchmark
+@example((UP[:2], [(0, BUY)], UP[:2], 252))                         # too short for two returns
+@example((_closes(1.0, [1e150, 1e-150] * 3), [(k, BUY if k % 2 == 0 else SELL) for k in range(7)],
+          UP[:7], 252))                                             # the curve overflows
+@example((_closes(1.0, [1e150, 1.0]), [(0, BUY)], UP[:3], 252))     # rr_per_year overflows
+def test_build_report_equals_the_dense_oracle(case):
+    closes, signals, benchmark, trading_days = case
+    expected = _outcome(lambda: oracles.naive_report(closes, signals, benchmark, trading_days))
+    assert _outcome(lambda: _engine_report(closes, signals, benchmark, trading_days)) == expected
+
+
+SWEEPS = (
+    "strategy = price_cross\nma.kind = sma,ema\nma.period = 1:4:1\n",
+    "strategy = two_average\nfast.kind = sma\nfast.period = 1,2\nslow.kind = sma,ema\n"
+    "slow.period = 3,5\n",
+    "strategy = keltner\nma.kind = sma\nma.period = 2,3\nkeltner.mult = 0,0.5,1\n",
+    "strategy = bollinger\nbollinger.n = 2,3\nbollinger.dev = 0,0.5\n",
+)
+
+
+def _expected_sweep(series, spec, benchmark, trading_days):
+    """(rows as (params, report dict), dropped kinds) from the oracle, cell by cell."""
+    closes = series.closes
+    names = [path for path, _ in spec.axes]
+    rows, dropped = [], Counter()
+    grids = [[]]
+    for _, values in spec.axes:
+        grids = [cell + [value] for cell in grids for value in values]
+    for values in grids:
+        params = tuple(zip(names, values))
+        tree = copy.deepcopy(spec.base_tree)
+        for path, value in params:
+            set_leaf(tree, path, value)
+
+        def report():
+            signals = generate_signals(series, strategy_from_dict(tree))
+            pairs = [(event.bar_index, event.action) for event in signals]
+            return oracles.naive_report(closes, pairs, benchmark, trading_days)
+
+        outcome = _outcome(report)
+        objective = {"sharpe_annual": "sr", "ir_annual": "ir", "rr_whole": "rr_whole"}
+        if isinstance(outcome, str):
+            dropped[outcome] += 1
+        elif outcome[objective[spec.objective]] is None:
+            dropped["ZeroVolatility"] += 1
+        else:
+            rows.append((params, outcome))
+    return sorted(rows, key=repr), dict(sorted(dropped.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closes=_series_closes(min_bars=3, max_bars=60), sweep=st.sampled_from(SWEEPS),
+       objective=st.sampled_from(["sharpe_annual", "ir_annual", "rr_whole"]),
+       own_benchmark=st.booleans(), trading_days=st.sampled_from(TRADING_DAYS))
+@example(closes=[5.0, 4.0, 3.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 9.0], sweep=SWEEPS[0],
+         objective="rr_whole", own_benchmark=False, trading_days=2)  # a Buy on the last bar
+def test_every_sweep_row_equals_the_dense_oracle(closes, sweep, objective, own_benchmark,
+                                                  trading_days):
+    series = make_series(closes)
+    benchmark = [c * 1.5 + 1.0 for c in closes] if own_benchmark else closes
+    spec = sweep_from_dict(parse_kv_text(sweep + f"objective = {objective}\n"))
+    rows, dropped = _expected_sweep(series, spec, benchmark, trading_days)
+    if not rows:
+        with pytest.raises(EmptyGridAfterFilter):
+            run_sweep(series, spec, benchmark, trading_days)
+        return
+    result = run_sweep(series, spec, benchmark, trading_days)
+    assert sorted(((row.params, row.report.to_dict()) for row in result.rows), key=repr) == rows
+    assert result.dropped == dropped

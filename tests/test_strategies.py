@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from tabacktest.strategies import (
     RsiConfig,
     SignalEvent,
     TwoAverageConfig,
+    _breaks,
+    _crosses,
     generate_signals,
 )
 
@@ -409,3 +412,22 @@ def test_signals_match_the_per_strategy_loops(strategy, series, data):
     config = data.draw(STRATEGY_CONFIGS[strategy])
     engine = _outcome(lambda: [(e.bar_index, e.action) for e in generate_signals(series, config)])
     assert engine == _outcome(lambda: oracles.reference_signals(series, config))
+
+
+# ties, signed zeros, infinities and NaN: every case a comparison can meet
+EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=st.lists(st.tuples(EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), min_size=1, max_size=12),
+       data=st.data())
+def test_cross_and_break_scans_equal_their_per_bar_definitions(lines, data):
+    a, b, c = (list(line) for line in zip(*lines))
+    start = data.draw(st.integers(1, len(a)))
+    bars = range(start, data.draw(st.integers(start, len(a))))
+    assert _crosses(a, b, bars) == (
+        [i for i in bars if a[i - 1] < b[i - 1] and a[i] > b[i]],
+        [i for i in bars if a[i - 1] > b[i - 1] and a[i] < b[i]])
+    assert _breaks(a, b, c, bars) == (
+        [i for i in bars if a[i - 1] <= b[i - 1] and a[i] > b[i]],
+        [i for i in bars if a[i - 1] >= c[i - 1] and a[i] < c[i]])
