@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate a parameter grid and rank the cells")
     _common_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent grid workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored: cells run serially")
     p.add_argument("--benchmark", default="self",
                    help="'self' or a CSV path for the information-ratio benchmark")
 
@@ -225,7 +226,7 @@ def cmd_sweep(args) -> int:
     series = parsed.series
     spec = cfg.sweep_from_dict(_config_tree(args))
     benchmark_closes = _load_benchmark_closes(args, series)
-    result = run_sweep(series, spec, benchmark_closes, args.trading_days, jobs=args.jobs)
+    result = run_sweep(series, spec, benchmark_closes, args.trading_days)
     _save(args.out_dir, "sweep.csv", sweep_to_csv, result.rows, spec)
     best = result.rows[0]
     _emit({

@@ -150,10 +150,10 @@ def _coerce(value: Any, kind: type, key: str) -> Any:
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _from_fields(cls, node: dict, namespace: str, **given: Any):
-    """``cls(**given)`` with every other field read from ``node``: a field
-    without a default is required, and keys that name no field are
-    ConfigErrors."""
+def _check_keys(cls, node: dict, namespace: str, given=()) -> list:
+    """The fields of ``cls`` that ``node`` is read for, all but ``given``;
+    a key that names none of them, or a missing field without a default,
+    is a ConfigError."""
     read = [f for f in fields(cls) if f.name not in given]
     unknown = set(node) - {f.name for f in read}
     if unknown:
@@ -161,17 +161,26 @@ def _from_fields(cls, node: dict, namespace: str, **given: Any):
     missing = [f.name for f in read if f.name not in node and f.default is MISSING]
     if missing:
         raise ConfigError(f"{namespace} missing keys: {sorted(missing)}")
+    return read
+
+
+def _from_fields(cls, node: dict, namespace: str, **given: Any):
+    """``cls(**given)`` with every other field read from ``node``."""
     types = _FIELD_TYPES[cls]
     values = {f.name: _coerce(node[f.name], types[f.name], f"{namespace}.{f.name}")
-              for f in read if f.name in node}
+              for f in _check_keys(cls, node, namespace, given) if f.name in node}
     return cls(**given, **values)
+
+
+def _ma_class(node: dict) -> type:
+    return AmaParams if "matype" in node else MaSpec
 
 
 def ma_from_dict(node: dict, namespace: str) -> MaLike:
     """An adaptive average when ``node`` has a ``matype``, else a plain one."""
     if not isinstance(node, dict):
         raise ConfigError(f"{namespace}.* must be a table of keys")
-    return _from_fields(AmaParams if "matype" in node else MaSpec, node, namespace)
+    return _from_fields(_ma_class(node), node, namespace)
 
 
 def _section(tree: dict, name: str) -> dict:
@@ -215,15 +224,31 @@ def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
 _COMMON_KEYS = ("strategy", "objective", "min_trades")
 
 
-def _check_top_level(tree: dict, tag: str) -> None:
-    """A ConfigError naming every top-level key the ``tag`` strategy would not read."""
-    cls = _STRATEGIES[tag]
+def _check_names(tree: dict, tag: str) -> type:
+    """The config class of the ``tag`` strategy, once every key name of
+    ``tree`` is one it reads and no required key is missing.
+
+    Only key names decide these checks, never values, so they hold for
+    every cell of a sweep alike.
+    """
+    cls = _STRATEGIES.get(tag)
+    if cls is None:
+        raise ConfigError(f"unknown strategy tag {tag!r}")
     known = {*_COMMON_KEYS, tag, *(f.name for f in fields(cls) if f.name in _MA_FIELDS)}
     if cls is BollingerConfig:
         known.add("ma")  # the adaptive middle line
     unknown = set(tree) - known
     if unknown:
         raise ConfigError(f"unknown top-level keys for strategy {tag}: {sorted(unknown)}")
+    for name in _MA_FIELDS:
+        node = tree.get(name)
+        if isinstance(node, dict):
+            _check_keys(_ma_class(node), node, name)
+    params = _section(tree, tag)
+    if cls is BollingerConfig:
+        params.pop("n", None)  # the plain window
+    _check_keys(cls, params, tag, (*_MA_FIELDS, "window"))
+    return cls
 
 
 def strategy_from_dict(tree: dict) -> StrategyConfig:
@@ -236,10 +261,7 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
     tag = tree.get("strategy")
     if not isinstance(tag, str):
         raise ConfigError("config needs a 'strategy = <tag>' line")
-    cls = _STRATEGIES.get(tag)
-    if cls is None:
-        raise ConfigError(f"unknown strategy tag {tag!r}")
-    _check_top_level(tree, tag)
+    cls = _check_names(tree, tag)
     params = _section(tree, tag)
     try:
         given = {f.name: ma_from_dict(tree.get(f.name), f.name)
@@ -349,9 +371,9 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     min_trades = tree.get("min_trades", 0)
     if not isinstance(min_trades, int) or min_trades < 0:
         raise ConfigError("min_trades must be an integer >= 0")
-    if tag in _STRATEGIES:
-        # an axis no cell reads would rank copies of one cell
-        _check_top_level(tree, tag)
+    # a wrong key name would fail every cell, and an axis no cell reads
+    # would rank copies of one cell
+    _check_names(tree, tag)
 
     base: dict = {}
     axes: list[tuple[str, tuple[Any, ...]]] = []

@@ -146,6 +146,20 @@ def sma(data, n: int) -> IndicatorSeries:
     return _sma(x, *_exact_ints(x), n)
 
 
+def _smooth(x: list[float], weights) -> list[float]:
+    """x[0], then prev + w * (v - prev) for each later value v and its weight w:
+    the one recurrence of ``ema`` (a fixed weight) and ``ama`` matype 1."""
+    if not x:
+        return []
+    prev = x[0]
+    out = [prev]
+    append = out.append
+    for v, w in zip(islice(x, 1, None), weights):
+        prev = prev + w * (v - prev)
+        append(prev)
+    return out
+
+
 def ema(data, n: int, s: float = 2.0) -> IndicatorSeries:
     """Exponential moving average with weight K = s/(n+1), seeded at input[0].
 
@@ -159,14 +173,7 @@ def ema(data, n: int, s: float = 2.0) -> IndicatorSeries:
     k = s / (n + 1)
     if k >= 1.0:
         return IndicatorSeries(list(x), 0)
-    out: list[float] = []
-    for i, v in enumerate(x):
-        if i == 0:
-            out.append(v)
-        else:
-            prev = out[i - 1]
-            out.append(prev + k * (v - prev))
-    return IndicatorSeries(out, min(1, len(x)))
+    return IndicatorSeries(_smooth(x, repeat(k)), min(1, len(x)))
 
 
 def efficiency_ratio(data, m: int) -> IndicatorSeries:
@@ -215,19 +222,13 @@ def ama(data, params: AmaParams) -> IndicatorSeries:
     x = _values(data)
     n1, n2 = params.timeperiod_long, params.timeperiod_short
     er = efficiency_ratio(x, params.ada_win).values
-    out: list[float] = []
     if params.matype == 1:
         fast_sc = 2.0 / (n2 + 1)
         slow_sc = 2.0 / (n1 + 1)
         diff_sc = fast_sc - slow_sc
-        for i, v in enumerate(x):
-            if i == 0:
-                out.append(v)
-                continue
-            ssc = slow_sc + abs(er[i]) * diff_sc
-            prev = out[i - 1]
-            out.append(prev + (ssc * ssc) * (v - prev))
-        return IndicatorSeries(out, min(1, len(x)))
+        sscs = (slow_sc + abs(e) * diff_sc for e in islice(er, 1, None))
+        return IndicatorSeries(_smooth(x, (ssc * ssc for ssc in sscs)), min(1, len(x)))
+    out: list[float] = []
     for i, v in enumerate(x):
         if i < n1:
             out.append(v)
@@ -308,7 +309,7 @@ def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
 
 
 def rsi(closes, n: int) -> IndicatorSeries:
-    """Relative strength index in [0, 100].
+    """Relative strength index in [0, 100]: ``rmi`` with a look-back of 1.
 
     Up/down moves come from consecutive closes. The running averages are
     seeded with the simple means of the first n moves; bars up to and
@@ -320,35 +321,12 @@ def rsi(closes, n: int) -> IndicatorSeries:
     x = _values(closes)
     if len(x) < 2:
         raise TooShort("rsi needs at least two closes")
-    out = [50.0] * len(x)
-    if len(x) <= n:
-        return IndicatorSeries(out, len(x))
-    ups: list[float] = []
-    downs: list[float] = []
-    for i in range(1, n + 1):
-        if x[i] > x[i - 1]:
-            ups.append(x[i] - x[i - 1])
-            downs.append(0.0)
-        else:
-            ups.append(0.0)
-            downs.append(x[i - 1] - x[i])
-    upavg = sum(ups) / n
-    dnavg = sum(downs) / n
-    for i in range(n + 1, len(x)):
-        if x[i] > x[i - 1]:
-            up, dn = x[i] - x[i - 1], 0.0
-        else:
-            up, dn = 0.0, x[i - 1] - x[i]
-        upavg = (upavg * (n - 1) + up) / n
-        dnavg = (dnavg * (n - 1) + dn) / n
-        total = upavg + dnavg
-        out[i] = 50.0 if total == 0.0 else 100.0 * (upavg / total)
-    return IndicatorSeries(out, min(n + 1, len(x)))
+    return _rmi(x, n, 1)
 
 
 def rmi(closes, n: int, m: int) -> IndicatorSeries:
     """Relative momentum index: like rsi but moves compare close[i] with
-    close[i-m]. An m of 1 reproduces rsi exactly."""
+    close[i-m]. An m of 1 is rsi."""
     if n < 1:
         raise ZeroPeriod("rmi period must be >= 1")
     if m < 1:
@@ -356,30 +334,37 @@ def rmi(closes, n: int, m: int) -> IndicatorSeries:
     x = _values(closes)
     if len(x) <= m:
         raise TooShort("rmi needs more closes than its look-back")
+    return _rmi(x, n, m)
+
+
+def _rmi(x: list[float], n: int, m: int) -> IndicatorSeries:
+    """Wilder averages of the up and down moves close[i] - close[i-m],
+    seeded with the simple means of the first n moves."""
     out = [50.0] * len(x)
-    if len(x) <= m + n - 1:
+    if len(x) < m + n:
         return IndicatorSeries(out, len(x))
+    moves = zip(islice(x, m, None), x)  # (close[i], close[i-m]) for i >= m
     ups: list[float] = []
     downs: list[float] = []
-    for i in range(m, m + n):
-        if x[i] > x[i - m]:
-            ups.append(x[i] - x[i - m])
+    for v, old in islice(moves, n):
+        if v > old:
+            ups.append(v - old)
             downs.append(0.0)
         else:
             ups.append(0.0)
-            downs.append(x[i - m] - x[i])
+            downs.append(old - v)
     upavg = sum(ups) / n
     dnavg = sum(downs) / n
-    for i in range(m + n, len(x)):
-        if x[i] > x[i - m]:
-            up, dn = x[i] - x[i - m], 0.0
+    for i, (v, old) in enumerate(moves, m + n):
+        if v > old:
+            up, dn = v - old, 0.0
         else:
-            up, dn = 0.0, x[i - m] - x[i]
+            up, dn = 0.0, old - v
         upavg = (upavg * (n - 1) + up) / n
         dnavg = (dnavg * (n - 1) + dn) / n
         total = upavg + dnavg
         out[i] = 50.0 if total == 0.0 else 100.0 * (upavg / total)
-    return IndicatorSeries(out, min(m + n, len(x)))
+    return IndicatorSeries(out, m + n)
 
 
 def aroon(series: OhlcvSeries, n: int) -> tuple[IndicatorSeries, IndicatorSeries, IndicatorSeries]:

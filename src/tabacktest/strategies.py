@@ -174,8 +174,7 @@ class KernelMemo:
     serve another one. Entries are kept as ``array('d')`` plus the warm-up
     length, 8 bytes a value instead of a list slot and a float object, and
     every hit hands out fresh lists, so no caller can change what the next
-    one reads. Threads may share a memo: dict reads and writes are atomic,
-    so a race at worst computes an identical entry twice.
+    one reads.
     """
 
     def __init__(self) -> None:

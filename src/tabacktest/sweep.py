@@ -1,16 +1,14 @@
 """Parameter-grid evaluation over one series.
 
-Cells are independent and may be evaluated concurrently; the merged
-result is sorted by the objective (descending) with a lexicographic
-tie-break on the parameter assignment, so output never depends on
-evaluation order or worker count.
+Cells are evaluated one after another; the result is sorted by the
+objective (descending) with a lexicographic tie-break on the parameter
+assignment, so output never depends on evaluation order.
 """
 from __future__ import annotations
 
 import copy
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -81,7 +79,6 @@ def run_sweep(
     spec: SweepSpec,
     benchmark_closes: Sequence[float] | None = None,
     trading_days: int = 252,
-    jobs: int = 1,
 ) -> SweepResult:
     """Evaluate every grid cell, filter by min_trades, rank by objective.
 
@@ -106,16 +103,9 @@ def run_sweep(
     else:
         memo = KernelMemo()
         ratios = close_ratios(closes)
-
-        def evaluate(assignment):
-            return _evaluate_cell(series, spec, closes, ratios, benchmark_returns, trading_days,
-                                  memo, assignment)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                cells = list(pool.map(evaluate, assignments))
-        else:
-            cells = [evaluate(a) for a in assignments]
+        cells = [_evaluate_cell(series, spec, closes, ratios, benchmark_returns, trading_days,
+                                memo, assignment)
+                 for assignment in assignments]
 
     dropped = Counter(cell for cell in cells if isinstance(cell, str))
     evaluated = [cell for cell in cells if not isinstance(cell, str)]

@@ -109,6 +109,29 @@ def rsi_transcription(closes, n):
     return out
 
 
+def naive_rmi(closes, n, m):
+    """Relative momentum index from its definition, in exact rationals.
+
+    The move at bar i >= m is close[i] - close[i-m]; U and D are its
+    positive and negative parts. Each average starts as the mean of the
+    first n of them and then steps to (avg * (n-1) + move) / n. Bars
+    before m+n read 50, as does a bar whose U + D average is zero;
+    every other bar reads 100 * U / (U + D). RSI is the m = 1 case.
+    """
+    c = [Fraction(v) for v in closes]
+    moves = [c[i] - c[i - m] for i in range(m, len(c))]
+    out = [50.0] * len(c)
+    up = sum(max(d, 0) for d in moves[:n]) / n
+    down = sum(max(-d, 0) for d in moves[:n]) / n
+    for i in range(m + n, len(c)):
+        d = moves[i - m]
+        up = (up * (n - 1) + max(d, 0)) / n
+        down = (down * (n - 1) + max(-d, 0)) / n
+        if up + down != 0:
+            out[i] = float(100 * up / (up + down))
+    return out
+
+
 def naive_aroon(highs, lows, n):
     ups, downs = [], []
     for i in range(len(highs)):

@@ -238,6 +238,23 @@ class TestSweepCommand:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "InvalidArgument"
 
+    def test_jobs_changes_no_byte(self, tmp_path, capsys):
+        # --jobs is accepted for compatibility; every value runs one serial sweep
+        config = tmp_path / "sweep.cfg"
+        config.write_text("strategy = two_average\nobjective = rr_whole\n"
+                          "fast.kind = sma\nfast.period = 2:6:1\n"
+                          "slow.kind = ema\nslow.period = 10,20,40\n")
+        outputs = []
+        for jobs in ("1", "4"):
+            out_dir = tmp_path / f"jobs_{jobs}"
+            code, out = run_cli(
+                capsys, "sweep", "--data", str(DATA_DIR / "synthetic_sp500.csv"),
+                "--config", str(config), "--jobs", jobs, "--out-dir", str(out_dir),
+            )
+            assert code == 0
+            outputs.append((out, (out_dir / "sweep.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_bad_cell_values_drop_cells(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("strategy = rsi\nrsi.n = 2,abc\nrsi.diff_rate = 0.05\n")
@@ -293,6 +310,9 @@ BAD_VALUES = {
 # a sweep axis on a key no cell reads: every cell would be the default-mult cell
 UNREAD_AXIS = "<a keltner sweep with a top-level mult axis>"
 UNREAD_AXIS_TEXT = "strategy = keltner\nma.kind = ema\nma.period = 5\nmult = 0:3:0.5\n"
+# a key no rsi config has: every cell would fail, so the sweep fails before any runs
+UNKNOWN_SWEEP_KEY = "<an rsi sweep with an rsi.bogus key>"
+UNKNOWN_SWEEP_KEY_TEXT = "strategy = rsi\nrsi.n = 5,6\nrsi.bogus = 1\n"
 
 
 @pytest.mark.parametrize("flags, kind", [
@@ -315,6 +335,7 @@ UNREAD_AXIS_TEXT = "strategy = keltner\nma.kind = ema\nma.period = 5\nmult = 0:3
     (["kelly", "--p", "0.5"], "InvalidArgument"),
     (["backtest", "--config", str(V_CONFIG)], "InvalidArgument"),
     (["frobnicate", "--data", str(V_FIXTURE)], "InvalidArgument"),
+    (["sweep", "--data", str(V_FIXTURE), "--config", UNKNOWN_SWEEP_KEY], "ConfigError"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
@@ -324,8 +345,9 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
         "date,open,high,low,close,volume\n2021-01-04," + "1" * 200_000 + ",2,1,1,10\n"
     )
     paths = {NOT_UTF8: str(not_utf8), LONG_FIELD: str(long_field)}
-    for number, (placeholder, text) in enumerate({**BAD_VALUES, UNREAD_AXIS: UNREAD_AXIS_TEXT}
-                                                 .items()):
+    configs = {**BAD_VALUES, UNREAD_AXIS: UNREAD_AXIS_TEXT,
+               UNKNOWN_SWEEP_KEY: UNKNOWN_SWEEP_KEY_TEXT}
+    for number, (placeholder, text) in enumerate(configs.items()):
         paths[placeholder] = str(tmp_path / f"bad_value_{number}.cfg")
         (tmp_path / f"bad_value_{number}.cfg").write_text(text)
     flags = [paths.get(flag, flag) for flag in flags]

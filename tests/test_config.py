@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tabacktest import errors
@@ -234,3 +236,24 @@ class TestSweepFromDict:
         text = "strategy = keltner\nma.kind = ema\nma.period = 5,10\nmult = 0:3:0.5\n"
         with pytest.raises(errors.ConfigError, match="'mult'"):
             sweep_from_dict(parse_kv_text(text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("strategy = hodl\nhodl.n = 1,2\n", "unknown strategy tag 'hodl'"),
+        ("strategy = rsi\nrsi.n = 5,6\nrsi.bogus = 1\n", "unknown rsi keys: ['bogus']"),
+        ("strategy = rsi\nrsi.diff_rate = 0.1,0.2\n", "rsi missing keys: ['n']"),
+        ("strategy = two_average\nfast.kind = sma\nfast.period = 2,3\nfast.bogus = 1\n"
+         "slow.kind = sma\nslow.period = 10\n", "unknown fast keys: ['bogus']"),
+        ("strategy = price_cross\nma.matype = 1,2\nma.timeperiod_long = 30\n"
+         "ma.timeperiod_short = 2\nma.ada_win = 10\nma.kind = sma\n", "unknown ma keys: ['kind']"),
+        ("strategy = bollinger\nbollinger.n = 10,20\nbollinger.window = 5\n",
+         "unknown bollinger keys: ['window']"),
+    ], ids=["tag", "rsi key", "missing rsi key", "fast key", "adaptive ma key", "bollinger key"])
+    def test_wrong_key_names_are_rejected_before_any_cell(self, text, message):
+        with pytest.raises(errors.ConfigError) as raised:
+            sweep_from_dict(parse_kv_text(text))
+        assert str(raised.value) == message
+        # a backtest of the first cell fails the same way
+        first_cell = re.sub(r",[^\n]*", "", text)
+        with pytest.raises(errors.ConfigError) as raised:
+            strategy_from_dict(parse_kv_text(first_cell))
+        assert str(raised.value) == message

@@ -2,6 +2,7 @@
 import math
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -154,6 +155,24 @@ def test_rmi_bounds_and_identity(closes, n, m):
         out = rmi(closes, n, m)
         assert all(0.0 <= v <= 100.0 for v in out.values)
     assert rmi(closes, n, 1).values == rsi(closes, n).values
+
+
+@given(
+    closes=st.lists(prices, min_size=2, max_size=64),
+    n=st.integers(1, 12),
+    m=st.integers(1, 4),
+)
+def test_rsi_and_rmi_match_the_definition(closes, n, m):
+    # short series (fewer bars than m + n, or than m) are included
+    expected = oracles.naive_rmi(closes, n, m)
+    if len(closes) > m:
+        out = rmi(closes, n, m)
+        assert out.values == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert out.warmup_len == min(m + n, len(closes))
+    if m == 1:
+        assert rsi(closes, n).values == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert oracles.rsi_transcription(closes, n) == pytest.approx(expected, rel=1e-12,
+                                                                      abs=1e-12)
 
 
 @given(closes=st.lists(prices, min_size=10, max_size=64), n=st.integers(1, 8))

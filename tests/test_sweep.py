@@ -1,7 +1,6 @@
 import copy
 import io
 import random
-import sys
 
 import pytest
 
@@ -66,13 +65,6 @@ def test_min_trades_filter_can_empty_the_grid(series):
     text = SWEEP_TEXT.replace("min_trades = 1", "min_trades = 100000")
     with pytest.raises(errors.EmptyGridAfterFilter):
         run_sweep(series, sweep_from_dict(parse_kv_text(text)))
-
-
-def test_parallel_matches_serial(series):
-    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
-    serial = run_sweep(series, spec, jobs=1)
-    parallel = run_sweep(series, spec, jobs=4)
-    assert serial == parallel
 
 
 def test_csv_shape(series):
@@ -149,12 +141,11 @@ def _direct_report(series, spec, params):
     return build_report(result.equity, series.closes, result.buy_count, 252)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
-def test_shared_work_matches_direct_backtests(series, strategy, jobs):
+def test_shared_work_matches_direct_backtests(series, strategy):
     text = f"strategy = {strategy}\nobjective = rr_whole\nmin_trades = 0\n"
     spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
-    result = run_sweep(series, spec, jobs=jobs)
+    result = run_sweep(series, spec)
     assert len(result.rows) == spec.grid_size()
     for row in result.rows:
         assert row.report == _direct_report(series, spec, row.params)
@@ -197,16 +188,3 @@ def test_band_parts_are_shared_across_widths(series, monkeypatch, strategy, part
     run_sweep(series, spec)
     assert len(calls) == 2
     assert len(set(calls)) == 2
-
-
-def test_many_threads_share_the_memo(series):
-    text = SWEEP_TEXT.replace("2:4:1", "2:20:2").replace("12,20", "30:120:10")
-    spec = sweep_from_dict(parse_kv_text(text))
-    serial = run_sweep(series, spec)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        threaded = run_sweep(series, spec, jobs=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
