@@ -141,8 +141,11 @@ def _direct_report(series, spec, params):
     return build_report(result.equity, series.closes, result.buy_count, 252)
 
 
+@pytest.mark.parametrize("seed", [1, 4])
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
-def test_shared_work_matches_direct_backtests(series, strategy):
+def test_shared_work_matches_direct_backtests(strategy, seed):
+    # each strategy's grid on two independently drawn price series
+    series = random_ohlcv(random.Random(seed), 320)
     text = f"strategy = {strategy}\nobjective = rr_whole\nmin_trades = 0\n"
     spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
     result = run_sweep(series, spec)
