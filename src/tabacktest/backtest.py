@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import mul, truediv
+from operator import lt, mul, truediv
 from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, NonAlternatingSignals
@@ -47,25 +47,26 @@ class BacktestResult:
         return len(self.trades)
 
 
-def _validate_signals(signals: list[SignalEvent], length: int) -> None:
+def _validate_signals(bars: Sequence[int], length: int, actions: Sequence[str] = ()) -> None:
+    """Signal bars inside the series, strictly increasing, and ``actions``
+    (when given) alternating from a Buy; the first offending signal raises."""
     expected = BUY
     prev_index = -1
-    for event in signals:
-        if not 0 <= event.bar_index < length:
-            raise IndexOutOfRange(f"signal at bar {event.bar_index} outside series of length {length}")
-        if event.bar_index <= prev_index:
-            raise NonAlternatingSignals(f"signal indices must strictly increase at bar {event.bar_index}")
-        if event.action != expected:
-            raise NonAlternatingSignals(f"expected {expected} at bar {event.bar_index}, got {event.action}")
-        prev_index = event.bar_index
+    for k, bar in enumerate(bars):
+        if not 0 <= bar < length:
+            raise IndexOutOfRange(f"signal at bar {bar} outside series of length {length}")
+        if bar <= prev_index:
+            raise NonAlternatingSignals(f"signal indices must strictly increase at bar {bar}")
+        if actions and actions[k] != expected:
+            raise NonAlternatingSignals(f"expected {expected} at bar {bar}, got {actions[k]}")
+        prev_index = bar
         expected = SELL if expected == BUY else BUY
 
 
-def _pairs(signals: list[SignalEvent]) -> list[tuple[int, Optional[int]]]:
+def _pairs(bars: Sequence[int]) -> list[tuple[int, Optional[int]]]:
     """(entry bar, exit bar or None while still open) of each trade."""
-    return [(signals[k].bar_index,
-             signals[k + 1].bar_index if k + 1 < len(signals) else None)
-            for k in range(0, len(signals), 2)]
+    return [(bars[k], bars[k + 1] if k + 1 < len(bars) else None)
+            for k in range(0, len(bars), 2)]
 
 
 def close_ratios(closes: Sequence[float]) -> list[float]:
@@ -75,22 +76,27 @@ def close_ratios(closes: Sequence[float]) -> list[float]:
 
 
 def exposure_runs(
-    closes: Sequence[float], signals: list[SignalEvent], ratios: Sequence[float]
+    closes: Sequence[float], bars: Sequence[int], ratios: Sequence[float]
 ) -> tuple[float, list[tuple[int, list[float]]]]:
-    """The strategy equity of a Buy/Sell sequence, which it validates, as exposure runs.
+    """The strategy equity of the signal bars of a Buy/Sell sequence, as exposure runs.
 
-    Returns the initial value and one ``(entry bar, values)`` run per
-    trade, ``values`` being the equity from the entry bar to the exit bar
-    (the last bar for an open trade). ``ratios`` is ``close_ratios(closes)``.
-    Before the first Buy the equity is the initial value; between trades
-    it holds the last run's final value.
+    ``bars`` alternate Buy and Sell from a Buy; they must be strictly
+    increasing and inside the series. Returns the initial value and one
+    ``(entry bar, values)`` run per trade, ``values`` being the equity
+    from the entry bar to the exit bar (the last bar for an open trade).
+    ``ratios`` is ``close_ratios(closes)``. Before the first Buy the
+    equity is the initial value; between trades it holds the last run's
+    final value.
     """
-    _validate_signals(signals, len(closes))
-    if not signals:
+    if not bars:
         return closes[0], []
-    initial = held = closes[signals[0].bar_index]
+    # checked in C; the offending bar is looked for only when the check fails
+    increasing = all(map(lt, bars, islice(bars, 1, None)))
+    if not (increasing and 0 <= bars[0] and bars[-1] < len(closes)):
+        _validate_signals(bars, len(closes))
+    initial = held = closes[bars[0]]
     runs = []
-    for entry, exit_index in _pairs(signals):
+    for entry, exit_index in _pairs(bars):
         stop = exit_index if exit_index is not None else len(closes) - 1
         values = list(accumulate(ratios[entry:stop], mul, initial=held))
         runs.append((entry, values))
@@ -105,7 +111,9 @@ def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
     and zero trades.
     """
     closes = series.closes
-    initial, runs = exposure_runs(closes, signals, close_ratios(closes))
+    bars = [event.bar_index for event in signals]
+    _validate_signals(bars, len(closes), [event.action for event in signals])
+    initial, runs = exposure_runs(closes, bars, close_ratios(closes))
     parts = []
     held, done = initial, 0
     for entry, values in runs:
@@ -120,7 +128,7 @@ def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
             exit_price=closes[exit_index if exit_index is not None else -1],
             return_factor=closes[exit_index if exit_index is not None else -1] / closes[entry],
         )
-        for entry, exit_index in _pairs(signals)
+        for entry, exit_index in _pairs(bars)
     )
     equity = EquityCurve(tuple(chain.from_iterable(parts)), initial, held)
     return BacktestResult(equity, trades)

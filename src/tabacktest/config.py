@@ -178,8 +178,6 @@ def _ma_class(node: dict) -> type:
 
 def ma_from_dict(node: dict, namespace: str) -> MaLike:
     """An adaptive average when ``node`` has a ``matype``, else a plain one."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{namespace}.* must be a table of keys")
     return _from_fields(_ma_class(node), node, namespace)
 
 
@@ -208,15 +206,10 @@ _MA_FIELDS = ("fast", "slow", "ma")
 
 
 def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
-    """``bollinger.n``, or else an adaptive ``ma.*``; taking ``n`` out of ``params``."""
-    if ("n" in params) == isinstance(tree.get("ma"), dict):
-        raise ConfigError("bollinger needs exactly one of bollinger.n or ma.* (adaptive)")
+    """``bollinger.n``, or else the adaptive ``ma.*``; taking ``n`` out of ``params``."""
     if "n" in params:
         return _coerce(params.pop("n"), int, "bollinger.n")
-    window = ma_from_dict(tree["ma"], "ma")
-    if not isinstance(window, AmaParams):
-        raise ConfigError("bollinger ma.* must be adaptive (matype et al.)")
-    return window
+    return ma_from_dict(tree["ma"], "ma")
 
 
 # Top-level keys any strategy config may hold besides its namespaces; a
@@ -226,7 +219,8 @@ _COMMON_KEYS = ("strategy", "objective", "min_trades")
 
 def _check_names(tree: dict, tag: str) -> type:
     """The config class of the ``tag`` strategy, once every key name of
-    ``tree`` is one it reads and no required key is missing.
+    ``tree`` is one it reads, no required key is missing and every
+    namespace it reads is a table.
 
     Only key names decide these checks, never values, so they hold for
     every cell of a sweep alike.
@@ -234,19 +228,27 @@ def _check_names(tree: dict, tag: str) -> type:
     cls = _STRATEGIES.get(tag)
     if cls is None:
         raise ConfigError(f"unknown strategy tag {tag!r}")
-    known = {*_COMMON_KEYS, tag, *(f.name for f in fields(cls) if f.name in _MA_FIELDS)}
+    namespaces = [f.name for f in fields(cls) if f.name in _MA_FIELDS]
+    known = {*_COMMON_KEYS, tag, *namespaces}
     if cls is BollingerConfig:
         known.add("ma")  # the adaptive middle line
     unknown = set(tree) - known
     if unknown:
         raise ConfigError(f"unknown top-level keys for strategy {tag}: {sorted(unknown)}")
-    for name in _MA_FIELDS:
-        node = tree.get(name)
-        if isinstance(node, dict):
-            _check_keys(_ma_class(node), node, name)
     params = _section(tree, tag)
     if cls is BollingerConfig:
+        if ("n" in params) == ("ma" in tree):
+            raise ConfigError("bollinger needs exactly one of bollinger.n or ma.* (adaptive)")
+        if "ma" in tree:
+            namespaces.append("ma")
         params.pop("n", None)  # the plain window
+    for name in namespaces:
+        node = tree.get(name)
+        if not isinstance(node, dict):
+            raise ConfigError(f"{name}.* must be a table of keys")
+        if cls is BollingerConfig and "matype" not in node:
+            raise ConfigError("bollinger ma.* must be adaptive (matype et al.)")
+        _check_keys(_ma_class(node), node, name)
     _check_keys(cls, params, tag, (*_MA_FIELDS, "window"))
     return cls
 
@@ -264,7 +266,7 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
     cls = _check_names(tree, tag)
     params = _section(tree, tag)
     try:
-        given = {f.name: ma_from_dict(tree.get(f.name), f.name)
+        given = {f.name: ma_from_dict(tree[f.name], f.name)
                  for f in fields(cls) if f.name in _MA_FIELDS}
         if cls is BollingerConfig:
             given["window"] = _bollinger_window(tree, params)

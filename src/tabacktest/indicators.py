@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
+from typing import Sequence
 
 from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
@@ -32,9 +33,12 @@ MA_EMA = "ema"
 @dataclass(frozen=True)
 class IndicatorSeries:
     """Per-bar values aligned 1:1 with the input; first warmup_len entries
-    are pass-through/seed values rather than fully formed outputs."""
+    are pass-through/seed values rather than fully formed outputs.
 
-    values: list[float]
+    A kernel's values are a list; a ``KernelMemo`` hands out a read-only
+    view instead, so code that reads them takes any float sequence."""
+
+    values: Sequence[float]
     warmup_len: int
 
     def __len__(self) -> int:
@@ -283,8 +287,9 @@ def offset_bands(
     The first ``flat`` bars have no width yet and sit on the middle line.
     """
     m, w = middle.values, width.values
-    upper = m[:flat] + [mi + mult * wi for mi, wi in zip(m[flat:], w[flat:])]
-    lower = m[:flat] + [mi - mult * wi for mi, wi in zip(m[flat:], w[flat:])]
+    head = list(m[:flat])
+    upper = head + [mi + mult * wi for mi, wi in zip(m[flat:], w[flat:])]
+    lower = head + [mi - mult * wi for mi, wi in zip(m[flat:], w[flat:])]
     warmup = max(middle.warmup_len, width.warmup_len)
     return BandSet(
         middle=middle,

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import sub, truediv
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .backtest import EquityCurve
 from .errors import (
@@ -39,10 +39,16 @@ Run = tuple[int, Sequence[float]]
 
 
 def daily_returns(values: Sequence[float]) -> list[float]:
-    """Fractional day-over-day changes; length is len(values) - 1."""
+    """Fractional day-over-day changes; length is len(values) - 1.
+
+    A value that is not positive and finite is a NonPositivePrice, and then
+    a return that is not finite is a DomainError.
+    """
     if len(values) < 2:
         raise TooShort("need at least two values for returns")
-    return _run_returns(0, values)
+    returns = _run_returns(0, values)
+    _check_finite(max(returns), [0], [returns])
+    return returns
 
 
 def _run_returns(entry: int, values: Sequence[float]) -> list[float]:
@@ -55,6 +61,18 @@ def _run_returns(entry: int, values: Sequence[float]) -> list[float]:
         bad = next(k for k, v in enumerate(values) if not 0 < v < math.inf)
         raise NonPositivePrice(f"non-positive price at index {max(entry + bad, 1)}")
     return list(map(sub, map(truediv, islice(values, 1, None), values), repeat(1.0)))
+
+
+def _check_finite(highest: float, entries: Sequence[int], returns: Sequence[list[float]]) -> None:
+    """A DomainError at the first bar whose return overflowed, if ``highest``,
+    the largest of ``returns`` (one list per run entered at ``entries``), is inf.
+
+    Positive finite values give returns of at least -1.0, so a ratio that
+    overflows to inf is the only return that is not finite.
+    """
+    if highest == math.inf:
+        entry, run = next((e, r) for e, r in zip(entries, returns) if math.inf in r)
+        raise DomainError(f"daily return at index {entry + run.index(math.inf) + 1} is not finite")
 
 
 def max_drawdown(values: Iterable[float]) -> float:
@@ -226,6 +244,76 @@ def _spread(spans: list[tuple[int, int]], length: int, fill, pieces) -> Iterable
     return chain.from_iterable(parts)
 
 
+class _Measures(NamedTuple):
+    """What a sweep cell ranks and writes, and what the full block builds on."""
+
+    final: float
+    rr_whole: float
+    rr_per_year: float
+    fit_mean: float
+    fit_std: float
+    sr: Optional[float]
+    ir: Optional[float]
+
+
+def _measures_from_runs(
+    initial: float,
+    runs: Sequence[Run],
+    bars: int,
+    benchmark_returns: Sequence[float],
+    trading_days: int,
+) -> _Measures:
+    """The ratios and moments of ``report_from_runs``, with all of its checks.
+
+    Once this has passed, every run value is positive and finite, so
+    the drawdown and the yearly block cannot fail.
+    """
+    if bars < 2:
+        raise TooShort("need at least two values for returns")
+    returns = [_run_returns(entry, values) for entry, values in runs]
+    exposed = returns[0] if len(returns) == 1 else list(chain.from_iterable(returns))
+    lowest, highest = (min(exposed), max(exposed)) if exposed else (0.0, 0.0)
+    _check_finite(highest, [entry for entry, _ in runs], returns)
+    final = runs[-1][1][-1] if runs else initial
+    rr_whole = final / initial
+    years = bars / trading_days
+    try:
+        rr_per_year = rr_whole ** (1.0 / years)
+    except OverflowError:
+        raise DomainError(
+            f"rr_whole {rr_whole!r} over {years!r} years overflows the yearly rate"
+        ) from None
+    count = bars - 1
+    if count < 2:
+        raise TooShort("need at least two returns")
+    # return slot i is bar i + 1's; a run's returns fill slots [entry, exit)
+    spans = [(entry, entry + len(values) - 1) for entry, values in runs]
+    # a flat bar's return is 0.0, which leaves a float sum unchanged
+    fit_mean = sum(exposed) / count
+    # but its square deviation is a term of its own, summed in bar order
+    flat_square = (0.0 - fit_mean) ** 2
+    fit_std = math.sqrt(sum(_spread(spans, count, flat_square,
+                                    [_squares(r, fit_mean) for r in returns])) / count)
+    # all returns equal: a flat bar's 0.0 takes part only if there is a flat bar
+    extremes = [0.0] if len(exposed) < count else []
+    if exposed:
+        extremes += (lowest, highest)
+    try:  # the Sharpe ratio at a zero risk-free rate, from the fit's moments
+        sr = _annualized_ratio(min(extremes) == max(extremes), fit_mean, fit_std, "returns",
+                               trading_days)
+    except ZeroVolatility:
+        sr = None
+    if count != len(benchmark_returns):
+        raise LengthMismatch(f"{count} returns vs {len(benchmark_returns)} benchmark returns")
+    # one C pass: a flat bar's difference is 0.0 - b, as in the dense loop
+    diff = list(map(sub, _spread(spans, count, 0.0, returns), benchmark_returns))
+    try:
+        ir = _annualized_ratio(_constant(diff), *_moments(diff), "excess returns", trading_days)
+    except ZeroVolatility:
+        ir = None
+    return _Measures(final, rr_whole, rr_per_year, fit_mean, fit_std, sr, ir)
+
+
 def report_from_runs(
     initial: float,
     runs: Sequence[Run],
@@ -242,66 +330,26 @@ def report_from_runs(
     One run over the whole curve is the dense case. The result, errors
     included, is that of the dense per-bar definitions on the curve.
     """
-    if bars < 2:
-        raise TooShort("need at least two values for returns")
-    returns = [_run_returns(entry, values) for entry, values in runs]
-    final = runs[-1][1][-1] if runs else initial
-    rr_whole = final / initial
-    years = bars / trading_days
-    try:
-        rr_per_year = rr_whole ** (1.0 / years)
-    except OverflowError:
-        raise DomainError(
-            f"rr_whole {rr_whole!r} over {years!r} years overflows the yearly rate"
-        ) from None
+    measures = _measures_from_runs(initial, runs, bars, benchmark_returns, trading_days)
     entries = [entry for entry, _ in runs]
     rr_by_year = _growth(initial, [_value_at(initial, runs, entries, end - 1)
                                    for _, end in slice_years(bars, trading_days)])
-    count = bars - 1
-    if count < 2:
-        raise TooShort("need at least two returns")
-    # return slot i is bar i + 1's; a run's returns fill slots [entry, exit)
-    spans = [(entry, entry + len(values) - 1) for entry, values in runs]
-    exposed = returns[0] if len(returns) == 1 else list(chain.from_iterable(returns))
-    # a flat bar's return is 0.0, which leaves a float sum unchanged
-    fit_mean = sum(exposed) / count
-    # but its square deviation is a term of its own, summed in bar order
-    flat_square = (0.0 - fit_mean) ** 2
-    fit_std = math.sqrt(sum(_spread(spans, count, flat_square,
-                                    [_squares(r, fit_mean) for r in returns])) / count)
-    # all returns equal: a flat bar's 0.0 takes part only if there is a flat bar
-    extremes = [0.0] if len(exposed) < count else []
-    if exposed:
-        extremes += (min(exposed), max(exposed))
-    try:  # the Sharpe ratio at a zero risk-free rate, from the fit's moments
-        sr = _annualized_ratio(min(extremes) == max(extremes), fit_mean, fit_std, "returns",
-                               trading_days)
-    except ZeroVolatility:
-        sr = None
-    if count != len(benchmark_returns):
-        raise LengthMismatch(f"{count} returns vs {len(benchmark_returns)} benchmark returns")
-    # one C pass: a flat bar's difference is 0.0 - b, as in the dense loop
-    diff = list(map(sub, _spread(spans, count, 0.0, returns), benchmark_returns))
-    try:
-        ir = _annualized_ratio(_constant(diff), *_moments(diff), "excess returns", trading_days)
-    except ZeroVolatility:
-        ir = None
     # a flat bar repeats the value before it, so it moves neither peak nor
     # drawdown; only the bars before the first run add a value, ``initial``
     held = () if runs and runs[0][0] == 0 else (initial,)
     return MetricReport(
         initial_price=initial,
-        final_price=final,
-        rr_whole=rr_whole,
-        rr_per_year=rr_per_year,
+        final_price=measures.final,
+        rr_whole=measures.rr_whole,
+        rr_per_year=measures.rr_per_year,
         rr_by_year=rr_by_year,
         buy_count=buy_count,
         max_rate=max(rr_by_year),
         min_rate=min(rr_by_year),
         mdd=max_drawdown(chain(held, *(values for _, values in runs))),
-        sr=sr,
-        ir=ir,
-        vol_annual=fit_std * math.sqrt(trading_days),
-        return_fit_mean=fit_mean,
-        return_fit_std=fit_std,
+        sr=measures.sr,
+        ir=measures.ir,
+        vol_annual=measures.fit_std * math.sqrt(trading_days),
+        return_fit_mean=measures.fit_mean,
+        return_fit_std=measures.fit_std,
     )

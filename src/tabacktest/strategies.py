@@ -1,8 +1,9 @@
 """Signal generation: seven long-only strategies over one OHLCV series.
 
 Every strategy is a small frozen config object dispatched through
-``generate_signals``. Output is a strictly alternating Buy/Sell event
-list starting with a Buy; a terminal open position is left open.
+``signal_bars``, which returns the bars of a strictly alternating
+Buy/Sell sequence starting with a Buy; ``generate_signals`` returns the
+same sequence as events. A terminal open position is left open.
 
 Cross conventions: line-vs-line strategies (two-average, price cross,
 aroon, macd) require strict inequality on both bars of the cross, so a
@@ -17,7 +18,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import gt, lt
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import InvalidParams, TooShort
 from .indicators import (
@@ -172,22 +173,22 @@ class KernelMemo:
     A key names the kernel, its input column and its frozen parameters. The
     series is not part of the key, so a memo must not outlive its series or
     serve another one. Entries are kept as ``array('d')`` plus the warm-up
-    length, 8 bytes a value instead of a list slot and a float object, and
-    every hit hands out fresh lists, so no caller can change what the next
-    one reads.
+    length, 8 bytes a value instead of a list slot and a float object.
+    Every call, hit or miss, hands out read-only views of the stored arrays,
+    so no caller can change what the next one reads: a write raises
+    TypeError.
     """
 
     def __init__(self) -> None:
         self._entries: dict = {}
 
     def get(self, key: tuple, compute: Callable):
-        """``compute()``'s result for ``key``: an IndicatorSeries or a tuple of them."""
+        """``compute()``'s result for ``key``: an IndicatorSeries or a tuple
+        of them, each over a read-only view of the stored values."""
         entry = self._entries.get(key)
-        if entry is not None:
-            return _unpack(entry)
-        result = compute()
-        self._entries[key] = _pack(result)
-        return result
+        if entry is None:
+            entry = self._entries[key] = _pack(compute())
+        return _view(entry)
 
 
 def _pack(result):
@@ -196,18 +197,19 @@ def _pack(result):
     return tuple(_pack(part) for part in result)
 
 
-def _unpack(entry):
+def _view(entry):
     if isinstance(entry[0], array):
-        return IndicatorSeries(list(entry[0]), entry[1])
-    return tuple(_unpack(part) for part in entry)
+        return IndicatorSeries(memoryview(entry[0]).toreadonly(), entry[1])
+    return tuple(_view(part) for part in entry)
 
 
 def _cached(memo: Optional[KernelMemo], key: tuple, compute: Callable):
     return compute() if memo is None else memo.get(key, compute)
 
 
-def _alternate(buys: list[int], sells: list[int]) -> list[SignalEvent]:
-    """The long-only Buy/Sell alternation over two sorted lists of candidate bars.
+def _alternate(buys: list[int], sells: list[int]) -> list[int]:
+    """The bars of the long-only Buy/Sell alternation over two sorted lists
+    of candidate bars, a Buy first.
 
     The first buy, then the first sell after it, then the first buy after
     that sell, and so on; the candidates in between are passed over.
@@ -218,14 +220,14 @@ def _alternate(buys: list[int], sells: list[int]) -> list[SignalEvent]:
     exclude each other, a band bar would need close < lower <= upper <
     close, and an RSI bar strength < down_thres < upper_thres < strength.
     """
-    events: list[SignalEvent] = []
+    bars: list[int] = []
     last = -1
-    candidates, action = buys, BUY
+    candidates, other = buys, sells
     while (k := bisect_right(candidates, last)) < len(candidates):
         last = candidates[k]
-        events.append(SignalEvent(last, action))
-        candidates, action = (sells, SELL) if action == BUY else (buys, BUY)
-    return events
+        bars.append(last)
+        candidates, other = other, candidates
+    return bars
 
 
 # In a packed run of flags, one flag turning true and one turning false;
@@ -243,7 +245,8 @@ def _turns(flags: Iterable[bool], first: int) -> tuple[list[int], list[int]]:
             [first + m.end() for m in _TURNS_FALSE.finditer(packed)])
 
 
-def _crosses(fast: list[float], slow: list[float], bars: range) -> tuple[list[int], list[int]]:
+def _crosses(fast: Sequence[float], slow: Sequence[float],
+             bars: range) -> tuple[list[int], list[int]]:
     """The bars where ``fast`` crosses strictly above ``slow``, and strictly below it."""
     first = bars.start - 1
     prior = slice(first, bars.stop)
@@ -253,7 +256,7 @@ def _crosses(fast: list[float], slow: list[float], bars: range) -> tuple[list[in
             [i for i in into_below if fast[i - 1] > slow[i - 1]])
 
 
-def _breaks(closes: list[float], upper: list[float], lower: list[float],
+def _breaks(closes: Sequence[float], upper: Sequence[float], lower: Sequence[float],
             bars: range) -> tuple[list[int], list[int]]:
     """The bars where the close leaves the band above ``upper``, and below
     ``lower``; a close exactly on a band is still inside it."""
@@ -268,7 +271,7 @@ def _breaks(closes: list[float], upper: list[float], lower: list[float],
 
 def two_average_signals(
     series: OhlcvSeries, config: TwoAverageConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     closes = series.closes
     fast = _cached(memo, ("moving_average", "close", config.fast),
                    lambda: moving_average(closes, config.fast))
@@ -282,7 +285,7 @@ def two_average_signals(
 
 def price_cross_signals(
     series: OhlcvSeries, config: PriceCrossConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     closes = series.closes
     line = _cached(memo, ("moving_average", "close", config.ma),
                    lambda: moving_average(closes, config.ma))
@@ -294,7 +297,7 @@ def price_cross_signals(
 
 def keltner_signals(
     series: OhlcvSeries, config: KeltnerConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     # the parts do not depend on mult, so cells differing only in mult share them
     closes = series.closes
     parts = _cached(memo, ("keltner_parts", "ohlc", config.ma),
@@ -309,7 +312,7 @@ def keltner_signals(
 
 def bollinger_signals(
     series: OhlcvSeries, config: BollingerConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     # the parts do not depend on dev, so cells differing only in dev share them
     closes = series.closes
     parts = _cached(memo, ("bollinger_parts", "ohlc", config.window),
@@ -325,7 +328,7 @@ def bollinger_signals(
 
 def rsi_signals(
     series: OhlcvSeries, config: RsiConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     closes = series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"rsi strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
@@ -346,7 +349,7 @@ def rsi_signals(
 
 def aroon_signals(
     series: OhlcvSeries, config: AroonConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     closes = series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"aroon strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
@@ -362,7 +365,7 @@ def aroon_signals(
 
 def macd_signals(
     series: OhlcvSeries, config: MacdConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
+) -> list[int]:
     closes = series.closes
     periods = (config.short_n, config.long_n, config.signal_n)
     line, signal, _ = _cached(memo, ("macd", "close", *periods), lambda: macd(closes, *periods))
@@ -382,15 +385,26 @@ _DISPATCH = {
     MacdConfig: macd_signals,
 }
 
-def generate_signals(
+
+def signal_bars(
     series: OhlcvSeries, config: StrategyConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
-    """Signals of one strategy; indicator series come from ``memo`` when given."""
+) -> list[int]:
+    """The bars of one strategy's signals, strictly increasing and
+    alternating Buy and Sell from a Buy; indicator series come from
+    ``memo`` when given."""
     try:
         runner = _DISPATCH[type(config)]
     except KeyError:
         raise InvalidParams(f"unknown strategy config {type(config).__name__}") from None
     return runner(series, config, memo)
+
+
+def generate_signals(
+    series: OhlcvSeries, config: StrategyConfig, memo: Optional[KernelMemo] = None
+) -> list[SignalEvent]:
+    """Signals of one strategy: ``signal_bars`` as Buy/Sell events."""
+    return [SignalEvent(bar, SELL if k % 2 else BUY)
+            for k, bar in enumerate(signal_bars(series, config, memo))]
 
 
 def signals_to_csv(events: list[SignalEvent], handle) -> None:

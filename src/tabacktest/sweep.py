@@ -16,16 +16,21 @@ from .backtest import close_ratios, exposure_runs
 from .config import SweepSpec, set_leaf, strategy_from_dict
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import MetricReport, daily_returns, report_from_runs
-from .strategies import KernelMemo, generate_signals
+from .metrics import _Measures, _measures_from_runs, daily_returns
+from .strategies import KernelMemo, signal_bars
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """A ranked cell: the measures ``sweep.csv`` writes, each equal to the
+    same field of ``build_report`` on the cell's backtest."""
+
     params: tuple[tuple[str, Any], ...]
     buy_count: int
+    rr_whole: float
+    sr: Optional[float]
+    ir: Optional[float]
     objective_value: float
-    report: MetricReport
 
 
 @dataclass(frozen=True)
@@ -37,12 +42,12 @@ class SweepResult:
     below_min_trades: int
 
 
-def _objective_value(report: MetricReport, objective: str) -> Optional[float]:
+def _objective_value(measures: _Measures, objective: str) -> Optional[float]:
     if objective == "sharpe_annual":
-        return report.sr
+        return measures.sr
     if objective == "ir_annual":
-        return report.ir
-    return report.rr_whole
+        return measures.ir
+    return measures.rr_whole
 
 
 def _evaluate_cell(
@@ -61,17 +66,18 @@ def _evaluate_cell(
         set_leaf(tree, path, value)
     try:
         config = strategy_from_dict(tree)
-        signals = generate_signals(series, config, memo)
-        initial, runs = exposure_runs(closes, signals, ratios)
-        report = report_from_runs(initial, runs, len(closes), benchmark_returns, len(runs),
-                                  trading_days)
+        bars = signal_bars(series, config, memo)
+        initial, runs = exposure_runs(closes, bars, ratios)
+        # the drawdown and the yearly block can no longer fail, and no row holds them
+        measures = _measures_from_runs(initial, runs, len(closes), benchmark_returns,
+                                       trading_days)
     except EngineError as exc:
         return exc.kind
-    value = _objective_value(report, spec.objective)
+    value = _objective_value(measures, spec.objective)
     if value is None:
         # only a ratio is ever None: its volatility was zero
         return ZeroVolatility.__name__
-    return SweepRow(assignment, report.buy_count, value, report)
+    return SweepRow(assignment, len(runs), measures.rr_whole, measures.sr, measures.ir, value)
 
 
 def run_sweep(
@@ -136,8 +142,8 @@ def sweep_to_csv(rows: list[SweepRow], spec: SweepSpec, handle) -> None:
         values = dict(row.params)
         cells = [repr(values[name]) for name in param_names]
         cells.append(str(row.buy_count))
-        cells.append(repr(row.report.rr_whole))
-        cells.append("" if row.report.sr is None else repr(row.report.sr))
-        cells.append("" if row.report.ir is None else repr(row.report.ir))
+        cells.append(repr(row.rr_whole))
+        cells.append("" if row.sr is None else repr(row.sr))
+        cells.append("" if row.ir is None else repr(row.ir))
         cells.append(repr(row.objective_value))
         handle.write(",".join(cells) + "\n")

@@ -281,6 +281,10 @@ def _naive_daily_returns(values):
         if prev <= 0 or cur <= 0 or not (math.isfinite(prev) and math.isfinite(cur)):
             raise OracleMetricError("NonPositivePrice", f"non-positive price at index {i}")
         out.append(cur / prev - 1.0)
+    # every value is checked before any return
+    for i, r in enumerate(out, start=1):
+        if not math.isfinite(r):
+            raise OracleMetricError("DomainError", f"daily return at index {i} is not finite")
     return out
 
 

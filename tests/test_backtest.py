@@ -5,7 +5,7 @@ import pytest
 import oracles
 from conftest import make_series, random_ohlcv
 from tabacktest import errors
-from tabacktest.backtest import run
+from tabacktest.backtest import close_ratios, exposure_runs, run
 from tabacktest.strategies import BUY, SELL, SignalEvent
 
 
@@ -74,6 +74,29 @@ class TestRun:
             run(series, make_signals([(0, SELL)]))
         with pytest.raises(errors.NonAlternatingSignals):
             run(series, make_signals([(2, BUY), (2, SELL)]))
+
+    @pytest.mark.parametrize("bars, kind, bad", [
+        ([5], errors.IndexOutOfRange, 5),
+        ([-1], errors.IndexOutOfRange, -1),
+        ([0, 4], errors.IndexOutOfRange, 4),
+        ([1, 3, 2], errors.NonAlternatingSignals, 2),
+        ([2, 2], errors.NonAlternatingSignals, 2),
+        ([3, 1, 7], errors.NonAlternatingSignals, 1),  # the first offending bar
+        ([0, 2, 3, -3], errors.IndexOutOfRange, -3),   # range is checked before order
+    ])
+    def test_bar_lists_fail_as_their_signals_do(self, bars, kind, bad):
+        closes = [1.0, 2.0, 3.0, 4.0]
+        if kind is errors.IndexOutOfRange:
+            message = f"signal at bar {bad} outside series of length 4"
+        else:
+            message = f"signal indices must strictly increase at bar {bad}"
+        with pytest.raises(kind) as raised:
+            exposure_runs(closes, bars, close_ratios(closes))
+        assert str(raised.value) == message
+        if min(bars) >= 0:  # a SignalEvent cannot hold a negative bar
+            events = [SignalEvent(bar, SELL if k % 2 else BUY) for k, bar in enumerate(bars)]
+            with pytest.raises(kind, match=message):
+                run(make_series(closes), events)
 
     def test_zero_cost_round_trip_at_same_price(self):
         closes = [10.0, 11.0, 12.0, 12.0, 13.0, 14.0]

@@ -1,5 +1,8 @@
+import datetime as dt
+import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -59,8 +62,6 @@ class TestBacktestCommand:
         assert payload["error"]["kind"] == "MissingInput"
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
-        import datetime as dt
-
         short = tmp_path / "short.csv"
         rows = ["date,open,high,low,close,volume"]
         day = dt.date(2021, 1, 4)
@@ -313,6 +314,13 @@ UNREAD_AXIS_TEXT = "strategy = keltner\nma.kind = ema\nma.period = 5\nmult = 0:3
 # a key no rsi config has: every cell would fail, so the sweep fails before any runs
 UNKNOWN_SWEEP_KEY = "<an rsi sweep with an rsi.bogus key>"
 UNKNOWN_SWEEP_KEY_TEXT = "strategy = rsi\nrsi.n = 5,6\nrsi.bogus = 1\n"
+# shapes no axis value can fix: every cell would fail, so the sweep fails before any runs
+PLAIN_BOLLINGER_MA = "<a bollinger sweep over a plain ma.*>"
+NO_SLOW_SECTION = "<a two_average sweep with no slow.*>"
+SHAPE_TEXTS = {
+    PLAIN_BOLLINGER_MA: "strategy = bollinger\nma.kind = sma\nma.period = 5,10\n",
+    NO_SLOW_SECTION: "strategy = two_average\nfast.kind = sma\nfast.period = 5,10\n",
+}
 
 
 @pytest.mark.parametrize("flags, kind", [
@@ -336,6 +344,8 @@ UNKNOWN_SWEEP_KEY_TEXT = "strategy = rsi\nrsi.n = 5,6\nrsi.bogus = 1\n"
     (["backtest", "--config", str(V_CONFIG)], "InvalidArgument"),
     (["frobnicate", "--data", str(V_FIXTURE)], "InvalidArgument"),
     (["sweep", "--data", str(V_FIXTURE), "--config", UNKNOWN_SWEEP_KEY], "ConfigError"),
+    (["sweep", "--data", str(V_FIXTURE), "--config", PLAIN_BOLLINGER_MA], "ConfigError"),
+    (["sweep", "--data", str(V_FIXTURE), "--config", NO_SLOW_SECTION], "ConfigError"),
 ])
 def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
@@ -346,7 +356,7 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     )
     paths = {NOT_UTF8: str(not_utf8), LONG_FIELD: str(long_field)}
     configs = {**BAD_VALUES, UNREAD_AXIS: UNREAD_AXIS_TEXT,
-               UNKNOWN_SWEEP_KEY: UNKNOWN_SWEEP_KEY_TEXT}
+               UNKNOWN_SWEEP_KEY: UNKNOWN_SWEEP_KEY_TEXT, **SHAPE_TEXTS}
     for number, (placeholder, text) in enumerate(configs.items()):
         paths[placeholder] = str(tmp_path / f"bad_value_{number}.cfg")
         (tmp_path / f"bad_value_{number}.cfg").write_text(text)
@@ -426,6 +436,93 @@ class TestReportCommand:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "DomainError"
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _write_closes(path, closes):
+    """A daily-bar CSV whose bars all sit at their close."""
+    lines = ["date,open,high,low,close,volume"]
+    day = dt.date(2021, 1, 4)
+    for close in closes:
+        while day.weekday() >= 5:
+            day += dt.timedelta(days=1)
+        lines.append(f"{day.isoformat()},{close!r},{close!r},{close!r},{close!r},100")
+        day += dt.timedelta(days=1)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command, config, kind", [
+    ("backtest", "fast.period = 3\n", "DomainError"),
+    ("sweep", "fast.period = 3,5\n", "EmptyGridAfterFilter"),
+    ("report", None, "DomainError"),
+], ids=["backtest", "sweep", "report"])
+def test_a_benchmark_return_that_overflows_exits_3_before_any_artifact(
+        command, config, kind, tmp_path, capsys):
+    # every benchmark close is positive and finite, but 1e300 / 1e-300 is not
+    data, benchmark = tmp_path / "series.csv", tmp_path / "benchmark.csv"
+    _write_closes(data, [100.0 + 10.0 * math.sin(i / 7.0) + 0.05 * i for i in range(300)])
+    _write_closes(benchmark, [1e-300] + [1e300 * (1.0 + 0.001 * (i % 5)) for i in range(299)])
+    argv = [command, "--data", str(data), "--benchmark", str(benchmark),
+            "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "strategy.cfg").write_text(
+            "strategy = two_average\nfast.kind = sma\nslow.kind = sma\nslow.period = 20\n"
+            + config)
+        argv += ["--config", str(tmp_path / "strategy.cfg")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == kind
+    if command == "sweep":
+        assert "{'DomainError': 2}" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# (config, sha256 of stdout, sha256 of sweep.csv) of sweeps on synthetic_sp500.csv
+SWEEP_PINS = {
+    "two_average": (
+        "strategy = two_average\nfast.kind = sma\nfast.period = 2:20:2\n"
+        "slow.kind = sma\nslow.period = 30:120:10\n",
+        "406a41ec8c23c5e6100ba200ec167edcfbaa0a1503cec519364ba82584a93207",
+        "03729b692af72229a96a2cb6193e7308b7d1f7af39cd7ed6469c603320054d40",
+    ),
+    "keltner": (
+        "strategy = keltner\nobjective = ir_annual\nma.kind = ema\nma.period = 20\n"
+        "keltner.mult = 0.5:3:0.5\n",
+        "6a228edb8c007067ebb658f48169f0e7ed9e7ab0a0d54c399bc3c0f6c0e1b8db",
+        "c360abb6a6f46926f653713e9a06b639d6bd81e49db3d547ec91cf5b38a0dd3d",
+    ),
+    "bollinger": (
+        "strategy = bollinger\nobjective = rr_whole\nbollinger.n = 20\n"
+        "bollinger.dev = 0.5:3:0.5\n",
+        "adfa470506c068c65cac32c0c050f55dc26d963e27716a554eb551f1b2a2415e",
+        "85365c33a61f9d6a0d087d8c1b829f613f666b1515f30e562afdc877cea41788",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(SWEEP_PINS))
+def test_sweep_bytes_are_pinned(strategy, tmp_path, capsys):
+    """stdout and sweep.csv of three sweeps, byte for byte as they were
+    when each row still held the full measure block.
+
+    The pins were taken under CPython 3.11. From 3.12 on, float ``sum()``
+    is compensated, so the Sharpe and information ratios move in their
+    last digits and these pins fail, as ``test_report_matches_golden_bytes``
+    does, until the measure block's moments are exactly rounded.
+    """
+    text, stdout_sha, csv_sha = SWEEP_PINS[strategy]
+    config = tmp_path / "sweep.cfg"
+    config.write_text(text)
+    code, out = run_cli(
+        capsys, "sweep", "--data", str(DATA_DIR / "synthetic_sp500.csv"),
+        "--config", str(config), "--out-dir", str(tmp_path / "out"),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest() == csv_sha
 
 
 class TestDeterminism:

@@ -247,7 +247,15 @@ class TestSweepFromDict:
          "ma.timeperiod_short = 2\nma.ada_win = 10\nma.kind = sma\n", "unknown ma keys: ['kind']"),
         ("strategy = bollinger\nbollinger.n = 10,20\nbollinger.window = 5\n",
          "unknown bollinger keys: ['window']"),
-    ], ids=["tag", "rsi key", "missing rsi key", "fast key", "adaptive ma key", "bollinger key"])
+        # shapes no axis value can fix: a plain bollinger middle, a missing namespace
+        ("strategy = bollinger\nma.kind = sma\nma.period = 5,10\n",
+         "bollinger ma.* must be adaptive (matype et al.)"),
+        ("strategy = two_average\nfast.kind = sma\nfast.period = 5,10\n",
+         "slow.* must be a table of keys"),
+        ("strategy = bollinger\nbollinger.dev = 1,2\n",
+         "bollinger needs exactly one of bollinger.n or ma.* (adaptive)"),
+    ], ids=["tag", "rsi key", "missing rsi key", "fast key", "adaptive ma key", "bollinger key",
+            "plain bollinger ma", "no slow section", "no bollinger window"])
     def test_wrong_key_names_are_rejected_before_any_cell(self, text, message):
         with pytest.raises(errors.ConfigError) as raised:
             sweep_from_dict(parse_kv_text(text))

@@ -32,6 +32,21 @@ class TestDailyReturns:
         with pytest.raises(errors.NonPositivePrice):
             daily_returns([1.0, -2.0])
 
+    def test_a_return_that_overflows_is_a_domain_error(self):
+        # every value is positive and finite, but 1e300 / 1e-300 is not
+        with pytest.raises(errors.DomainError, match="at index 1 is not finite"):
+            daily_returns([1e-300, 1e300, 1e300])
+        # a bad value is reported before a bad return, wherever it is
+        with pytest.raises(errors.NonPositivePrice, match="at index 3"):
+            daily_returns([1e-300, 1e300, 1e300, 0.0])
+        benchmark = [1e-300] + [1e300] * 5
+        with pytest.raises(errors.DomainError):
+            build_report(EquityCurve((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1.0, 6.0), benchmark, 0)
+        assert oracles._naive_daily_returns([1.0, 2.0]) == daily_returns([1.0, 2.0])
+        with pytest.raises(oracles.OracleMetricError) as raised:
+            oracles._naive_daily_returns(benchmark)
+        assert raised.value.kind == "DomainError"
+
 
 class TestMaxDrawdown:
     def test_monotone_increasing_is_zero(self):

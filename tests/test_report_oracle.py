@@ -13,8 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import make_series
 from tabacktest import SignalEvent, build_report, run
+from tabacktest.backtest import close_ratios, exposure_runs
 from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
 from tabacktest.errors import EmptyGridAfterFilter, EngineError
+from tabacktest.metrics import daily_returns, report_from_runs
 from tabacktest.strategies import BUY, SELL, generate_signals
 from tabacktest.sweep import run_sweep
 
@@ -85,6 +87,22 @@ def test_build_report_equals_the_dense_oracle(case):
     assert _outcome(lambda: _engine_report(closes, signals, benchmark, trading_days)) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+@example((UP, [(1, BUY), (2, SELL), (4, BUY), (7, SELL), (8, BUY)], UP, 3))  # three runs
+def test_the_measure_block_of_exposure_runs_equals_the_dense_oracle(case):
+    # the full block over several runs, as a sweep cell's runs reach it
+    closes, signals, benchmark, trading_days = case
+
+    def engine():
+        initial, runs = exposure_runs(closes, [bar for bar, _ in signals], close_ratios(closes))
+        return report_from_runs(initial, runs, len(closes), daily_returns(benchmark), len(runs),
+                                trading_days).to_dict()
+
+    expected = _outcome(lambda: oracles.naive_report(closes, signals, benchmark, trading_days))
+    assert _outcome(engine) == expected
+
+
 SWEEPS = (
     "strategy = price_cross\nma.kind = sma,ema\nma.period = 1:4:1\n",
     "strategy = two_average\nfast.kind = sma\nfast.period = 1,2\nslow.kind = sma,ema\n"
@@ -94,8 +112,12 @@ SWEEPS = (
 )
 
 
+# the measures a sweep row holds, beside its params
+ROW_FIELDS = ("buy_count", "rr_whole", "sr", "ir")
+
+
 def _expected_sweep(series, spec, benchmark, trading_days):
-    """(rows as (params, report dict), dropped kinds) from the oracle, cell by cell."""
+    """(rows as (params, row measures), dropped kinds) from the oracle, cell by cell."""
     closes = series.closes
     names = [path for path, _ in spec.axes]
     rows, dropped = [], Counter()
@@ -120,7 +142,7 @@ def _expected_sweep(series, spec, benchmark, trading_days):
         elif outcome[objective[spec.objective]] is None:
             dropped["ZeroVolatility"] += 1
         else:
-            rows.append((params, outcome))
+            rows.append((params, tuple(outcome[name] for name in ROW_FIELDS)))
     return sorted(rows, key=repr), dict(sorted(dropped.items()))
 
 
@@ -141,5 +163,6 @@ def test_every_sweep_row_equals_the_dense_oracle(closes, sweep, objective, own_b
             run_sweep(series, spec, benchmark, trading_days)
         return
     result = run_sweep(series, spec, benchmark, trading_days)
-    assert sorted(((row.params, row.report.to_dict()) for row in result.rows), key=repr) == rows
+    got = [(row.params, tuple(getattr(row, name) for name in ROW_FIELDS)) for row in result.rows]
+    assert sorted(got, key=repr) == rows
     assert result.dropped == dropped

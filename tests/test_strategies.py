@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import random
 
@@ -7,13 +9,27 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_series, random_ohlcv, random_walk
 from tabacktest import errors
-from tabacktest.indicators import AmaParams, MaSpec, bollinger, keltner, rsi, sma
+from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
+from tabacktest.indicators import (
+    AmaParams,
+    MaSpec,
+    bollinger,
+    bollinger_bands,
+    bollinger_parts,
+    keltner,
+    keltner_parts,
+    macd,
+    offset_bands,
+    rsi,
+    sma,
+)
 from tabacktest.strategies import (
     BUY,
     SELL,
     AroonConfig,
     BollingerConfig,
     KeltnerConfig,
+    KernelMemo,
     MacdConfig,
     PriceCrossConfig,
     RsiConfig,
@@ -22,7 +38,9 @@ from tabacktest.strategies import (
     _breaks,
     _crosses,
     generate_signals,
+    signal_bars,
 )
+from test_sweep import STRATEGY_GRIDS
 
 
 def assert_valid_signal_sequence(events):
@@ -431,3 +449,70 @@ def test_cross_and_break_scans_equal_their_per_bar_definitions(lines, data):
     assert _breaks(a, b, c, bars) == (
         [i for i in bars if a[i - 1] <= b[i - 1] and a[i] > b[i]],
         [i for i in bars if a[i - 1] >= c[i - 1] and a[i] < c[i]])
+
+
+# -- the sweep memo and the bar-list signal path -----------------------------------
+
+def test_a_memo_hit_equals_a_fresh_kernel_call():
+    closes = random_walk(random.Random(3), 120)
+    memo = KernelMemo()
+    fresh = sma(closes, 7)
+    miss = memo.get(("sma", "close", 7), lambda: sma(closes, 7))
+    hit = memo.get(("sma", "close", 7), lambda: pytest.fail("a hit must not recompute"))
+    for served in (miss, hit):
+        assert served.warmup_len == fresh.warmup_len
+        assert list(served.values) == fresh.values
+    parts = memo.get(("macd",), lambda: macd(closes, 3, 9, 4))
+    assert [list(part.values) for part in parts] == [part.values for part in macd(closes, 3, 9, 4)]
+
+
+def test_a_memo_hit_is_read_only():
+    closes = random_walk(random.Random(3), 50)
+    memo = KernelMemo()
+    first = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
+    with pytest.raises(TypeError):
+        first.values[10] = -1.0
+    hit = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
+    with pytest.raises(TypeError):
+        hit.values[10] = -1.0
+    unchanged = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
+    assert list(unchanged.values) == sma(closes, 5).values
+
+
+def _band_values(bands):
+    return [list(line.values) for line in (bands.middle, bands.upper, bands.lower)]
+
+
+@pytest.mark.parametrize("ma", [MaSpec("ema", 10), AmaParams(21, 3, 8, 2)])
+def test_band_parts_from_the_memo_give_fresh_bands(ma):
+    series = random_ohlcv(random.Random(7), 200)
+    memo = KernelMemo()
+    for _ in range(2):  # a miss, then a hit
+        parts = memo.get(("keltner_parts", ma), lambda: keltner_parts(series, ma))
+        for mult in (0.0, 0.5, 2.0):
+            assert (_band_values(offset_bands(*parts, mult))
+                    == _band_values(keltner(series, ma, mult)))
+    window = 20 if isinstance(ma, MaSpec) else ma
+    for _ in range(2):
+        parts = memo.get(("bollinger_parts", window), lambda: bollinger_parts(series, window))
+        for dev in (0.0, 0.5, 2.0):
+            assert (_band_values(bollinger_bands(*parts, dev))
+                    == _band_values(bollinger(series, window, dev)))
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
+def test_signal_bars_are_the_bars_of_the_signals(strategy, seed):
+    # every cell of the strategy's sweep grid, the bars from one shared memo
+    series = random_ohlcv(random.Random(seed), 320)
+    spec = sweep_from_dict(parse_kv_text(f"strategy = {strategy}\n" + STRATEGY_GRIDS[strategy]))
+    names = [path for path, _ in spec.axes]
+    memo = KernelMemo()
+    for values in itertools.product(*(values for _, values in spec.axes)):
+        tree = copy.deepcopy(spec.base_tree)
+        for path, value in zip(names, values):
+            set_leaf(tree, path, value)
+        config = strategy_from_dict(tree)
+        events = generate_signals(series, config)
+        assert_valid_signal_sequence(events)
+        assert signal_bars(series, config, memo) == [event.bar_index for event in events]
