@@ -44,7 +44,6 @@ from .strategies import (
     MacdConfig,
     PriceCrossConfig,
     RsiConfig,
-    SignalEvent,
     TwoAverageConfig,
     generate_signals,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "OhlcvSeries",
     "PriceCrossConfig",
     "RsiConfig",
-    "SignalEvent",
     "Trade",
     "TwoAverageConfig",
     "ama",

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, NonAlternatingSignals
 from .market_data import OhlcvSeries
-from .strategies import BUY, SELL, SignalEvent
 
 
 @dataclass(frozen=True)
@@ -47,20 +46,16 @@ class BacktestResult:
         return len(self.trades)
 
 
-def _validate_signals(bars: Sequence[int], length: int, actions: Sequence[str] = ()) -> None:
-    """Signal bars inside the series, strictly increasing, and ``actions``
-    (when given) alternating from a Buy; the first offending signal raises."""
-    expected = BUY
+def _validate_signals(bars: Sequence[int], length: int) -> None:
+    """Signal bars inside the series and strictly increasing; the first
+    offending bar raises."""
     prev_index = -1
-    for k, bar in enumerate(bars):
+    for bar in bars:
         if not 0 <= bar < length:
             raise IndexOutOfRange(f"signal at bar {bar} outside series of length {length}")
         if bar <= prev_index:
             raise NonAlternatingSignals(f"signal indices must strictly increase at bar {bar}")
-        if actions and actions[k] != expected:
-            raise NonAlternatingSignals(f"expected {expected} at bar {bar}, got {actions[k]}")
         prev_index = bar
-        expected = SELL if expected == BUY else BUY
 
 
 def _pairs(bars: Sequence[int]) -> list[tuple[int, Optional[int]]]:
@@ -104,15 +99,14 @@ def exposure_runs(
     return initial, runs
 
 
-def run(series: OhlcvSeries, signals: list[SignalEvent]) -> BacktestResult:
-    """Apply a validated Buy/Sell sequence to a price series.
+def run(series: OhlcvSeries, bars: Sequence[int]) -> BacktestResult:
+    """Apply the signal bars of a Buy/Sell sequence to a price series.
 
-    An empty signal list yields a flat curve pinned at the first close
-    and zero trades.
+    ``bars`` alternate Buy and Sell from a Buy, as ``generate_signals``
+    returns them; ``exposure_runs`` checks them. An empty list yields a
+    flat curve pinned at the first close and zero trades.
     """
     closes = series.closes
-    bars = [event.bar_index for event in signals]
-    _validate_signals(bars, len(closes), [event.action for event in signals])
     initial, runs = exposure_runs(closes, bars, close_ratios(closes))
     parts = []
     held, done = initial, 0

@@ -83,8 +83,8 @@ def max_drawdown(values: Iterable[float]) -> float:
         raise TooShort("need at least one value")
     worst = 0.0
     for v in chain((peak,), values):
-        if v <= 0:
-            raise NonPositivePrice("drawdown expects positive values")
+        if not 0 < v < math.inf:
+            raise NonPositivePrice("drawdown expects positive finite values")
         if v > peak:
             peak = v
         drawdown = (peak - v) / peak
@@ -244,7 +244,7 @@ def _spread(spans: list[tuple[int, int]], length: int, fill, pieces) -> Iterable
     return chain.from_iterable(parts)
 
 
-class _Measures(NamedTuple):
+class Measures(NamedTuple):
     """What a sweep cell ranks and writes, and what the full block builds on."""
 
     final: float
@@ -256,13 +256,13 @@ class _Measures(NamedTuple):
     ir: Optional[float]
 
 
-def _measures_from_runs(
+def measures_from_runs(
     initial: float,
     runs: Sequence[Run],
     bars: int,
     benchmark_returns: Sequence[float],
     trading_days: int,
-) -> _Measures:
+) -> Measures:
     """The ratios and moments of ``report_from_runs``, with all of its checks.
 
     Once this has passed, every run value is positive and finite, so
@@ -311,7 +311,7 @@ def _measures_from_runs(
         ir = _annualized_ratio(_constant(diff), *_moments(diff), "excess returns", trading_days)
     except ZeroVolatility:
         ir = None
-    return _Measures(final, rr_whole, rr_per_year, fit_mean, fit_std, sr, ir)
+    return Measures(final, rr_whole, rr_per_year, fit_mean, fit_std, sr, ir)
 
 
 def report_from_runs(
@@ -330,7 +330,7 @@ def report_from_runs(
     One run over the whole curve is the dense case. The result, errors
     included, is that of the dense per-bar definitions on the curve.
     """
-    measures = _measures_from_runs(initial, runs, bars, benchmark_returns, trading_days)
+    measures = measures_from_runs(initial, runs, bars, benchmark_returns, trading_days)
     entries = [entry for entry, _ in runs]
     rr_by_year = _growth(initial, [_value_at(initial, runs, entries, end - 1)
                                    for _, end in slice_years(bars, trading_days)])

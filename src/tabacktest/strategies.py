@@ -1,9 +1,9 @@
 """Signal generation: seven long-only strategies over one OHLCV series.
 
 Every strategy is a small frozen config object dispatched through
-``signal_bars``, which returns the bars of a strictly alternating
-Buy/Sell sequence starting with a Buy; ``generate_signals`` returns the
-same sequence as events. A terminal open position is left open.
+``generate_signals``, which returns the bars of a strictly alternating
+Buy/Sell sequence starting with a Buy: even positions are Buys, odd
+positions Sells. A terminal open position is left open.
 
 Cross conventions: line-vs-line strategies (two-average, price cross,
 aroon, macd) require strict inequality on both bars of the cross, so a
@@ -43,18 +43,6 @@ SELL = "Sell"
 # The rsi/aroon strategies scan from this fixed bar regardless of the
 # indicator warm-up, so short-period runs stay comparable.
 OSCILLATOR_SCAN_START = 60
-
-
-@dataclass(frozen=True)
-class SignalEvent:
-    bar_index: int
-    action: str
-
-    def __post_init__(self):
-        if self.action not in (BUY, SELL):
-            raise InvalidParams(f"unknown action {self.action!r}")
-        if self.bar_index < 0:
-            raise InvalidParams("bar_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,26 +156,28 @@ StrategyConfig = Union[
 
 
 class KernelMemo:
-    """Indicator outputs over one fixed series, shared by the cells of a sweep.
+    """Indicator outputs over one series, shared by the signal steps that read it.
 
-    A key names the kernel, its input column and its frozen parameters. The
-    series is not part of the key, so a memo must not outlive its series or
-    serve another one. Entries are kept as ``array('d')`` plus the warm-up
+    ``memo(kernel, *params)`` is ``kernel(memo.series, *params)``, stored
+    under the call ``(kernel, params)``, so a repeated call does not run
+    the kernel again. Entries are kept as ``array('d')`` plus the warm-up
     length, 8 bytes a value instead of a list slot and a float object.
     Every call, hit or miss, hands out read-only views of the stored arrays,
     so no caller can change what the next one reads: a write raises
     TypeError.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, series: OhlcvSeries) -> None:
+        self.series = series
         self._entries: dict = {}
 
-    def get(self, key: tuple, compute: Callable):
-        """``compute()``'s result for ``key``: an IndicatorSeries or a tuple
-        of them, each over a read-only view of the stored values."""
+    def __call__(self, kernel: Callable, *params):
+        """``kernel(self.series, *params)``: an IndicatorSeries or a tuple of
+        them, each over a read-only view of the stored values."""
+        key = (kernel, params)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = _pack(compute())
+            entry = self._entries[key] = _pack(kernel(self.series, *params))
         return _view(entry)
 
 
@@ -201,10 +191,6 @@ def _view(entry):
     if isinstance(entry[0], array):
         return IndicatorSeries(memoryview(entry[0]).toreadonly(), entry[1])
     return tuple(_view(part) for part in entry)
-
-
-def _cached(memo: Optional[KernelMemo], key: tuple, compute: Callable):
-    return compute() if memo is None else memo.get(key, compute)
 
 
 def _alternate(buys: list[int], sells: list[int]) -> list[int]:
@@ -269,40 +255,29 @@ def _breaks(closes: Sequence[float], upper: Sequence[float], lower: Sequence[flo
             [i for i in under if closes[i - 1] >= lower[i - 1]])
 
 
-def two_average_signals(
-    series: OhlcvSeries, config: TwoAverageConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    closes = series.closes
-    fast = _cached(memo, ("moving_average", "close", config.fast),
-                   lambda: moving_average(closes, config.fast))
-    slow = _cached(memo, ("moving_average", "close", config.slow),
-                   lambda: moving_average(closes, config.slow))
+def two_average_signals(memo: KernelMemo, config: TwoAverageConfig) -> list[int]:
+    closes = memo.series.closes
+    fast = memo(moving_average, config.fast)
+    slow = memo(moving_average, config.slow)
     start = max(fast.warmup_len, slow.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
     return _alternate(*_crosses(fast.values, slow.values, range(start, len(closes))))
 
 
-def price_cross_signals(
-    series: OhlcvSeries, config: PriceCrossConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    closes = series.closes
-    line = _cached(memo, ("moving_average", "close", config.ma),
-                   lambda: moving_average(closes, config.ma))
+def price_cross_signals(memo: KernelMemo, config: PriceCrossConfig) -> list[int]:
+    closes = memo.series.closes
+    line = memo(moving_average, config.ma)
     start = line.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the moving-average warm-up")
     return _alternate(*_crosses(closes, line.values, range(start, len(closes))))
 
 
-def keltner_signals(
-    series: OhlcvSeries, config: KeltnerConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    # the parts do not depend on mult, so cells differing only in mult share them
-    closes = series.closes
-    parts = _cached(memo, ("keltner_parts", "ohlc", config.ma),
-                    lambda: keltner_parts(series, config.ma))
-    bands = offset_bands(*parts, config.mult)
+def keltner_signals(memo: KernelMemo, config: KeltnerConfig) -> list[int]:
+    # the parts do not depend on mult, so configs differing only in mult share them
+    closes = memo.series.closes
+    bands = offset_bands(*memo(keltner_parts, config.ma), config.mult)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the channel warm-up")
@@ -310,14 +285,10 @@ def keltner_signals(
                                range(start, len(closes))))
 
 
-def bollinger_signals(
-    series: OhlcvSeries, config: BollingerConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    # the parts do not depend on dev, so cells differing only in dev share them
-    closes = series.closes
-    parts = _cached(memo, ("bollinger_parts", "ohlc", config.window),
-                    lambda: bollinger_parts(series, config.window))
-    bands = bollinger_bands(*parts, config.dev)
+def bollinger_signals(memo: KernelMemo, config: BollingerConfig) -> list[int]:
+    # the parts do not depend on dev, so configs differing only in dev share them
+    closes = memo.series.closes
+    bands = bollinger_bands(*memo(bollinger_parts, config.window), config.dev)
     start = bands.upper.warmup_len + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the band warm-up")
@@ -326,13 +297,11 @@ def bollinger_signals(
     return _alternate(below, above)
 
 
-def rsi_signals(
-    series: OhlcvSeries, config: RsiConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    closes = series.closes
+def rsi_signals(memo: KernelMemo, config: RsiConfig) -> list[int]:
+    closes = memo.series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"rsi strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
-    strength = _cached(memo, ("rsi", "close", config.n), lambda: rsi(closes, config.n)).values
+    strength = memo(rsi, config.n).values
     bars = range(OSCILLATOR_SCAN_START, len(closes) - 1)
     # oversold (overbought) after a fall (rise) of at most diff_rate
     buys = [i for i in bars if strength[i] < config.down_thres
@@ -340,20 +309,17 @@ def rsi_signals(
     sells = [i for i in bars if strength[i] > config.upper_thres
              and 0 <= (closes[i] - closes[i - 1]) / closes[i - 1] <= config.diff_rate]
     if config.rsitype == 2:
-        line = _cached(memo, ("sma", "close", config.sma_n),
-                       lambda: sma(closes, config.sma_n)).values
+        line = memo(sma, config.sma_n).values
         buys = [i for i in buys if closes[i] < (1 - config.sma_rate) * line[i]]
         sells = [i for i in sells if closes[i] > (1 + config.sma_rate) * line[i]]
     return _alternate(buys, sells)
 
 
-def aroon_signals(
-    series: OhlcvSeries, config: AroonConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    closes = series.closes
+def aroon_signals(memo: KernelMemo, config: AroonConfig) -> list[int]:
+    closes = memo.series.closes
     if len(closes) < OSCILLATOR_SCAN_START + 2:
         raise TooShort(f"aroon strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
-    up, down, _ = _cached(memo, ("aroon", "ohlc", config.n), lambda: aroon(series, config.n))
+    up, down, _ = memo(aroon, config.n)
     up_v, down_v = up.values, down.values
     buys, sells = _crosses(up_v, down_v, range(OSCILLATOR_SCAN_START, len(closes) - 1))
     if config.aroon_type == 2:
@@ -363,12 +329,9 @@ def aroon_signals(
     return _alternate(buys, sells)
 
 
-def macd_signals(
-    series: OhlcvSeries, config: MacdConfig, memo: Optional[KernelMemo] = None
-) -> list[int]:
-    closes = series.closes
-    periods = (config.short_n, config.long_n, config.signal_n)
-    line, signal, _ = _cached(memo, ("macd", "close", *periods), lambda: macd(closes, *periods))
+def macd_signals(memo: KernelMemo, config: MacdConfig) -> list[int]:
+    closes = memo.series.closes
+    line, signal, _ = memo(macd, config.short_n, config.long_n, config.signal_n)
     start = max(line.warmup_len, signal.warmup_len) + 1
     if len(closes) <= start:
         raise TooShort("series shorter than the macd warm-up")
@@ -386,29 +349,26 @@ _DISPATCH = {
 }
 
 
-def signal_bars(
+def generate_signals(
     series: OhlcvSeries, config: StrategyConfig, memo: Optional[KernelMemo] = None
 ) -> list[int]:
     """The bars of one strategy's signals, strictly increasing and
-    alternating Buy and Sell from a Buy; indicator series come from
-    ``memo`` when given."""
+    alternating Buy and Sell from a Buy. Indicator series come from
+    ``memo``, which must be a memo of ``series``; a fresh one when none
+    is given."""
     try:
         runner = _DISPATCH[type(config)]
     except KeyError:
         raise InvalidParams(f"unknown strategy config {type(config).__name__}") from None
-    return runner(series, config, memo)
+    if memo is None:
+        memo = KernelMemo(series)
+    elif memo.series is not series:
+        raise InvalidParams("the kernel memo belongs to another series")
+    return runner(memo, config)
 
 
-def generate_signals(
-    series: OhlcvSeries, config: StrategyConfig, memo: Optional[KernelMemo] = None
-) -> list[SignalEvent]:
-    """Signals of one strategy: ``signal_bars`` as Buy/Sell events."""
-    return [SignalEvent(bar, SELL if k % 2 else BUY)
-            for k, bar in enumerate(signal_bars(series, config, memo))]
-
-
-def signals_to_csv(events: list[SignalEvent], handle) -> None:
-    """Write `bar_index,action` rows to an open text handle."""
+def signals_to_csv(bars: Sequence[int], handle) -> None:
+    """Write `bar_index,action` rows of an alternating bar list to an open text handle."""
     handle.write("bar_index,action\n")
-    for event in events:
-        handle.write(f"{event.bar_index},{event.action}\n")
+    for k, bar in enumerate(bars):
+        handle.write(f"{bar},{SELL if k % 2 else BUY}\n")

@@ -16,8 +16,8 @@ from .backtest import close_ratios, exposure_runs
 from .config import SweepSpec, set_leaf, strategy_from_dict
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import _Measures, _measures_from_runs, daily_returns
-from .strategies import KernelMemo, signal_bars
+from .metrics import Measures, daily_returns, measures_from_runs
+from .strategies import KernelMemo, generate_signals
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SweepResult:
     below_min_trades: int
 
 
-def _objective_value(measures: _Measures, objective: str) -> Optional[float]:
+def _objective_value(measures: Measures, objective: str) -> Optional[float]:
     if objective == "sharpe_annual":
         return measures.sr
     if objective == "ir_annual":
@@ -51,7 +51,6 @@ def _objective_value(measures: _Measures, objective: str) -> Optional[float]:
 
 
 def _evaluate_cell(
-    series: OhlcvSeries,
     spec: SweepSpec,
     closes: list[float],
     ratios: list[float],
@@ -66,11 +65,11 @@ def _evaluate_cell(
         set_leaf(tree, path, value)
     try:
         config = strategy_from_dict(tree)
-        bars = signal_bars(series, config, memo)
+        bars = generate_signals(memo.series, config, memo)
         initial, runs = exposure_runs(closes, bars, ratios)
         # the drawdown and the yearly block can no longer fail, and no row holds them
-        measures = _measures_from_runs(initial, runs, len(closes), benchmark_returns,
-                                       trading_days)
+        measures = measures_from_runs(initial, runs, len(closes), benchmark_returns,
+                                      trading_days)
     except EngineError as exc:
         return exc.kind
     value = _objective_value(measures, spec.objective)
@@ -107,9 +106,9 @@ def run_sweep(
         # every cell's report needs these returns, so no cell can survive
         cells: list[SweepRow | str] = [exc.kind] * len(assignments)
     else:
-        memo = KernelMemo()
+        memo = KernelMemo(series)
         ratios = close_ratios(closes)
-        cells = [_evaluate_cell(series, spec, closes, ratios, benchmark_returns, trading_days,
+        cells = [_evaluate_cell(spec, closes, ratios, benchmark_returns, trading_days,
                                 memo, assignment)
                  for assignment in assignments]
 

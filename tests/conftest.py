@@ -1,10 +1,12 @@
 import datetime as dt
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from tabacktest.market_data import OhlcvSeries
+from tabacktest.strategies import BUY, SELL
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -25,6 +27,17 @@ def make_series(closes, highs=None, lows=None, opens=None, volumes=None, symbol=
         dates.append(day)
         day += dt.timedelta(days=1)
     return OhlcvSeries(symbol, dates, opens, highs, lows, closes, volumes)
+
+
+class Signal(NamedTuple):
+    bar_index: int
+    action: str
+
+
+def signal_pairs(bars):
+    """``(bar, "Buy"|"Sell")`` pairs of an alternating bar list, Buy first;
+    each pair is a tuple that also reads as ``.bar_index`` and ``.action``."""
+    return [Signal(bar, SELL if k % 2 else BUY) for k, bar in enumerate(bars)]
 
 
 def random_walk(rng: random.Random, n: int, start: float = 100.0, step: float = 1.0):

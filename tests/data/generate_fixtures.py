@@ -23,15 +23,14 @@ HERE = Path(__file__).parent
 sys.path.insert(0, str(HERE.parent))  # for oracles.py
 
 import oracles  # noqa: E402
+from conftest import signal_pairs  # noqa: E402
 
 from tabacktest.backtest import run  # noqa: E402
 from tabacktest.indicators import AmaParams, MaSpec  # noqa: E402
 from tabacktest.market_data import OhlcvSeries, serialize_csv  # noqa: E402
 from tabacktest.metrics import build_report, max_drawdown  # noqa: E402
 from tabacktest.strategies import (  # noqa: E402
-    BUY,
     PriceCrossConfig,
-    SignalEvent,
     TwoAverageConfig,
     generate_signals,
 )
@@ -95,14 +94,14 @@ def make_regime_fixture() -> None:
     engine = generate_signals(
         series, TwoAverageConfig(fast=MaSpec("sma", 5), slow=MaSpec("sma", 30))
     )
-    assert [(e.bar_index, e.action) for e in engine] == golden, "engine disagrees with oracle"
+    assert signal_pairs(engine) == golden, "engine disagrees with oracle"
 
     down_start = REGIME_PREAMBLE + REGIME_UP
     sells_in_downleg = [i for i, a in golden if a == "Sell" and i >= down_start]
     assert len(sells_in_downleg) == 1, f"fixture must have one down-leg sell, got {golden}"
 
     strategy_mdd = max_drawdown(run(series, engine).equity.values)
-    hold_mdd = max_drawdown(run(series, [SignalEvent(0, BUY)]).equity.values)
+    hold_mdd = max_drawdown(run(series, [0]).equity.values)
     assert strategy_mdd < hold_mdd, (strategy_mdd, hold_mdd)
 
     (HERE / "regime_golden.json").write_text(
@@ -137,7 +136,7 @@ def make_v_fixture() -> None:
     expected = oracles.cross_scan(
         oracles.naive_sma(series.closes, 2), oracles.naive_sma(series.closes, 5), start=5
     )
-    assert [(e.bar_index, e.action) for e in signals] == expected
+    assert signal_pairs(signals) == expected
 
     result = run(series, signals)
     report = build_report(result.equity, series.closes, result.buy_count, 252)
@@ -145,8 +144,8 @@ def make_v_fixture() -> None:
     # independent recomputation of the whole report before freezing bytes
     pairs = []
     for k in range(0, len(signals), 2):
-        entry = signals[k].bar_index
-        exit_index = signals[k + 1].bar_index if k + 1 < len(signals) else None
+        entry = signals[k]
+        exit_index = signals[k + 1] if k + 1 < len(signals) else None
         pairs.append((entry, exit_index))
     curve = oracles.naive_equity(series.closes, pairs, len(series))
     returns = [curve[i] / curve[i - 1] - 1.0 for i in range(1, len(curve))]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DATA_DIR, make_series, random_ohlcv, random_walk
+from conftest import DATA_DIR, make_series, random_ohlcv, random_walk, signal_pairs
 from tabacktest.backtest import run
 from tabacktest.cli import main
 from tabacktest.indicators import (
@@ -48,7 +48,6 @@ from tabacktest.metrics import (
     yearly_rr,
 )
 from tabacktest.strategies import (
-    BUY,
     SELL,
     AroonConfig,
     BollingerConfig,
@@ -56,7 +55,6 @@ from tabacktest.strategies import (
     MacdConfig,
     PriceCrossConfig,
     RsiConfig,
-    SignalEvent,
     TwoAverageConfig,
     generate_signals,
 )
@@ -240,16 +238,14 @@ def test_criterion_08_backtest_algebra():
     for _ in range(200):
         length = rng.randint(10, 400)
         series = random_ohlcv(rng, length)
-        events = []
+        bars = []
         bar = rng.randint(0, length // 3)
-        action = BUY
-        while bar < length and len(events) < 12:
-            events.append(SignalEvent(bar, action))
-            action = SELL if action == BUY else BUY
+        while bar < length and len(bars) < 12:
+            bars.append(bar)
             bar += rng.randint(1, max(1, length // 6))
             if rng.random() < 0.2:
                 break
-        result = run(series, events)
+        result = run(series, bars)
         product = result.equity.initial_price
         for trade in result.trades:
             product *= trade.return_factor
@@ -267,7 +263,8 @@ def test_criterion_09_regime_fixture():
     series = parse_csv(DATA_DIR / "regime_fixture.csv").series
     golden = json.loads((DATA_DIR / "regime_golden.json").read_text())
     config = TwoAverageConfig(fast=MaSpec("sma", 5), slow=MaSpec("sma", 30))
-    signals = generate_signals(series, config)
+    bars = generate_signals(series, config)
+    signals = signal_pairs(bars)
     assert [[e.bar_index, e.action] for e in signals] == golden["signals"]
     # re-derive the golden indices from the brute-force cross oracle
     fast = oracles.naive_sma(series.closes, 5)
@@ -276,8 +273,8 @@ def test_criterion_09_regime_fixture():
     down_start = golden["down_start"]
     sells = [e for e in signals if e.action == SELL]
     assert len([e for e in sells if e.bar_index >= down_start]) == 1
-    strategy_mdd = max_drawdown(run(series, signals).equity.values)
-    hold_mdd = max_drawdown(run(series, [SignalEvent(0, BUY)]).equity.values)
+    strategy_mdd = max_drawdown(run(series, bars).equity.values)
+    hold_mdd = max_drawdown(run(series, [0]).equity.values)
     assert strategy_mdd < hold_mdd
 
 

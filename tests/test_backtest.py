@@ -3,28 +3,29 @@ import random
 import pytest
 
 import oracles
-from conftest import make_series, random_ohlcv
+from conftest import make_series, random_ohlcv, signal_pairs
 from tabacktest import errors
 from tabacktest.backtest import close_ratios, exposure_runs, run
-from tabacktest.strategies import BUY, SELL, SignalEvent
+from tabacktest.strategies import BUY, SELL
 
 
 def make_signals(indices_actions):
-    return [SignalEvent(i, a) for i, a in indices_actions]
+    """The bar list of ``(bar, action)`` pairs that alternate from a Buy."""
+    bars = [i for i, _ in indices_actions]
+    assert signal_pairs(bars) == list(indices_actions)
+    return bars
 
 
 def random_signals(rng, length, max_trades=6):
-    """Random but valid alternating signal list within [0, length)."""
-    events = []
+    """Random but valid alternating signal bars within [0, length)."""
+    bars = []
     bar = rng.randint(0, max(0, length // 4))
-    action = BUY
     for _ in range(rng.randint(0, max_trades * 2)):
         if bar >= length:
             break
-        events.append(SignalEvent(bar, action))
-        action = SELL if action == BUY else BUY
+        bars.append(bar)
         bar += rng.randint(1, max(1, length // 5))
-    return events
+    return bars
 
 
 class TestRun:
@@ -69,10 +70,6 @@ class TestRun:
     def test_rejects_non_alternating(self):
         series = make_series([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(errors.NonAlternatingSignals):
-            run(series, make_signals([(0, BUY), (1, BUY)]))
-        with pytest.raises(errors.NonAlternatingSignals):
-            run(series, make_signals([(0, SELL)]))
-        with pytest.raises(errors.NonAlternatingSignals):
             run(series, make_signals([(2, BUY), (2, SELL)]))
 
     @pytest.mark.parametrize("bars, kind, bad", [
@@ -93,10 +90,9 @@ class TestRun:
         with pytest.raises(kind) as raised:
             exposure_runs(closes, bars, close_ratios(closes))
         assert str(raised.value) == message
-        if min(bars) >= 0:  # a SignalEvent cannot hold a negative bar
-            events = [SignalEvent(bar, SELL if k % 2 else BUY) for k, bar in enumerate(bars)]
-            with pytest.raises(kind, match=message):
-                run(make_series(closes), events)
+        with pytest.raises(kind) as raised:
+            run(make_series(closes), bars)
+        assert str(raised.value) == message
 
     def test_zero_cost_round_trip_at_same_price(self):
         closes = [10.0, 11.0, 12.0, 12.0, 13.0, 14.0]
@@ -130,8 +126,8 @@ class TestEquityAlgebra:
             result = run(series, signals)
             pairs = []
             for k in range(0, len(signals), 2):
-                entry = signals[k].bar_index
-                exit_index = signals[k + 1].bar_index if k + 1 < len(signals) else None
+                entry = signals[k]
+                exit_index = signals[k + 1] if k + 1 < len(signals) else None
                 pairs.append((entry, exit_index))
             expected = oracles.naive_equity(series.closes, pairs, length)
             for got, want in zip(result.equity.values, expected):

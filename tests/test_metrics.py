@@ -63,6 +63,14 @@ class TestMaxDrawdown:
             values = [rng.uniform(1.0, 50.0) for _ in range(n)]
             assert max_drawdown(values) == oracles.brute_force_mdd(values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_a_value_outside_the_positive_finite_range_raises(self, bad, where):
+        values = [1.0, 2.0, 0.5]
+        values[where] = bad
+        with pytest.raises(errors.NonPositivePrice):
+            max_drawdown(values)
+
 
 class TestSharpe:
     def test_symmetric_returns_zero(self):

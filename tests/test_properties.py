@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_series
+from conftest import make_series, signal_pairs
 from tabacktest.backtest import run
 from tabacktest.indicators import (
     AmaParams,
@@ -24,7 +24,7 @@ from tabacktest.indicators import (
     sma,
 )
 from tabacktest.metrics import max_drawdown
-from tabacktest.strategies import BUY, SELL, SignalEvent, generate_signals, MacdConfig
+from tabacktest.strategies import BUY, SELL, generate_signals, MacdConfig
 
 prices = st.floats(min_value=0.5, max_value=5000.0, allow_nan=False, allow_infinity=False)
 price_lists = st.lists(prices, min_size=2, max_size=64)
@@ -205,7 +205,7 @@ def test_mdd_single_pass_equals_brute_force(values):
        short_n=st.integers(1, 6), spread=st.integers(1, 10), signal_n=st.integers(1, 6))
 def test_macd_signals_always_valid(closes, short_n, spread, signal_n):
     series = ohlcv_from_closes(closes)
-    events = generate_signals(series, MacdConfig(short_n, short_n + spread, signal_n))
+    events = signal_pairs(generate_signals(series, MacdConfig(short_n, short_n + spread, signal_n)))
     expected = BUY
     prev = -1
     for event in events:
@@ -223,11 +223,7 @@ def test_backtest_multiplicativity(closes, data):
     indices = data.draw(
         st.lists(st.integers(0, length - 1), unique=True, max_size=min(8, length))
     )
-    signals = [
-        SignalEvent(bar, BUY if k % 2 == 0 else SELL)
-        for k, bar in enumerate(sorted(indices))
-    ]
-    result = run(series, signals)
+    result = run(series, sorted(indices))
     product = result.equity.initial_price
     for trade in result.trades:
         product *= trade.return_factor

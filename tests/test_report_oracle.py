@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import make_series
-from tabacktest import SignalEvent, build_report, run
+from conftest import make_series, signal_pairs
+from tabacktest import build_report, run
 from tabacktest.backtest import close_ratios, exposure_runs
 from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
 from tabacktest.errors import EmptyGridAfterFilter, EngineError
@@ -63,7 +63,7 @@ def _outcome(compute):
 
 
 def _engine_report(closes, signals, benchmark, trading_days):
-    result = run(make_series(closes), [SignalEvent(bar, action) for bar, action in signals])
+    result = run(make_series(closes), [bar for bar, _ in signals])
     return build_report(result.equity, benchmark, result.buy_count, trading_days).to_dict()
 
 
@@ -131,8 +131,7 @@ def _expected_sweep(series, spec, benchmark, trading_days):
             set_leaf(tree, path, value)
 
         def report():
-            signals = generate_signals(series, strategy_from_dict(tree))
-            pairs = [(event.bar_index, event.action) for event in signals]
+            pairs = signal_pairs(generate_signals(series, strategy_from_dict(tree)))
             return oracles.naive_report(closes, pairs, benchmark, trading_days)
 
         outcome = _outcome(report)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_series, random_ohlcv, random_walk
+from conftest import make_series, random_ohlcv, random_walk, signal_pairs
 from tabacktest import errors
 from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
 from tabacktest.indicators import (
@@ -33,12 +33,10 @@ from tabacktest.strategies import (
     MacdConfig,
     PriceCrossConfig,
     RsiConfig,
-    SignalEvent,
     TwoAverageConfig,
     _breaks,
     _crosses,
     generate_signals,
-    signal_bars,
 )
 from test_sweep import STRATEGY_GRIDS
 
@@ -79,7 +77,7 @@ class TestTwoAverage:
 
     def test_v_shape_single_buy_matches_cross_oracle(self):
         series = v_shape_series()
-        events = generate_signals(series, self.CONFIG)
+        events = signal_pairs(generate_signals(series, self.CONFIG))
         closes = series.closes
         fast = oracles.naive_sma(closes, 2)
         slow = oracles.naive_sma(closes, 5)
@@ -91,7 +89,7 @@ class TestTwoAverage:
 
     def test_lambda_shape_single_sell(self):
         series = lambda_shape_series()
-        events = generate_signals(series, self.CONFIG)
+        events = signal_pairs(generate_signals(series, self.CONFIG))
         closes = series.closes
         expected = oracles.cross_scan(
             oracles.naive_sma(closes, 2), oracles.naive_sma(closes, 5), start=5
@@ -110,7 +108,7 @@ class TestPriceCross:
     def test_price_crossing_slow_ma(self):
         series = v_shape_series()
         config = PriceCrossConfig(ma=MaSpec("sma", 5))
-        events = generate_signals(series, config)
+        events = signal_pairs(generate_signals(series, config))
         closes = series.closes
         expected = oracles.cross_scan(closes, oracles.naive_sma(closes, 5), start=5)
         assert [(e.bar_index, e.action) for e in events] == expected
@@ -120,7 +118,7 @@ class TestPriceCross:
         rng = random.Random(12)
         series = random_ohlcv(rng, 150)
         config = PriceCrossConfig(ma=AmaParams(20, 4, 8, 2))
-        events = generate_signals(series, config)
+        events = signal_pairs(generate_signals(series, config))
         assert_valid_signal_sequence(events)
 
 
@@ -134,8 +132,8 @@ class TestKeltner:
         closes = [10.0] * 30 + [30.0] + [30.0] * 9
         series = make_series(closes, highs=[c + 0.1 for c in closes], lows=[c - 0.1 for c in closes])
         config = KeltnerConfig(ma=MaSpec("sma", 5), mult=2.0)
-        events = generate_signals(series, config)
-        assert events[0] == SignalEvent(30, BUY)
+        events = signal_pairs(generate_signals(series, config))
+        assert events[0] == (30, BUY)
         bands = keltner(series, MaSpec("sma", 5), 2.0)
         assert closes[30] > bands.upper.values[30]
         assert closes[29] <= bands.upper.values[29]
@@ -144,7 +142,7 @@ class TestKeltner:
         closes = [10.0] * 30 + [30.0] * 10 + [2.0] + [2.0] * 9
         series = make_series(closes, highs=[c + 0.1 for c in closes], lows=[c - 0.1 for c in closes])
         config = KeltnerConfig(ma=MaSpec("sma", 5), mult=2.0)
-        events = generate_signals(series, config)
+        events = signal_pairs(generate_signals(series, config))
         assert [e.action for e in events[:2]] == [BUY, SELL]
         assert_valid_signal_sequence(events)
 
@@ -163,8 +161,8 @@ class TestBollinger:
         closes = self.QUIET + [5.0, 5.0]
         series = make_series(closes, highs=[c + 0.05 for c in closes], lows=[c - 0.05 for c in closes])
         config = BollingerConfig(window=3, dev=1.0)
-        events = generate_signals(series, config)
-        assert events == [SignalEvent(8, BUY)]
+        events = signal_pairs(generate_signals(series, config))
+        assert events == [(8, BUY)]
         bands = bollinger(series, 3, 1.0)
         assert closes[8] < bands.lower.values[8]
         assert closes[7] >= bands.lower.values[7]
@@ -173,7 +171,7 @@ class TestBollinger:
         closes = self.QUIET + [5.0, 5.0, 5.1, 4.9, 5.0, 40.0, 40.0]
         series = make_series(closes, highs=[c + 0.05 for c in closes], lows=[c - 0.05 for c in closes])
         config = BollingerConfig(window=3, dev=1.0)
-        events = generate_signals(series, config)
+        events = signal_pairs(generate_signals(series, config))
         assert [e.action for e in events[:2]] == [BUY, SELL]
         assert_valid_signal_sequence(events)
 
@@ -182,9 +180,10 @@ class TestBollinger:
         # open a bollinger long
         closes = [10.0] * 30 + [30.0] + [30.0] * 9
         series = make_series(closes, highs=[c + 0.1 for c in closes], lows=[c - 0.1 for c in closes])
-        keltner_events = generate_signals(series, KeltnerConfig(ma=MaSpec("sma", 5), mult=1.0))
+        keltner_events = signal_pairs(
+            generate_signals(series, KeltnerConfig(ma=MaSpec("sma", 5), mult=1.0)))
         assert keltner_events and keltner_events[0].action == BUY
-        boll_events = generate_signals(series, BollingerConfig(window=5, dev=1.0))
+        boll_events = signal_pairs(generate_signals(series, BollingerConfig(window=5, dev=1.0)))
         assert boll_events == []
 
     def test_same_upper_exit_keltner_buys_bollinger_sells(self):
@@ -193,9 +192,10 @@ class TestBollinger:
         closes = self.QUIET + [5.0, 5.0, 5.1, 4.9, 5.0, 40.0, 40.0]
         series = make_series(closes, highs=[c + 0.05 for c in closes], lows=[c - 0.05 for c in closes])
         spike = 13
-        boll_events = generate_signals(series, BollingerConfig(window=3, dev=1.0))
-        assert SignalEvent(spike, SELL) in boll_events
-        keltner_events = generate_signals(series, KeltnerConfig(ma=MaSpec("sma", 3), mult=1.0))
+        boll_events = signal_pairs(generate_signals(series, BollingerConfig(window=3, dev=1.0)))
+        assert (spike, SELL) in boll_events
+        keltner_events = signal_pairs(
+            generate_signals(series, KeltnerConfig(ma=MaSpec("sma", 3), mult=1.0)))
         keltner_buys = [e.bar_index for e in keltner_events if e.action == BUY]
         assert spike in keltner_buys
 
@@ -217,7 +217,7 @@ class TestRsiStrategy:
     def test_oversold_plateau_buys(self):
         series = self.make_oversold_plateau()
         config = RsiConfig(n=6, diff_rate=0.0)
-        events = generate_signals(series, config)
+        events = signal_pairs(generate_signals(series, config))
         assert events and events[0].action == BUY
         strength = rsi(series.closes, 6).values
         i = events[0].bar_index
@@ -227,10 +227,10 @@ class TestRsiStrategy:
     def test_constraint_gate_blocks_buy(self):
         series = self.make_oversold_plateau()
         plain = RsiConfig(n=6, diff_rate=0.0)
-        buy_bar = generate_signals(series, plain)[0].bar_index
+        buy_bar = generate_signals(series, plain)[0]
         # with a huge negative band the close never sits far enough below the SMA
         gated = RsiConfig(n=6, diff_rate=0.0, rsitype=2, sma_n=3, sma_rate=0.02)
-        gated_events = generate_signals(series, gated)
+        gated_events = signal_pairs(generate_signals(series, gated))
         ma_line = sma(series.closes, 3).values
         assert series.closes[buy_bar] >= (1 - 0.02) * ma_line[buy_bar]
         assert all(e.bar_index != buy_bar for e in gated_events)
@@ -238,7 +238,8 @@ class TestRsiStrategy:
     def test_scan_window_matches_listing(self):
         # signals can never appear before bar 60 nor at the final bar
         series = self.make_oversold_plateau()
-        events = generate_signals(series, RsiConfig(n=6, diff_rate=1.0, upper_thres=50.1, down_thres=49.9))
+        config = RsiConfig(n=6, diff_rate=1.0, upper_thres=50.1, down_thres=49.9)
+        events = signal_pairs(generate_signals(series, config))
         for event in events:
             assert 60 <= event.bar_index < len(series) - 1
 
@@ -268,7 +269,7 @@ class TestAroonStrategy:
         from tabacktest.indicators import aroon as aroon_indicator
 
         series = self.trough_series()
-        events = generate_signals(series, AroonConfig(n=10))
+        events = signal_pairs(generate_signals(series, AroonConfig(n=10)))
         assert events and events[0].action == BUY
         up, down, _ = aroon_indicator(series, 10)
         i = events[0].bar_index
@@ -284,13 +285,14 @@ class TestAroonStrategy:
 
     def test_type2_gate_suppresses_buy(self):
         series = self.trough_series()
-        type1 = generate_signals(series, AroonConfig(n=10, aroon_type=1))
+        type1 = signal_pairs(generate_signals(series, AroonConfig(n=10, aroon_type=1)))
         buy_bar = type1[0].bar_index
         from tabacktest.indicators import aroon as aroon_indicator
 
         _, down, _ = aroon_indicator(series, 10)
         assert down.values[buy_bar] > 45.0  # fresh trough: down line still strong
-        type2 = generate_signals(series, AroonConfig(n=10, aroon_type=2, weak_thres=45.0))
+        type2 = signal_pairs(
+            generate_signals(series, AroonConfig(n=10, aroon_type=2, weak_thres=45.0)))
         assert all(e.bar_index != buy_bar for e in type2)
 
 
@@ -309,7 +311,7 @@ class TestMacdStrategy:
 
         closes = [100.0 + 10.0 * math.sin(2 * math.pi * i / 20.0) for i in range(120)]
         series = make_series(closes)
-        events = generate_signals(series, MacdConfig(4, 10, 3))
+        events = signal_pairs(generate_signals(series, MacdConfig(4, 10, 3)))
         assert len(events) >= 6
         assert_valid_signal_sequence(events)
         fast = oracles.naive_ema(closes, 4)
@@ -338,7 +340,7 @@ class TestSignalInvariants:
         rng = random.Random(hash(str(config)) % (2**31))
         for _ in range(5):
             series = random_ohlcv(rng, rng.randint(80, 200))
-            events = generate_signals(series, config)
+            events = signal_pairs(generate_signals(series, config))
             assert_valid_signal_sequence(events)
 
     def test_purity(self):
@@ -428,7 +430,7 @@ def _outcome(signals):
 @given(series=walks(), data=st.data())
 def test_signals_match_the_per_strategy_loops(strategy, series, data):
     config = data.draw(STRATEGY_CONFIGS[strategy])
-    engine = _outcome(lambda: [(e.bar_index, e.action) for e in generate_signals(series, config)])
+    engine = _outcome(lambda: signal_pairs(generate_signals(series, config)))
     assert engine == _outcome(lambda: oracles.reference_signals(series, config))
 
 
@@ -451,32 +453,65 @@ def test_cross_and_break_scans_equal_their_per_bar_definitions(lines, data):
         [i for i in bars if a[i - 1] >= c[i - 1] and a[i] < c[i]])
 
 
-# -- the sweep memo and the bar-list signal path -----------------------------------
+# -- the kernel memo and the bar-list signal path -----------------------------------
 
 def test_a_memo_hit_equals_a_fresh_kernel_call():
-    closes = random_walk(random.Random(3), 120)
-    memo = KernelMemo()
-    fresh = sma(closes, 7)
-    miss = memo.get(("sma", "close", 7), lambda: sma(closes, 7))
-    hit = memo.get(("sma", "close", 7), lambda: pytest.fail("a hit must not recompute"))
-    for served in (miss, hit):
+    series = make_series(random_walk(random.Random(3), 120))
+    memo = KernelMemo(series)
+    fresh = sma(series.closes, 7)
+    for served in (memo(sma, 7), memo(sma, 7)):  # a miss, then a hit
         assert served.warmup_len == fresh.warmup_len
         assert list(served.values) == fresh.values
-    parts = memo.get(("macd",), lambda: macd(closes, 3, 9, 4))
-    assert [list(part.values) for part in parts] == [part.values for part in macd(closes, 3, 9, 4)]
+    parts = memo(macd, 3, 9, 4)
+    assert ([list(part.values) for part in parts]
+            == [part.values for part in macd(series.closes, 3, 9, 4)])
 
 
 def test_a_memo_hit_is_read_only():
-    closes = random_walk(random.Random(3), 50)
-    memo = KernelMemo()
-    first = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
+    series = make_series(random_walk(random.Random(3), 50))
+    memo = KernelMemo(series)
+    first = memo(sma, 5)
     with pytest.raises(TypeError):
         first.values[10] = -1.0
-    hit = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
+    hit = memo(sma, 5)
     with pytest.raises(TypeError):
         hit.values[10] = -1.0
-    unchanged = memo.get(("sma", "close", 5), lambda: sma(closes, 5))
-    assert list(unchanged.values) == sma(closes, 5).values
+    unchanged = memo(sma, 5)
+    assert list(unchanged.values) == sma(series.closes, 5).values
+
+
+def test_a_repeated_call_does_not_run_the_kernel_again():
+    calls = []
+
+    def counted(data, n):
+        calls.append(n)
+        return sma(data, n)
+
+    series = make_series(random_walk(random.Random(5), 60))
+    memo = KernelMemo(series)
+    for n in (5, 5, 6, 5, 6):
+        assert list(memo(counted, n).values) == sma(series.closes, n).values
+    assert calls == [5, 6]
+
+
+def test_the_kernel_is_part_of_the_key():
+    series = make_series(random_walk(random.Random(6), 80))
+    memo = KernelMemo(series)
+    averaged, strength = memo(sma, 5), memo(rsi, 5)
+    assert list(averaged.values) == sma(series.closes, 5).values
+    assert list(strength.values) == rsi(series.closes, 5).values
+    assert list(averaged.values) != list(strength.values)
+    assert list(memo(sma, 5).values) == list(averaged.values)
+
+
+def test_a_memo_of_another_series_is_refused():
+    rng = random.Random(8)
+    series, other = random_ohlcv(rng, 120), random_ohlcv(rng, 120)
+    config = TwoAverageConfig(fast=MaSpec("sma", 3), slow=MaSpec("sma", 9))
+    memo = KernelMemo(other)
+    with pytest.raises(errors.InvalidParams):
+        generate_signals(series, config, memo)
+    assert generate_signals(other, config, memo) == generate_signals(other, config)
 
 
 def _band_values(bands):
@@ -486,15 +521,15 @@ def _band_values(bands):
 @pytest.mark.parametrize("ma", [MaSpec("ema", 10), AmaParams(21, 3, 8, 2)])
 def test_band_parts_from_the_memo_give_fresh_bands(ma):
     series = random_ohlcv(random.Random(7), 200)
-    memo = KernelMemo()
+    memo = KernelMemo(series)
     for _ in range(2):  # a miss, then a hit
-        parts = memo.get(("keltner_parts", ma), lambda: keltner_parts(series, ma))
+        parts = memo(keltner_parts, ma)
         for mult in (0.0, 0.5, 2.0):
             assert (_band_values(offset_bands(*parts, mult))
                     == _band_values(keltner(series, ma, mult)))
     window = 20 if isinstance(ma, MaSpec) else ma
     for _ in range(2):
-        parts = memo.get(("bollinger_parts", window), lambda: bollinger_parts(series, window))
+        parts = memo(bollinger_parts, window)
         for dev in (0.0, 0.5, 2.0):
             assert (_band_values(bollinger_bands(*parts, dev))
                     == _band_values(bollinger(series, window, dev)))
@@ -503,16 +538,17 @@ def test_band_parts_from_the_memo_give_fresh_bands(ma):
 @pytest.mark.parametrize("seed", [1, 4])
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
 def test_signal_bars_are_the_bars_of_the_signals(strategy, seed):
-    # every cell of the strategy's sweep grid, the bars from one shared memo
+    # every cell of the strategy's sweep grid: the bars from one shared memo
+    # are those from a fresh memo per cell
     series = random_ohlcv(random.Random(seed), 320)
     spec = sweep_from_dict(parse_kv_text(f"strategy = {strategy}\n" + STRATEGY_GRIDS[strategy]))
     names = [path for path, _ in spec.axes]
-    memo = KernelMemo()
+    memo = KernelMemo(series)
     for values in itertools.product(*(values for _, values in spec.axes)):
         tree = copy.deepcopy(spec.base_tree)
         for path, value in zip(names, values):
             set_leaf(tree, path, value)
         config = strategy_from_dict(tree)
-        events = generate_signals(series, config)
-        assert_valid_signal_sequence(events)
-        assert signal_bars(series, config, memo) == [event.bar_index for event in events]
+        bars = generate_signals(series, config)
+        assert_valid_signal_sequence(signal_pairs(bars))
+        assert generate_signals(series, config, memo) == bars
