@@ -20,6 +20,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
+from ._exact import exact_ints, window_sums
 from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
 
@@ -106,38 +107,11 @@ def _values(data) -> list[float]:
     return [float(v) for v in data]
 
 
-def _exact_ints(x: list[float]) -> tuple[list[int], int]:
-    """Integers m and one scale with x[i] == m[i] / 2**scale exactly.
-
-    Sums of the m never round, so one division of a window sum gives the
-    exactly rounded mean. A non-finite value raises ``DomainError``.
-    """
-    smallest = min(filter(None, map(abs, x)), default=1.0)
-    # f * 2**e with 0.5 <= |f| < 1 is a whole multiple of 2**(e - 53), and
-    # every nonzero |value| >= smallest has an exponent e no lower.
-    scale = max(0, 53 - math.frexp(smallest)[1])
-    try:
-        return list(map(int, map(math.ldexp, x, repeat(scale)))), scale
-    except (OverflowError, ValueError):
-        if not all(map(math.isfinite, x)):
-            raise DomainError("windowed sums need finite values") from None
-    # Magnitudes too far apart for one float exponent (say 5e-324 and
-    # 1e300): shift each exact ratio, whose denominator is a power of two.
-    return [num << (scale - den.bit_length() + 1)
-            for num, den in (v.as_integer_ratio() for v in x)], scale
-
-
-def _window_sums(ints: list[int], n: int):
-    """The exact sum of every full window of n values, in order, streamed;
-    needs len(ints) >= n."""
-    return accumulate(map(sub, islice(ints, n, None), ints), initial=sum(ints[:n]))
-
-
 def _sma(x: list[float], ints: list[int], scale: int, n: int) -> IndicatorSeries:
     if len(x) < n:
         return IndicatorSeries(list(x), len(x))
     # int / int true division rounds correctly
-    means = map(truediv, _window_sums(ints, n), repeat(n << scale))
+    means = map(truediv, window_sums(ints, n), repeat(n << scale))
     return IndicatorSeries(x[: n - 1] + list(means), n - 1)
 
 
@@ -147,7 +121,7 @@ def sma(data, n: int) -> IndicatorSeries:
     if n < 1:
         raise ZeroPeriod("sma period must be >= 1")
     x = _values(data)
-    return _sma(x, *_exact_ints(x), n)
+    return _sma(x, *exact_ints(x), n)
 
 
 def _smooth(x: list[float], weights) -> list[float]:
@@ -420,7 +394,7 @@ def _rolling_std(ints: list[int], scale: int, n: int) -> IndicatorSeries:
     head = ints[:n]
     square_sums = accumulate(steps, initial=sum(map(mul, head, head)))
     # n * sum(x**2) - sum(x)**2 is n**2 times the variance, exact and >= 0
-    scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, _window_sums(ints, n), repeat(2)))
+    scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, window_sums(ints, n), repeat(2)))
     try:
         sigma = list(map(math.sqrt, map(truediv, scaled, repeat(n * n << 2 * scale))))
     except OverflowError:
@@ -434,7 +408,7 @@ def rolling_std(data, n: int) -> IndicatorSeries:
     window read 0.0."""
     if n < 1:
         raise ZeroPeriod("rolling std period must be >= 1")
-    return _rolling_std(*_exact_ints(_values(data)), n)
+    return _rolling_std(*exact_ints(_values(data)), n)
 
 
 def bollinger_parts(
@@ -451,7 +425,7 @@ def bollinger_parts(
         return ama(tp, window), rolling_std(tp, window.timeperiod_long)
     if window < 1:
         raise ZeroPeriod("bollinger period must be >= 1")
-    ints, scale = _exact_ints(tp)
+    ints, scale = exact_ints(tp)
     return _sma(tp, ints, scale, window), _rolling_std(ints, scale, window)
 
 

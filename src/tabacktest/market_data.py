@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -189,15 +188,6 @@ def parse_csv(
             raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def parse_csv_text(
-    text: str,
-    mode: str = STRICT,
-    use_adjusted: bool = False,
-    symbol: str = "series",
-) -> ParseResult:
-    return _parse_stream(io.StringIO(text), mode, use_adjusted, symbol)
-
-
 def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseResult:
     if mode not in (STRICT, LENIENT):
         raise InvalidArgument(f"unknown parse mode {mode!r}")
@@ -337,12 +327,6 @@ def serialize_csv(series: OhlcvSeries, handle) -> None:
             series._dates, series._opens, series._highs,
             series._lows, series._closes, series._volumes)
     )
-
-
-def serialize_csv_text(series: OhlcvSeries) -> str:
-    buffer = io.StringIO()
-    serialize_csv(series, buffer)
-    return buffer.getvalue()
 
 
 def slice_years(series_or_length, bars_per_year: int) -> list[tuple[int, int]]:

@@ -2,25 +2,26 @@
 yearly rates of return, and a Gaussian fit of the return distribution.
 
 Standard deviations are population (N divisor) throughout. Annualization
-uses a configurable trading-day count, 252 by default. Everything is
-stdlib-only so outputs are bit-stable across platforms.
+uses a configurable trading-day count, 252 by default. Every mean is
+exactly rounded and every standard deviation is the square root of the
+exactly rounded variance, from exact integer sums, so outputs are
+bit-stable across platforms and interpreters.
 
 The measure block reads an equity curve as exposure runs: a run is an
 entry bar and the equity values from that bar to its exit, and between
 runs the curve holds the last value reached. A flat bar's return is
-exactly 0.0, so a curve with runs costs O(bars in position) in Python
-plus a few O(bars) passes in C, and gives the bits of the dense loops.
+exactly 0.0. A sweep sums its series' returns once, so each cell costs
+O(runs + bars in position).
 """
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import sub, truediv
+from dataclasses import asdict, dataclass
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import mul, ne, sub, truediv
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._exact import exact_ints, moments, scaled_ints
 from .backtest import EquityCurve
 from .errors import (
     DomainError,
@@ -46,33 +47,29 @@ def daily_returns(values: Sequence[float]) -> list[float]:
     """
     if len(values) < 2:
         raise TooShort("need at least two values for returns")
-    returns = _run_returns(0, values)
-    _check_finite(max(returns), [0], [returns])
-    return returns
+    return _run_returns([(0, values)])[0]
 
 
-def _run_returns(entry: int, values: Sequence[float]) -> list[float]:
-    """``values[k + 1] / values[k] - 1.0`` of a run entered at bar ``entry``.
+def _run_returns(runs: Sequence[Run]) -> list[list[float]]:
+    """``values[k + 1] / values[k] - 1.0`` of each run ``(entry, values)``.
 
     A value that is not positive and finite is a NonPositivePrice at the
-    first bar whose return would read it.
+    first bar whose return would read it; two passes in C over all the
+    values show that none is before the culprit is looked for. Positive
+    finite values give returns of at least -1.0, so then a ratio that
+    overflows to inf is the only return that is not finite, a DomainError.
     """
-    if not all(map(math.isfinite, values)) or min(values) <= 0:
-        bad = next(k for k, v in enumerate(values) if not 0 < v < math.inf)
-        raise NonPositivePrice(f"non-positive price at index {max(entry + bad, 1)}")
-    return list(map(sub, map(truediv, islice(values, 1, None), values), repeat(1.0)))
-
-
-def _check_finite(highest: float, entries: Sequence[int], returns: Sequence[list[float]]) -> None:
-    """A DomainError at the first bar whose return overflowed, if ``highest``,
-    the largest of ``returns`` (one list per run entered at ``entries``), is inf.
-
-    Positive finite values give returns of at least -1.0, so a ratio that
-    overflows to inf is the only return that is not finite.
-    """
-    if highest == math.inf:
-        entry, run = next((e, r) for e, r in zip(entries, returns) if math.inf in r)
+    values = runs[0][1] if len(runs) == 1 else list(chain.from_iterable(v for _, v in runs))
+    if values and not (min(values) > 0 and all(map(math.isfinite, values))):
+        for entry, run in runs:
+            bad = next((k for k, v in enumerate(run) if not 0 < v < math.inf), None)
+            if bad is not None:
+                raise NonPositivePrice(f"non-positive price at index {max(entry + bad, 1)}")
+    returns = [[b / a - 1.0 for a, b in zip(run, islice(run, 1, None))] for _, run in runs]
+    if max(map(max, filter(None, returns)), default=0.0) == math.inf:
+        entry, run = next((e, r) for (e, _), r in zip(runs, returns) if math.inf in r)
         raise DomainError(f"daily return at index {entry + run.index(math.inf) + 1} is not finite")
+    return returns
 
 
 def max_drawdown(values: Iterable[float]) -> float:
@@ -93,32 +90,28 @@ def max_drawdown(values: Iterable[float]) -> float:
     return worst
 
 
-def _squares(xs: Iterable[float], mean: float):
-    """``(x - mean) ** 2`` for each x, evaluated in C."""
-    return map(operator.pow, map(sub, xs, repeat(mean)), repeat(2.0))
+def _annualized(mean: float, std: float, trading_days: int) -> Optional[float]:
+    """Mean (excess) over std, scaled to a year: the Sharpe and information
+    ratio, or None when std is 0.0.
+
+    An exact variance is 0 only if every value is equal; one too small for
+    the float range rounds to 0.0 as well, and counts as no volatility.
+    """
+    return None if std == 0.0 else mean / std * math.sqrt(trading_days)
+
+
+def _annualized_ratio(mean: float, std: float, what: str, trading_days: int) -> float:
+    ratio = _annualized(mean, std, trading_days)
+    if ratio is None:
+        raise ZeroVolatility(f"{what} have zero standard deviation")
+    return ratio
 
 
 def _moments(xs: Sequence[float]) -> tuple[float, float]:
-    """Mean and population standard deviation."""
-    mean = sum(xs) / len(xs)
-    return mean, math.sqrt(sum(_squares(xs, mean)) / len(xs))
-
-
-def _constant(xs: Sequence[float]) -> bool:
-    """``min(xs) == max(xs)``, the all-equal test. Two unequal ends settle it
-    without a pass: min is at most the first item and max at least the last."""
-    return not (xs[0] < xs[-1] or xs[0] > xs[-1]) and min(xs) == max(xs)
-
-
-def _annualized_ratio(
-    constant: bool, excess_mean: float, std: float, what: str, trading_days: int
-) -> float:
-    """Mean excess over std, scaled to a year: the Sharpe and information ratio."""
-    # an all-equal series has zero dispersion by definition, even when the
-    # rounded mean makes the computed std a denormal instead of 0.0
-    if constant or std == 0.0:
-        raise ZeroVolatility(f"{what} have zero standard deviation")
-    return excess_mean / std * math.sqrt(trading_days)
+    """Exactly rounded mean and the square root of the exactly rounded
+    population variance."""
+    ints, scale = exact_ints(xs)
+    return moments(len(ints), sum(ints), sum(map(mul, ints, ints)), scale)
 
 
 def _require_two(returns: Sequence[float]) -> None:
@@ -134,7 +127,7 @@ def sharpe_annual(
     """Annualized excess return per unit of return volatility."""
     _require_two(returns)
     mean, std = _moments(returns)
-    return _annualized_ratio(_constant(returns), mean - rf_daily, std, "returns", trading_days)
+    return _annualized_ratio(mean - rf_daily, std, "returns", trading_days)
 
 
 def information_ratio_annual(
@@ -142,12 +135,16 @@ def information_ratio_annual(
     benchmark_returns: Sequence[float],
     trading_days: int = TRADING_DAYS_PER_YEAR,
 ) -> float:
-    """Annualized mean/std of the daily difference against a benchmark."""
-    if len(returns) != len(benchmark_returns):
-        raise LengthMismatch(f"{len(returns)} returns vs {len(benchmark_returns)} benchmark returns")
+    """Annualized mean/std of the daily difference against a benchmark: the
+    moments of the exact differences ``r - b``, each rounded once."""
+    n = len(returns)
+    if n != len(benchmark_returns):
+        raise LengthMismatch(f"{n} returns vs {len(benchmark_returns)} benchmark returns")
     _require_two(returns)
-    diff = [r - b for r, b in zip(returns, benchmark_returns)]
-    return _annualized_ratio(_constant(diff), *_moments(diff), "excess returns", trading_days)
+    ints, scale = exact_ints([*returns, *benchmark_returns])
+    diff = list(map(sub, ints[:n], ints[n:]))
+    return _annualized_ratio(*moments(n, sum(diff), sum(map(mul, diff, diff)), scale),
+                             "excess returns", trading_days)
 
 
 def _growth(initial: float, ends: list[float]) -> list[float]:
@@ -186,22 +183,129 @@ class MetricReport:
     return_fit_std: float
 
     def to_dict(self) -> dict:
-        return {
-            "initial_price": self.initial_price,
-            "final_price": self.final_price,
-            "rr_whole": self.rr_whole,
-            "rr_per_year": self.rr_per_year,
-            "rr_by_year": list(self.rr_by_year),
-            "buy_count": self.buy_count,
-            "max_rate": self.max_rate,
-            "min_rate": self.min_rate,
-            "mdd": self.mdd,
-            "sr": self.sr,
-            "ir": self.ir,
-            "vol_annual": self.vol_annual,
-            "return_fit_mean": self.return_fit_mean,
-            "return_fit_std": self.return_fit_std,
-        }
+        return asdict(self)
+
+
+class Measures(NamedTuple):
+    """What a sweep cell ranks and writes, and what the full block builds on."""
+
+    final: float
+    rr_whole: float
+    rr_per_year: float
+    fit_mean: float
+    fit_std: float
+    sr: Optional[float]
+    ir: Optional[float]
+
+
+# Every return fl(fl(a / b) - 1.0) of positive finite a and b is a whole
+# multiple of 2**-53. Each float from 0.5 up is one, so from a quotient of
+# 0.5 up the exact difference is one too, and it is either exact or rounds
+# to a float of magnitude 1 or more; a smaller quotient gives a difference
+# that rounds into [-1, -0.5], where floats are 2**-53 apart. So returns
+# and benchmark returns are integers at this one scale.
+RETURN_SCALE = 53
+
+
+def _checked(
+    initial: float, runs: Sequence[Run], bars: int, benchmark_count: int, trading_days: int
+) -> tuple[list[list[float]], tuple[float, float, float]]:
+    """Every check of the block, in order, then each run's returns and the
+    final value, ``rr_whole`` and ``rr_per_year``.
+
+    Once this has passed, every run value is positive and finite, so the
+    drawdown and the yearly block cannot fail.
+    """
+    if bars < 2:
+        raise TooShort("need at least two values for returns")
+    returns = _run_returns(runs)
+    final = runs[-1][1][-1] if runs else initial
+    rr_whole = final / initial
+    years = bars / trading_days
+    try:
+        rr_per_year = rr_whole ** (1.0 / years)
+    except OverflowError:
+        raise DomainError(
+            f"rr_whole {rr_whole!r} over {years!r} years overflows the yearly rate"
+        ) from None
+    count = bars - 1
+    if count < 2:
+        raise TooShort("need at least two returns")
+    if count != benchmark_count:
+        raise LengthMismatch(f"{count} returns vs {benchmark_count} benchmark returns")
+    return returns, (final, rr_whole, rr_per_year)
+
+
+def _measures(growth: tuple[float, float, float], n: int, s1: int, s2: int, d1: int, d2: int,
+              trading_days: int) -> Measures:
+    """The block from the sums of a curve's n returns (``s1``, ``s2``) and of
+    their differences to the benchmark's (``d1``, ``d2``), at ``RETURN_SCALE``;
+    a flat bar's return is 0.0."""
+    fit_mean, fit_std = moments(n, s1, s2, RETURN_SCALE)
+    ir_mean, ir_std = moments(n, d1, d2, RETURN_SCALE)
+    # the Sharpe ratio at a zero risk-free rate, from the fit's moments
+    return Measures(*growth, fit_mean, fit_std, _annualized(fit_mean, fit_std, trading_days),
+                    _annualized(ir_mean, ir_std, trading_days))
+
+
+class ReturnSums:
+    """Sums over one series that every sweep cell on it shares: the returns
+    ``q`` of its close ratios (``backtest.close_ratios``) and, over their
+    integers Q and the integers B of the benchmark's returns at
+    ``RETURN_SCALE``, the prefix sums ``p1``, ``p2``, ``pb`` and ``pqb`` of
+    Q, Q*Q, B and Q*B from 0, and the sum ``b2`` of B*B."""
+
+    def __init__(self, ratios: Sequence[float], benchmark_returns: Sequence[float]):
+        self.q = list(map(sub, ratios, repeat(1.0)))
+        # a ratio that overflowed fails every run across it before a sum is read
+        q = scaled_ints([v if v < math.inf else 0.0 for v in self.q], RETURN_SCALE)
+        self.p1 = list(accumulate(q, initial=0))
+        self.p2 = list(accumulate(map(mul, q, q), initial=0))
+        if benchmark_returns == self.q:  # the series is its own benchmark: B is Q
+            self.pb, self.pqb, self.b2 = self.p1, self.p2, self.p2[-1]
+        else:
+            b = scaled_ints(benchmark_returns, RETURN_SCALE)
+            self.pb = list(accumulate(b, initial=0))
+            self.pqb = list(accumulate(map(mul, q, b), initial=0))
+            self.b2 = sum(map(mul, b, b))
+
+
+def measures_from_sums(
+    initial: float, runs: Sequence[Run], bars: int, sums: ReturnSums, trading_days: int
+) -> Measures:
+    """The ratios and moments of ``build_report``, bit for bit, errors
+    included, of a ``bars``-long curve over the series of ``sums``,
+    against its benchmark, in O(runs + bars in position).
+
+    ``runs`` are ``(entry bar, values)`` pairs in bar order: a run holds
+    ``values`` at bars ``entry``, ``entry + 1``, ...; the curve holds
+    ``initial`` before the first run and each run's last value after it.
+    Each run adds the prefix-sum differences over its slots, then the
+    bars where its return differs from the close ratio's, which
+    compounding makes rare, are corrected.
+    """
+    returns, growth = _checked(initial, runs, bars, len(sums.pb) - 1, trading_days)
+    q, p1, p2, pb, pqb = sums.q, sums.p1, sums.p2, sums.pb, sums.pqb
+    s1 = s2 = sqb = 0
+    fixed_bars: list[int] = []
+    fixed: list[float] = []
+    for (entry, _), r in zip(runs, returns):
+        stop = entry + len(r)
+        s1 += p1[stop] - p1[entry]
+        s2 += p2[stop] - p2[entry]
+        sqb += pqb[stop] - pqb[entry]
+        differs = list(map(ne, r, q[entry:stop]))
+        fixed_bars += compress(count(entry), differs)
+        fixed += compress(r, differs)
+    if fixed:
+        new = scaled_ints(fixed, RETURN_SCALE)
+        old = [p1[k + 1] - p1[k] for k in fixed_bars]
+        step = list(map(sub, new, old))
+        s1 += sum(step)
+        s2 += sum(map(mul, new, new)) - sum(map(mul, old, old))
+        sqb += sum(map(mul, step, [pb[k + 1] - pb[k] for k in fixed_bars]))
+    return _measures(growth, bars - 1, s1, s2, s1 - pb[-1], s2 - 2 * sqb + sums.b2,
+                     trading_days)
 
 
 def build_report(
@@ -220,123 +324,21 @@ def build_report(
     except EngineError:
         daily_returns(equity.values)  # a fault of the curve itself is reported first
         raise
-    return report_from_runs(equity.initial_price, [(0, equity.values)], len(equity.values),
-                            benchmark_returns, buy_count, trading_days)
-
-
-def _value_at(initial: float, runs: Sequence[Run], entries: list[int], bar: int) -> float:
-    """The curve's value at ``bar``; ``entries`` are the runs' entry bars."""
-    k = bisect_right(entries, bar) - 1
-    if k < 0:
-        return initial
-    entry, values = runs[k]
-    return values[min(bar - entry, len(values) - 1)]
-
-
-def _spread(spans: list[tuple[int, int]], length: int, fill, pieces) -> Iterable:
-    """A sequence over slots [0, length): ``pieces[k]`` over ``spans[k]``, ``fill`` elsewhere."""
-    parts = []
-    done = 0
-    for (start, stop), piece in zip(spans, pieces):
-        parts += (repeat(fill, start - done), piece)
-        done = stop
-    parts.append(repeat(fill, length - done))
-    return chain.from_iterable(parts)
-
-
-class Measures(NamedTuple):
-    """What a sweep cell ranks and writes, and what the full block builds on."""
-
-    final: float
-    rr_whole: float
-    rr_per_year: float
-    fit_mean: float
-    fit_std: float
-    sr: Optional[float]
-    ir: Optional[float]
-
-
-def measures_from_runs(
-    initial: float,
-    runs: Sequence[Run],
-    bars: int,
-    benchmark_returns: Sequence[float],
-    trading_days: int,
-) -> Measures:
-    """The ratios and moments of ``report_from_runs``, with all of its checks.
-
-    Once this has passed, every run value is positive and finite, so
-    the drawdown and the yearly block cannot fail.
-    """
-    if bars < 2:
-        raise TooShort("need at least two values for returns")
-    returns = [_run_returns(entry, values) for entry, values in runs]
-    exposed = returns[0] if len(returns) == 1 else list(chain.from_iterable(returns))
-    lowest, highest = (min(exposed), max(exposed)) if exposed else (0.0, 0.0)
-    _check_finite(highest, [entry for entry, _ in runs], returns)
-    final = runs[-1][1][-1] if runs else initial
-    rr_whole = final / initial
-    years = bars / trading_days
-    try:
-        rr_per_year = rr_whole ** (1.0 / years)
-    except OverflowError:
-        raise DomainError(
-            f"rr_whole {rr_whole!r} over {years!r} years overflows the yearly rate"
-        ) from None
-    count = bars - 1
-    if count < 2:
-        raise TooShort("need at least two returns")
-    # return slot i is bar i + 1's; a run's returns fill slots [entry, exit)
-    spans = [(entry, entry + len(values) - 1) for entry, values in runs]
-    # a flat bar's return is 0.0, which leaves a float sum unchanged
-    fit_mean = sum(exposed) / count
-    # but its square deviation is a term of its own, summed in bar order
-    flat_square = (0.0 - fit_mean) ** 2
-    fit_std = math.sqrt(sum(_spread(spans, count, flat_square,
-                                    [_squares(r, fit_mean) for r in returns])) / count)
-    # all returns equal: a flat bar's 0.0 takes part only if there is a flat bar
-    extremes = [0.0] if len(exposed) < count else []
-    if exposed:
-        extremes += (lowest, highest)
-    try:  # the Sharpe ratio at a zero risk-free rate, from the fit's moments
-        sr = _annualized_ratio(min(extremes) == max(extremes), fit_mean, fit_std, "returns",
-                               trading_days)
-    except ZeroVolatility:
-        sr = None
-    if count != len(benchmark_returns):
-        raise LengthMismatch(f"{count} returns vs {len(benchmark_returns)} benchmark returns")
-    # one C pass: a flat bar's difference is 0.0 - b, as in the dense loop
-    diff = list(map(sub, _spread(spans, count, 0.0, returns), benchmark_returns))
-    try:
-        ir = _annualized_ratio(_constant(diff), *_moments(diff), "excess returns", trading_days)
-    except ZeroVolatility:
-        ir = None
-    return Measures(final, rr_whole, rr_per_year, fit_mean, fit_std, sr, ir)
-
-
-def report_from_runs(
-    initial: float,
-    runs: Sequence[Run],
-    bars: int,
-    benchmark_returns: Sequence[float],
-    buy_count: int,
-    trading_days: int = TRADING_DAYS_PER_YEAR,
-) -> MetricReport:
-    """The measure block of a ``bars``-long equity curve given as exposure runs.
-
-    ``runs`` are ``(entry bar, values)`` pairs in bar order: a run holds
-    ``values`` at bars ``entry``, ``entry + 1``, ...; the curve holds
-    ``initial`` before the first run and each run's last value after it.
-    One run over the whole curve is the dense case. The result, errors
-    included, is that of the dense per-bar definitions on the curve.
-    """
-    measures = measures_from_runs(initial, runs, bars, benchmark_returns, trading_days)
-    entries = [entry for entry, _ in runs]
-    rr_by_year = _growth(initial, [_value_at(initial, runs, entries, end - 1)
-                                   for _, end in slice_years(bars, trading_days)])
-    # a flat bar repeats the value before it, so it moves neither peak nor
-    # drawdown; only the bars before the first run add a value, ``initial``
-    held = () if runs and runs[0][0] == 0 else (initial,)
+    values, initial = equity.values, equity.initial_price
+    (returns,), growth = _checked(initial, [(0, values)], len(values), len(benchmark_returns),
+                                  trading_days)
+    # a zero adds nothing to a sum, and fl(r - b) is r - b while below 1
+    # in magnitude, where every multiple of 2**-53 is a float
+    diff = list(filter(None, map(sub, returns, benchmark_returns)))
+    if -1.0 < min(diff, default=0.0) and max(diff, default=0.0) < 1.0:
+        d = scaled_ints(diff, RETURN_SCALE)
+    else:
+        d = list(map(sub, scaled_ints(returns, RETURN_SCALE),
+                     scaled_ints(benchmark_returns, RETURN_SCALE)))
+    r = scaled_ints(list(filter(None, returns)), RETURN_SCALE)
+    measures = _measures(growth, len(returns), sum(r), sum(map(mul, r, r)),
+                         sum(d), sum(map(mul, d, d)), trading_days)
+    rr_by_year = yearly_rr(equity, slice_years(len(values), trading_days))
     return MetricReport(
         initial_price=initial,
         final_price=measures.final,
@@ -346,7 +348,7 @@ def report_from_runs(
         buy_count=buy_count,
         max_rate=max(rr_by_year),
         min_rate=min(rr_by_year),
-        mdd=max_drawdown(chain(held, *(values for _, values in runs))),
+        mdd=max_drawdown(values),
         sr=measures.sr,
         ir=measures.ir,
         vol_annual=measures.fit_std * math.sqrt(trading_days),

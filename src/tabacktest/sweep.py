@@ -16,7 +16,7 @@ from .backtest import close_ratios, exposure_runs
 from .config import SweepSpec, set_leaf, strategy_from_dict
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import Measures, daily_returns, measures_from_runs
+from .metrics import Measures, ReturnSums, daily_returns, measures_from_sums
 from .strategies import KernelMemo, generate_signals
 
 
@@ -54,7 +54,7 @@ def _evaluate_cell(
     spec: SweepSpec,
     closes: list[float],
     ratios: list[float],
-    benchmark_returns: Sequence[float],
+    sums: ReturnSums,
     trading_days: int,
     memo: KernelMemo,
     assignment: tuple[tuple[str, Any], ...],
@@ -68,8 +68,7 @@ def _evaluate_cell(
         bars = generate_signals(memo.series, config, memo)
         initial, runs = exposure_runs(closes, bars, ratios)
         # the drawdown and the yearly block can no longer fail, and no row holds them
-        measures = measures_from_runs(initial, runs, len(closes), benchmark_returns,
-                                      trading_days)
+        measures = measures_from_sums(initial, runs, len(closes), sums, trading_days)
     except EngineError as exc:
         return exc.kind
     value = _objective_value(measures, spec.objective)
@@ -87,10 +86,10 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every grid cell, filter by min_trades, rank by objective.
 
-    Cells share one pass over the benchmark's returns, one list of close
-    ratios and one computation of each distinct indicator series, and
-    each cell's equity stays in exposure runs, so the result is the same
-    as evaluating each cell on its own.
+    Cells share one list of close ratios, one set of return sums (see
+    ``metrics.ReturnSums``) and one computation of each distinct
+    indicator series, and each cell's equity stays in exposure runs, so
+    the result is the same as evaluating each cell on its own.
     """
     closes = series.closes
     benchmark = list(benchmark_closes) if benchmark_closes is not None else closes
@@ -108,8 +107,8 @@ def run_sweep(
     else:
         memo = KernelMemo(series)
         ratios = close_ratios(closes)
-        cells = [_evaluate_cell(spec, closes, ratios, benchmark_returns, trading_days,
-                                memo, assignment)
+        sums = ReturnSums(ratios, benchmark_returns)
+        cells = [_evaluate_cell(spec, closes, ratios, sums, trading_days, memo, assignment)
                  for assignment in assignments]
 
     dropped = Counter(cell for cell in cells if isinstance(cell, str))

@@ -163,6 +163,9 @@ def make_v_fixture() -> None:
     for key, want in checks.items():
         got = payload[key]
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (key, got, want)
+    # and bit for bit, every moment exactly rounded
+    assert payload == oracles.naive_report(series.closes, signal_pairs(signals), series.closes,
+                                           252), payload
 
     (HERE / "v_golden_report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -289,12 +289,19 @@ def _naive_daily_returns(values):
 
 
 def _naive_moments(xs):
-    mean = sum(xs) / len(xs)
-    return mean, math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
+    """Mean and population variance of the exact values ``xs`` in rational
+    arithmetic: the mean rounded once, the standard deviation as the square
+    root of the variance rounded once, and the exact variance."""
+    mean = sum(xs, Fraction(0)) / len(xs)
+    variance = sum(((x - mean) ** 2 for x in xs), Fraction(0)) / len(xs)
+    try:
+        return float(mean), math.sqrt(float(variance)), variance
+    except OverflowError:
+        raise OracleMetricError("DomainError", "a variance exceeds the float range") from None
 
 
-def _naive_ratio(xs, mean, std, trading_days):
-    if min(xs) == max(xs) or std == 0.0:
+def _naive_ratio(mean, std, variance, trading_days):
+    if variance == 0:
         return None
     return mean / std * math.sqrt(trading_days)
 
@@ -305,8 +312,10 @@ def naive_report(closes, signals, benchmark_closes, trading_days):
 
     ``signals`` is a valid alternating list of ``(bar, "Buy"|"Sell")``
     pairs. Every bar of the equity curve is materialised, flat or not, and
-    every measure is a plain loop over it: the reference the package's
-    run-based measure block must equal bit for bit. A failure raises
+    every measure is a plain loop over it, the moments in rational
+    arithmetic rounded once (the information ratio's over the exact
+    differences ``r - b``): the reference the package's measure block and
+    sweep rows must equal bit for bit. A failure raises
     ``OracleMetricError`` with the package's error kind, in the order the
     package checks them.
     """
@@ -348,11 +357,12 @@ def naive_report(closes, signals, benchmark_closes, trading_days):
         prev, start = values[end - 1], end
     if len(returns) < 2:
         raise OracleMetricError("TooShort", "need at least two returns")
-    fit_mean, fit_std = _naive_moments(returns)
     if len(returns) != len(benchmark_returns):
         raise OracleMetricError("LengthMismatch", "returns and benchmark returns differ in length")
-    diff = [r - b for r, b in zip(returns, benchmark_returns)]
-    diff_mean, diff_std = _naive_moments(diff)
+    fit_mean, fit_std, fit_variance = _naive_moments([Fraction(r) for r in returns])
+    # the information ratio's moments are those of the exact differences
+    diff = [Fraction(r) - Fraction(b) for r, b in zip(returns, benchmark_returns)]
+    diff_mean, diff_std, diff_variance = _naive_moments(diff)
     peak, mdd = values[0], 0.0
     for v in values:
         if v > peak:
@@ -369,8 +379,8 @@ def naive_report(closes, signals, benchmark_closes, trading_days):
         "max_rate": max(rr_by_year),
         "min_rate": min(rr_by_year),
         "mdd": mdd,
-        "sr": _naive_ratio(returns, fit_mean, fit_std, trading_days),
-        "ir": _naive_ratio(diff, diff_mean, diff_std, trading_days),
+        "sr": _naive_ratio(fit_mean, fit_std, fit_variance, trading_days),
+        "ir": _naive_ratio(diff_mean, diff_std, diff_variance, trading_days),
         "vol_annual": fit_std * math.sqrt(trading_days),
         "return_fit_mean": fit_mean,
         "return_fit_std": fit_std,

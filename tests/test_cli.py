@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
 from tabacktest.cli import main
+from test_kernel_digests import PINNED, SWEEPS
 
 V_FIXTURE = DATA_DIR / "v_fixture.csv"
 V_CONFIG = DATA_DIR / "v_strategy.cfg"
@@ -480,38 +481,21 @@ def test_a_benchmark_return_that_overflows_exits_3_before_any_artifact(
     assert not (tmp_path / "out").exists()
 
 
-# (config, sha256 of stdout, sha256 of sweep.csv) of sweeps on synthetic_sp500.csv
+# (config, sha256 of stdout, sha256 of sweep.csv) of sweeps on synthetic_sp500.csv,
+# the pins the cross-interpreter checker holds
 SWEEP_PINS = {
-    "two_average": (
-        "strategy = two_average\nfast.kind = sma\nfast.period = 2:20:2\n"
-        "slow.kind = sma\nslow.period = 30:120:10\n",
-        "406a41ec8c23c5e6100ba200ec167edcfbaa0a1503cec519364ba82584a93207",
-        "03729b692af72229a96a2cb6193e7308b7d1f7af39cd7ed6469c603320054d40",
-    ),
-    "keltner": (
-        "strategy = keltner\nobjective = ir_annual\nma.kind = ema\nma.period = 20\n"
-        "keltner.mult = 0.5:3:0.5\n",
-        "6a228edb8c007067ebb658f48169f0e7ed9e7ab0a0d54c399bc3c0f6c0e1b8db",
-        "c360abb6a6f46926f653713e9a06b639d6bd81e49db3d547ec91cf5b38a0dd3d",
-    ),
-    "bollinger": (
-        "strategy = bollinger\nobjective = rr_whole\nbollinger.n = 20\n"
-        "bollinger.dev = 0.5:3:0.5\n",
-        "adfa470506c068c65cac32c0c050f55dc26d963e27716a554eb551f1b2a2415e",
-        "85365c33a61f9d6a0d087d8c1b829f613f666b1515f30e562afdc877cea41788",
-    ),
+    name: (text, PINNED[f"{name} sweep stdout"], PINNED[f"{name} sweep.csv"])
+    for name, text in SWEEPS.items()
 }
 
 
 @pytest.mark.parametrize("strategy", sorted(SWEEP_PINS))
 def test_sweep_bytes_are_pinned(strategy, tmp_path, capsys):
-    """stdout and sweep.csv of three sweeps, byte for byte as they were
-    when each row still held the full measure block.
+    """stdout and sweep.csv of three sweeps, byte for byte.
 
-    The pins were taken under CPython 3.11. From 3.12 on, float ``sum()``
-    is compensated, so the Sharpe and information ratios move in their
-    last digits and these pins fail, as ``test_report_matches_golden_bytes``
-    does, until the measure block's moments are exactly rounded.
+    The rows' ratios come from exactly rounded moments, so the bytes are
+    the same on every interpreter; ``test_interpreters.py`` checks them
+    under each of Python 3.10 to 3.13.
     """
     text, stdout_sha, csv_sha = SWEEP_PINS[strategy]
     config = tmp_path / "sweep.cfg"

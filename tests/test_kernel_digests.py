@@ -1,13 +1,15 @@
 """sha256 pins of the sma, rolling_std, aroon, ema and ama matype 1 bits,
-and of the ``signals.csv`` and ``equity.csv`` bytes of seven backtests,
-on a committed fixture.
+of the ``signals.csv`` and ``equity.csv`` bytes of seven backtests, and
+of the ``report.json`` of one backtest and the stdout and ``sweep.csv``
+of three sweeps, on committed fixtures.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
 bar, and never use float ``sum()``, whose rounding changed in Python 3.12;
 a backtest's signals and equity are built from those kernels and running
-products. The module needs no pytest, so an interpreter without it checks
-the pins with
+products, and the measure block's means and deviations from exact integer
+sums. The module needs no pytest, so an interpreter without it checks the
+pins with
 
     PYTHONPATH=src python tests/test_kernel_digests.py
 
@@ -18,16 +20,20 @@ import hashlib
 import io
 import struct
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from tabacktest.backtest import equity_to_csv, run
+from tabacktest.cli import main
 from tabacktest.config import parse_kv_text, strategy_from_dict
 from tabacktest.indicators import AmaParams, ama, aroon, ema, rolling_std, sma
 from tabacktest.market_data import parse_csv
 from tabacktest.strategies import generate_signals, signals_to_csv
 
 ROOT = Path(__file__).resolve().parent.parent
-SP500 = ROOT / "tests" / "data" / "synthetic_sp500.csv"
+DATA = ROOT / "tests" / "data"
+SP500 = DATA / "synthetic_sp500.csv"
 
 # the backtest configs of the benchmark's backtest_suite workload
 SUITE_STRATEGIES = {
@@ -40,6 +46,16 @@ SUITE_STRATEGIES = {
     "aroon": "strategy = aroon\naroon.n = 100\n",
     "bollinger": "strategy = bollinger\nbollinger.n = 100\n",
     "macd": "strategy = macd\n",
+}
+
+# sweeps on synthetic_sp500.csv whose stdout and sweep.csv are pinned
+SWEEPS = {
+    "two_average": "strategy = two_average\nfast.kind = sma\nfast.period = 2:20:2\n"
+                   "slow.kind = sma\nslow.period = 30:120:10\n",
+    "keltner": "strategy = keltner\nobjective = ir_annual\nma.kind = ema\nma.period = 20\n"
+               "keltner.mult = 0.5:3:0.5\n",
+    "bollinger": "strategy = bollinger\nobjective = rr_whole\nbollinger.n = 20\n"
+                 "bollinger.dev = 0.5:3:0.5\n",
 }
 
 PINNED = {
@@ -62,6 +78,14 @@ PINNED = {
     "bollinger equity.csv": "b3f1889b8679c675fa5f7c364529df3eada18fc4f40c1f5377fcb28676293c8f",
     "macd signals.csv": "9601f4b315747c820b030a52ce8b61667100bc7cf559b957dfe5a6e0f674e78a",
     "macd equity.csv": "d586423707f7ac7504761339bf2f01a27be5b772b83fcf6f3a0c0c865de29d04",
+    # the bytes of tests/data/v_golden_report.json
+    "v_fixture report.json": "b3f1701e9e568e3880bec117358ec964852869efc94c7ec3c255f666bd3a46f5",
+    "two_average sweep stdout": "910eadbe7f2f02fc006781a4fd2a968fc9b1b3f1a1ebb1848b92c2b210430835",
+    "two_average sweep.csv": "253f2dc78844ce0f71e5aefff7db324879f045257eb122d24e34d44cc65d2cd7",
+    "keltner sweep stdout": "cafcd9a8c27f79a5ada95c240fee620296ca39488a181f66f4b042ae789f5181",
+    "keltner sweep.csv": "8ce480e928d4d2e7a7796ff3b737c2ab7570818a441fe4fd5ec5bb3439e950e0",
+    "bollinger sweep stdout": "adfa470506c068c65cac32c0c050f55dc26d963e27716a554eb551f1b2a2415e",
+    "bollinger sweep.csv": "a6c23a5adece2a062a89a86e7c25358c2edd3e9d6b8b800c0a352db9a61a6c5f",
 }
 
 
@@ -93,12 +117,43 @@ def kernel_digests() -> dict[str, str]:
     return digests
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digests() -> dict[str, str]:
+    """sha256 of the ``report.json`` of ``backtest`` on ``v_fixture.csv`` with
+    ``v_strategy.cfg``, and of the stdout and ``sweep.csv`` of each sweep."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with redirect_stdout(io.StringIO()):
+            code = main(["backtest", "--data", str(DATA / "v_fixture.csv"),
+                         "--config", str(DATA / "v_strategy.cfg"), "--out-dir", str(out / "v")])
+        assert code == 0, "backtest failed"
+        digests["v_fixture report.json"] = _sha((out / "v" / "report.json").read_bytes())
+        for name, text in SWEEPS.items():
+            config = out / f"{name}.cfg"
+            config.write_text(text)
+            with redirect_stdout(io.StringIO()) as stdout:
+                code = main(["sweep", "--data", str(SP500), "--config", str(config),
+                             "--out-dir", str(out / name)])
+            assert code == 0, f"{name} sweep failed"
+            digests[f"{name} sweep stdout"] = _sha(stdout.getvalue().encode("utf-8"))
+            digests[f"{name} sweep.csv"] = _sha((out / name / "sweep.csv").read_bytes())
+    return digests
+
+
+def all_digests() -> dict[str, str]:
+    return {**kernel_digests(), **cli_digests()}
+
+
 def test_kernel_bits_are_pinned():
-    assert kernel_digests() == PINNED
+    assert all_digests() == PINNED
 
 
 if __name__ == "__main__":
-    digests = kernel_digests()
+    digests = all_digests()
     for name, pinned in PINNED.items():
         print(f"{name}: {digests[name]} {'ok' if digests[name] == pinned else 'DIFFERS'}")
     sys.exit(0 if digests == PINNED else 1)

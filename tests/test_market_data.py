@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 import random
 
 import pytest
@@ -8,12 +9,25 @@ import oracles
 from conftest import make_series, random_ohlcv
 from tabacktest import errors
 from tabacktest.market_data import (
+    STRICT,
     OhlcvSeries,
+    _parse_stream,
     parse_csv,
-    parse_csv_text,
-    serialize_csv_text,
+    serialize_csv,
     slice_years,
 )
+
+
+def parse_text(text, mode=STRICT, use_adjusted=False, symbol="series"):
+    """``parse_csv`` of a file holding ``text``, read from memory."""
+    return _parse_stream(io.StringIO(text), mode, use_adjusted, symbol)
+
+
+def serialize_text(series):
+    buffer = io.StringIO()
+    serialize_csv(series, buffer)
+    return buffer.getvalue()
+
 
 WELL_FORMED = """date,open,high,low,close,volume
 2021-01-04,10.0,11.0,9.5,10.5,1000
@@ -29,7 +43,7 @@ CLOSE_ABOVE_HIGH = """date,open,high,low,close,volume
 
 
 def test_well_formed_round_trip():
-    parsed = parse_csv_text(WELL_FORMED)
+    parsed = parse_text(WELL_FORMED)
     assert len(parsed.series) == 3
     assert parsed.warnings == 0
     assert parsed.series.dates[0] == dt.date(2021, 1, 4)
@@ -38,30 +52,30 @@ def test_well_formed_round_trip():
 
 def test_strict_rejects_close_above_high_with_row_number():
     with pytest.raises(errors.InvariantViolation) as err:
-        parse_csv_text(CLOSE_ABOVE_HIGH, mode="strict")
+        parse_text(CLOSE_ABOVE_HIGH, mode="strict")
     assert err.value.row == 2
 
 
 def test_lenient_clamps_close_and_counts_warning():
-    parsed = parse_csv_text(CLOSE_ABOVE_HIGH, mode="lenient")
+    parsed = parse_text(CLOSE_ABOVE_HIGH, mode="lenient")
     assert parsed.warnings == 1
     assert parsed.series.closes[1] == parsed.series.highs[1] == 11.5
     # re-read the clamped output: it is now strict-valid
-    round_tripped = parse_csv_text(serialize_csv_text(parsed.series), mode="strict")
+    round_tripped = parse_text(serialize_text(parsed.series), mode="strict")
     assert round_tripped.series == parsed.series
 
 
 def test_missing_column():
     with pytest.raises(errors.MissingColumn):
-        parse_csv_text("date,open,high,low,volume\n2021-01-04,1,2,0.5,10\n")
+        parse_text("date,open,high,low,volume\n2021-01-04,1,2,0.5,10\n")
 
 
 def test_unparsable_row_strict_vs_lenient():
     text = WELL_FORMED + "2021-01-07,abc,12.0,10.5,11.5,900\n"
     with pytest.raises(errors.UnparsableRow) as err:
-        parse_csv_text(text, mode="strict")
+        parse_text(text, mode="strict")
     assert err.value.row == 4
-    parsed = parse_csv_text(text, mode="lenient")
+    parsed = parse_text(text, mode="lenient")
     assert len(parsed.series) == 3
     assert parsed.warnings == 1
 
@@ -70,10 +84,10 @@ def test_unparsable_row_strict_vs_lenient():
 def test_record_over_csv_field_limit_is_unparsable_row(mode):
     long_row = "2021-01-07," + "1" * 200_000 + ",12.0,10.5,11.5,900\n"
     with pytest.raises(errors.UnparsableRow) as err:
-        parse_csv_text(WELL_FORMED + long_row, mode=mode)
+        parse_text(WELL_FORMED + long_row, mode=mode)
     assert err.value.row == 4
     with pytest.raises(errors.UnparsableRow) as err:
-        parse_csv_text("date,open,high,low,close,volume," + "x" * 200_000 + "\n", mode=mode)
+        parse_text("date,open,high,low,close,volume," + "x" * 200_000 + "\n", mode=mode)
     assert err.value.row == 0
 
 
@@ -92,13 +106,13 @@ def test_non_monotonic_dates_rejected_in_both_modes():
 """
     for mode in ("strict", "lenient"):
         with pytest.raises(errors.NonMonotonicDates) as err:
-            parse_csv_text(text, mode=mode)
+            parse_text(text, mode=mode)
         assert err.value.row == 2
 
 
 def test_empty_series():
     with pytest.raises(errors.EmptySeries):
-        parse_csv_text("date,open,high,low,close,volume\n")
+        parse_text("date,open,high,low,close,volume\n")
 
 
 def test_missing_file():
@@ -110,10 +124,10 @@ def test_use_adjusted_maps_adj_close():
     text = """date,open,high,low,close,adj_close,volume
 2021-01-04,10.0,11.0,9.5,10.5,10.0,1000
 """
-    parsed = parse_csv_text(text, use_adjusted=True)
+    parsed = parse_text(text, use_adjusted=True)
     assert parsed.series.closes[0] == 10.0
     with pytest.raises(errors.MissingColumn):
-        parse_csv_text(WELL_FORMED, use_adjusted=True)
+        parse_text(WELL_FORMED, use_adjusted=True)
 
 
 def test_non_positive_price_strict_and_lenient():
@@ -122,8 +136,8 @@ def test_non_positive_price_strict_and_lenient():
 2021-01-05,-1.0,11.5,10.0,11.0,1100
 """
     with pytest.raises(errors.InvariantViolation):
-        parse_csv_text(text, mode="strict")
-    parsed = parse_csv_text(text, mode="lenient")
+        parse_text(text, mode="strict")
+    parsed = parse_text(text, mode="lenient")
     assert len(parsed.series) == 1
     assert parsed.warnings == 1
 
@@ -131,7 +145,7 @@ def test_non_positive_price_strict_and_lenient():
 def test_serialization_round_trip_random_series():
     rng = random.Random(7)
     series = random_ohlcv(rng, 50)
-    parsed = parse_csv_text(serialize_csv_text(series), symbol=series.symbol)
+    parsed = parse_text(serialize_text(series), symbol=series.symbol)
     assert parsed.series == series
     assert parsed.warnings == 0
 
@@ -143,7 +157,7 @@ def test_unknown_mode_is_invalid_argument(reader, tmp_path):
     path.write_text(CLOSE_ABOVE_HIGH)
     with pytest.raises(errors.InvalidArgument):
         if reader == "text":
-            parse_csv_text(CLOSE_ABOVE_HIGH, mode="bogus")
+            parse_text(CLOSE_ABOVE_HIGH, mode="bogus")
         else:
             parse_csv(path, mode="bogus")
 
@@ -206,7 +220,7 @@ def valid_series(draw):
 
 @given(series=valid_series())
 def test_round_trip_field_level_equality(series):
-    parsed = parse_csv_text(serialize_csv_text(series), symbol="gen")
+    parsed = parse_text(serialize_text(series), symbol="gen")
     assert parsed.series == series
     assert parsed.warnings == 0
 
@@ -240,18 +254,18 @@ def test_lenient_drop_order_against_repeated_date():
     row is dropped after, so a following repeat of its date is rejected."""
     head = "date,open,high,low,close,volume\n2021-01-04,10,11,9,10,100\n"
     repeat = "2021-01-05,10,11,9,10,100\n"
-    parsed = parse_csv_text(head + "2021-01-05,10,inf,9,10,100\n" + repeat, mode="lenient")
+    parsed = parse_text(head + "2021-01-05,10,inf,9,10,100\n" + repeat, mode="lenient")
     assert [d.isoformat() for d in parsed.series.dates] == ["2021-01-04", "2021-01-05"]
     assert parsed.warnings == 1
     with pytest.raises(errors.NonMonotonicDates) as err:
-        parse_csv_text(head + "2021-01-05,10,11,-9,10,100\n" + repeat, mode="lenient")
+        parse_text(head + "2021-01-05,10,11,-9,10,100\n" + repeat, mode="lenient")
     assert err.value.row == 3
 
 
 def test_first_bad_price_cell_is_reported():
     text = "date,open,high,low,close,volume\n2021-01-04,nan,abc,9,10,100\n"
     with pytest.raises(errors.UnparsableRow) as err:
-        parse_csv_text(text, mode="strict")
+        parse_text(text, mode="strict")
     assert err.value.row == 1
     assert str(err.value) == "row 1: non-finite price 'nan'"
 
@@ -300,7 +314,7 @@ def _columns(series):
     return [
         (dt.date.fromisoformat(d), float(o), float(h), float(l), float(c), int(v))
         for d, o, h, l, c, v in (
-            line.split(",") for line in serialize_csv_text(series).splitlines()[1:]
+            line.split(",") for line in serialize_text(series).splitlines()[1:]
         )
     ]
 
@@ -313,7 +327,7 @@ def test_parse_matches_naive_oracle(text, mode, adjusted):
     except oracles.OracleParseError as exc:
         expected = (exc.kind, exc.row)
     try:
-        parsed = parse_csv_text(text, mode=mode, use_adjusted=adjusted)
+        parsed = parse_text(text, mode=mode, use_adjusted=adjusted)
         got = (_columns(parsed.series), parsed.warnings)
     except errors.EngineError as exc:
         got = (exc.kind, getattr(exc, "row", None))

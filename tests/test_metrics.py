@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,59 @@ class TestInformationRatio:
     def test_length_mismatch(self):
         with pytest.raises(errors.LengthMismatch):
             information_ratio_annual([0.1, 0.2], [0.1])
+
+
+def _exact_moments(xs):
+    """The oracle's mean and standard deviation of the exact values ``xs``."""
+    return oracles._naive_moments([Fraction(x) for x in xs])[:2]
+
+
+class TestExactMoments:
+    """The public ratios and fit against rational arithmetic, bit for bit:
+    the mean rounded once and the square root of the variance rounded once."""
+
+    MIXED = [1e-300, 1e3, -2.5, 5e-324, 0.1, 1e-300, 3.0, 0.7, -1e3]
+    BENCHMARK = [0.5, -1e-300, 2.0, 1e3, 5e-324, 0.25, -7.0, 1e-3, 0.0]
+
+    def test_mixed_magnitudes(self):
+        mean, std = _exact_moments(self.MIXED)
+        # a float sum loses 1e-300 beside 1e3, and its mean is off in the 14th digit
+        assert sum(self.MIXED) / len(self.MIXED) != mean
+        assert gaussian_fit(self.MIXED) == (mean, std)
+        assert sharpe_annual(self.MIXED, 0.0, 252) == mean / std * math.sqrt(252)
+        assert sharpe_annual(self.MIXED, 0.01, 252) == (mean - 0.01) / std * math.sqrt(252)
+        mean, std = _exact_moments([Fraction(r) - Fraction(b)
+                                    for r, b in zip(self.MIXED, self.BENCHMARK)])
+        assert information_ratio_annual(self.MIXED, self.BENCHMARK, 252) == (
+            mean / std * math.sqrt(252))
+
+    def test_an_all_equal_list_has_no_volatility(self):
+        # a float mean of three 0.1s is 0.10000000000000002, so a float
+        # standard deviation would be 1.4e-17, not 0
+        values = [0.1] * 3
+        assert gaussian_fit(values) == (0.1, 0.0)
+        with pytest.raises(errors.ZeroVolatility):
+            sharpe_annual(values)
+        with pytest.raises(errors.ZeroVolatility):
+            information_ratio_annual([v + 1.0 for v in values], [1.0] * 3)
+
+    def test_a_variance_in_the_denormal_range(self):
+        values = [0.0, 3e-160, 1e-160]
+        mean, std = _exact_moments(values)
+        assert 0.0 < std * std < 2.2250738585072014e-308
+        assert gaussian_fit(values) == (mean, std)
+        assert sharpe_annual(values, 0.0, 252) == mean / std * math.sqrt(252)
+
+    def test_the_information_ratio_is_that_of_the_exact_differences(self):
+        # both float differences round to 1 + 2**-52, but the exact ones differ by 2**-60
+        returns, benchmark = [1.0 + 2.0**-52] * 2, [2.0**-60, 0.0]
+        assert len({r - b for r, b in zip(returns, benchmark)}) == 1
+        mean, std = _exact_moments([Fraction(r) - Fraction(b) for r, b in zip(returns, benchmark)])
+        assert information_ratio_annual(returns, benchmark, 252) == mean / std * math.sqrt(252)
+
+    def test_a_variance_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(errors.DomainError, match="variance"):
+            gaussian_fit([1e300, -1e300])
 
 
 class TestYearlyRr:

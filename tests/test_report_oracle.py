@@ -1,10 +1,11 @@
 """The measure block against ``oracles.naive_report``, a dense per-bar transcription.
 
-``build_report(run(...))`` and every ``run_sweep`` row must equal the
-oracle with ``==``, float for float; a failing case must fail with the
-oracle's error kind.
+``build_report(run(...))``, the measures of a sweep cell's exposure runs
+and every ``run_sweep`` row must equal the oracle with ``==``, float for
+float; a failing case must fail with the oracle's error kind.
 """
 import copy
+import math
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from tabacktest import build_report, run
 from tabacktest.backtest import close_ratios, exposure_runs
 from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
 from tabacktest.errors import EmptyGridAfterFilter, EngineError
-from tabacktest.metrics import daily_returns, report_from_runs
+from tabacktest.metrics import ReturnSums, daily_returns, measures_from_sums
 from tabacktest.strategies import BUY, SELL, generate_signals
 from tabacktest.sweep import run_sweep
 
@@ -68,6 +69,8 @@ def _engine_report(closes, signals, benchmark, trading_days):
 
 
 UP = [100.0, 101.0, 101.0, 103.0, 99.0, 98.0, 98.0, 104.0, 105.0, 101.0]
+# every return is 2**971, whose integer at scale 2**53 is past the float range
+HUGE = [2.0**-1074, 2.0**-103, 2.0**868]
 
 
 @settings(max_examples=300, deadline=None)
@@ -81,26 +84,53 @@ UP = [100.0, 101.0, 101.0, 103.0, 99.0, 98.0, 98.0, 104.0, 105.0, 101.0]
 @example((_closes(1.0, [1e150, 1e-150] * 3), [(k, BUY if k % 2 == 0 else SELL) for k in range(7)],
           UP[:7], 252))                                             # the curve overflows
 @example((_closes(1.0, [1e150, 1.0]), [(0, BUY)], UP[:3], 252))     # rr_per_year overflows
+@example(([100.0, 200.0, 150.0], [(0, BUY)], [50.0, 45.0, 45.0], 252))  # r - b near 1.1, no float
+@example((HUGE, [(0, BUY)], [1.0, 1.01, 0.99], 252))           # returns past the float scaling
+@example((HUGE, [(0, BUY)], HUGE, 252))
+@example(([2.0**-1000, 2.0**-29, 2.0**-29], [(0, BUY)], UP[:3], 1))  # a variance past the floats
 def test_build_report_equals_the_dense_oracle(case):
     closes, signals, benchmark, trading_days = case
     expected = _outcome(lambda: oracles.naive_report(closes, signals, benchmark, trading_days))
     assert _outcome(lambda: _engine_report(closes, signals, benchmark, trading_days)) == expected
 
 
+# the fields of ``metrics.Measures`` and their ``naive_report`` keys
+MEASURES = {"final": "final_price", "rr_whole": "rr_whole", "rr_per_year": "rr_per_year",
+            "fit_mean": "return_fit_mean", "fit_std": "return_fit_std", "sr": "sr", "ir": "ir"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cases())
 @example((UP, [(1, BUY), (2, SELL), (4, BUY), (7, SELL), (8, BUY)], UP, 3))  # three runs
+@example((HUGE, [(0, BUY)], [1.0, 1.01, 0.99], 252))
+@example((HUGE, [(0, BUY)], HUGE, 252))
+@example(([2.0**-1000, 2.0**-29, 2.0**-29], [(0, BUY)], UP[:3], 1))
 def test_the_measure_block_of_exposure_runs_equals_the_dense_oracle(case):
     # the full block over several runs, as a sweep cell's runs reach it
     closes, signals, benchmark, trading_days = case
 
     def engine():
-        initial, runs = exposure_runs(closes, [bar for bar, _ in signals], close_ratios(closes))
-        return report_from_runs(initial, runs, len(closes), daily_returns(benchmark), len(runs),
-                                trading_days).to_dict()
+        ratios = close_ratios(closes)
+        sums = ReturnSums(ratios, daily_returns(benchmark))
+        initial, runs = exposure_runs(closes, [bar for bar, _ in signals], ratios)
+        return measures_from_sums(initial, runs, len(closes), sums, trading_days)._asdict()
 
-    expected = _outcome(lambda: oracles.naive_report(closes, signals, benchmark, trading_days))
-    assert _outcome(engine) == expected
+    def oracle():
+        report = oracles.naive_report(closes, signals, benchmark, trading_days)
+        return {name: report[key] for name, key in MEASURES.items()}
+
+    assert _outcome(engine) == _outcome(oracle)
+
+
+def test_returns_past_the_float_scaling_against_another_benchmark():
+    benchmark = [1.0, 1.01, 0.99]
+    report = _engine_report(HUGE, [(0, BUY)], benchmark, 252)
+    assert report == oracles.naive_report(HUGE, [(0, BUY)], benchmark, 252)
+    assert report["return_fit_mean"] == 2.0**971 and report["return_fit_std"] == 0.0
+    assert report["sr"] is None
+    # the exact differences vary as the benchmark does; their float ones do not
+    assert math.isfinite(report["ir"])
+    assert len({2.0**971 - b for b in daily_returns(benchmark)}) == 1
 
 
 SWEEPS = (

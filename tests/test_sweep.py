@@ -149,12 +149,12 @@ STRATEGY_GRIDS = {
 }
 
 
-def _direct_report(series, spec, params):
+def _direct_report(series, spec, params, benchmark=None):
     tree = copy.deepcopy(spec.base_tree)
     for path, value in params:
         set_leaf(tree, path, value)
     result = run(series, generate_signals(series, strategy_from_dict(tree)))
-    return build_report(result.equity, series.closes, result.buy_count, 252)
+    return build_report(result.equity, benchmark or series.closes, result.buy_count, 252)
 
 
 @pytest.mark.parametrize("seed", [1, 4])
@@ -168,6 +168,19 @@ def test_shared_work_matches_direct_backtests(strategy, seed):
     assert len(result.rows) == spec.grid_size()
     for row in result.rows:
         assert _row_measures(row) == _report_measures(_direct_report(series, spec, row.params))
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
+def test_shared_work_matches_direct_backtests_against_another_benchmark(strategy):
+    series = random_ohlcv(random.Random(1), 320)
+    benchmark = random_ohlcv(random.Random(9), 320).closes
+    text = f"strategy = {strategy}\nobjective = ir_annual\nmin_trades = 0\n"
+    spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
+    result = run_sweep(series, spec, benchmark)
+    assert len(result.rows) == spec.grid_size()
+    for row in result.rows:
+        report = _direct_report(series, spec, row.params, benchmark)
+        assert _row_measures(row) == _report_measures(report)
 
 
 def test_each_moving_average_is_computed_once(series, monkeypatch):
