@@ -4,6 +4,7 @@ round, on every interpreter."""
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
 from typing import Sequence
@@ -51,10 +52,17 @@ def moments(n: int, s1: int, s2: int, scale: int) -> tuple[float, float]:
 
     The mean is exactly rounded and the deviation is the square root of
     the exactly rounded variance, so it is 0.0 when every value is equal.
+    A variance below the normal floats, whose root may still be one, is
+    rounded at an exponent near 0 and its root scaled back by a power of
+    two, so the deviation is within one step of the true root there too.
     A variance past the float range raises ``DomainError``.
     """
+    spread, den = n * s2 - s1 * s1, n * n << 2 * scale
     try:
-        variance = (n * s2 - s1 * s1) / (n * n << 2 * scale)
+        variance = spread / den
     except OverflowError:
         raise DomainError("a variance exceeds the float range") from None
+    if spread > 0 and variance < sys.float_info.min:
+        half = (den.bit_length() - spread.bit_length()) // 2
+        return s1 / (n << scale), math.ldexp(math.sqrt((spread << 2 * half) / den), -half)
     return s1 / (n << scale), math.sqrt(variance)

@@ -28,16 +28,7 @@ from typing import Any, get_type_hints
 from . import indicators
 from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
-from .strategies import (
-    AroonConfig,
-    BollingerConfig,
-    KeltnerConfig,
-    MacdConfig,
-    PriceCrossConfig,
-    RsiConfig,
-    StrategyConfig,
-    TwoAverageConfig,
-)
+from .strategies import STRATEGIES, BollingerConfig, StrategyConfig
 
 OBJECTIVES = ("sharpe_annual", "ir_annual", "rr_whole")
 
@@ -188,18 +179,9 @@ def _section(tree: dict, name: str) -> dict:
     return dict(node)
 
 
-_STRATEGIES = {
-    "two_average": TwoAverageConfig,
-    "price_cross": PriceCrossConfig,
-    "keltner": KeltnerConfig,
-    "rsi": RsiConfig,
-    "aroon": AroonConfig,
-    "bollinger": BollingerConfig,
-    "macd": MacdConfig,
-}
-
 # resolved once: get_type_hints evaluates the annotation strings on every call
-_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (MaSpec, AmaParams, *_STRATEGIES.values())}
+_FIELD_TYPES = {cls: get_type_hints(cls)
+                for cls in (MaSpec, AmaParams, *(entry[0] for entry in STRATEGIES.values()))}
 
 # Fields that hold a moving average; each reads its own `<field>.*` namespace.
 _MA_FIELDS = ("fast", "slow", "ma")
@@ -225,9 +207,9 @@ def _check_names(tree: dict, tag: str) -> type:
     Only key names decide these checks, never values, so they hold for
     every cell of a sweep alike.
     """
-    cls = _STRATEGIES.get(tag)
-    if cls is None:
+    if tag not in STRATEGIES:
         raise ConfigError(f"unknown strategy tag {tag!r}")
+    cls = STRATEGIES[tag][0]
     namespaces = [f.name for f in fields(cls) if f.name in _MA_FIELDS]
     known = {*_COMMON_KEYS, tag, *namespaces}
     if cls is BollingerConfig:
@@ -283,6 +265,9 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
 # benchmark's span tracer does) sees every call.
 _INDICATOR_ARGS = {"sma": 1, "ema": 1, "rsi": 1, "rmi": 2, "ama": 4}
 
+# Characters a column name cannot hold unquoted in indicators.csv's header.
+_UNSAFE_NAME = ',"\r\n'
+
 
 @dataclass(frozen=True)
 class IndicatorColumn:
@@ -301,6 +286,8 @@ def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
     """Columns for the indicator dump, e.g. `indicator.sma50 = sma 50`.
 
     Tokens: `sma N`, `ema N`, `rsi N`, `rmi N M`, `ama LONG SHORT ADAWIN MATYPE`.
+    A name is a CSV header field as it stands: not empty, and without a
+    comma, a double quote or a line break.
     """
     section = tree.get("indicator")
     if not isinstance(section, dict) or not section:
@@ -308,6 +295,9 @@ def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
     columns: list[IndicatorColumn] = []
     for name in section:
         raw = section[name]
+        if not name or any(c in name for c in _UNSAFE_NAME):
+            raise ConfigError(f"indicator name {name!r} is empty or holds a comma, "
+                              "quote or line break")
         if not isinstance(raw, str):
             raise ConfigError(f"indicator.{name} must be a spec string")
         kind, *tokens = raw.split() or [""]
@@ -370,8 +360,8 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     objective = tree.get("objective", "sharpe_annual")
     if objective not in OBJECTIVES:
         raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    min_trades = tree.get("min_trades", 0)
-    if not isinstance(min_trades, int) or min_trades < 0:
+    min_trades = _coerce(tree.get("min_trades", 0), int, "min_trades")
+    if min_trades < 0:
         raise ConfigError("min_trades must be an integer >= 0")
     # a wrong key name would fail every cell, and an axis no cell reads
     # would rank copies of one cell

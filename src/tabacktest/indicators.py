@@ -253,17 +253,15 @@ def typical_price(series: OhlcvSeries) -> list[float]:
     return [(h + l + c) / 3.0 for h, l, c in zip(series.highs, series.lows, series.closes)]
 
 
-def offset_bands(
-    middle: IndicatorSeries, width: IndicatorSeries, mult: float, flat: int = 0
-) -> BandSet:
+def offset_bands(middle: IndicatorSeries, width: IndicatorSeries, mult: float) -> BandSet:
     """Bands at middle +/- mult * width, warm once both inputs are.
 
-    The first ``flat`` bars have no width yet and sit on the middle line.
+    A width still in its warm-up is exactly 0.0 (``rolling_std``), so for
+    a finite ``mult`` those bars sit on the middle line.
     """
     m, w = middle.values, width.values
-    head = list(m[:flat])
-    upper = head + [mi + mult * wi for mi, wi in zip(m[flat:], w[flat:])]
-    lower = head + [mi - mult * wi for mi, wi in zip(m[flat:], w[flat:])]
+    upper = [mi + mult * wi for mi, wi in zip(m, w)]
+    lower = [mi - mult * wi for mi, wi in zip(m, w)]
     warmup = max(middle.warmup_len, width.warmup_len)
     return BandSet(
         middle=middle,
@@ -282,8 +280,8 @@ def keltner_parts(series: OhlcvSeries, ma_spec: MaLike) -> tuple[IndicatorSeries
 
 def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
     """Volatility channel: an MA of typical price offset by mult * ATR."""
-    if mult < 0:
-        raise InvalidParams("band multiplier must be >= 0")
+    if not 0 <= mult < math.inf:
+        raise InvalidParams("band multiplier must be " + (">= 0" if mult < 0 else "finite"))
     return offset_bands(*keltner_parts(series, ma_spec), mult)
 
 
@@ -429,18 +427,12 @@ def bollinger_parts(
     return _sma(tp, ints, scale, window), _rolling_std(ints, scale, window)
 
 
-def bollinger_bands(middle: IndicatorSeries, sigma: IndicatorSeries, dev: float) -> BandSet:
-    """Bollinger bands from ``bollinger_parts``: the bars before sigma's
-    first full window pass through with zero width."""
-    return offset_bands(middle, sigma, dev, flat=sigma.warmup_len)
-
-
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:
     """Bands around a moving average of typical price, offset by dev
     population standard deviations of typical price."""
-    if dev < 0:
-        raise InvalidParams("dev must be >= 0")
-    return bollinger_bands(*bollinger_parts(series, window), dev)
+    if not 0 <= dev < math.inf:
+        raise InvalidParams("dev must be " + (">= 0" if dev < 0 else "finite"))
+    return offset_bands(*bollinger_parts(series, window), dev)
 
 
 def macd(

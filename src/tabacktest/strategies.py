@@ -1,9 +1,11 @@
 """Signal generation: seven long-only strategies over one OHLCV series.
 
-Every strategy is a small frozen config object dispatched through
-``generate_signals``, which returns the bars of a strictly alternating
-Buy/Sell sequence starting with a Buy: even positions are Buys, odd
-positions Sells. A terminal open position is left open.
+Every strategy is a small frozen config object and a signal step, listed
+together under the tag config files use in ``STRATEGIES``.
+``generate_signals`` dispatches through that table and returns the bars
+of a strictly alternating Buy/Sell sequence starting with a Buy: even
+positions are Buys, odd positions Sells. A terminal open position is
+left open.
 
 Cross conventions: line-vs-line strategies (two-average, price cross,
 aroon, macd) require strict inequality on both bars of the cross, so a
@@ -13,6 +15,7 @@ close is strictly beyond the band.
 """
 from __future__ import annotations
 
+import math
 import re
 from array import array
 from bisect import bisect_right
@@ -26,7 +29,6 @@ from .indicators import (
     IndicatorSeries,
     MaLike,
     aroon,
-    bollinger_bands,
     bollinger_parts,
     keltner_parts,
     macd,
@@ -68,8 +70,8 @@ class KeltnerConfig:
     mult: float = 2.0
 
     def __post_init__(self):
-        if self.mult < 0:
-            raise InvalidParams("mult must be >= 0")
+        if not 0 <= self.mult < math.inf:
+            raise InvalidParams("mult must be " + (">= 0" if self.mult < 0 else "finite"))
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ class BollingerConfig:
     def __post_init__(self):
         if isinstance(self.window, int) and self.window < 1:
             raise InvalidParams("window must be >= 1")
-        if self.dev < 0:
-            raise InvalidParams("dev must be >= 0")
+        if not 0 <= self.dev < math.inf:
+            raise InvalidParams("dev must be " + (">= 0" if self.dev < 0 else "finite"))
 
 
 @dataclass(frozen=True)
@@ -255,54 +257,54 @@ def _breaks(closes: Sequence[float], upper: Sequence[float], lower: Sequence[flo
             [i for i in under if closes[i - 1] >= lower[i - 1]])
 
 
+def _warm_bars(memo: KernelMemo, lines: Sequence[IndicatorSeries], what: str) -> range:
+    """The bars after every line's warm-up, each with a prior bar to
+    compare against; TooShort names the ``what`` warm-up otherwise."""
+    start = max(line.warmup_len for line in lines) + 1
+    if len(memo.series) <= start:
+        raise TooShort(f"series shorter than the {what} warm-up")
+    return range(start, len(memo.series))
+
+
+def _oscillator_bars(memo: KernelMemo, tag: str) -> range:
+    """The fixed rsi/aroon scan range, whatever the indicator warm-up."""
+    if len(memo.series) < OSCILLATOR_SCAN_START + 2:
+        raise TooShort(f"{tag} strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
+    return range(OSCILLATOR_SCAN_START, len(memo.series) - 1)
+
+
 def two_average_signals(memo: KernelMemo, config: TwoAverageConfig) -> list[int]:
-    closes = memo.series.closes
     fast = memo(moving_average, config.fast)
     slow = memo(moving_average, config.slow)
-    start = max(fast.warmup_len, slow.warmup_len) + 1
-    if len(closes) <= start:
-        raise TooShort("series shorter than the moving-average warm-up")
-    return _alternate(*_crosses(fast.values, slow.values, range(start, len(closes))))
+    bars = _warm_bars(memo, (fast, slow), "moving-average")
+    return _alternate(*_crosses(fast.values, slow.values, bars))
 
 
 def price_cross_signals(memo: KernelMemo, config: PriceCrossConfig) -> list[int]:
-    closes = memo.series.closes
     line = memo(moving_average, config.ma)
-    start = line.warmup_len + 1
-    if len(closes) <= start:
-        raise TooShort("series shorter than the moving-average warm-up")
-    return _alternate(*_crosses(closes, line.values, range(start, len(closes))))
+    bars = _warm_bars(memo, (line,), "moving-average")
+    return _alternate(*_crosses(memo.series.closes, line.values, bars))
 
 
 def keltner_signals(memo: KernelMemo, config: KeltnerConfig) -> list[int]:
     # the parts do not depend on mult, so configs differing only in mult share them
-    closes = memo.series.closes
     bands = offset_bands(*memo(keltner_parts, config.ma), config.mult)
-    start = bands.upper.warmup_len + 1
-    if len(closes) <= start:
-        raise TooShort("series shorter than the channel warm-up")
-    return _alternate(*_breaks(closes, bands.upper.values, bands.lower.values,
-                               range(start, len(closes))))
+    bars = _warm_bars(memo, (bands.upper,), "channel")
+    return _alternate(*_breaks(memo.series.closes, bands.upper.values, bands.lower.values, bars))
 
 
 def bollinger_signals(memo: KernelMemo, config: BollingerConfig) -> list[int]:
     # the parts do not depend on dev, so configs differing only in dev share them
-    closes = memo.series.closes
-    bands = bollinger_bands(*memo(bollinger_parts, config.window), config.dev)
-    start = bands.upper.warmup_len + 1
-    if len(closes) <= start:
-        raise TooShort("series shorter than the band warm-up")
-    above, below = _breaks(closes, bands.upper.values, bands.lower.values,
-                           range(start, len(closes)))
+    bands = offset_bands(*memo(bollinger_parts, config.window), config.dev)
+    bars = _warm_bars(memo, (bands.upper,), "band")
+    above, below = _breaks(memo.series.closes, bands.upper.values, bands.lower.values, bars)
     return _alternate(below, above)
 
 
 def rsi_signals(memo: KernelMemo, config: RsiConfig) -> list[int]:
+    bars = _oscillator_bars(memo, "rsi")
     closes = memo.series.closes
-    if len(closes) < OSCILLATOR_SCAN_START + 2:
-        raise TooShort(f"rsi strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
     strength = memo(rsi, config.n).values
-    bars = range(OSCILLATOR_SCAN_START, len(closes) - 1)
     # oversold (overbought) after a fall (rise) of at most diff_rate
     buys = [i for i in bars if strength[i] < config.down_thres
             and 0 <= (closes[i - 1] - closes[i]) / closes[i - 1] <= config.diff_rate]
@@ -316,12 +318,10 @@ def rsi_signals(memo: KernelMemo, config: RsiConfig) -> list[int]:
 
 
 def aroon_signals(memo: KernelMemo, config: AroonConfig) -> list[int]:
-    closes = memo.series.closes
-    if len(closes) < OSCILLATOR_SCAN_START + 2:
-        raise TooShort(f"aroon strategy needs more than {OSCILLATOR_SCAN_START + 1} bars")
+    bars = _oscillator_bars(memo, "aroon")
     up, down, _ = memo(aroon, config.n)
     up_v, down_v = up.values, down.values
-    buys, sells = _crosses(up_v, down_v, range(OSCILLATOR_SCAN_START, len(closes) - 1))
+    buys, sells = _crosses(up_v, down_v, bars)
     if config.aroon_type == 2:
         # enter only while the downtrend is weak, exit only while the uptrend is
         buys = [i for i in buys if down_v[i] < config.weak_thres]
@@ -330,23 +330,23 @@ def aroon_signals(memo: KernelMemo, config: AroonConfig) -> list[int]:
 
 
 def macd_signals(memo: KernelMemo, config: MacdConfig) -> list[int]:
-    closes = memo.series.closes
     line, signal, _ = memo(macd, config.short_n, config.long_n, config.signal_n)
-    start = max(line.warmup_len, signal.warmup_len) + 1
-    if len(closes) <= start:
-        raise TooShort("series shorter than the macd warm-up")
-    return _alternate(*_crosses(line.values, signal.values, range(start, len(closes))))
+    bars = _warm_bars(memo, (line, signal), "macd")
+    return _alternate(*_crosses(line.values, signal.values, bars))
 
 
-_DISPATCH = {
-    TwoAverageConfig: two_average_signals,
-    PriceCrossConfig: price_cross_signals,
-    KeltnerConfig: keltner_signals,
-    RsiConfig: rsi_signals,
-    AroonConfig: aroon_signals,
-    BollingerConfig: bollinger_signals,
-    MacdConfig: macd_signals,
+# The one list of the strategies: each config tag, its config class and
+# its signal step. Config files name a strategy by its tag.
+STRATEGIES: dict[str, tuple[type, Callable]] = {
+    "two_average": (TwoAverageConfig, two_average_signals),
+    "price_cross": (PriceCrossConfig, price_cross_signals),
+    "keltner": (KeltnerConfig, keltner_signals),
+    "rsi": (RsiConfig, rsi_signals),
+    "aroon": (AroonConfig, aroon_signals),
+    "bollinger": (BollingerConfig, bollinger_signals),
+    "macd": (MacdConfig, macd_signals),
 }
+_STEPS = dict(STRATEGIES.values())
 
 
 def generate_signals(
@@ -357,14 +357,14 @@ def generate_signals(
     ``memo``, which must be a memo of ``series``; a fresh one when none
     is given."""
     try:
-        runner = _DISPATCH[type(config)]
+        step = _STEPS[type(config)]
     except KeyError:
         raise InvalidParams(f"unknown strategy config {type(config).__name__}") from None
     if memo is None:
         memo = KernelMemo(series)
     elif memo.series is not series:
         raise InvalidParams("the kernel memo belongs to another series")
-    return runner(memo, config)
+    return step(memo, config)
 
 
 def signals_to_csv(bars: Sequence[int], handle) -> None:

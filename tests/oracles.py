@@ -291,10 +291,15 @@ def _naive_daily_returns(values):
 def _naive_moments(xs):
     """Mean and population variance of the exact values ``xs`` in rational
     arithmetic: the mean rounded once, the standard deviation as the square
-    root of the variance rounded once, and the exact variance."""
+    root of the variance rounded once to 53 bits, and the exact variance.
+
+    A variance below the normal floats is rounded to 53 bits at 2**1200
+    times its size, and the root of that scaled back by 2**-600."""
     mean = sum(xs, Fraction(0)) / len(xs)
     variance = sum(((x - mean) ** 2 for x in xs), Fraction(0)) / len(xs)
     try:
+        if 0 < variance < Fraction(2) ** -1022:
+            return float(mean), math.ldexp(math.sqrt(float(variance * 2**1200)), -600), variance
         return float(mean), math.sqrt(float(variance)), variance
     except OverflowError:
         raise OracleMetricError("DomainError", "a variance exceeds the float range") from None

@@ -167,6 +167,15 @@ class TestIndicatorsCommand:
             _, close, sma10, kama = line.split(",")
             assert close == sma10 == kama == "5.0"
 
+    def test_a_name_that_breaks_the_header_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(
+            capsys, "indicators", "--data", str(V_FIXTURE),
+            "--indicator", "a,b=sma 5", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
     def test_dump_round_trip_is_idempotent(self, tmp_path, capsys):
         config = tmp_path / "ind.cfg"
         config.write_text("indicator.sma5 = sma 5\n")
@@ -491,7 +500,7 @@ SWEEP_PINS = {
 
 @pytest.mark.parametrize("strategy", sorted(SWEEP_PINS))
 def test_sweep_bytes_are_pinned(strategy, tmp_path, capsys):
-    """stdout and sweep.csv of three sweeps, byte for byte.
+    """stdout and sweep.csv of each pinned sweep, byte for byte.
 
     The rows' ratios come from exactly rounded moments, so the bytes are
     the same on every interpreter; ``test_interpreters.py`` checks them

@@ -198,6 +198,11 @@ class TestIndicatorColumns:
         with pytest.raises(errors.ConfigError):
             indicator_columns_from_dict({"indicator": {}})
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb", ""])
+    def test_rejects_a_name_that_breaks_the_csv_header(self, name):
+        with pytest.raises(errors.ConfigError, match="indicator name"):
+            indicator_columns_from_dict({"indicator": {name: "sma 5"}})
+
 
 class TestSweepFromDict:
     def test_axes_and_base(self):
@@ -230,6 +235,15 @@ class TestSweepFromDict:
             sweep_from_dict(parse_kv_text("strategy = aroon\nobjective = vibes\n"))
         with pytest.raises(errors.ConfigError):
             sweep_from_dict(parse_kv_text("strategy = aroon\nmin_trades = -1\n"))
+
+    def test_min_trades_is_an_integer_field(self):
+        # an integral number fits an integer field, a bool does not
+        text = "strategy = aroon\naroon.n = 5,10\nmin_trades = "
+        spec = sweep_from_dict(parse_kv_text(text + "2.0\n"))
+        assert spec.min_trades == 2 and isinstance(spec.min_trades, int)
+        for value in ("true", "2.5"):
+            with pytest.raises(errors.ConfigError, match="min_trades"):
+                sweep_from_dict(parse_kv_text(text + value + "\n"))
 
     def test_an_axis_no_cell_reads_is_rejected(self):
         # it would rank copies of one cell, each at the default mult

@@ -284,6 +284,16 @@ class TestBollinger:
         assert_close_lists(bands.lower.values, lower)
 
 
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+def test_a_band_factor_must_be_finite(factor):
+    # an infinite factor times a warm-up width of 0.0 would put NaN in the bands
+    series = random_ohlcv(random.Random(5), 40)
+    with pytest.raises(errors.InvalidParams):
+        keltner(series, MaSpec("sma", 5), factor)
+    with pytest.raises(errors.InvalidParams):
+        bollinger(series, 5, factor)
+
+
 class TestMacd:
     def test_equal_periods_cancel(self):
         closes = random_walk(random.Random(2), 50)

@@ -1,11 +1,14 @@
 """sha256 pins of the sma, rolling_std, aroon, ema and ama matype 1 bits,
-of the ``signals.csv`` and ``equity.csv`` bytes of seven backtests, and
-of the ``report.json`` of one backtest and the stdout and ``sweep.csv``
-of three sweeps, on committed fixtures.
+of the middle, upper and lower lines of three band sets, of the
+``signals.csv`` and ``equity.csv`` bytes of seven backtests, and of the
+``report.json`` of one backtest and the stdout and ``sweep.csv`` of six
+sweeps, on committed fixtures.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
 bar, and never use float ``sum()``, whose rounding changed in Python 3.12;
+the rsi sweep's grid is one whose bytes are the same although its seed
+means do come from float ``sum()``;
 a backtest's signals and equity are built from those kernels and running
 products, and the measure block's means and deviations from exact integer
 sums. The module needs no pytest, so an interpreter without it checks the
@@ -27,7 +30,9 @@ from pathlib import Path
 from tabacktest.backtest import equity_to_csv, run
 from tabacktest.cli import main
 from tabacktest.config import parse_kv_text, strategy_from_dict
-from tabacktest.indicators import AmaParams, ama, aroon, ema, rolling_std, sma
+from tabacktest.indicators import (
+    AmaParams, MaSpec, ama, aroon, bollinger, ema, keltner, rolling_std, sma,
+)
 from tabacktest.market_data import parse_csv
 from tabacktest.strategies import generate_signals, signals_to_csv
 
@@ -56,6 +61,11 @@ SWEEPS = {
                "keltner.mult = 0.5:3:0.5\n",
     "bollinger": "strategy = bollinger\nobjective = rr_whole\nbollinger.n = 20\n"
                  "bollinger.dev = 0.5:3:0.5\n",
+    "rsi": "strategy = rsi\nrsi.n = 5:15:5\nrsi.down_thres = 30,40\nrsi.upper_thres = 60,70\n"
+           "rsi.diff_rate = 0.01\nrsi.rsitype = 1,2\nrsi.sma_n = 20\n",
+    "aroon": "strategy = aroon\nobjective = ir_annual\naroon.n = 10:50:10\naroon.aroon_type = 1,2\n",
+    "macd": "strategy = macd\nobjective = rr_whole\nmacd.short_n = 6,12\nmacd.long_n = 20,26\n"
+            "macd.signal_n = 5,9\n",
 }
 
 PINNED = {
@@ -64,6 +74,10 @@ PINNED = {
     "aroon 25": "7588de081e4576b82fcdbbc6250ac8f2fe259ec377ecc18502bf741e1a3bec46",
     "ema 20": "94044ab14945004503f46d0c6eaaa58e098960256aa51945ebff96497b6aff6e",
     "ama 30 2 10 1": "ba95d507e54d9aa8e741b81596b1f755e8325b41e954baa6507900c5689fd21e",
+    "bollinger 20 2.0": "819c636a0a44ba6e876a7356db812eece0c09401dba2b2ecac917eb04cf8bd1d",
+    "bollinger ama 24 8 18 1 2.6":
+        "988e66e7d45ef57ce13c872959a9ece616c0401752153e21372ef2a45eb7f17d",
+    "keltner ema 20 2.0": "6d84ea53757433db3ffd049f9aa2e6f86716f9ad6ab857c4824ca0cd300a86d0",
     "two_average signals.csv": "bfb7ed3d1083b87d097033777eeab99624ac29f40d331a211aec4b5e20f67668",
     "two_average equity.csv": "c575b7b03478e488a157a44735d7b0f0f12171cb230ee7abfeecab849760d646",
     "price_cross signals.csv": "666242785ca015646b8e1e233741a6a44a9fbcc8449e86d3646b52ba215b124d",
@@ -86,7 +100,18 @@ PINNED = {
     "keltner sweep.csv": "8ce480e928d4d2e7a7796ff3b737c2ab7570818a441fe4fd5ec5bb3439e950e0",
     "bollinger sweep stdout": "adfa470506c068c65cac32c0c050f55dc26d963e27716a554eb551f1b2a2415e",
     "bollinger sweep.csv": "a6c23a5adece2a062a89a86e7c25358c2edd3e9d6b8b800c0a352db9a61a6c5f",
+    "rsi sweep stdout": "ee278e41f070ae1be32a8887cb6c38e573d017a5ff3678ee9daea05ec3d90432",
+    "rsi sweep.csv": "1e5d631d8e51d26fff27666e3d08a4f8dcefefadf58fed234ae6eef7f1bec43a",
+    "aroon sweep stdout": "7579962e85eebc5070bfe514278882405e33a051a4b9cd99349cc85845db1bf2",
+    "aroon sweep.csv": "a9f2f6e1c75b3669a0e5504a087436388e8b373ca382ea8f98020a02760a5b63",
+    "macd sweep stdout": "b93c93a7e7863bc79f9a65a7efbf7902b302f28fff20e26fce6f9732d744ac13",
+    "macd sweep.csv": "5614863a12309d86de68728b790998f0956dfd469d71dd12f8f0158008eb8681",
 }
+
+
+def _bands(band_set) -> list[float]:
+    """The middle, upper and lower values, warm-up bars included."""
+    return [v for line in (band_set.middle, band_set.upper, band_set.lower) for v in line.values]
 
 
 def kernel_digests() -> dict[str, str]:
@@ -100,6 +125,9 @@ def kernel_digests() -> dict[str, str]:
         "aroon 25": [v for part in aroon(series, 25) for v in part.values],
         "ema 20": ema(closes, 20).values,
         "ama 30 2 10 1": ama(closes, AmaParams(30, 2, 10, 1)).values,
+        "bollinger 20 2.0": _bands(bollinger(series, 20, 2.0)),
+        "bollinger ama 24 8 18 1 2.6": _bands(bollinger(series, AmaParams(24, 8, 18, 1), 2.6)),
+        "keltner ema 20 2.0": _bands(keltner(series, MaSpec("ema", 20), 2.0)),
     }
     digests = {
         name: hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()

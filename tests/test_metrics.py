@@ -162,6 +162,17 @@ class TestExactMoments:
         assert gaussian_fit(values) == (mean, std)
         assert sharpe_annual(values, 0.0, 252) == mean / std * math.sqrt(252)
 
+    def test_a_variance_below_the_float_range_keeps_its_root(self):
+        # the exact variances 2.5e-401 and 2.5e-621 round to 0.0, their roots do not
+        assert gaussian_fit([0.0, 1e-200]) == (5e-201, 5e-201)
+        assert sharpe_annual([0.0, 1e-200]) == math.sqrt(252)
+        mean, std = gaussian_fit([0.0, 1e-310])
+        assert mean == 5e-311
+        assert abs(std - 5e-311) <= 5e-324  # one subnormal step
+        assert gaussian_fit([1e-310] * 3) == (1e-310, 0.0)
+        with pytest.raises(errors.ZeroVolatility):
+            sharpe_annual([1e-310] * 3)
+
     def test_the_information_ratio_is_that_of_the_exact_differences(self):
         # both float differences round to 1 + 2**-52, but the exact ones differ by 2**-60
         returns, benchmark = [1.0 + 2.0**-52] * 2, [2.0**-60, 0.0]

@@ -14,7 +14,6 @@ from tabacktest.indicators import (
     AmaParams,
     MaSpec,
     bollinger,
-    bollinger_bands,
     bollinger_parts,
     keltner,
     keltner_parts,
@@ -198,6 +197,14 @@ class TestBollinger:
             generate_signals(series, KeltnerConfig(ma=MaSpec("sma", 3), mult=1.0)))
         keltner_buys = [e.bar_index for e in keltner_events if e.action == BUY]
         assert spike in keltner_buys
+
+
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+def test_a_band_config_factor_must_be_finite(factor):
+    with pytest.raises(errors.InvalidParams):
+        KeltnerConfig(ma=MaSpec("sma", 5), mult=factor)
+    with pytest.raises(errors.InvalidParams):
+        BollingerConfig(window=5, dev=factor)
 
 
 class TestRsiStrategy:
@@ -531,7 +538,7 @@ def test_band_parts_from_the_memo_give_fresh_bands(ma):
     for _ in range(2):
         parts = memo(bollinger_parts, window)
         for dev in (0.0, 0.5, 2.0):
-            assert (_band_values(bollinger_bands(*parts, dev))
+            assert (_band_values(offset_bands(*parts, dev))
                     == _band_values(bollinger(series, window, dev)))
 
 
