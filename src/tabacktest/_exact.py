@@ -46,23 +46,31 @@ def window_sums(ints: list[int], n: int):
     return accumulate(map(sub, islice(ints, n, None), ints), initial=sum(ints[:n]))
 
 
+def root_of_ratio(spread: int, den: int) -> float:
+    """The square root of ``spread / den`` for integers ``spread >= 0`` and
+    ``den > 0``: the root of the exactly rounded ratio, so 0.0 for a zero
+    ``spread``. A ratio below the normal floats, whose root may still be
+    one, is rounded at an exponent near 0 and its root scaled back by a
+    power of two, so the root is within one step of the true root there
+    too. A ratio past the float range raises ``OverflowError``.
+    """
+    ratio = spread / den
+    if spread > 0 and ratio < sys.float_info.min:
+        half = (den.bit_length() - spread.bit_length()) // 2
+        return math.ldexp(math.sqrt((spread << 2 * half) / den), -half)
+    return math.sqrt(ratio)
+
+
 def moments(n: int, s1: int, s2: int, scale: int) -> tuple[float, float]:
     """Mean and population standard deviation of n values given as the sum
     ``s1`` and the sum of squares ``s2`` of their integers at ``scale``.
 
-    The mean is exactly rounded and the deviation is the square root of
-    the exactly rounded variance, so it is 0.0 when every value is equal.
-    A variance below the normal floats, whose root may still be one, is
-    rounded at an exponent near 0 and its root scaled back by a power of
-    two, so the deviation is within one step of the true root there too.
-    A variance past the float range raises ``DomainError``.
+    The mean is exactly rounded and the deviation is ``root_of_ratio`` of
+    the variance, so it is 0.0 when every value is equal. A variance past
+    the float range raises ``DomainError``.
     """
-    spread, den = n * s2 - s1 * s1, n * n << 2 * scale
     try:
-        variance = spread / den
+        std = root_of_ratio(n * s2 - s1 * s1, n * n << 2 * scale)
     except OverflowError:
         raise DomainError("a variance exceeds the float range") from None
-    if spread > 0 and variance < sys.float_info.min:
-        half = (den.bit_length() - spread.bit_length()) // 2
-        return s1 / (n << scale), math.ldexp(math.sqrt((spread << 2 * half) / den), -half)
-    return s1 / (n << scale), math.sqrt(variance)
+    return s1 / (n << scale), std

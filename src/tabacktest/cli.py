@@ -61,21 +61,6 @@ def _write_text(text: str, handle) -> None:
     handle.write(text)
 
 
-def _common_flags(parser: argparse.ArgumentParser, need_data: bool = True) -> None:
-    if need_data:
-        parser.add_argument("--data", required=True, help="OHLCV CSV file")
-        parser.add_argument("--strict", dest="mode", action="store_const", const="strict",
-                            default="strict", help="abort on any invariant violation (default)")
-        parser.add_argument("--lenient", dest="mode", action="store_const", const="lenient",
-                            help="clamp/drop bad rows and count warnings")
-        parser.add_argument("--use-adjusted", action="store_true",
-                            help="map adj_close onto close before validation")
-    parser.add_argument("--config", help="key-value tree config file")
-    parser.add_argument("--out-dir", default=".", help="directory for output artifacts")
-    parser.add_argument("--trading-days", type=int, default=252,
-                        help="bars per year for annualization and year slicing")
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are ``InvalidArgument``s, so that they
     follow the one-JSON-line contract instead of printing usage to stderr.
@@ -86,41 +71,45 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flag groups shared as parents: each subcommand takes only the flags it reads
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="OHLCV CSV file")
+    data.add_argument("--strict", dest="mode", action="store_const", const="strict",
+                      default="strict", help="abort on any invariant violation (default)")
+    data.add_argument("--lenient", dest="mode", action="store_const", const="lenient",
+                      help="clamp/drop bad rows and count warnings")
+    data.add_argument("--use-adjusted", action="store_true",
+                      help="map adj_close onto close before validation")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="key-value tree config file")
+    measure = argparse.ArgumentParser(add_help=False)
+    measure.add_argument("--trading-days", type=int, default=252,
+                         help="bars per year for annualization and year slicing")
+    measure.add_argument("--benchmark", default="self",
+                         help="'self' or a CSV path for the information-ratio benchmark")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="directory for output artifacts")
+
     parser = _Parser(prog="tabacktest", description="Deterministic technical-analysis backtesting")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse, validate and normalize an OHLCV CSV")
-    _common_flags(p)
-
-    p = sub.add_parser("indicators", help="dump indicator columns aligned to the input")
-    _common_flags(p)
+    sub.add_parser("ingest", parents=[data, out],
+                   help="parse, validate and normalize an OHLCV CSV")
+    p = sub.add_parser("indicators", parents=[data, config, out],
+                       help="dump indicator columns aligned to the input")
     p.add_argument("--indicator", action="append", default=[],
                    metavar="NAME=SPEC", help="extra column, e.g. sma50='sma 50'")
-
-    p = sub.add_parser("backtest", help="run one strategy and write its report")
-    _common_flags(p)
-    p.add_argument("--benchmark", default="self",
-                   help="'self' or a CSV path for the information-ratio benchmark")
-
-    p = sub.add_parser("sweep", help="evaluate a parameter grid and rank the cells")
-    _common_flags(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored: cells run serially")
-    p.add_argument("--benchmark", default="self",
-                   help="'self' or a CSV path for the information-ratio benchmark")
-
-    p = sub.add_parser("kelly", help="optimal bet fraction and expected log-return curve")
-    _common_flags(p, need_data=False)
+    sub.add_parser("backtest", parents=[data, config, measure, out],
+                   help="run one strategy and write its report")
+    sub.add_parser("sweep", parents=[data, config, measure, out],
+                   help="evaluate a parameter grid and rank the cells")
+    p = sub.add_parser("kelly", parents=[out],
+                       help="optimal bet fraction and expected log-return curve")
     p.add_argument("--p", type=float, required=True, help="win probability")
     p.add_argument("--l-gain", type=float, required=True, help="gain multiple on a win")
     p.add_argument("--m-loss", type=float, default=1.0, help="loss multiple on a loss")
     p.add_argument("--grid-points", type=int, default=101)
-
-    p = sub.add_parser("report", help="measure block and return-fit of the series itself")
-    _common_flags(p)
-    p.add_argument("--benchmark", default="self",
-                   help="'self' or a CSV path for the information-ratio benchmark")
-
+    sub.add_parser("report", parents=[data, measure, out],
+                   help="measure block and return-fit of the series itself")
     return parser
 
 
@@ -289,10 +278,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.trading_days < 1:
+        if getattr(args, "trading_days", 1) < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
-        if getattr(args, "jobs", 1) < 1:
-            raise InvalidArgument(f"--jobs must be >= 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         return _fail(MissingInput(str(exc)))

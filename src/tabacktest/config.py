@@ -351,8 +351,8 @@ def set_leaf(tree: dict, path: str, value: Any) -> None:
 def sweep_from_dict(tree: dict) -> SweepSpec:
     """Split a strategy config tree into fixed values and sweep axes.
 
-    Every list-valued leaf becomes an axis; `objective` and `min_trades`
-    control ranking and filtering.
+    Every list-valued leaf becomes an axis; `objective` and `min_trades`,
+    one value each, control ranking and filtering.
     """
     tag = tree.get("strategy")
     if not isinstance(tag, str):
@@ -360,7 +360,10 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     objective = tree.get("objective", "sharpe_annual")
     if objective not in OBJECTIVES:
         raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    min_trades = _coerce(tree.get("min_trades", 0), int, "min_trades")
+    min_trades = tree.get("min_trades", 0)
+    if isinstance(min_trades, list):
+        raise ConfigError("min_trades cannot be a sweep axis: give it one value")
+    min_trades = _coerce(min_trades, int, "min_trades")
     if min_trades < 0:
         raise ConfigError("min_trades must be an integer >= 0")
     # a wrong key name would fail every cell, and an axis no cell reads

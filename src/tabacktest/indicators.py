@@ -20,7 +20,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
-from ._exact import exact_ints, window_sums
+from ._exact import exact_ints, root_of_ratio, window_sums
 from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
 
@@ -393,8 +393,13 @@ def _rolling_std(ints: list[int], scale: int, n: int) -> IndicatorSeries:
     square_sums = accumulate(steps, initial=sum(map(mul, head, head)))
     # n * sum(x**2) - sum(x)**2 is n**2 times the variance, exact and >= 0
     scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, window_sums(ints, n), repeat(2)))
+    den = n * n << 2 * scale
     try:
-        sigma = list(map(math.sqrt, map(truediv, scaled, repeat(n * n << 2 * scale))))
+        if den.bit_length() <= 1022:
+            # every positive variance is at least 1 / den, a normal float
+            sigma = list(map(math.sqrt, map(truediv, scaled, repeat(den))))
+        else:
+            sigma = [root_of_ratio(spread, den) for spread in scaled]
     except OverflowError:
         raise DomainError("a window variance exceeds the float range") from None
     return IndicatorSeries([0.0] * (n - 1) + sigma, n - 1)
@@ -402,8 +407,9 @@ def _rolling_std(ints: list[int], scale: int, n: int) -> IndicatorSeries:
 
 def rolling_std(data, n: int) -> IndicatorSeries:
     """Population standard deviation of the n values ending at i: the
-    square root of the exactly rounded variance. Bars without a full
-    window read 0.0."""
+    square root of the exactly rounded variance, or within one step of the
+    true root where the variance is below the normal floats. Bars without
+    a full window read 0.0."""
     if n < 1:
         raise ZeroPeriod("rolling std period must be >= 1")
     return _rolling_std(*exact_ints(_values(data)), n)

@@ -332,7 +332,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         ["ingest", "--data", str(data)],
         ["indicators", "--data", str(data), "--config", str(indicator_cfg)],
         ["backtest", "--data", str(data), "--config", str(strategy_cfg)],
-        ["sweep", "--data", str(data), "--config", str(sweep_cfg), "--jobs", "2"],
+        ["sweep", "--data", str(data), "--config", str(sweep_cfg)],
         ["kelly", "--p", "0.9", "--l-gain", "1.1", "--m-loss", "1.0"],
         ["report", "--data", str(data)],
     ]

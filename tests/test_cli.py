@@ -1,3 +1,4 @@
+import argparse
 import datetime as dt
 import hashlib
 import io
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
-from tabacktest.cli import main
+from tabacktest.cli import build_parser, main
 from test_kernel_digests import PINNED, SWEEPS
 
 V_FIXTURE = DATA_DIR / "v_fixture.csv"
@@ -237,35 +238,6 @@ class TestSweepCommand:
         assert summary["below_min_trades"] == 1
         assert summary["cells_ranked"] == 3
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exit_2(self, jobs, tmp_path, capsys):
-        config = tmp_path / "sweep.cfg"
-        config.write_text("strategy = two_average\nfast.kind = sma\nfast.period = 2,3\n"
-                          "slow.kind = sma\nslow.period = 10\n")
-        code, out = run_cli(
-            capsys, "sweep", "--data", str(DATA_DIR / "regime_fixture.csv"),
-            "--config", str(config), "--jobs", jobs, "--out-dir", str(tmp_path),
-        )
-        assert code == 2
-        assert json.loads(out)["error"]["kind"] == "InvalidArgument"
-
-    def test_jobs_changes_no_byte(self, tmp_path, capsys):
-        # --jobs is accepted for compatibility; every value runs one serial sweep
-        config = tmp_path / "sweep.cfg"
-        config.write_text("strategy = two_average\nobjective = rr_whole\n"
-                          "fast.kind = sma\nfast.period = 2:6:1\n"
-                          "slow.kind = ema\nslow.period = 10,20,40\n")
-        outputs = []
-        for jobs in ("1", "4"):
-            out_dir = tmp_path / f"jobs_{jobs}"
-            code, out = run_cli(
-                capsys, "sweep", "--data", str(DATA_DIR / "synthetic_sp500.csv"),
-                "--config", str(config), "--jobs", jobs, "--out-dir", str(out_dir),
-            )
-            assert code == 0
-            outputs.append((out, (out_dir / "sweep.csv").read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_bad_cell_values_drop_cells(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("strategy = rsi\nrsi.n = 2,abc\nrsi.diff_rate = 0.05\n")
@@ -347,7 +319,7 @@ SHAPE_TEXTS = {
     (["--out-dir", str(V_FIXTURE)], "PathError"),
     # from here on, whole command lines
     (["sweep", "--data", str(V_FIXTURE), "--config", UNREAD_AXIS], "ConfigError"),
-    (["sweep", "--data", str(V_FIXTURE), "--config", str(V_CONFIG), "--jobs", "x"],
+    (["sweep", "--data", str(V_FIXTURE), "--config", str(V_CONFIG), "--trading-days", "x"],
      "InvalidArgument"),
     (["kelly", "--p", "0.5", "--l-gain", "2", "--m-loss", "-inf"], "InvalidArgument"),
     (["kelly", "--p", "0.5"], "InvalidArgument"),
@@ -383,6 +355,57 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == kind
     assert captured.err == ""
+
+
+# the flags of each command: the data group is --data, --strict/--lenient and --use-adjusted
+DATA_DESTS = {"data", "mode", "use_adjusted"}
+COMMAND_DESTS = {
+    "ingest": DATA_DESTS | {"out_dir"},
+    "indicators": DATA_DESTS | {"config", "indicator", "out_dir"},
+    "backtest": DATA_DESTS | {"config", "trading_days", "benchmark", "out_dir"},
+    "sweep": DATA_DESTS | {"config", "trading_days", "benchmark", "out_dir"},
+    "report": DATA_DESTS | {"trading_days", "benchmark", "out_dir"},
+    "kelly": {"p", "l_gain", "m_loss", "grid_points", "out_dir"},
+}
+# a valid command line of each command, and flags it once took but never read
+COMMAND_LINES = {
+    "ingest": ["ingest", "--data", str(V_FIXTURE)],
+    "indicators": ["indicators", "--data", str(V_FIXTURE), "--indicator", "sma5=sma 5"],
+    "sweep": ["sweep", "--data", str(V_FIXTURE), "--config", str(V_CONFIG)],
+    "report": ["report", "--data", str(V_FIXTURE)],
+    "kelly": ["kelly", "--p", "0.55", "--l-gain", "1.2"],
+}
+UNREAD_FLAGS = [
+    ("ingest", ["--config", "/nonexistent.cfg"]),
+    ("ingest", ["--trading-days", "0"]),
+    ("indicators", ["--trading-days", "252"]),
+    ("sweep", ["--jobs", "0"]),
+    ("sweep", ["--jobs", "-3"]),
+    ("sweep", ["--jobs", "2"]),
+    ("report", ["--config", "/nonexistent.cfg"]),
+    ("kelly", ["--config", "/nonexistent.cfg"]),
+    ("kelly", ["--trading-days", "252"]),
+]
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert {name: {action.dest for action in command._actions if action.dest != "help"}
+            for name, command in commands.items()} == COMMAND_DESTS
+
+
+@pytest.mark.parametrize("command, flags", UNREAD_FLAGS,
+                         ids=[" ".join([command, *flags]) for command, flags in UNREAD_FLAGS])
+def test_a_flag_the_command_does_not_read_exits_2(command, flags, tmp_path, capsys):
+    code = main(COMMAND_LINES[command] + flags + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "InvalidArgument"
+    assert captured.err == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
@@ -601,14 +624,13 @@ def test_fuzzed_configs_meet_the_error_contract(tmp_path):
     @given(tag=st.sampled_from(sorted(BASE_CONFIGS)),
            lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(VALUE_TOKENS)),
                           max_size=5),
-           command=st.sampled_from(["backtest", "sweep"]), jobs=st.sampled_from(["1", "2"]))
-    def check(tag, lines, command, jobs):
+           command=st.sampled_from(["backtest", "sweep"]))
+    def check(tag, lines, command):
         config = tmp_path / "fuzz.cfg"
         config.write_text(f"strategy = {tag}\n" + BASE_CONFIGS[tag]
                           + "".join(f"{k} = {v}\n" for k, v in lines))
-        argv = [command, "--data", str(V_FIXTURE), "--config", str(config),
-                "--out-dir", str(tmp_path / "out")]
-        _assert_contract(argv + (["--jobs", jobs] if command == "sweep" else []))
+        _assert_contract([command, "--data", str(V_FIXTURE), "--config", str(config),
+                          "--out-dir", str(tmp_path / "out")])
 
     check()
 

@@ -245,6 +245,16 @@ class TestSweepFromDict:
             with pytest.raises(errors.ConfigError, match="min_trades"):
                 sweep_from_dict(parse_kv_text(text + value + "\n"))
 
+    def test_a_list_names_the_rule_it_breaks(self):
+        # a backtest takes no list; a sweep takes one on any key but objective and min_trades
+        text = "strategy = aroon\naroon.n = 5,10\n"
+        with pytest.raises(errors.ConfigError, match=re.escape(
+                "aroon.n must be a single value here (lists belong in sweep configs)")):
+            strategy_from_dict(parse_kv_text(text))
+        with pytest.raises(errors.ConfigError) as raised:
+            sweep_from_dict(parse_kv_text(text + "min_trades = 1,2\n"))
+        assert str(raised.value) == "min_trades cannot be a sweep axis: give it one value"
+
     def test_an_axis_no_cell_reads_is_rejected(self):
         # it would rank copies of one cell, each at the default mult
         text = "strategy = keltner\nma.kind = ema\nma.period = 5,10\nmult = 0:3:0.5\n"

@@ -452,3 +452,9 @@ class TestExactContract:
     def test_variance_past_the_float_range_is_domain_error(self):
         with pytest.raises(errors.DomainError):
             rolling_std([1e200, -1e200], 2)
+
+    def test_a_window_variance_below_the_float_range_keeps_its_root(self):
+        # the exact variances 2.5e-401 and about 1.6e-320 lose their bits as floats,
+        # their roots do not; these are the true roots, rounded once
+        assert rolling_std([0.0, 1e-200], 2).values == [0.0, 5e-201]
+        assert rolling_std([0.0, 3e-160, 1e-160], 3).values == [0.0, 0.0, 1.2472191289246472e-160]

@@ -1,6 +1,7 @@
 """The digest pins of ``test_kernel_digests.py`` (kernel bits, backtest
-artifacts, a ``report.json`` and three sweeps' stdout and ``sweep.csv``)
-under every supported interpreter, not only the one running the suite.
+artifacts, the stdout and artifacts of every command, and seven sweeps'
+stdout and ``sweep.csv``) under every supported interpreter, not only the
+one running the suite.
 
 Each of CPython 3.10 to 3.13 is looked for as a pyenv build (under
 ``$PYENV_ROOT``, by default ``~/.pyenv``) and then as ``python3.<minor>``

@@ -1,8 +1,9 @@
 """sha256 pins of the sma, rolling_std, aroon, ema and ama matype 1 bits,
 of the middle, upper and lower lines of three band sets, of the
-``signals.csv`` and ``equity.csv`` bytes of seven backtests, and of the
-``report.json`` of one backtest and the stdout and ``sweep.csv`` of six
-sweeps, on committed fixtures.
+``signals.csv`` and ``equity.csv`` bytes of seven backtests, of the stdout
+and every artifact of a backtest, two ingests, two reports, a kelly run and
+an indicator dump, and of the stdout and ``sweep.csv`` of seven sweeps, one
+per strategy, on committed fixtures or on a small dirty CSV written here.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
@@ -66,6 +67,42 @@ SWEEPS = {
     "aroon": "strategy = aroon\nobjective = ir_annual\naroon.n = 10:50:10\naroon.aroon_type = 1,2\n",
     "macd": "strategy = macd\nobjective = rr_whole\nmacd.short_n = 6,12\nmacd.long_n = 20,26\n"
             "macd.signal_n = 5,9\n",
+    "price_cross": "strategy = price_cross\nma.matype = 1\nma.timeperiod_long = 21,31,41\n"
+                   "ma.timeperiod_short = 3,5\nma.ada_win = 8,12\n",
+}
+
+# one row each of a swapped low/high, a close above high, a negative
+# volume and all-empty prices, between clean rows: lenient ingest repairs
+# the first three and drops the fourth
+DIRTY_CSV = (
+    "date,open,high,low,close,volume\n"
+    "2021-01-04,10.0,10.5,9.5,10.2,100\n"
+    "2021-01-05,10.2,9.8,10.6,10.4,120\n"
+    "2021-01-06,10.4,10.9,10.1,11.3,90\n"
+    "2021-01-07,10.8,11.0,10.5,10.7,-5\n"
+    "2021-01-08,,,,,80\n"
+    "2021-01-11,10.7,11.2,10.6,11.0,110\n"
+)
+DIRTY = "<the DIRTY_CSV file>"
+
+# CLI runs whose stdout and artifacts are pinned: argv without --out-dir,
+# and the artifacts the run writes
+CLI_RUNS = {
+    "v_fixture": (["backtest", "--data", str(DATA / "v_fixture.csv"),
+                   "--config", str(DATA / "v_strategy.cfg")],
+                  ["report.json", "equity.csv", "signals.csv"]),
+    "ingest": (["ingest", "--data", str(SP500)], ["ingested.csv"]),
+    "ingest lenient": (["ingest", "--data", DIRTY, "--lenient"], ["ingested.csv"]),
+    "report": (["report", "--data", str(SP500)], ["report.json"]),
+    "report benchmark": (["report", "--data", str(DATA / "v_fixture.csv"),
+                          "--benchmark", str(DATA / "v_fixture.csv")], ["report.json"]),
+    "kelly": (["kelly", "--p", "0.55", "--l-gain", "1.2", "--m-loss", "1.0"],
+              ["kelly_curve.csv", "kelly.json"]),
+    # no `ama ... 2` column: its float sum() mean differs from 3.12 on
+    "indicators": (["indicators", "--data", str(SP500), "--indicator", "sma50=sma 50",
+                    "--indicator", "ema20=ema 20", "--indicator", "rsi14=rsi 14",
+                    "--indicator", "rmi14=rmi 14 4", "--indicator", "kama=ama 30 2 10 1"],
+                   ["indicators.csv"]),
 }
 
 PINNED = {
@@ -92,8 +129,27 @@ PINNED = {
     "bollinger equity.csv": "b3f1889b8679c675fa5f7c364529df3eada18fc4f40c1f5377fcb28676293c8f",
     "macd signals.csv": "9601f4b315747c820b030a52ce8b61667100bc7cf559b957dfe5a6e0f674e78a",
     "macd equity.csv": "d586423707f7ac7504761339bf2f01a27be5b772b83fcf6f3a0c0c865de29d04",
+    "v_fixture stdout": "a647e9530af6ce7acc235245ad42f06fd272eba7e60f6f06b827c88311363322",
     # the bytes of tests/data/v_golden_report.json
     "v_fixture report.json": "b3f1701e9e568e3880bec117358ec964852869efc94c7ec3c255f666bd3a46f5",
+    "v_fixture equity.csv": "8dc243fbce7ee8b2715c5fb55256ac94b6ece921274015286daf5e306a4a3437",
+    "v_fixture signals.csv": "c6b2d47e9f42df073697dd4983e9db49ffb9b0b085efee5d8f411008a1b6a515",
+    "ingest stdout": "6e5764ffe84f6a05cd0ba115b01f923621d16e8ed5fe36306d75d2e2336fbb66",
+    "ingest ingested.csv": "0f289b959d357cdc74c7d1fa1cf31ea781204582f91000e3c711f03a4dce858d",
+    "ingest lenient stdout": "b8318d7204b28688a5db2a59e8cf03f75cdb30c62e5ba2822302560f59e0644e",
+    "ingest lenient ingested.csv":
+        "da3eb1fe64e7d8212493c3c4d046ec304c2c02cf6d2d649cd34d42c4453591b6",
+    "report stdout": "9030a360f8f7a19f82696158307fe748e0583b0a8cbce6fd24435f6809ca92c8",
+    "report report.json": "19b41b57e4fa70ac5a76a27d8a48a18357724483c404eb75d4de16602d4d714c",
+    "report benchmark stdout": "b9e54e8390a9982d12fb65b00f019a48d4f5242eaf3608c5b5d8bed8784778d9",
+    "report benchmark report.json":
+        "9b4f2f70b7ed48d2e8952701122abed08805cbb3b948ca51db66720bb2d6eec0",
+    "kelly stdout": "3bb0584134d694461f62f74ff010ce61a392e896a5e181d9cae673f7ee94add8",
+    "kelly kelly_curve.csv": "5aa3990b39f8d5e74425c29ac822eadaccabe700edf450d9370a7bea7be932f0",
+    "kelly kelly.json": "3afa542339a26357e872378d905c567146a15977d8dd11b420d7f3865acd3ba9",
+    "indicators stdout": "cb89b280618b05688fd153d64010d0622924406499f47e0f2aa8bf8c6fa4eb5c",
+    "indicators indicators.csv":
+        "ff7f0cb953118fb0c2415f598b2d3d8ddefd744535415174f2f05e1ff626dae3",
     "two_average sweep stdout": "910eadbe7f2f02fc006781a4fd2a968fc9b1b3f1a1ebb1848b92c2b210430835",
     "two_average sweep.csv": "253f2dc78844ce0f71e5aefff7db324879f045257eb122d24e34d44cc65d2cd7",
     "keltner sweep stdout": "cafcd9a8c27f79a5ada95c240fee620296ca39488a181f66f4b042ae789f5181",
@@ -106,6 +162,8 @@ PINNED = {
     "aroon sweep.csv": "a9f2f6e1c75b3669a0e5504a087436388e8b373ca382ea8f98020a02760a5b63",
     "macd sweep stdout": "b93c93a7e7863bc79f9a65a7efbf7902b302f28fff20e26fce6f9732d744ac13",
     "macd sweep.csv": "5614863a12309d86de68728b790998f0956dfd469d71dd12f8f0158008eb8681",
+    "price_cross sweep stdout": "7fab2aafc2d0a087c54cc8cd7b81e80e818226992cd63ee227b6cf77bdb65703",
+    "price_cross sweep.csv": "1debaf5b7b9001d963b86d40b24e27201f18b7cfff0c62081a40fedf5d1e9660",
 }
 
 
@@ -150,16 +208,20 @@ def _sha(data: bytes) -> str:
 
 
 def cli_digests() -> dict[str, str]:
-    """sha256 of the ``report.json`` of ``backtest`` on ``v_fixture.csv`` with
-    ``v_strategy.cfg``, and of the stdout and ``sweep.csv`` of each sweep."""
+    """sha256 of the stdout and every artifact of each of ``CLI_RUNS``, and
+    of the stdout and ``sweep.csv`` of each sweep."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        with redirect_stdout(io.StringIO()):
-            code = main(["backtest", "--data", str(DATA / "v_fixture.csv"),
-                         "--config", str(DATA / "v_strategy.cfg"), "--out-dir", str(out / "v")])
-        assert code == 0, "backtest failed"
-        digests["v_fixture report.json"] = _sha((out / "v" / "report.json").read_bytes())
+        (out / "dirty.csv").write_text(DIRTY_CSV)
+        for name, (argv, artifacts) in CLI_RUNS.items():
+            argv = [str(out / "dirty.csv") if arg == DIRTY else arg for arg in argv]
+            with redirect_stdout(io.StringIO()) as stdout:
+                code = main(argv + ["--out-dir", str(out / name)])
+            assert code == 0, f"{name} failed"
+            digests[f"{name} stdout"] = _sha(stdout.getvalue().encode("utf-8"))
+            for artifact in artifacts:
+                digests[f"{name} {artifact}"] = _sha((out / name / artifact).read_bytes())
         for name, text in SWEEPS.items():
             config = out / f"{name}.cfg"
             config.write_text(text)
