@@ -5,7 +5,7 @@ long-only equity curve, the full performance-measure block, and Kelly
 bet sizing out. Everything is a pure function of its inputs.
 """
 
-from .backtest import BacktestResult, EquityCurve, Trade, run
+from .backtest import BacktestResult, run
 from .errors import EngineError
 from .indicators import (
     AmaParams,
@@ -57,7 +57,6 @@ __all__ = [
     "BandSet",
     "BollingerConfig",
     "EngineError",
-    "EquityCurve",
     "IndicatorSeries",
     "KellyParams",
     "KeltnerConfig",
@@ -67,7 +66,6 @@ __all__ = [
     "OhlcvSeries",
     "PriceCrossConfig",
     "RsiConfig",
-    "Trade",
     "TwoAverageConfig",
     "ama",
     "aroon",

@@ -17,29 +17,12 @@ from .market_data import OhlcvSeries
 
 
 @dataclass(frozen=True)
-class Trade:
-    entry_index: int
-    exit_index: Optional[int]
-    entry_price: float
-    exit_price: float
-    return_factor: float
-
-    @property
-    def is_open(self) -> bool:
-        return self.exit_index is None
-
-
-@dataclass(frozen=True)
-class EquityCurve:
-    values: tuple[float, ...]
-    initial_price: float
-    final_price: float
-
-
-@dataclass(frozen=True)
 class BacktestResult:
-    equity: EquityCurve
-    trades: tuple[Trade, ...]
+    """The dense equity curve, one value per bar, and the ``(entry bar,
+    exit bar or None while still open)`` pair of each trade."""
+
+    equity: tuple[float, ...]
+    trades: tuple[tuple[int, Optional[int]], ...]
 
     @property
     def buy_count(self) -> int:
@@ -114,22 +97,11 @@ def run(series: OhlcvSeries, bars: Sequence[int]) -> BacktestResult:
         parts += (repeat(held, entry - done), values)
         held, done = values[-1], entry + len(values)
     parts.append(repeat(held, len(closes) - done))
-    trades = tuple(
-        Trade(
-            entry_index=entry,
-            exit_index=exit_index,
-            entry_price=closes[entry],
-            exit_price=closes[exit_index if exit_index is not None else -1],
-            return_factor=closes[exit_index if exit_index is not None else -1] / closes[entry],
-        )
-        for entry, exit_index in _pairs(bars)
-    )
-    equity = EquityCurve(tuple(chain.from_iterable(parts)), initial, held)
-    return BacktestResult(equity, trades)
+    return BacktestResult(tuple(chain.from_iterable(parts)), tuple(_pairs(bars)))
 
 
 def equity_to_csv(result: BacktestResult, series: OhlcvSeries, handle) -> None:
     """Write `bar_index,equity,close` rows for figure reproduction to an open text handle."""
     handle.write("bar_index,equity,close\n")
-    for i, (value, close) in enumerate(zip(result.equity.values, series.closes)):
+    for i, (value, close) in enumerate(zip(result.equity, series.closes)):
         handle.write(f"{i},{value!r},{close!r}\n")

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfg
+from . import indicators
 from .backtest import equity_to_csv, run
 from .errors import (
     DomainError,
@@ -180,7 +181,10 @@ def cmd_indicators(args) -> int:
     columns = cfg.indicator_columns_from_dict(tree)
     series = parsed.series
     closes = series.closes
-    values = [(column.name, column.values(closes)) for column in columns]
+    # looked up by name at call time, so a rebinding of the module
+    # attribute (as the benchmark's span tracer does) sees every call
+    values = [(name, getattr(indicators, kind)(closes, *kernel_args).values)
+              for name, kind, kernel_args in columns]
     _save(args.out_dir, "indicators.csv", _indicators_to_csv, closes, values)
     _emit({
         "command": "indicators",
@@ -252,14 +256,9 @@ def cmd_kelly(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .backtest import EquityCurve
-
-    parsed = _load_series(args)
-    series = parsed.series
-    closes = series.closes
+    series = _load_series(args).series
     benchmark_closes = _load_benchmark_closes(args, series)
-    equity = EquityCurve(tuple(closes), closes[0], closes[-1])
-    report = build_report(equity, benchmark_closes, 0, args.trading_days)
+    report = build_report(series.closes, benchmark_closes, 0, args.trading_days)
     _save(args.out_dir, "report.json", _write_text, _json(report.to_dict(), indent=2))
     _emit({"command": "report", "report": report.to_dict(), "output": "report.json"})
     return 0

@@ -25,7 +25,6 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from . import indicators
 from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
 from .strategies import STRATEGIES, BollingerConfig, StrategyConfig
@@ -199,6 +198,22 @@ def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
 _COMMON_KEYS = ("strategy", "objective", "min_trades")
 
 
+def _sweep_keys(tree: dict) -> tuple[str, int]:
+    """The sweep keys ``objective`` and ``min_trades``, with their defaults;
+    both readers check them, as one value each, although only a sweep
+    reads them."""
+    objective = tree.get("objective", "sharpe_annual")
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    min_trades = tree.get("min_trades", 0)
+    if isinstance(min_trades, list):
+        raise ConfigError("min_trades cannot be a sweep axis: give it one value")
+    min_trades = _coerce(min_trades, int, "min_trades")
+    if min_trades < 0:
+        raise ConfigError("min_trades must be an integer >= 0")
+    return objective, min_trades
+
+
 def _check_names(tree: dict, tag: str) -> type:
     """The config class of the ``tag`` strategy, once every key name of
     ``tree`` is one it reads, no required key is missing and every
@@ -245,6 +260,7 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
     tag = tree.get("strategy")
     if not isinstance(tag, str):
         raise ConfigError("config needs a 'strategy = <tag>' line")
+    _sweep_keys(tree)
     cls = _check_names(tree, tag)
     params = _section(tree, tag)
     try:
@@ -260,39 +276,26 @@ def strategy_from_dict(tree: dict) -> StrategyConfig:
 # -- indicator dump specs ----------------------------------------------------
 
 # A spec's first token names its kernel in `indicators`; the value is the
-# count of integer arguments that follow it. The kernel is looked up by
-# name at call time, so a rebinding of the module attribute (as the
-# benchmark's span tracer does) sees every call.
+# count of integer arguments that follow it.
 _INDICATOR_ARGS = {"sma": 1, "ema": 1, "rsi": 1, "rmi": 2, "ama": 4}
 
 # Characters a column name cannot hold unquoted in indicators.csv's header.
 _UNSAFE_NAME = ',"\r\n'
 
 
-@dataclass(frozen=True)
-class IndicatorColumn:
-    name: str
-    spec: Any  # ("sma", n) | ("ema", n) | ("rsi", n) | ("rmi", n, m) | AmaParams
+def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
+    """Columns for the indicator dump, e.g. `indicator.sma50 = sma 50`, as
+    ``(name, kernel name, kernel arguments after the closes)``.
 
-    def values(self, closes: list[float]) -> list[float]:
-        """This column over ``closes``, aligned to them."""
-        if isinstance(self.spec, AmaParams):
-            return indicators.ama(closes, self.spec).values
-        kind, *args = self.spec
-        return getattr(indicators, kind)(closes, *args).values
-
-
-def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
-    """Columns for the indicator dump, e.g. `indicator.sma50 = sma 50`.
-
-    Tokens: `sma N`, `ema N`, `rsi N`, `rmi N M`, `ama LONG SHORT ADAWIN MATYPE`.
+    Tokens: `sma N`, `ema N`, `rsi N`, `rmi N M`, `ama LONG SHORT ADAWIN MATYPE`
+    (one `AmaParams` argument).
     A name is a CSV header field as it stands: not empty, and without a
     comma, a double quote or a line break.
     """
     section = tree.get("indicator")
     if not isinstance(section, dict) or not section:
         raise ConfigError("indicator dump config needs at least one 'indicator.<name> = <spec>' line")
-    columns: list[IndicatorColumn] = []
+    columns = []
     for name in section:
         raw = section[name]
         if not name or any(c in name for c in _UNSAFE_NAME):
@@ -307,7 +310,7 @@ def indicator_columns_from_dict(tree: dict) -> list[IndicatorColumn]:
             args = [int(token) for token in tokens]
         except ValueError as exc:
             raise ConfigError(f"indicator.{name}: {exc}") from None
-        columns.append(IndicatorColumn(name, AmaParams(*args) if kind == "ama" else (kind, *args)))
+        columns.append((name, kind, (AmaParams(*args),) if kind == "ama" else tuple(args)))
     return columns
 
 
@@ -357,15 +360,7 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     tag = tree.get("strategy")
     if not isinstance(tag, str):
         raise ConfigError("sweep config needs a 'strategy = <tag>' line")
-    objective = tree.get("objective", "sharpe_annual")
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    min_trades = tree.get("min_trades", 0)
-    if isinstance(min_trades, list):
-        raise ConfigError("min_trades cannot be a sweep axis: give it one value")
-    min_trades = _coerce(min_trades, int, "min_trades")
-    if min_trades < 0:
-        raise ConfigError("min_trades must be an integer >= 0")
+    objective, min_trades = _sweep_keys(tree)
     # a wrong key name would fail every cell, and an axis no cell reads
     # would rank copies of one cell
     _check_names(tree, tag)

@@ -22,7 +22,6 @@ from operator import mul, ne, sub, truediv
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._exact import exact_ints, moments, scaled_ints
-from .backtest import EquityCurve
 from .errors import (
     DomainError,
     EngineError,
@@ -152,9 +151,10 @@ def _growth(initial: float, ends: list[float]) -> list[float]:
     return list(map(truediv, ends, chain((initial,), ends)))
 
 
-def yearly_rr(equity: EquityCurve, ranges: Sequence[tuple[int, int]]) -> list[float]:
-    """Per-range growth ratios; their product telescopes to final/initial."""
-    return _growth(equity.initial_price, [equity.values[end - 1] for _, end in ranges])
+def yearly_rr(equity: Sequence[float], ranges: Sequence[tuple[int, int]]) -> list[float]:
+    """Per-range growth ratios of the equity values; their product
+    telescopes to final/initial."""
+    return _growth(equity[0], [equity[end - 1] for _, end in ranges])
 
 
 def gaussian_fit(returns: Sequence[float]) -> tuple[float, float]:
@@ -309,12 +309,13 @@ def measures_from_sums(
 
 
 def build_report(
-    equity: EquityCurve,
+    equity: Sequence[float],
     benchmark_closes: Sequence[float],
     buy_count: int,
     trading_days: int = TRADING_DAYS_PER_YEAR,
 ) -> MetricReport:
-    """Assemble the measure block for an equity curve and its benchmark.
+    """Assemble the measure block for the equity values of a curve, one per
+    bar from its initial value ``equity[0]``, and its benchmark.
 
     Sharpe and information ratios degrade to None instead of failing
     when the relevant volatility is zero (e.g. a flat, trade-free curve).
@@ -322,10 +323,11 @@ def build_report(
     try:
         benchmark_returns = daily_returns(benchmark_closes)
     except EngineError:
-        daily_returns(equity.values)  # a fault of the curve itself is reported first
+        daily_returns(equity)  # a fault of the curve itself is reported first
         raise
-    values, initial = equity.values, equity.initial_price
-    (returns,), growth = _checked(initial, [(0, values)], len(values), len(benchmark_returns),
+    if len(equity) < 2:
+        raise TooShort("need at least two values for returns")
+    (returns,), growth = _checked(equity[0], [(0, equity)], len(equity), len(benchmark_returns),
                                   trading_days)
     # a zero adds nothing to a sum, and fl(r - b) is r - b while below 1
     # in magnitude, where every multiple of 2**-53 is a float
@@ -338,9 +340,9 @@ def build_report(
     r = scaled_ints(list(filter(None, returns)), RETURN_SCALE)
     measures = _measures(growth, len(returns), sum(r), sum(map(mul, r, r)),
                          sum(d), sum(map(mul, d, d)), trading_days)
-    rr_by_year = yearly_rr(equity, slice_years(len(values), trading_days))
+    rr_by_year = yearly_rr(equity, slice_years(len(equity), trading_days))
     return MetricReport(
-        initial_price=initial,
+        initial_price=equity[0],
         final_price=measures.final,
         rr_whole=measures.rr_whole,
         rr_per_year=measures.rr_per_year,
@@ -348,7 +350,7 @@ def build_report(
         buy_count=buy_count,
         max_rate=max(rr_by_year),
         min_rate=min(rr_by_year),
-        mdd=max_drawdown(values),
+        mdd=max_drawdown(equity),
         sr=measures.sr,
         ir=measures.ir,
         vol_annual=measures.fit_std * math.sqrt(trading_days),

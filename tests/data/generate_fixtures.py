@@ -100,8 +100,8 @@ def make_regime_fixture() -> None:
     sells_in_downleg = [i for i, a in golden if a == "Sell" and i >= down_start]
     assert len(sells_in_downleg) == 1, f"fixture must have one down-leg sell, got {golden}"
 
-    strategy_mdd = max_drawdown(run(series, engine).equity.values)
-    hold_mdd = max_drawdown(run(series, [0]).equity.values)
+    strategy_mdd = max_drawdown(run(series, engine).equity)
+    hold_mdd = max_drawdown(run(series, [0]).equity)
     assert strategy_mdd < hold_mdd, (strategy_mdd, hold_mdd)
 
     (HERE / "regime_golden.json").write_text(

@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import io
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -169,9 +170,18 @@ def exact_sma(x, n):
 
 def exact_population_std(xs):
     """Square root of the population variance, which is computed in
-    rational arithmetic and rounded once to a float."""
+    rational arithmetic and rounded once to a float, the root rounded once.
+
+    A variance that rounds below the normal floats would lose bits there,
+    and its root need not: as in the kernels' contract, it is rounded to
+    53 bits at the scale 2**1200 instead, where the nonzero variance of
+    any window of fewer than 2**37 floats is a normal float, and its root
+    is scaled back by 2**-600, which is exact.
+    """
     mean = sum(Fraction(v) for v in xs) / len(xs)
     variance = sum((Fraction(v) - mean) ** 2 for v in xs) / len(xs)
+    if variance and float(variance) < sys.float_info.min:
+        return math.ldexp(math.sqrt(float(variance * 2**1200)), -600)
     return math.sqrt(float(variance))
 
 

@@ -246,15 +246,16 @@ def test_criterion_08_backtest_algebra():
             if rng.random() < 0.2:
                 break
         result = run(series, bars)
-        product = result.equity.initial_price
-        for trade in result.trades:
-            product *= trade.return_factor
-        assert result.equity.final_price == pytest.approx(product, rel=1e-12)
+        closes = series.closes
+        product = result.equity[0]
+        for entry, exit_bar in result.trades:
+            product *= closes[exit_bar if exit_bar is not None else -1] / closes[entry]
+        assert result.equity[-1] == pytest.approx(product, rel=1e-12)
         ranges = slice_years(length, 252)
         rr_product = 1.0
         for rr in yearly_rr(result.equity, ranges):
             rr_product *= rr
-        rr_whole = result.equity.final_price / result.equity.initial_price
+        rr_whole = result.equity[-1] / result.equity[0]
         assert rr_product == pytest.approx(rr_whole, rel=1e-12)
 
 
@@ -273,8 +274,8 @@ def test_criterion_09_regime_fixture():
     down_start = golden["down_start"]
     sells = [e for e in signals if e.action == SELL]
     assert len([e for e in sells if e.bar_index >= down_start]) == 1
-    strategy_mdd = max_drawdown(run(series, bars).equity.values)
-    hold_mdd = max_drawdown(run(series, [0]).equity.values)
+    strategy_mdd = max_drawdown(run(series, bars).equity)
+    hold_mdd = max_drawdown(run(series, [0]).equity)
     assert strategy_mdd < hold_mdd
 
 

@@ -34,33 +34,31 @@ class TestRun:
         series = random_ohlcv(rng, 40)
         result = run(series, make_signals([(0, BUY)]))
         closes = series.closes
-        assert result.equity.initial_price == closes[0]
-        assert result.equity.final_price == pytest.approx(closes[-1], rel=1e-12)
+        assert result.equity[0] == closes[0]
+        assert result.equity[-1] == pytest.approx(closes[-1], rel=1e-12)
         assert result.buy_count == 1
-        assert result.trades[0].is_open
-        assert result.trades[0].exit_price == closes[-1]
+        assert result.trades == ((0, None),)  # still open
 
     def test_hand_multiplied_example(self):
         closes = [10.0, 10.0, 20.0, 10.0, 40.0]
         series = make_series(closes)
         result = run(series, make_signals([(1, BUY), (3, SELL)]))
         # 10 * (20/10) * (10/20), frozen afterwards
-        assert result.equity.values == (10.0, 10.0, 20.0, 10.0, 10.0)
-        assert result.equity.final_price == 10.0
-        assert result.trades[0].return_factor == 1.0
+        assert result.equity == (10.0, 10.0, 20.0, 10.0, 10.0)
+        assert result.trades == ((1, 3),)
         assert result.buy_count == 1
 
     def test_no_signals_flat(self):
         series = make_series([7.0, 8.0, 9.0])
         result = run(series, [])
-        assert result.equity.values == (7.0, 7.0, 7.0)
+        assert result.equity == (7.0, 7.0, 7.0)
         assert result.buy_count == 0
         assert result.trades == ()
 
     def test_equity_flat_before_first_buy(self):
         closes = [5.0, 6.0, 7.0, 8.0, 9.0]
         result = run(make_series(closes), make_signals([(2, BUY)]))
-        assert result.equity.values[:3] == (7.0, 7.0, 7.0)
+        assert result.equity[:3] == (7.0, 7.0, 7.0)
 
     def test_rejects_out_of_range(self):
         series = make_series([1.0, 2.0])
@@ -99,7 +97,7 @@ class TestRun:
         series = make_series(closes)
         held = run(series, make_signals([(0, BUY)]))
         churned = run(series, make_signals([(0, BUY), (2, SELL), (3, BUY)]))
-        assert churned.equity.final_price == pytest.approx(held.equity.final_price, rel=1e-12)
+        assert churned.equity[-1] == pytest.approx(held.equity[-1], rel=1e-12)
 
 
 class TestEquityAlgebra:
@@ -110,12 +108,11 @@ class TestEquityAlgebra:
             series = random_ohlcv(rng, length)
             signals = random_signals(rng, length)
             result = run(series, signals)
-            product = result.equity.initial_price
-            for trade in result.trades:
-                product *= trade.return_factor
-            if not signals:
-                product = result.equity.initial_price
-            assert result.equity.final_price == pytest.approx(product, rel=1e-12)
+            closes = series.closes
+            product = result.equity[0]
+            for entry, exit_bar in result.trades:
+                product *= closes[exit_bar if exit_bar is not None else -1] / closes[entry]
+            assert result.equity[-1] == pytest.approx(product, rel=1e-12)
 
     def test_matches_naive_trade_segment_recomputation(self):
         rng = random.Random(123)
@@ -129,15 +126,16 @@ class TestEquityAlgebra:
                 entry = signals[k]
                 exit_index = signals[k + 1] if k + 1 < len(signals) else None
                 pairs.append((entry, exit_index))
+            assert result.trades == tuple(pairs)
             expected = oracles.naive_equity(series.closes, pairs, length)
-            for got, want in zip(result.equity.values, expected):
+            for got, want in zip(result.equity, expected):
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_flat_stretches_exactly_constant(self):
         rng = random.Random(55)
         series = random_ohlcv(rng, 60)
         signals = make_signals([(5, BUY), (20, SELL), (30, BUY), (40, SELL)])
-        values = run(series, signals).equity.values
+        values = run(series, signals).equity
         for i in range(1, 6):
             assert values[i] == values[0]
         for i in range(21, 31):
@@ -149,6 +147,6 @@ class TestEquityAlgebra:
         rng = random.Random(56)
         series = random_ohlcv(rng, 60)
         closes = series.closes
-        values = run(series, make_signals([(5, BUY), (20, SELL)])).equity.values
+        values = run(series, make_signals([(5, BUY), (20, SELL)])).equity
         for i in range(6, 21):
             assert values[i] / values[i - 1] == pytest.approx(closes[i] / closes[i - 1], rel=1e-12)

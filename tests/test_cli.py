@@ -92,6 +92,22 @@ class TestBacktestCommand:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "DomainError"
 
+    @pytest.mark.parametrize("line", ["objective = bogus", "min_trades = 1,2",
+                                      "min_trades = -3", "min_trades = true"])
+    def test_sweep_keys_are_checked_as_in_a_sweep(self, tmp_path, line):
+        config = tmp_path / "strategy.cfg"
+        config.write_text(V_CONFIG.read_text() + line + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["backtest", "--data", str(V_FIXTURE), "--config", str(config),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "ConfigError"
+        assert stderr.getvalue() == ""
+        assert not (tmp_path / "out").exists()
+
     def test_benchmark_path(self, tmp_path, capsys):
         code, _ = run_cli(
             capsys, "backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),

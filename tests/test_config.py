@@ -186,11 +186,12 @@ class TestIndicatorColumns:
             "indicator.kama = ama 50 5 12 2\nindicator.mom = rmi 4 2\n"
         )
         columns = indicator_columns_from_dict(tree)
-        by_name = {c.name: c.spec for c in columns}
-        assert by_name["sma50"] == ("sma", 50)
-        assert by_name["ema50"] == ("ema", 50)
-        assert by_name["kama"] == AmaParams(50, 5, 12, 2)
-        assert by_name["mom"] == ("rmi", 4, 2)
+        assert columns == [
+            ("sma50", "sma", (50,)),
+            ("ema50", "ema", (50,)),
+            ("kama", "ama", (AmaParams(50, 5, 12, 2),)),
+            ("mom", "rmi", (4, 2)),
+        ]
 
     def test_rejects_unknown(self):
         with pytest.raises(errors.ConfigError):

@@ -410,6 +410,9 @@ class TestExactContract:
 
     @given(x=st.lists(wide_floats, min_size=1, max_size=40), n=st.integers(1, 45))
     @example(x=[1e-9, -3.5, 0.0, 1e9, 2.25e-7, 7e8, -0.0, 1e-9], n=3)
+    # window variances below the normal floats, whose roots are normal
+    @example(x=[0.0, 1e-200], n=2)
+    @example(x=[0.0, 3e-160, 1e-160], n=3)
     def test_sma_and_std_on_wide_values(self, x, n):
         assert sma(x, n).values == oracles.exact_sma(x, n)
         assert rolling_std(x, n).values == exact_rolling_std(x, n)
@@ -458,3 +461,5 @@ class TestExactContract:
         # their roots do not; these are the true roots, rounded once
         assert rolling_std([0.0, 1e-200], 2).values == [0.0, 5e-201]
         assert rolling_std([0.0, 3e-160, 1e-160], 3).values == [0.0, 0.0, 1.2472191289246472e-160]
+        assert exact_rolling_std([0.0, 1e-200], 2) == [0.0, 5e-201]
+        assert exact_rolling_std([0.0, 3e-160, 1e-160], 3) == [0.0, 0.0, 1.2472191289246472e-160]

@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from tabacktest import errors
-from tabacktest.backtest import EquityCurve
 from tabacktest.market_data import slice_years
 from tabacktest.metrics import (
     build_report,
@@ -42,7 +41,7 @@ class TestDailyReturns:
             daily_returns([1e-300, 1e300, 1e300, 0.0])
         benchmark = [1e-300] + [1e300] * 5
         with pytest.raises(errors.DomainError):
-            build_report(EquityCurve((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 1.0, 6.0), benchmark, 0)
+            build_report((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), benchmark, 0)
         assert oracles._naive_daily_returns([1.0, 2.0]) == daily_returns([1.0, 2.0])
         with pytest.raises(oracles.OracleMetricError) as raised:
             oracles._naive_daily_returns(benchmark)
@@ -187,12 +186,12 @@ class TestExactMoments:
 
 class TestYearlyRr:
     def test_flat_equity_all_ones(self):
-        curve = EquityCurve(tuple([10.0] * 500), 10.0, 10.0)
+        curve = tuple([10.0] * 500)
         assert yearly_rr(curve, slice_years(500, 252)) == [1.0, 1.0]
 
     def test_doubling_in_year_two(self):
         values = [10.0] * 252 + [20.0] * 252 + [20.0] * 100
-        curve = EquityCurve(tuple(values), 10.0, 20.0)
+        curve = tuple(values)
         assert yearly_rr(curve, slice_years(len(values), 252)) == [1.0, 2.0, 1.0]
 
     def test_product_telescopes_to_whole_period(self):
@@ -200,7 +199,7 @@ class TestYearlyRr:
         values = [100.0]
         for _ in range(1000):
             values.append(max(1.0, values[-1] * (1.0 + rng.gauss(0.0003, 0.01))))
-        curve = EquityCurve(tuple(values), values[0], values[-1])
+        curve = tuple(values)
         rrs = yearly_rr(curve, slice_years(len(values), 252))
         product = 1.0
         for rr in rrs:
@@ -252,7 +251,7 @@ class TestBuildReport:
         values = [100.0]
         for _ in range(700):
             values.append(max(1.0, values[-1] * (1.0 + rng.gauss(0.0005, 0.01))))
-        curve = EquityCurve(tuple(values), values[0], values[-1])
+        curve = tuple(values)
         benchmark = values  # self benchmark: ir degrades to None
         report = build_report(curve, benchmark, buy_count=3)
         assert report.rr_whole == pytest.approx(values[-1] / values[0], rel=1e-12)
@@ -271,7 +270,7 @@ class TestBuildReport:
         assert product == pytest.approx(report.final_price, rel=1e-12)
 
     def test_flat_curve_degrades_gracefully(self):
-        curve = EquityCurve(tuple([10.0] * 300), 10.0, 10.0)
+        curve = tuple([10.0] * 300)
         report = build_report(curve, [10.0] * 300, buy_count=0)
         assert report.sr is None
         assert report.ir is None
@@ -279,10 +278,17 @@ class TestBuildReport:
         assert report.rr_whole == 1.0
 
     def test_json_keys_mirror_printed_block(self):
-        curve = EquityCurve((10.0, 11.0, 12.0), 10.0, 12.0)
+        curve = (10.0, 11.0, 12.0)
         payload = build_report(curve, [10.0, 10.5, 11.0], buy_count=1).to_dict()
         for key in (
             "initial_price", "final_price", "rr_whole", "rr_per_year", "rr_by_year",
             "buy_count", "max_rate", "min_rate", "mdd", "sr", "ir",
         ):
             assert key in payload
+
+    @pytest.mark.parametrize("curve", [(), (10.0,)])
+    def test_a_curve_under_two_values_is_too_short(self, curve):
+        with pytest.raises(errors.TooShort):
+            build_report(curve, [10.0, 10.5, 11.0], buy_count=0)
+        with pytest.raises(errors.TooShort):
+            build_report(curve, [10.0], buy_count=0)  # and when the benchmark fails too

@@ -224,7 +224,7 @@ def test_backtest_multiplicativity(closes, data):
         st.lists(st.integers(0, length - 1), unique=True, max_size=min(8, length))
     )
     result = run(series, sorted(indices))
-    product = result.equity.initial_price
-    for trade in result.trades:
-        product *= trade.return_factor
-    assert math.isclose(result.equity.final_price, product, rel_tol=1e-12)
+    product = result.equity[0]
+    for entry, exit_bar in result.trades:
+        product *= closes[exit_bar if exit_bar is not None else -1] / closes[entry]
+    assert math.isclose(result.equity[-1], product, rel_tol=1e-12)
