@@ -103,7 +103,7 @@ def _values(data) -> list[float]:
     if isinstance(data, IndicatorSeries):
         return data.values
     if isinstance(data, OhlcvSeries):
-        return data.closes
+        return list(data.closes)
     return [float(v) for v in data]
 
 

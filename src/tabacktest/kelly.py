@@ -30,11 +30,6 @@ class KellyParams:
     def q(self) -> float:
         return 1.0 - self.p
 
-    @property
-    def b(self) -> float:
-        """Odds: proportion of the stake gained on a win."""
-        return self.l_gain / self.m_loss
-
 
 def expected_log_return(x: float, params: KellyParams) -> float:
     """p*ln(1 + L*x) + q*ln(1 - M*x), natural log, for a bet fraction x."""

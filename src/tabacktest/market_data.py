@@ -1,13 +1,14 @@
 """Daily OHLCV series: CSV parsing, validation, serialization, year slicing.
 
 Canonical CSV columns are ``date,open,high,low,close,adj_close,volume``
-with ``adj_close`` optional. Dates are ISO-8601 and must be strictly
-increasing. A series stores one immutable column per field.
+with ``adj_close`` optional. Dates are ``YYYY-MM-DD`` and must be strictly
+increasing. A series stores one tuple per field.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import operator
 from dataclasses import dataclass
@@ -32,60 +33,35 @@ LENIENT = "lenient"
 _REQUIRED_COLUMNS = ("date", "open", "high", "low", "close", "volume")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OhlcvSeries:
-    """Daily bars stored column by column.
+    """Daily bars stored column by column, each column a tuple.
 
     Invariants, checked once per column on construction: at least one bar,
     equal column lengths, strictly increasing dates, finite and strictly
     positive prices, low <= high and volume >= 0. A violation raises
     ``EmptySeries`` or ``LengthMismatch``, or ``NonMonotonicDates`` or
     ``InvariantViolation`` whose row is the 1-based position of the first
-    bad bar. The column accessors return fresh lists.
+    bad bar.
     """
 
     symbol: str
-    _dates: tuple
-    _opens: tuple
-    _highs: tuple
-    _lows: tuple
-    _closes: tuple
-    _volumes: tuple
+    dates: tuple[dt.date, ...]
+    opens: tuple[float, ...]
+    highs: tuple[float, ...]
+    lows: tuple[float, ...]
+    closes: tuple[float, ...]
+    volumes: tuple[int, ...]
 
-    def __init__(self, symbol, dates, opens, highs, lows, closes, volumes):
-        columns = tuple(map(tuple, (dates, opens, highs, lows, closes, volumes)))
+    def __post_init__(self):
+        names = ("dates", "opens", "highs", "lows", "closes", "volumes")
+        columns = [tuple(getattr(self, name)) for name in names]
         _validate(*columns)
-        object.__setattr__(self, "symbol", symbol)
-        for name, column in zip(("_dates", "_opens", "_highs", "_lows", "_closes", "_volumes"),
-                                columns):
+        for name, column in zip(names, columns):
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self._dates)
-
-    @property
-    def dates(self) -> list[dt.date]:
-        return list(self._dates)
-
-    @property
-    def opens(self) -> list[float]:
-        return list(self._opens)
-
-    @property
-    def highs(self) -> list[float]:
-        return list(self._highs)
-
-    @property
-    def lows(self) -> list[float]:
-        return list(self._lows)
-
-    @property
-    def closes(self) -> list[float]:
-        return list(self._closes)
-
-    @property
-    def volumes(self) -> list[int]:
-        return list(self._volumes)
+        return len(self.dates)
 
 
 def _first(flags) -> int:
@@ -137,6 +113,30 @@ def _parse_volume(cell: str) -> int:
     return int(value)
 
 
+def _parse_date(cell: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date; other ISO 8601 forms that Python 3.11+ reads,
+    such as ``20210104`` and ``2021-W01-1``, fail with 3.10's message."""
+    if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {cell!r}")
+    return dt.date.fromisoformat(cell)
+
+
+def _holds_nul(raw) -> bool:
+    """Whether a binary file holds a NUL byte, read in 64 KiB chunks, then rewound."""
+    found = any(b"\0" in chunk for chunk in iter(lambda: raw.read(1 << 16), b""))
+    raw.seek(0)
+    return found
+
+
+def _refuse_nul(lines):
+    """The lines, up to one holding a NUL, where the ``csv`` module's
+    Python 3.10 error is raised: from 3.11 on it reads a NUL into its cell."""
+    for line in lines:
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
+
+
 def parse_csv(
     path: str | Path,
     mode: str = STRICT,
@@ -157,8 +157,9 @@ def parse_csv(
 
     1. A row whose cells are all blank is skipped without a warning.
     2. The row is unparsable if all four price cells are empty, the date
-       is not ISO-8601, a price is not a finite float, or the volume is
-       not a finite whole number (``UnparsableRow``).
+       is not a valid ``YYYY-MM-DD`` date (other ISO 8601 forms such as
+       ``20210104`` are refused), a price is not a finite float, or the
+       volume is not a finite whole number (``UnparsableRow``).
     3. A date that does not follow the previous parsed row's date raises
        ``NonMonotonicDates`` in both modes. Unparsable rows set no date.
     4. A price <= 0 makes the row unrepairable (``InvariantViolation``);
@@ -175,23 +176,28 @@ def parse_csv(
 
     A record the ``csv`` module cannot read, such as one with a field
     longer than its field size limit, raises ``UnparsableRow`` in both
-    modes (row 0 is the header). A file that is not UTF-8 raises
+    modes (row 0 is the header). So does the first line that holds a NUL
+    character, and reading stops there. A file that is not UTF-8 raises
     ``UndecodableInput``.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with path.open("rb") as raw:
+        # only a file with a NUL, or one that cannot be rewound, is checked line by line
+        nul = not raw.seekable() or _holds_nul(raw)
+        handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         try:
-            return _parse_stream(handle, mode, use_adjusted, symbol or path.stem)
+            return _parse_stream(_refuse_nul(handle) if nul else handle,
+                                 mode, use_adjusted, symbol or path.stem)
         except UnicodeDecodeError as exc:
             raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseResult:
+def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseResult:
     if mode not in (STRICT, LENIENT):
         raise InvalidArgument(f"unknown parse mode {mode!r}")
-    reader = csv.reader(handle)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -229,7 +235,8 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
             # Fast path: a row that passes every check as it stands. float()
             # ignores the surrounding whitespace that the checks below strip.
             try:
-                date = fromisoformat(row[date_col])
+                date_cell = row[date_col]
+                date = fromisoformat(date_cell)
                 open_ = float(row[open_col])
                 high = float(row[high_col])
                 low = float(row[low_col])
@@ -240,7 +247,8 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
             else:
                 if (0.0 < low <= open_ <= high < inf and low <= close <= high
                         and volume >= 0.0 and volume.is_integer()
-                        and (prev_date is None or date > prev_date)):
+                        and (prev_date is None or date > prev_date)
+                        and len(date_cell) == 10 and date_cell[4] == date_cell[7] == "-"):
                     dates.append(date)
                     opens.append(open_)
                     highs.append(high)
@@ -255,15 +263,14 @@ def _parse_stream(handle, mode: str, use_adjusted: bool, symbol: str) -> ParseRe
             if not row or all(not cell.strip() for cell in row):
                 continue
             price_cells = [row[col].strip() if col < len(row) else ""
-                           for col in (open_col, high_col, low_col)]
-            price_cells.append(row[close_col].strip() if close_col < len(row) else "")
+                           for col in (open_col, high_col, low_col, close_col)]
             if all(not cell for cell in price_cells):
                 if strict:
                     raise UnparsableRow(row_no, "all price cells empty")
                 warnings += 1
                 continue
             try:
-                date = fromisoformat(row[date_col].strip())
+                date = _parse_date(row[date_col].strip())
                 open_, high, low, close = (_parse_price(cell) for cell in price_cells)
                 volume = _parse_volume(row[volume_col].strip())
             except (ValueError, IndexError) as exc:
@@ -324,8 +331,7 @@ def serialize_csv(series: OhlcvSeries, handle) -> None:
     handle.writelines(
         f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
         for date, open_, high, low, close, volume in zip(
-            series._dates, series._opens, series._highs,
-            series._lows, series._closes, series._volumes)
+            series.dates, series.opens, series.highs, series.lows, series.closes, series.volumes)
     )
 
 

@@ -92,12 +92,10 @@ def run_sweep(
     the result is the same as evaluating each cell on its own.
     """
     closes = series.closes
-    benchmark = list(benchmark_closes) if benchmark_closes is not None else closes
+    benchmark = closes if benchmark_closes is None else benchmark_closes
     names = [path for path, _ in spec.axes]
     value_lists = [values for _, values in spec.axes]
-    assignments = [
-        tuple(zip(names, combo)) for combo in itertools.product(*value_lists)
-    ] or [()]
+    assignments = [tuple(zip(names, combo)) for combo in itertools.product(*value_lists)]
 
     try:
         benchmark_returns = daily_returns(benchmark)

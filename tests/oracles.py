@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -445,6 +446,8 @@ def naive_parse(text, mode, use_adjusted=False):
         try:
             if all(t == "" for t in texts):
                 raise ValueError("no prices")
+            if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", cell(record, "date")):
+                raise ValueError("date is not YYYY-MM-DD")
             date = dt.date.fromisoformat(cell(record, "date"))
             prices = [float(t) for t in texts]
             volume = float(cell(record, "volume"))

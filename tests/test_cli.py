@@ -666,3 +666,80 @@ def test_fuzzed_kelly_flags_meet_the_error_contract(tmp_path):
         _assert_contract(["kelly", *argv, "--out-dir", str(tmp_path / "out")])
 
     check()
+
+
+# whole command lines: a command, then flags of that command with values of
+# their type, good and bad input files among them, and now and then a token
+# drawn from every flag, misspellings, abbreviations and those values
+ARGV_FILES = ["<v_fixture.csv>", "<v_strategy.cfg>", "<a two-cell sweep config>",
+              "<an indicator config>", "<v_fixture.csv with a NUL>",
+              "<v_fixture.csv with a date 20210105>", "<v_fixture.csv with the byte 0xff>",
+              "<a missing file>", "<a directory>"]
+ARGV_NUMBERS = ["0", "1", "2", "7", "-3", "252", "0.55", "1.2", "inf", "-inf", "nan", "1e308",
+                "5e-324", "abc", ""]
+ARGV_VALUES = {
+    "--data": ARGV_FILES, "--config": ARGV_FILES, "--benchmark": ["self", *ARGV_FILES],
+    "--strict": [], "--lenient": [], "--use-adjusted": [],
+    "--indicator": ["sma5=sma 5", "kama=ama 30 2 10 2", "x=rsi 0", "=", "a,b=ema 3", "bad"],
+    **dict.fromkeys(["--trading-days", "--p", "--l-gain", "--m-loss", "--grid-points"],
+                    ARGV_NUMBERS),
+}
+DATA_FLAGS = ["--data", "--strict", "--lenient", "--use-adjusted"]
+ARGV_COMMAND_FLAGS = {
+    "ingest": DATA_FLAGS,
+    "indicators": DATA_FLAGS + ["--config", "--indicator"],
+    "backtest": DATA_FLAGS + ["--config", "--trading-days", "--benchmark"],
+    "sweep": DATA_FLAGS + ["--config", "--trading-days", "--benchmark"],
+    "report": DATA_FLAGS + ["--trading-days", "--benchmark"],
+    "kelly": ["--p", "--l-gain", "--m-loss", "--grid-points"],
+    "frobnicate": ["--data"],
+}
+ARGV_REQUIRED = {"ingest": ["--data"], "indicators": ["--data"], "report": ["--data"],
+                 "backtest": ["--data", "--config"], "sweep": ["--data", "--config"],
+                 "kelly": ["--p", "--l-gain"]}
+ARGV_TOKENS = [*ARGV_VALUES, "--out-dir", "--len", "--use", "--bogus", "-x", "--", "-",
+               *ARGV_NUMBERS, *ARGV_FILES, *ARGV_VALUES["--indicator"], "self", "ingest"]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(ARGV_COMMAND_FLAGS)))
+    argv = [command]
+    # mostly the flags a run needs first, then flags drawn from the command's
+    flags = [flag for flag in ARGV_REQUIRED.get(command, ()) if draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            flags.append(None)
+        else:
+            flags.append(draw(st.sampled_from(ARGV_COMMAND_FLAGS[command])))
+    for flag in flags:
+        if flag is None:
+            argv.append(draw(st.sampled_from(ARGV_TOKENS)))
+            continue
+        argv.append(flag)
+        if ARGV_VALUES[flag]:
+            argv.append(draw(st.sampled_from(ARGV_VALUES[flag])))
+    return argv
+
+
+def test_fuzzed_command_lines_meet_the_error_contract(tmp_path, monkeypatch):
+    # a run whose --out-dir is lost writes into the working directory
+    monkeypatch.chdir(tmp_path)
+    text = V_FIXTURE.read_text()
+    files = {name: tmp_path / f"input_{number}" for number, name in enumerate(ARGV_FILES)}
+    files[ARGV_FILES[0]], files[ARGV_FILES[1]] = V_FIXTURE, V_CONFIG
+    files[ARGV_FILES[2]].write_text("strategy = two_average\nfast.kind = sma\n"
+                                    "fast.period = 2,3\nslow.kind = sma\nslow.period = 5\n")
+    files[ARGV_FILES[3]].write_text("indicator.sma5 = sma 5\nindicator.rmi = rmi 5 3\n")
+    files[ARGV_FILES[4]].write_text(text.replace("2021-01-06,", "2021-01-06,\x00"))
+    files[ARGV_FILES[5]].write_text(text.replace("2021-01-05", "20210105"))
+    files[ARGV_FILES[6]].write_bytes(text.encode().replace(b"2021-01-05", b"2021-01-05\xff"))
+    files[ARGV_FILES[8]].mkdir()
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=command_lines())
+    def check(argv):
+        argv = [str(files[token]) if token in files else token for token in argv]
+        _assert_contract(argv + ["--out-dir", str(tmp_path / "out")])
+
+    check()

@@ -1,9 +1,10 @@
 """sha256 pins of the sma, rolling_std, aroon, ema and ama matype 1 bits,
 of the middle, upper and lower lines of three band sets, of the
 ``signals.csv`` and ``equity.csv`` bytes of seven backtests, of the stdout
-and every artifact of a backtest, two ingests, two reports, a kelly run and
-an indicator dump, and of the stdout and ``sweep.csv`` of seven sweeps, one
-per strategy, on committed fixtures or on a small dirty CSV written here.
+and every artifact of a backtest, four ingests (two of which fail), two
+reports, a kelly run and an indicator dump, and of the stdout and
+``sweep.csv`` of seven sweeps, one per strategy, on committed fixtures or
+on two small CSVs written here.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
@@ -12,8 +13,10 @@ the rsi sweep's grid is one whose bytes are the same although its seed
 means do come from float ``sum()``;
 a backtest's signals and equity are built from those kernels and running
 products, and the measure block's means and deviations from exact integer
-sums. The module needs no pytest, so an interpreter without it checks the
-pins with
+sums. The parser reads only ``YYYY-MM-DD`` dates and stops at a NUL on
+each interpreter, though the ``datetime`` and ``csv`` modules of 3.11+
+accept more. The module needs no pytest, so an interpreter without it
+checks the pins with
 
     PYTHONPATH=src python tests/test_kernel_digests.py
 
@@ -85,24 +88,39 @@ DIRTY_CSV = (
 )
 DIRTY = "<the DIRTY_CSV file>"
 
+# a good row, then dates that Python 3.11+ fromisoformat reads but that
+# are not YYYY-MM-DD, then a NUL in the unread adj_close cell, which the
+# csv module reads into the cell from 3.11 on: strict ingest stops at the
+# first date, lenient ingest drops both dates and stops at the NUL
+NUL_CSV = (
+    "date,open,high,low,close,adj_close,volume\n"
+    "2021-01-04,10.0,10.5,9.5,10.2,10.1,100\n"
+    "20210105,10.2,10.8,10.0,10.4,10.3,120\n"
+    "2021-W01-3,10.4,10.9,10.1,10.6,10.5,90\n"
+    "2021-01-07,10.6,11.0,10.5,10.7,10.\x006,110\n"
+)
+NUL = "<the NUL_CSV file>"
+
 # CLI runs whose stdout and artifacts are pinned: argv without --out-dir,
-# and the artifacts the run writes
+# the artifacts the run writes and its exit code
 CLI_RUNS = {
     "v_fixture": (["backtest", "--data", str(DATA / "v_fixture.csv"),
                    "--config", str(DATA / "v_strategy.cfg")],
-                  ["report.json", "equity.csv", "signals.csv"]),
-    "ingest": (["ingest", "--data", str(SP500)], ["ingested.csv"]),
-    "ingest lenient": (["ingest", "--data", DIRTY, "--lenient"], ["ingested.csv"]),
-    "report": (["report", "--data", str(SP500)], ["report.json"]),
+                  ["report.json", "equity.csv", "signals.csv"], 0),
+    "ingest": (["ingest", "--data", str(SP500)], ["ingested.csv"], 0),
+    "ingest lenient": (["ingest", "--data", DIRTY, "--lenient"], ["ingested.csv"], 0),
+    "ingest nul strict": (["ingest", "--data", NUL, "--strict"], [], 2),
+    "ingest nul lenient": (["ingest", "--data", NUL, "--lenient"], [], 2),
+    "report": (["report", "--data", str(SP500)], ["report.json"], 0),
     "report benchmark": (["report", "--data", str(DATA / "v_fixture.csv"),
-                          "--benchmark", str(DATA / "v_fixture.csv")], ["report.json"]),
+                          "--benchmark", str(DATA / "v_fixture.csv")], ["report.json"], 0),
     "kelly": (["kelly", "--p", "0.55", "--l-gain", "1.2", "--m-loss", "1.0"],
-              ["kelly_curve.csv", "kelly.json"]),
+              ["kelly_curve.csv", "kelly.json"], 0),
     # no `ama ... 2` column: its float sum() mean differs from 3.12 on
     "indicators": (["indicators", "--data", str(SP500), "--indicator", "sma50=sma 50",
                     "--indicator", "ema20=ema 20", "--indicator", "rsi14=rsi 14",
                     "--indicator", "rmi14=rmi 14 4", "--indicator", "kama=ama 30 2 10 1"],
-                   ["indicators.csv"]),
+                   ["indicators.csv"], 0),
 }
 
 PINNED = {
@@ -139,6 +157,9 @@ PINNED = {
     "ingest lenient stdout": "b8318d7204b28688a5db2a59e8cf03f75cdb30c62e5ba2822302560f59e0644e",
     "ingest lenient ingested.csv":
         "da3eb1fe64e7d8212493c3c4d046ec304c2c02cf6d2d649cd34d42c4453591b6",
+    # the bytes of Python 3.10, whose fromisoformat and csv refuse these rows themselves
+    "ingest nul strict stdout": "16d5896d297836a7db6f9c42c8d9d734eab4d58dc7e1d0ca8e86b5816e1f7727",
+    "ingest nul lenient stdout": "f19cb277f8ce67f2e08314ca9e487abb03a9405adf1864284f5bcd61761f3249",
     "report stdout": "9030a360f8f7a19f82696158307fe748e0583b0a8cbce6fd24435f6809ca92c8",
     "report report.json": "19b41b57e4fa70ac5a76a27d8a48a18357724483c404eb75d4de16602d4d714c",
     "report benchmark stdout": "b9e54e8390a9982d12fb65b00f019a48d4f5242eaf3608c5b5d8bed8784778d9",
@@ -213,12 +234,14 @@ def cli_digests() -> dict[str, str]:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        (out / "dirty.csv").write_text(DIRTY_CSV)
-        for name, (argv, artifacts) in CLI_RUNS.items():
-            argv = [str(out / "dirty.csv") if arg == DIRTY else arg for arg in argv]
+        inputs = {DIRTY: (out / "dirty.csv", DIRTY_CSV), NUL: (out / "nul.csv", NUL_CSV)}
+        for path, text in inputs.values():
+            path.write_text(text, encoding="utf-8")
+        for name, (argv, artifacts, exit_code) in CLI_RUNS.items():
+            argv = [str(inputs[arg][0]) if arg in inputs else arg for arg in argv]
             with redirect_stdout(io.StringIO()) as stdout:
                 code = main(argv + ["--out-dir", str(out / name)])
-            assert code == 0, f"{name} failed"
+            assert code == exit_code, f"{name} exited {code}, not {exit_code}"
             digests[f"{name} stdout"] = _sha(stdout.getvalue().encode("utf-8"))
             for artifact in artifacts:
                 digests[f"{name} {artifact}"] = _sha((out / name / artifact).read_bytes())

@@ -1,6 +1,8 @@
 import datetime as dt
 import io
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +49,7 @@ def test_well_formed_round_trip():
     assert len(parsed.series) == 3
     assert parsed.warnings == 0
     assert parsed.series.dates[0] == dt.date(2021, 1, 4)
-    assert parsed.series.closes == [10.5, 11.0, 11.5]
+    assert parsed.series.closes == (10.5, 11.0, 11.5)
 
 
 def test_strict_rejects_close_above_high_with_row_number():
@@ -186,14 +188,24 @@ def test_series_invariants_raise_engine_errors(change, kind, row):
     assert getattr(err.value, "row", None) == row
 
 
-def test_series_columns_are_immutable_copies():
-    series = make_series([1.0, 2.0])
-    series.closes.append(3.0)
-    assert series.closes == series.opens == [1.0, 2.0]
-    assert series.volumes == [1000, 1000]
-    assert len(series) == 2
+def test_series_columns_are_immutable_tuples():
+    columns = {"dates": _DAYS[:2], "opens": [2.0, 2.0], "highs": [3.0, 3.0],
+               "lows": [1.0, 1.0], "closes": [2.0, 2.5], "volumes": [1, 1]}
+    series = OhlcvSeries("s", **columns)
+    with pytest.raises(AttributeError):
+        series.closes.append(3.0)
+    with pytest.raises(AttributeError):
+        series.closes = (5.0, 6.0)
     with pytest.raises(AttributeError):
         series.symbol = "other"
+    columns["closes"].append(3.0)
+    columns["closes"][0] = 1.5
+    assert series.closes == (2.0, 2.5)
+    assert series.volumes == (1, 1)
+    assert len(series) == 2
+    assert series == OhlcvSeries("s", _DAYS[:2], (2.0, 2.0), (3.0, 3.0), (1.0, 1.0),
+                                 (2.0, 2.5), (1, 1))
+    assert series != OhlcvSeries("s", **{**columns, "closes": [2.0, 2.25]})
 
 
 @pytest.mark.parametrize("length, bars_per_year", [(10, 0), (-1, 252)])
@@ -299,7 +311,7 @@ def dirty_csv(draw):
                  repr(inside[1]), repr(inside[2]), draw(st.sampled_from(_VOLUMES[:3]))]
         for i in range(len(cells)):
             if draw(st.integers(0, 29)) == 0:
-                pool = (("", "2021-02-30", "soon") if i == 0
+                pool = (("", "2021-02-30", "soon", "20210104", "2021-W01-1") if i == 0
                         else _VOLUMES if i == 6 else _BAD_PRICES)
                 cells[i] = draw(st.sampled_from(pool))
         if draw(st.integers(0, 19)) == 0:
@@ -332,3 +344,85 @@ def test_parse_matches_naive_oracle(text, mode, adjusted):
     except errors.EngineError as exc:
         got = (exc.kind, getattr(exc, "row", None))
     assert got == expected
+
+
+@pytest.mark.parametrize("date", ["20210107", "2021-W01-4", "2021-01-7", " 2021-01-07x"])
+def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date):
+    text = WELL_FORMED + f"{date},11.5,12.5,11.0,12.0,800\n"
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_text(text, mode="strict")
+    assert str(err.value) == f"row 4: Invalid isoformat string: {date.strip()!r}"
+    parsed = parse_text(text, mode="lenient")
+    assert len(parsed.series) == 3
+    assert parsed.warnings == 1
+
+
+ADJUSTED = "date,open,high,low,close,adj_close,volume\n"
+ADJUSTED_ROW = "2021-01-04,10.0,11.0,9.5,10.5,10.4,1000\n"
+
+
+@pytest.mark.parametrize("text, row", [
+    (ADJUSTED + ADJUSTED_ROW + "2021-01-05,10.5,11.5,10.0,1\x001.0,10.9,1100\n", 2),
+    # adj_close is not read without use_adjusted
+    (ADJUSTED + ADJUSTED_ROW + "2021-01-05,10.5,11.5,10.0,11.0,10.\x009,1100\n"
+     + "2021-01-06,11.0,12.0,10.5,11.5,11.4,900\n", 2),
+    ("date,open,high,low,close,adj_close,vol\x00ume\n" + ADJUSTED_ROW, 0),
+], ids=["read cell", "unread cell", "header"])
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_nul_ends_the_parse_as_an_unparsable_row(text, row, mode, tmp_path):
+    path = tmp_path / "bars.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_csv(path, mode=mode)
+    assert err.value.row == row
+    assert str(err.value).endswith("line contains NUL")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("text", [WELL_FORMED, WELL_FORMED + "2021-01-07,11,12,10,11,5,\x00\n"],
+                         ids=["clean", "nul"])
+def test_a_pipe_that_cannot_be_rewound_is_checked_line_by_line(text, tmp_path):
+    path = tmp_path / "bars.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        parsed = parse_csv(path)
+    except errors.UnparsableRow as exc:
+        assert "\x00" in text and exc.row == 4
+    else:
+        assert "\x00" not in text and parsed.series == parse_text(WELL_FORMED, symbol="bars").series
+    writer.join(timeout=10)
+
+
+def _mutated_csv(draw):
+    """The bytes of a small valid CSV with adj_close, with a few spans
+    replaced by bytes drawn from CSV syntax, bad numbers and dates, NUL and
+    invalid UTF-8."""
+    data = bytearray((ADJUSTED + ADJUSTED_ROW + "2021-01-05,10.5,11.5,10.0,11.0,10.9,1100\n"
+                      "2021-01-06,11.0,12.0,10.5,11.5,11.4,900\n").encode())
+    pieces = [b"", b",", b"\n", b"\r", b"\r\n", b'"', b"\x00", b"\xff", b"\xc3", b"-", b".",
+              b"e", b"9", b"0", b"nan", b"inf", b"1e999", b" ", b"2021-13-01", b"20210107",
+              b"2021-W01-4", b"date", b"adj_close", "é".encode()]
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(data)))
+        stop = min(len(data), start + draw(st.integers(0, 4)))
+        data[start:stop] = draw(st.sampled_from(pieces))
+    return bytes(data)
+
+
+def test_fuzzed_bytes_raise_only_engine_errors(tmp_path):
+    path = tmp_path / "bars.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.composite(_mutated_csv)())
+    def check(data):
+        path.write_bytes(data)
+        for mode in ("strict", "lenient"):
+            for adjusted in (False, True):
+                try:
+                    parse_csv(path, mode=mode, use_adjusted=adjusted)
+                except errors.EngineError:
+                    pass
+
+    check()
