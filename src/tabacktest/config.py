@@ -20,10 +20,11 @@ adaptive (`matype` + `timeperiod_long` + `timeperiod_short` + `ada_win`).
 """
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import Any, Iterable, get_type_hints
 
 from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
@@ -93,17 +94,26 @@ def parse_kv_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"line {line_no}: {key!r} conflicts with an earlier scalar")
-        leaf = parts[-1]
-        if isinstance(node.get(leaf), dict):
-            raise ConfigError(f"line {line_no}: {key!r} conflicts with an earlier subtree")
-        node[leaf] = _parse_value(raw)
+        value = _parse_value(raw)
+        try:
+            set_leaf(tree, key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
     return tree
+
+
+def set_leaf(tree: dict, path: str, value: Any) -> None:
+    """Set the dotted ``path`` of ``tree`` to ``value``. A key holds a value or a
+    table, never both: a path through a value or onto a table is a ConfigError."""
+    node = tree
+    *tables, leaf = path.split(".")
+    for part in tables:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path!r} conflicts with an earlier scalar")
+    if isinstance(node.get(leaf), dict):
+        raise ConfigError(f"{path!r} conflicts with an earlier subtree")
+    node[leaf] = value
 
 
 def parse_kv_file(path: str | Path) -> dict:
@@ -318,8 +328,10 @@ def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep config: its parsed tree, whose list leaves are the axes."""
+
     strategy_tag: str
-    base_tree: dict
+    tree: dict
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
     objective: str
     min_trades: int
@@ -329,6 +341,14 @@ class SweepSpec:
         for _, values in self.axes:
             size *= len(values)
         return size
+
+    def cell_config(self, assignment: Iterable[tuple[str, Any]]) -> StrategyConfig:
+        """The strategy config of the grid cell that sets each axis path
+        of ``assignment`` to its value."""
+        tree = copy.deepcopy(self.tree)
+        for path, value in assignment:
+            set_leaf(tree, path, value)
+        return strategy_from_dict(tree)
 
 
 def _walk_leaves(node: dict, prefix: str = "") -> list[tuple[str, Any]]:
@@ -343,16 +363,8 @@ def _walk_leaves(node: dict, prefix: str = "") -> list[tuple[str, Any]]:
     return leaves
 
 
-def set_leaf(tree: dict, path: str, value: Any) -> None:
-    node = tree
-    parts = path.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-
-
 def sweep_from_dict(tree: dict) -> SweepSpec:
-    """Split a strategy config tree into fixed values and sweep axes.
+    """The sweep of a strategy config tree, which the spec keeps as it is.
 
     Every list-valued leaf becomes an axis; `objective` and `min_trades`,
     one value each, control ranking and filtering.
@@ -364,14 +376,6 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     # a wrong key name would fail every cell, and an axis no cell reads
     # would rank copies of one cell
     _check_names(tree, tag)
-
-    base: dict = {}
-    axes: list[tuple[str, tuple[Any, ...]]] = []
-    for path, value in sorted(_walk_leaves(tree)):
-        if path in ("objective", "min_trades"):
-            continue
-        if isinstance(value, list):
-            axes.append((path, tuple(value)))
-        else:
-            set_leaf(base, path, value)
-    return SweepSpec(tag, base, tuple(axes), objective, min_trades)
+    axes = tuple((path, tuple(value)) for path, value in sorted(_walk_leaves(tree))
+                 if isinstance(value, list))
+    return SweepSpec(tag, tree, axes, objective, min_trades)

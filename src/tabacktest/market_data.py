@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import (
     EmptySeries,
+    EngineError,
     InvalidArgument,
     InvalidParams,
     InvariantViolation,
@@ -115,7 +116,8 @@ def _parse_volume(cell: str) -> int:
 
 def _parse_date(cell: str) -> dt.date:
     """A ``YYYY-MM-DD`` date; other ISO 8601 forms that Python 3.11+ reads,
-    such as ``20210104`` and ``2021-W01-1``, fail with 3.10's message."""
+    such as ``20210104`` and ``2021-W01-1``, fail with 3.10's message. The
+    whole rule stands here: a cell the fast path refuses may be any string."""
     if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
         raise ValueError(f"Invalid isoformat string: {cell!r}")
     return dt.date.fromisoformat(cell)
@@ -227,6 +229,13 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseRes
     fromisoformat = dt.date.fromisoformat
     inf = math.inf
 
+    def fault(error: EngineError) -> None:
+        """Raise ``error`` in strict mode; count one warning in lenient mode."""
+        nonlocal warnings
+        if strict:
+            raise error
+        warnings += 1
+
     row_no = 0
     # The try wraps the whole loop, not each read, to keep the per-row
     # cost of clean rows at zero; only the reader raises csv.Error.
@@ -234,9 +243,12 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseRes
         for row_no, row in enumerate(reader, start=1):
             # Fast path: a row that passes every check as it stands. float()
             # ignores the surrounding whitespace that the checks below strip.
+            # Of the forms fromisoformat reads, only YYYY-MM-DD has a dash
+            # at index 7 (3.11+'s 2021W01 has no index 7 at all).
             try:
                 date_cell = row[date_col]
                 date = fromisoformat(date_cell)
+                dash = date_cell[7]
                 open_ = float(row[open_col])
                 high = float(row[high_col])
                 low = float(row[low_col])
@@ -247,8 +259,7 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseRes
             else:
                 if (0.0 < low <= open_ <= high < inf and low <= close <= high
                         and volume >= 0.0 and volume.is_integer()
-                        and (prev_date is None or date > prev_date)
-                        and len(date_cell) == 10 and date_cell[4] == date_cell[7] == "-"):
+                        and (prev_date is None or date > prev_date) and dash == "-"):
                     dates.append(date)
                     opens.append(open_)
                     highs.append(high)
@@ -260,23 +271,19 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseRes
 
             # Every other row takes the checks one at a time, in the
             # documented order, to name the first violation or repair it.
-            if not row or all(not cell.strip() for cell in row):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            price_cells = [row[col].strip() if col < len(row) else ""
-                           for col in (open_col, high_col, low_col, close_col)]
-            if all(not cell for cell in price_cells):
-                if strict:
-                    raise UnparsableRow(row_no, "all price cells empty")
-                warnings += 1
-                continue
+            cells += [""] * (len(columns) - len(cells))
             try:
-                date = _parse_date(row[date_col].strip())
-                open_, high, low, close = (_parse_price(cell) for cell in price_cells)
-                volume = _parse_volume(row[volume_col].strip())
-            except (ValueError, IndexError) as exc:
-                if strict:
-                    raise UnparsableRow(row_no, str(exc)) from None
-                warnings += 1
+                price_cells = [cells[col] for col in (open_col, high_col, low_col, close_col)]
+                if not any(price_cells):
+                    raise ValueError("all price cells empty")
+                date = _parse_date(cells[date_col])
+                open_, high, low, close = map(_parse_price, price_cells)
+                volume = _parse_volume(cells[volume_col])
+            except ValueError as exc:
+                fault(UnparsableRow(row_no, str(exc)))
                 continue
 
             if prev_date is not None and date <= prev_date:
@@ -284,30 +291,20 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str) -> ParseRes
             prev_date = date
 
             if min(open_, high, low, close) <= 0.0:
-                if strict:
-                    raise InvariantViolation(row_no, "prices must be strictly positive")
-                warnings += 1
+                fault(InvariantViolation(row_no, "prices must be strictly positive"))
                 continue
             if low > high:
-                if strict:
-                    raise InvariantViolation(row_no, f"low {low} > high {high}")
+                fault(InvariantViolation(row_no, f"low {low} > high {high}"))
                 low, high = high, low
-                warnings += 1
             if not low <= open_ <= high:
-                if strict:
-                    raise InvariantViolation(row_no, f"open {open_} outside [{low}, {high}]")
+                fault(InvariantViolation(row_no, f"open {open_} outside [{low}, {high}]"))
                 open_ = min(max(open_, low), high)
-                warnings += 1
             if not low <= close <= high:
-                if strict:
-                    raise InvariantViolation(row_no, f"close {close} outside [{low}, {high}]")
+                fault(InvariantViolation(row_no, f"close {close} outside [{low}, {high}]"))
                 close = min(max(close, low), high)
-                warnings += 1
             if volume < 0:
-                if strict:
-                    raise InvariantViolation(row_no, f"negative volume {volume}")
+                fault(InvariantViolation(row_no, f"negative volume {volume}"))
                 volume = 0
-                warnings += 1
 
             dates.append(date)
             opens.append(open_)

@@ -6,14 +6,13 @@ assignment, so output never depends on evaluation order.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .backtest import close_ratios, exposure_runs
-from .config import SweepSpec, set_leaf, strategy_from_dict
+from .config import SweepSpec
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
 from .metrics import Measures, ReturnSums, daily_returns, measures_from_sums
@@ -60,11 +59,8 @@ def _evaluate_cell(
     assignment: tuple[tuple[str, Any], ...],
 ) -> SweepRow | str:
     """The cell's row, or the kind of error that drops it."""
-    tree = copy.deepcopy(spec.base_tree)
-    for path, value in assignment:
-        set_leaf(tree, path, value)
     try:
-        config = strategy_from_dict(tree)
+        config = spec.cell_config(assignment)
         bars = generate_signals(memo.series, config, memo)
         initial, runs = exposure_runs(closes, bars, ratios)
         # the drawdown and the yearly block can no longer fail, and no row holds them

@@ -193,6 +193,28 @@ class TestIndicatorsCommand:
         assert json.loads(out)["error"]["kind"] == "ConfigError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        (None, ["a=sma 5", "a.b=sma 5"]),
+        (None, ["a.b=sma 5", "a=sma 5"]),
+        ("indicator = 5\n", ["a=sma 5"]),
+    ], ids=["column then table", "table then column", "scalar section"])
+    def test_a_name_that_is_both_a_column_and_a_table_exits_2(
+            self, config, flags, tmp_path, capsys):
+        argv = ["indicators", "--data", str(V_FIXTURE), "--out-dir", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "ind.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "ind.cfg")]
+        for flag in flags:
+            argv += ["--indicator", flag]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "ConfigError"
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
     def test_dump_round_trip_is_idempotent(self, tmp_path, capsys):
         config = tmp_path / "ind.cfg"
         config.write_text("indicator.sma5 = sma 5\n")
@@ -680,7 +702,8 @@ ARGV_NUMBERS = ["0", "1", "2", "7", "-3", "252", "0.55", "1.2", "inf", "-inf", "
 ARGV_VALUES = {
     "--data": ARGV_FILES, "--config": ARGV_FILES, "--benchmark": ["self", *ARGV_FILES],
     "--strict": [], "--lenient": [], "--use-adjusted": [],
-    "--indicator": ["sma5=sma 5", "kama=ama 30 2 10 2", "x=rsi 0", "=", "a,b=ema 3", "bad"],
+    "--indicator": ["sma5=sma 5", "kama=ama 30 2 10 2", "x=rsi 0", "=", "a,b=ema 3", "bad",
+                    "sma5.x=sma 5"],
     **dict.fromkeys(["--trading-days", "--p", "--l-gain", "--m-loss", "--grid-points"],
                     ARGV_NUMBERS),
 }

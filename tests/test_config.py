@@ -51,8 +51,15 @@ class TestKvParser:
             parse_kv_text("just a line\n")
         with pytest.raises(errors.ConfigError):
             parse_kv_text("a = \n")
-        with pytest.raises(errors.ConfigError):
-            parse_kv_text("a.b = 1\na = 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a = 1\na.b = 2\n", "line 2: 'a.b' conflicts with an earlier scalar"),
+        ("a.b = 1\na = 2\n", "line 2: 'a' conflicts with an earlier subtree"),
+    ])
+    def test_a_key_holds_a_value_or_a_table_never_both(self, text, message):
+        with pytest.raises(errors.ConfigError) as info:
+            parse_kv_text(text)
+        assert str(info.value) == message
 
     def test_non_utf8_file_is_undecodable_input(self, tmp_path):
         path = tmp_path / "strategy.cfg"
@@ -226,7 +233,10 @@ class TestSweepFromDict:
             "macd.long_n": (10, 20),
         }
         assert spec.grid_size() == 6
-        assert spec.base_tree["macd"] == {"signal_n": 9}
+        # a cell sets its axes on a copy of the tree and keeps every fixed value
+        cell = (("macd.short_n", 4), ("macd.long_n", 20))
+        assert spec.cell_config(cell) == MacdConfig(short_n=4, long_n=20, signal_n=9)
+        assert spec.tree["macd"] == {"short_n": [2, 4, 6], "long_n": [10, 20], "signal_n": 9}
 
     def test_defaults_and_validation(self):
         spec = sweep_from_dict(parse_kv_text("strategy = aroon\naroon.n = 5,10\n"))

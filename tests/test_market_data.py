@@ -346,7 +346,8 @@ def test_parse_matches_naive_oracle(text, mode, adjusted):
     assert got == expected
 
 
-@pytest.mark.parametrize("date", ["20210107", "2021-W01-4", "2021-01-7", " 2021-01-07x"])
+@pytest.mark.parametrize("date", ["20210107", "2021-W01-4", "2021-01-7", " 2021-01-07x",
+                                  "2021W01", "2021-W01", "2021W011"])
 def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date):
     text = WELL_FORMED + f"{date},11.5,12.5,11.0,12.0,800\n"
     with pytest.raises(errors.UnparsableRow) as err:
@@ -354,6 +355,22 @@ def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date):
     assert str(err.value) == f"row 4: Invalid isoformat string: {date.strip()!r}"
     parsed = parse_text(text, mode="lenient")
     assert len(parsed.series) == 3
+    assert parsed.warnings == 1
+
+
+@pytest.mark.parametrize("header, short_row, good_row, message", [
+    ("date,open,high,low,close,volume", "2021-01-04,10.0,11.0,9.5,10.5",
+     "2021-01-05,10.5,11.5,10.0,11.0,1100", "could not convert string to float: ''"),
+    ("open,high,low,close,volume,date", "10.0,11.0,9.5,10.5,1000",
+     "10.5,11.5,10.0,11.0,1100,2021-01-05", "Invalid isoformat string: ''"),
+], ids=["volume", "date"])
+def test_a_cell_missing_from_a_short_row_reads_as_empty(header, short_row, good_row, message):
+    text = f"{header}\n{short_row}\n{good_row}\n"
+    with pytest.raises(errors.UnparsableRow) as err:
+        parse_text(text, mode="strict")
+    assert str(err.value) == f"row 1: {message}"
+    parsed = parse_text(text, mode="lenient")
+    assert parsed.series.dates == (dt.date(2021, 1, 5),)
     assert parsed.warnings == 1
 
 

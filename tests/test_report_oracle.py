@@ -4,7 +4,6 @@
 and every ``run_sweep`` row must equal the oracle with ``==``, float for
 float; a failing case must fail with the oracle's error kind.
 """
-import copy
 import math
 from collections import Counter
 
@@ -15,7 +14,7 @@ import oracles
 from conftest import make_series, signal_pairs
 from tabacktest import build_report, run
 from tabacktest.backtest import close_ratios, exposure_runs
-from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
+from tabacktest.config import parse_kv_text, sweep_from_dict
 from tabacktest.errors import EmptyGridAfterFilter, EngineError
 from tabacktest.metrics import ReturnSums, daily_returns, measures_from_sums
 from tabacktest.strategies import BUY, SELL, generate_signals
@@ -156,12 +155,9 @@ def _expected_sweep(series, spec, benchmark, trading_days):
         grids = [cell + [value] for cell in grids for value in values]
     for values in grids:
         params = tuple(zip(names, values))
-        tree = copy.deepcopy(spec.base_tree)
-        for path, value in params:
-            set_leaf(tree, path, value)
 
         def report():
-            pairs = signal_pairs(generate_signals(series, strategy_from_dict(tree)))
+            pairs = signal_pairs(generate_signals(series, spec.cell_config(params)))
             return oracles.naive_report(closes, pairs, benchmark, trading_days)
 
         outcome = _outcome(report)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 import random
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import make_series, random_ohlcv, random_walk, signal_pairs
 from tabacktest import errors
-from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
+from tabacktest.config import parse_kv_text, sweep_from_dict
 from tabacktest.indicators import (
     AmaParams,
     MaSpec,
@@ -552,10 +551,7 @@ def test_signal_bars_are_the_bars_of_the_signals(strategy, seed):
     names = [path for path, _ in spec.axes]
     memo = KernelMemo(series)
     for values in itertools.product(*(values for _, values in spec.axes)):
-        tree = copy.deepcopy(spec.base_tree)
-        for path, value in zip(names, values):
-            set_leaf(tree, path, value)
-        config = strategy_from_dict(tree)
+        config = spec.cell_config(zip(names, values))
         bars = generate_signals(series, config)
         assert_valid_signal_sequence(signal_pairs(bars))
         assert generate_signals(series, config, memo) == bars

@@ -1,4 +1,3 @@
-import copy
 import io
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from conftest import random_ohlcv
 from tabacktest import errors, strategies
 from tabacktest.backtest import run
-from tabacktest.config import parse_kv_text, set_leaf, strategy_from_dict, sweep_from_dict
+from tabacktest.config import parse_kv_text, strategy_from_dict, sweep_from_dict
 from tabacktest.metrics import build_report
 from tabacktest.strategies import generate_signals
 from tabacktest.sweep import run_sweep, sweep_to_csv
@@ -150,10 +149,7 @@ STRATEGY_GRIDS = {
 
 
 def _direct_report(series, spec, params, benchmark=None):
-    tree = copy.deepcopy(spec.base_tree)
-    for path, value in params:
-        set_leaf(tree, path, value)
-    result = run(series, generate_signals(series, strategy_from_dict(tree)))
+    result = run(series, generate_signals(series, spec.cell_config(params)))
     return build_report(result.equity, benchmark or series.closes, result.buy_count, 252)
 
 
