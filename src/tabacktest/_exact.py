@@ -5,16 +5,19 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, islice, repeat
-from operator import mul, sub
-from typing import Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError
 
+T = TypeVar("T")
 
-def scaled_ints(x: Sequence[float], scale: int) -> list[int]:
-    """``x[i] * 2**scale`` as integers, for values that are whole multiples
-    of ``2**-scale``. A non-finite value raises ``DomainError``.
+
+def scaled_ints(x: Sequence[float], scale: int, collect: Callable[[Iterator[int]], T] = list) -> T:
+    """``collect`` of the integers ``x[i] * 2**scale``, in order, for values
+    that are whole multiples of ``2**-scale``: a list of them by default.
+    A non-finite value raises ``DomainError``.
 
     A product with ``2.0**scale`` is exact until it passes the float range
     (from ``2**(1024 - scale)`` on, say a return of 2**971 or more at
@@ -23,27 +26,30 @@ def scaled_ints(x: Sequence[float], scale: int) -> list[int]:
     shifted instead.
     """
     try:
-        return list(map(int, map(mul, x, repeat(2.0 ** scale))))
+        return collect(map(int, map(mul, x, repeat(2.0 ** scale))))
     except (OverflowError, ValueError):
         if not all(map(math.isfinite, x)):
             raise DomainError("exact sums need finite values") from None
-    return [num << (scale - den.bit_length() + 1)
-            for num, den in (v.as_integer_ratio() for v in x)]
+    return collect(num << (scale - den.bit_length() + 1)
+                   for num, den in (v.as_integer_ratio() for v in x))
 
 
-def exact_ints(x: Sequence[float]) -> tuple[list[int], int]:
-    """Integers m and one scale with x[i] == m[i] / 2**scale exactly."""
+def exact_ints(x: Sequence[float], collect: Callable[[Iterator[int]], T] = list) -> tuple[T, int]:
+    """Integers m and one scale with x[i] == m[i] / 2**scale exactly:
+    ``collect`` of the m (a list by default), and the scale."""
     smallest = min(filter(None, map(abs, x)), default=1.0)
     # f * 2**e with 0.5 <= |f| < 1 is a whole multiple of 2**(e - 53), and
     # every nonzero |value| >= smallest has an exponent e no lower.
     scale = max(0, 53 - math.frexp(smallest)[1])
-    return scaled_ints(x, scale), scale
+    return scaled_ints(x, scale, collect), scale
 
 
-def window_sums(ints: list[int], n: int):
-    """The exact sum of every full window of n values, in order, streamed;
-    needs len(ints) >= n."""
-    return accumulate(map(sub, islice(ints, n, None), ints), initial=sum(ints[:n]))
+def prefix_sums(x: Sequence[float]) -> tuple[list[int], int]:
+    """The sums p of the first 0, 1, ..., len(x) integers of ``exact_ints(x)``,
+    and its scale: the exact sum of ``x[i:j]`` at that scale is
+    ``p[j] - p[i]``. The integers are summed as they are made, so no list
+    of them is held beside the sums."""
+    return exact_ints(x, lambda ints: list(accumulate(ints, initial=0)))
 
 
 def root_of_ratio(spread: int, den: int) -> float:

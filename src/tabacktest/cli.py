@@ -175,9 +175,12 @@ def cmd_indicators(args) -> int:
     tree = _read_input(cfg.parse_kv_file, args.config) if args.config else {}
     for extra in args.indicator:
         if "=" not in extra:
-            raise MissingInput(f"--indicator expects NAME=SPEC, got {extra!r}")
-        name, spec = extra.split("=", 1)
-        cfg.set_leaf(tree, f"indicator.{name.strip()}", spec.strip())
+            raise InvalidArgument(f"--indicator expects NAME=SPEC, got {extra!r}")
+        name, spec = (part.strip() for part in extra.split("=", 1))
+        if "." in name:
+            # a dotted name would nest as a table under indicator.<first part>
+            raise InvalidArgument(f"--indicator NAME must not contain '.', got {name!r}")
+        cfg.set_leaf(tree, f"indicator.{name}", spec)
     columns = cfg.indicator_columns_from_dict(tree)
     series = parsed.series
     closes = series.closes

@@ -94,9 +94,8 @@ def parse_kv_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {line_no}: empty key")
-        value = _parse_value(raw)
         try:
-            set_leaf(tree, key, value)
+            set_leaf(tree, key, _parse_value(raw))
         except ConfigError as exc:
             raise ConfigError(f"line {line_no}: {exc}") from None
     return tree

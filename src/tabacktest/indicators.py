@@ -5,11 +5,13 @@ without a full window are passed through unchanged (never NaN) and
 reported via ``warmup_len``. All kernels are pure functions of their
 inputs, so repeated runs are bit-identical.
 
-``sma`` and ``rolling_std`` run in O(n) on exact integer window sums:
-each SMA value is the exactly rounded window mean, and each sigma is the
-correctly rounded square root of the exactly rounded population
-variance, on every interpreter. ``aroon`` finds its window extremes with
-a monotonic deque of indices (Lemire 2006).
+``sma`` and ``rolling_std`` run in O(n) on exact integer window sums,
+each one difference of prefix sums (``_exact.prefix_sums``); a series
+builds the prefix sums of its closes once (``OhlcvSeries.close_sums``),
+however many windows read them. Each SMA value is the exactly rounded
+window mean, and each sigma is the correctly rounded square root of the
+exactly rounded population variance, on every interpreter. ``aroon``
+finds its window extremes with a monotonic deque of indices (Lemire 2006).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
-from ._exact import exact_ints, root_of_ratio, window_sums
+from ._exact import prefix_sums, root_of_ratio
 from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
 
@@ -107,12 +109,21 @@ def _values(data) -> list[float]:
     return [float(v) for v in data]
 
 
-def _sma(x: list[float], ints: list[int], scale: int, n: int) -> IndicatorSeries:
+def _column(data) -> tuple[Sequence[float], list[int], int]:
+    """The values of ``data`` with the prefix sums of their integers and
+    the scale (``_exact.prefix_sums``); a series' closes keep theirs."""
+    if isinstance(data, OhlcvSeries):
+        return (data.closes, *data.close_sums)
+    x = _values(data)
+    return (x, *prefix_sums(x))
+
+
+def _sma(x: Sequence[float], p: list[int], scale: int, n: int) -> IndicatorSeries:
     if len(x) < n:
         return IndicatorSeries(list(x), len(x))
     # int / int true division rounds correctly
-    means = map(truediv, window_sums(ints, n), repeat(n << scale))
-    return IndicatorSeries(x[: n - 1] + list(means), n - 1)
+    means = map(truediv, map(sub, islice(p, n, None), p), repeat(n << scale))
+    return IndicatorSeries([*x[: n - 1], *means], n - 1)
 
 
 def sma(data, n: int) -> IndicatorSeries:
@@ -120,8 +131,7 @@ def sma(data, n: int) -> IndicatorSeries:
     exactly rounded."""
     if n < 1:
         raise ZeroPeriod("sma period must be >= 1")
-    x = _values(data)
-    return _sma(x, *exact_ints(x), n)
+    return _sma(*_column(data), n)
 
 
 def _smooth(x: list[float], weights) -> list[float]:
@@ -383,16 +393,23 @@ def _recent_argmax(values: list[float], n: int) -> list[int]:
     return out
 
 
-def _rolling_std(ints: list[int], scale: int, n: int) -> IndicatorSeries:
-    if len(ints) < n:
-        return IndicatorSeries([0.0] * len(ints), len(ints))
+def _rolling_std(p: list[int], scale: int, n: int) -> IndicatorSeries:
+    size = len(p) - 1
+    if size < n:
+        return IndicatorSeries([0.0] * size, size)
+
+    def ints(start: int):
+        """The integers from index ``start`` on, streamed from ``p``."""
+        return map(sub, islice(p, start + 1, None), islice(p, start, None))
+
     # new**2 - old**2 == (new - old) * (new + old) streams the sums of
     # squares without a list of squares.
-    steps = map(mul, map(sub, islice(ints, n, None), ints), map(add, islice(ints, n, None), ints))
-    head = ints[:n]
+    steps = map(mul, map(sub, ints(n), ints(0)), map(add, ints(n), ints(0)))
+    head = list(islice(ints(0), n))
     square_sums = accumulate(steps, initial=sum(map(mul, head, head)))
+    sums = map(sub, islice(p, n, None), p)
     # n * sum(x**2) - sum(x)**2 is n**2 times the variance, exact and >= 0
-    scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, window_sums(ints, n), repeat(2)))
+    scaled = map(sub, map(mul, square_sums, repeat(n)), map(pow, sums, repeat(2)))
     den = n * n << 2 * scale
     try:
         if den.bit_length() <= 1022:
@@ -412,7 +429,8 @@ def rolling_std(data, n: int) -> IndicatorSeries:
     a full window read 0.0."""
     if n < 1:
         raise ZeroPeriod("rolling std period must be >= 1")
-    return _rolling_std(*exact_ints(_values(data)), n)
+    _, p, scale = _column(data)
+    return _rolling_std(p, scale, n)
 
 
 def bollinger_parts(
@@ -429,8 +447,8 @@ def bollinger_parts(
         return ama(tp, window), rolling_std(tp, window.timeperiod_long)
     if window < 1:
         raise ZeroPeriod("bollinger period must be >= 1")
-    ints, scale = exact_ints(tp)
-    return _sma(tp, ints, scale, window), _rolling_std(ints, scale, window)
+    p, scale = prefix_sums(tp)
+    return _sma(tp, p, scale, window), _rolling_std(p, scale, window)
 
 
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:

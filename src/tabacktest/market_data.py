@@ -12,8 +12,10 @@ import io
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
+from ._exact import prefix_sums
 from .errors import (
     EmptySeries,
     EngineError,
@@ -63,6 +65,13 @@ class OhlcvSeries:
 
     def __len__(self) -> int:
         return len(self.dates)
+
+    @cached_property
+    def close_sums(self) -> tuple[list[int], int]:
+        """``_exact.prefix_sums`` of the closes, built on first use and kept
+        as long as the series: each window sum of the closes is then one
+        difference, however many kernels read them."""
+        return prefix_sums(self.closes)
 
 
 def _first(flags) -> int:

@@ -11,15 +11,15 @@ The measure block reads an equity curve as exposure runs: a run is an
 entry bar and the equity values from that bar to its exit, and between
 runs the curve holds the last value reached. A flat bar's return is
 exactly 0.0. A sweep sums its series' returns once, so each cell costs
-O(runs + bars in position).
+O(runs + corrected bars) Python steps, and its held bars are read in C.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import mul, ne, sub, truediv
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ._exact import exact_ints, moments, scaled_ints
 from .errors import (
@@ -208,17 +208,19 @@ RETURN_SCALE = 53
 
 
 def _checked(
-    initial: float, runs: Sequence[Run], bars: int, benchmark_count: int, trading_days: int
-) -> tuple[list[list[float]], tuple[float, float, float]]:
-    """Every check of the block, in order, then each run's returns and the
-    final value, ``rr_whole`` and ``rr_per_year``.
+    initial: float, runs: Sequence[Run], bars: int, benchmark_count: int, trading_days: int,
+    run_returns: Callable[[Sequence[Run]], Any] = _run_returns,
+) -> tuple[Any, tuple[float, float, float]]:
+    """Every check of the block, in order, then ``run_returns(runs)``, which
+    raises the first fault of the runs' returns as ``_run_returns`` does,
+    and the final value, ``rr_whole`` and ``rr_per_year``.
 
     Once this has passed, every run value is positive and finite, so the
     drawdown and the yearly block cannot fail.
     """
     if bars < 2:
         raise TooShort("need at least two values for returns")
-    returns = _run_returns(runs)
+    returns = run_returns(runs)
     final = runs[-1][1][-1] if runs else initial
     rr_whole = final / initial
     years = bars / trading_days
@@ -249,19 +251,20 @@ def _measures(growth: tuple[float, float, float], n: int, s1: int, s2: int, d1: 
 
 
 class ReturnSums:
-    """Sums over one series that every sweep cell on it shares: the returns
-    ``q`` of its close ratios (``backtest.close_ratios``) and, over their
-    integers Q and the integers B of the benchmark's returns at
+    """Sums over one series that every sweep cell on it shares: its close
+    ratios (``backtest.close_ratios``) and, over the integers Q of their
+    returns and the integers B of the benchmark's returns at
     ``RETURN_SCALE``, the prefix sums ``p1``, ``p2``, ``pb`` and ``pqb`` of
     Q, Q*Q, B and Q*B from 0, and the sum ``b2`` of B*B."""
 
     def __init__(self, ratios: Sequence[float], benchmark_returns: Sequence[float]):
-        self.q = list(map(sub, ratios, repeat(1.0)))
+        self.ratios = ratios
+        returns = list(map(sub, ratios, repeat(1.0)))
         # a ratio that overflowed fails every run across it before a sum is read
-        q = scaled_ints([v if v < math.inf else 0.0 for v in self.q], RETURN_SCALE)
+        q = scaled_ints([v if v < math.inf else 0.0 for v in returns], RETURN_SCALE)
         self.p1 = list(accumulate(q, initial=0))
         self.p2 = list(accumulate(map(mul, q, q), initial=0))
-        if benchmark_returns == self.q:  # the series is its own benchmark: B is Q
+        if benchmark_returns == returns:  # the series is its own benchmark: B is Q
             self.pb, self.pqb, self.b2 = self.p1, self.p2, self.p2[-1]
         else:
             b = scaled_ints(benchmark_returns, RETURN_SCALE)
@@ -270,33 +273,61 @@ class ReturnSums:
             self.b2 = sum(map(mul, b, b))
 
 
+def _corrections(runs: Sequence[Run], ratios: Sequence[float]) -> tuple[list[int], list[float]]:
+    """The bars whose return differs from their close ratio's return, and
+    those returns, of runs grown by ``ratios``; the first fault of the
+    runs' returns raises as in ``_run_returns``.
+
+    A held bar whose quotient ``values[k + 1] / values[k]`` is its close
+    ratio has the ratio's return; only the others, which compounding makes
+    rare, are listed (a bar listed where the returns agree only adds 0).
+    A ratio is positive, or 0 or inf past the float range, so a value that
+    is 0, inf or NaN stays one to the end of its run: the last values are
+    checked before any quotient divides by a value. Between positive
+    finite values a return is finite unless its quotient overflows, and an
+    inf quotient is not its finite ratio, so it is listed.
+    """
+    last = [values[-1] for _, values in runs]
+    if not (all(map(math.isfinite, last)) and min(last, default=1.0) > 0):
+        _run_returns(runs)
+    quotients: list[float] = []
+    held: list[float] = []  # the ratio of each quotient's bar
+    slots = []
+    for entry, values in runs:
+        stop = entry + len(values) - 1
+        quotients += map(truediv, islice(values, 1, None), values)
+        held += ratios[entry:stop]
+        slots.append(range(entry, stop))
+    differs = list(map(ne, quotients, held))
+    fixed = list(map(sub, compress(quotients, differs), repeat(1.0)))
+    if math.inf in fixed:
+        _run_returns(runs)
+    return list(compress(chain.from_iterable(slots), differs)), fixed
+
+
 def measures_from_sums(
     initial: float, runs: Sequence[Run], bars: int, sums: ReturnSums, trading_days: int
 ) -> Measures:
     """The ratios and moments of ``build_report``, bit for bit, errors
     included, of a ``bars``-long curve over the series of ``sums``,
-    against its benchmark, in O(runs + bars in position).
+    against its benchmark, in O(runs + corrected bars) Python steps.
 
-    ``runs`` are ``(entry bar, values)`` pairs in bar order: a run holds
-    ``values`` at bars ``entry``, ``entry + 1``, ...; the curve holds
-    ``initial`` before the first run and each run's last value after it.
-    Each run adds the prefix-sum differences over its slots, then the
-    bars where its return differs from the close ratio's, which
-    compounding makes rare, are corrected.
+    ``runs`` are the ``(entry bar, values)`` pairs of ``exposure_runs`` over
+    ``sums.ratios``, in bar order: a run holds ``values`` at bars ``entry``,
+    ``entry + 1``, ...; the curve holds ``initial`` before the first run
+    and each run's last value after it. Each run adds the prefix-sum
+    differences over its slots, then the bars where its return differs
+    from the close ratio's (``_corrections``) are corrected.
     """
-    returns, growth = _checked(initial, runs, bars, len(sums.pb) - 1, trading_days)
-    q, p1, p2, pb, pqb = sums.q, sums.p1, sums.p2, sums.pb, sums.pqb
+    (fixed_bars, fixed), growth = _checked(initial, runs, bars, len(sums.pb) - 1, trading_days,
+                                           lambda runs: _corrections(runs, sums.ratios))
+    p1, p2, pb, pqb = sums.p1, sums.p2, sums.pb, sums.pqb
     s1 = s2 = sqb = 0
-    fixed_bars: list[int] = []
-    fixed: list[float] = []
-    for (entry, _), r in zip(runs, returns):
-        stop = entry + len(r)
+    for entry, values in runs:
+        stop = entry + len(values) - 1
         s1 += p1[stop] - p1[entry]
         s2 += p2[stop] - p2[entry]
         sqb += pqb[stop] - pqb[entry]
-        differs = list(map(ne, r, q[entry:stop]))
-        fixed_bars += compress(count(entry), differs)
-        fixed += compress(r, differs)
     if fixed:
         new = scaled_ints(fixed, RETURN_SCALE)
         old = [p1[k + 1] - p1[k] for k in fixed_bars]

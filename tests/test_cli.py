@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
 from tabacktest.cli import build_parser, main
+from test_config import VALUE_ERRORS
 from test_kernel_digests import PINNED, SWEEPS
 
 V_FIXTURE = DATA_DIR / "v_fixture.csv"
@@ -194,8 +195,8 @@ class TestIndicatorsCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, flags", [
-        (None, ["a=sma 5", "a.b=sma 5"]),
-        (None, ["a.b=sma 5", "a=sma 5"]),
+        ("indicator.a = sma 5\nindicator.a.b = sma 5\n", []),
+        ("indicator.a.b = sma 5\n", ["a=sma 5"]),
         ("indicator = 5\n", ["a=sma 5"]),
     ], ids=["column then table", "table then column", "scalar section"])
     def test_a_name_that_is_both_a_column_and_a_table_exits_2(
@@ -212,6 +213,22 @@ class TestIndicatorsCommand:
         lines = captured.out.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "ConfigError"
+        assert captured.err == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("bad", "--indicator expects NAME=SPEC, got 'bad'"),
+        ("a.b=sma 5", "--indicator NAME must not contain '.', got 'a.b'"),
+        (" x.y = ema 3", "--indicator NAME must not contain '.', got 'x.y'"),
+    ])
+    def test_a_malformed_flag_is_an_invalid_argument(self, flag, message, tmp_path, capsys):
+        code = main(["indicators", "--data", str(V_FIXTURE), "--indicator", "a=sma 5",
+                     "--indicator", flag, "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": {"kind": "InvalidArgument", "message": message}}
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
 
@@ -392,6 +409,20 @@ def test_bad_arguments_exit_2_with_one_json_line(flags, kind, tmp_path, capsys):
     lines = captured.out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["kind"] == kind
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text, message", VALUE_ERRORS)
+def test_a_bad_config_value_exits_2_naming_its_line(text, message, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    code = main(["backtest", "--data", str(V_FIXTURE), "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"kind": "ConfigError", "message": message}}
     assert captured.err == ""
 
 

@@ -23,6 +23,15 @@ from tabacktest.strategies import (
 )
 
 
+# a config text whose value is refused, and the message that says so
+VALUE_ERRORS = [
+    ("a = \n", "line 1: empty value"),
+    ("strategy = rsi\nrsi.n = 1:5\n", "line 2: range must be start:stop:step, got '1:5'"),
+    ("a = 1\n# c\nb = 1:5:0\n", "line 3: range step must be > 0"),
+    ("a = 5:1:1\n", "line 1: range '5:1:1' is empty"),
+]
+
+
 class TestKvParser:
     def test_nested_keys_and_types(self):
         tree = parse_kv_text(
@@ -57,6 +66,12 @@ class TestKvParser:
         ("a.b = 1\na = 2\n", "line 2: 'a' conflicts with an earlier subtree"),
     ])
     def test_a_key_holds_a_value_or_a_table_never_both(self, text, message):
+        with pytest.raises(errors.ConfigError) as info:
+            parse_kv_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", VALUE_ERRORS)
+    def test_a_bad_value_names_its_line(self, text, message):
         with pytest.raises(errors.ConfigError) as info:
             parse_kv_text(text)
         assert str(info.value) == message

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -366,6 +367,11 @@ def exact_rolling_std(x, n):
     return head + [oracles.exact_population_std(x[i - n + 1 : i + 1]) for i in range(n - 1, len(x))]
 
 
+def _bits(line):
+    """The float64 bytes and the warm-up of an indicator line."""
+    return array("d", line.values).tobytes(), line.warmup_len
+
+
 def typical_prices(series):
     return [(h + l + c) / 3.0 for h, l, c in zip(series.highs, series.lows, series.closes)]
 
@@ -436,6 +442,21 @@ class TestExactContract:
         assert up.values == expected_up
         assert down.values == expected_down
         assert osc.values == [u - d for u, d in zip(expected_up, expected_down)]
+
+    def test_a_series_sma_is_the_sma_of_its_closes(self):
+        # every window, and one past the series, over the series' one close column
+        series = parse_csv(DATA_DIR / "synthetic_sp500.csv").series
+        closes = list(series.closes)
+        for n in range(1, len(series) + 2):
+            assert _bits(sma(series, n)) == _bits(sma(closes, n))
+
+    @given(closes=st.lists(wide_floats.map(abs).filter(bool), min_size=1, max_size=40))
+    def test_a_series_sma_and_std_are_those_of_its_closes(self, closes):
+        series = make_series(closes)
+        closes = list(series.closes)
+        for n in range(1, len(series) + 2):
+            assert _bits(sma(series, n)) == _bits(sma(closes, n))
+            assert _bits(rolling_std(series, n)) == _bits(rolling_std(closes, n))
 
     def test_non_finite_input_is_domain_error(self):
         for bad in (math.inf, -math.inf, math.nan):

@@ -15,7 +15,7 @@ from conftest import make_series, signal_pairs
 from tabacktest import build_report, run
 from tabacktest.backtest import close_ratios, exposure_runs
 from tabacktest.config import parse_kv_text, sweep_from_dict
-from tabacktest.errors import EmptyGridAfterFilter, EngineError
+from tabacktest.errors import DomainError, EmptyGridAfterFilter, EngineError
 from tabacktest.metrics import ReturnSums, daily_returns, measures_from_sums
 from tabacktest.strategies import BUY, SELL, generate_signals
 from tabacktest.sweep import run_sweep
@@ -62,6 +62,15 @@ def _outcome(compute):
         return exc.kind
 
 
+def _message(compute):
+    """The message of the error ``compute()`` raises, or "" for none."""
+    try:
+        compute()
+    except (oracles.OracleMetricError, EngineError) as exc:
+        return str(exc)
+    return ""
+
+
 def _engine_report(closes, signals, benchmark, trading_days):
     result = run(make_series(closes), [bar for bar, _ in signals])
     return build_report(result.equity, benchmark, result.buy_count, trading_days).to_dict()
@@ -70,6 +79,8 @@ def _engine_report(closes, signals, benchmark, trading_days):
 UP = [100.0, 101.0, 101.0, 103.0, 99.0, 98.0, 98.0, 104.0, 105.0, 101.0]
 # every return is 2**971, whose integer at scale 2**53 is past the float range
 HUGE = [2.0**-1074, 2.0**-103, 2.0**868]
+# a one-bar position, then one held from bar 2 to bar 6
+TWO_RUNS = [(0, BUY), (1, SELL), (2, BUY), (6, SELL)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,6 +115,8 @@ MEASURES = {"final": "final_price", "rr_whole": "rr_whole", "rr_per_year": "rr_p
 @example((HUGE, [(0, BUY)], [1.0, 1.01, 0.99], 252))
 @example((HUGE, [(0, BUY)], HUGE, 252))
 @example(([2.0**-1000, 2.0**-29, 2.0**-29], [(0, BUY)], UP[:3], 1))
+@example((_closes(1.0, [1e150, 1e-150, 1e150, 1e150, 1.0, 1.0]), TWO_RUNS, UP[:7], 252))  # overflows
+@example((_closes(1.0, [1e-150, 1e150, 1e-150, 1e-150, 1.0, 1.0]), TWO_RUNS, UP[:7], 252))  # to 0
 def test_the_measure_block_of_exposure_runs_equals_the_dense_oracle(case):
     # the full block over several runs, as a sweep cell's runs reach it
     closes, signals, benchmark, trading_days = case
@@ -119,6 +132,17 @@ def test_the_measure_block_of_exposure_runs_equals_the_dense_oracle(case):
         return {name: report[key] for name, key in MEASURES.items()}
 
     assert _outcome(engine) == _outcome(oracle)
+    message = _message(oracle)
+    if message.startswith(("non-positive price", "daily return")):
+        # a fault of the curve's values or returns names its bar as the oracle does
+        assert _message(engine) == message
+
+
+def test_a_return_past_the_float_range_between_finite_values_is_a_domain_error():
+    # no close ratio of a series grows a run like this; the check stands all the same
+    sums = ReturnSums([1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match="^daily return at index 2 is not finite$"):
+        measures_from_sums(1.0, [(1, [1e-300, 1e300])], 3, sums, 252)
 
 
 def test_returns_past_the_float_scaling_against_another_benchmark():

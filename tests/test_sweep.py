@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import random
 
 import pytest
 
 from conftest import random_ohlcv
-from tabacktest import errors, strategies
+from tabacktest import _exact, errors, strategies
 from tabacktest.backtest import run
 from tabacktest.config import parse_kv_text, strategy_from_dict, sweep_from_dict
 from tabacktest.metrics import build_report
@@ -194,6 +195,21 @@ def test_each_moving_average_is_computed_once(series, monkeypatch):
     run_sweep(series, spec)
     assert len(calls) == 20
     assert len(set(calls)) == 20
+
+
+def test_a_sweep_converts_its_closes_once(series, monkeypatch):
+    calls = []
+
+    def counting(x, *args):
+        calls.append(x)
+        return original(x, *args)
+
+    original = _exact.exact_ints
+    monkeypatch.setattr(_exact, "exact_ints", counting)
+    fresh = dataclasses.replace(series)  # no close column built yet
+    text = SWEEP_TEXT.replace("2:4:1", "2:20:2").replace("12,20", "30:120:10")
+    run_sweep(fresh, sweep_from_dict(parse_kv_text(text)))
+    assert calls == [fresh.closes]
 
 
 @pytest.mark.parametrize("strategy, parts", [
