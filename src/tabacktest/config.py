@@ -20,7 +20,6 @@ adaptive (`matype` + `timeperiod_long` + `timeperiod_short` + `ada_win`).
 """
 from __future__ import annotations
 
-import copy
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -103,7 +102,8 @@ def parse_kv_text(text: str) -> dict:
 
 def set_leaf(tree: dict, path: str, value: Any) -> None:
     """Set the dotted ``path`` of ``tree`` to ``value``. A key holds a value or a
-    table, never both: a path through a value or onto a table is a ConfigError."""
+    table, never both, and is set once: a path through a value, onto a table
+    or onto a value already set is a ConfigError."""
     node = tree
     *tables, leaf = path.split(".")
     for part in tables:
@@ -112,6 +112,8 @@ def set_leaf(tree: dict, path: str, value: Any) -> None:
             raise ConfigError(f"{path!r} conflicts with an earlier scalar")
     if isinstance(node.get(leaf), dict):
         raise ConfigError(f"{path!r} conflicts with an earlier subtree")
+    if leaf in node:
+        raise ConfigError(f"{path!r} is set twice")
     node[leaf] = value
 
 
@@ -297,7 +299,8 @@ def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
     ``(name, kernel name, kernel arguments after the closes)``.
 
     Tokens: `sma N`, `ema N`, `rsi N`, `rmi N M`, `ama LONG SHORT ADAWIN MATYPE`
-    (one `AmaParams` argument).
+    (one `AmaParams` argument); every argument is an integer >= 1, and the
+    `ama` arguments must make valid `AmaParams`.
     A name is a CSV header field as it stands: not empty, and without a
     comma, a double quote or a line break.
     """
@@ -317,9 +320,11 @@ def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
             raise ConfigError(f"indicator.{name}: unknown spec {raw!r}")
         try:
             args = [int(token) for token in tokens]
-        except ValueError as exc:
+            if min(args) < 1:
+                raise ConfigError(f"indicator.{name}: arguments must be >= 1, got {raw!r}")
+            columns.append((name, kind, (AmaParams(*args),) if kind == "ama" else tuple(args)))
+        except (ValueError, InvalidParams) as exc:
             raise ConfigError(f"indicator.{name}: {exc}") from None
-        columns.append((name, kind, (AmaParams(*args),) if kind == "ama" else tuple(args)))
     return columns
 
 
@@ -343,9 +348,10 @@ class SweepSpec:
 
     def cell_config(self, assignment: Iterable[tuple[str, Any]]) -> StrategyConfig:
         """The strategy config of the grid cell that sets each axis path
-        of ``assignment`` to its value."""
-        tree = copy.deepcopy(self.tree)
-        for path, value in assignment:
+        of ``assignment`` to its value: a new tree holds every other leaf
+        of the spec's as it is, so an axis left out is still a list."""
+        tree: dict = {}
+        for path, value in {**dict(_walk_leaves(self.tree)), **dict(assignment)}.items():
             set_leaf(tree, path, value)
         return strategy_from_dict(tree)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import mul, ne, sub, truediv
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._exact import exact_ints, moments, scaled_ints
 from .errors import (
@@ -146,15 +146,11 @@ def information_ratio_annual(
                              "excess returns", trading_days)
 
 
-def _growth(initial: float, ends: list[float]) -> list[float]:
-    """Each value over the one before it, the first over ``initial``."""
-    return list(map(truediv, ends, chain((initial,), ends)))
-
-
 def yearly_rr(equity: Sequence[float], ranges: Sequence[tuple[int, int]]) -> list[float]:
-    """Per-range growth ratios of the equity values; their product
-    telescopes to final/initial."""
-    return _growth(equity[0], [equity[end - 1] for _, end in ranges])
+    """Per-range growth ratios of the equity values, each range's last
+    value over the one before it; their product telescopes to final/initial."""
+    ends = [equity[end - 1] for _, end in ranges]
+    return list(map(truediv, ends, chain((equity[0],), ends)))
 
 
 def gaussian_fit(returns: Sequence[float]) -> tuple[float, float]:
@@ -187,13 +183,14 @@ class MetricReport:
 
 
 class Measures(NamedTuple):
-    """What a sweep cell ranks and writes, and what the full block builds on."""
+    """What a sweep cell ranks and writes, and what the full block builds
+    on: the ``MetricReport`` fields of the same names."""
 
-    final: float
+    final_price: float
     rr_whole: float
     rr_per_year: float
-    fit_mean: float
-    fit_std: float
+    return_fit_mean: float
+    return_fit_std: float
     sr: Optional[float]
     ir: Optional[float]
 
@@ -207,21 +204,13 @@ class Measures(NamedTuple):
 RETURN_SCALE = 53
 
 
-def _checked(
-    initial: float, runs: Sequence[Run], bars: int, benchmark_count: int, trading_days: int,
-    run_returns: Callable[[Sequence[Run]], Any] = _run_returns,
-) -> tuple[Any, tuple[float, float, float]]:
-    """Every check of the block, in order, then ``run_returns(runs)``, which
-    raises the first fault of the runs' returns as ``_run_returns`` does,
-    and the final value, ``rr_whole`` and ``rr_per_year``.
-
-    Once this has passed, every run value is positive and finite, so the
-    drawdown and the yearly block cannot fail.
-    """
-    if bars < 2:
-        raise TooShort("need at least two values for returns")
-    returns = run_returns(runs)
-    final = runs[-1][1][-1] if runs else initial
+def _growth(
+    initial: float, final: float, bars: int, benchmark_count: int, trading_days: int
+) -> tuple[float, float, float]:
+    """``final``, ``rr_whole`` and ``rr_per_year`` of a ``bars``-long curve
+    from ``initial``, after the checks that follow those of its returns, in
+    order. Once both have passed, every value is positive and finite, so
+    the drawdown and the yearly block cannot fail."""
     rr_whole = final / initial
     years = bars / trading_days
     try:
@@ -235,7 +224,7 @@ def _checked(
         raise TooShort("need at least two returns")
     if count != benchmark_count:
         raise LengthMismatch(f"{count} returns vs {benchmark_count} benchmark returns")
-    return returns, (final, rr_whole, rr_per_year)
+    return final, rr_whole, rr_per_year
 
 
 def _measures(growth: tuple[float, float, float], n: int, s1: int, s2: int, d1: int, d2: int,
@@ -273,38 +262,6 @@ class ReturnSums:
             self.b2 = sum(map(mul, b, b))
 
 
-def _corrections(runs: Sequence[Run], ratios: Sequence[float]) -> tuple[list[int], list[float]]:
-    """The bars whose return differs from their close ratio's return, and
-    those returns, of runs grown by ``ratios``; the first fault of the
-    runs' returns raises as in ``_run_returns``.
-
-    A held bar whose quotient ``values[k + 1] / values[k]`` is its close
-    ratio has the ratio's return; only the others, which compounding makes
-    rare, are listed (a bar listed where the returns agree only adds 0).
-    A ratio is positive, or 0 or inf past the float range, so a value that
-    is 0, inf or NaN stays one to the end of its run: the last values are
-    checked before any quotient divides by a value. Between positive
-    finite values a return is finite unless its quotient overflows, and an
-    inf quotient is not its finite ratio, so it is listed.
-    """
-    last = [values[-1] for _, values in runs]
-    if not (all(map(math.isfinite, last)) and min(last, default=1.0) > 0):
-        _run_returns(runs)
-    quotients: list[float] = []
-    held: list[float] = []  # the ratio of each quotient's bar
-    slots = []
-    for entry, values in runs:
-        stop = entry + len(values) - 1
-        quotients += map(truediv, islice(values, 1, None), values)
-        held += ratios[entry:stop]
-        slots.append(range(entry, stop))
-    differs = list(map(ne, quotients, held))
-    fixed = list(map(sub, compress(quotients, differs), repeat(1.0)))
-    if math.inf in fixed:
-        _run_returns(runs)
-    return list(compress(chain.from_iterable(slots), differs)), fixed
-
-
 def measures_from_sums(
     initial: float, runs: Sequence[Run], bars: int, sums: ReturnSums, trading_days: int
 ) -> Measures:
@@ -316,19 +273,44 @@ def measures_from_sums(
     ``sums.ratios``, in bar order: a run holds ``values`` at bars ``entry``,
     ``entry + 1``, ...; the curve holds ``initial`` before the first run
     and each run's last value after it. Each run adds the prefix-sum
-    differences over its slots, then the bars where its return differs
-    from the close ratio's (``_corrections``) are corrected.
+    differences over its slots. A held bar whose quotient
+    ``values[k + 1] / values[k]`` is its close ratio has the ratio's return;
+    only the others, which compounding makes rare, are corrected (a bar
+    corrected where the returns agree only adds 0).
+
+    A ratio is positive, or 0 or inf past the float range, so a value that
+    is 0, inf or NaN stays one to the end of its run: the last values are
+    checked before any quotient divides by a value. Between positive
+    finite values a return is finite unless its quotient overflows, and an
+    inf quotient is not its finite ratio, so it is corrected. Either fault
+    raises as in ``_run_returns``.
     """
-    (fixed_bars, fixed), growth = _checked(initial, runs, bars, len(sums.pb) - 1, trading_days,
-                                           lambda runs: _corrections(runs, sums.ratios))
+    if bars < 2:
+        raise TooShort("need at least two values for returns")
+    last = [values[-1] for _, values in runs]
+    if not (all(map(math.isfinite, last)) and min(last, default=1.0) > 0):
+        _run_returns(runs)
     p1, p2, pb, pqb = sums.p1, sums.p2, sums.pb, sums.pqb
-    s1 = s2 = sqb = 0
+    quotients: list[float] = []
+    held: list[float] = []  # the ratio of each quotient's bar
+    slots = []
+    s1 = s2 = 0
     for entry, values in runs:
         stop = entry + len(values) - 1
+        quotients += map(truediv, islice(values, 1, None), values)
+        held += sums.ratios[entry:stop]
+        slots.append(range(entry, stop))
         s1 += p1[stop] - p1[entry]
         s2 += p2[stop] - p2[entry]
-        sqb += pqb[stop] - pqb[entry]
+    differs = list(map(ne, quotients, held))
+    fixed = list(map(sub, compress(quotients, differs), repeat(1.0)))
+    if math.inf in fixed:
+        _run_returns(runs)
+    growth = _growth(initial, last[-1] if runs else initial, bars, len(pb) - 1, trading_days)
+    # pqb ends where the shorter of Q and B does: read it only past the length check
+    sqb = sum(pqb[slot.stop] - pqb[slot.start] for slot in slots)
     if fixed:
+        fixed_bars = list(compress(chain.from_iterable(slots), differs))
         new = scaled_ints(fixed, RETURN_SCALE)
         old = [p1[k + 1] - p1[k] for k in fixed_bars]
         step = list(map(sub, new, old))
@@ -356,10 +338,8 @@ def build_report(
     except EngineError:
         daily_returns(equity)  # a fault of the curve itself is reported first
         raise
-    if len(equity) < 2:
-        raise TooShort("need at least two values for returns")
-    (returns,), growth = _checked(equity[0], [(0, equity)], len(equity), len(benchmark_returns),
-                                  trading_days)
+    returns = daily_returns(equity)
+    growth = _growth(equity[0], equity[-1], len(equity), len(benchmark_returns), trading_days)
     # a zero adds nothing to a sum, and fl(r - b) is r - b while below 1
     # in magnitude, where every multiple of 2**-53 is a float
     diff = list(filter(None, map(sub, returns, benchmark_returns)))
@@ -374,17 +354,11 @@ def build_report(
     rr_by_year = yearly_rr(equity, slice_years(len(equity), trading_days))
     return MetricReport(
         initial_price=equity[0],
-        final_price=measures.final,
-        rr_whole=measures.rr_whole,
-        rr_per_year=measures.rr_per_year,
         rr_by_year=rr_by_year,
         buy_count=buy_count,
         max_rate=max(rr_by_year),
         min_rate=min(rr_by_year),
         mdd=max_drawdown(equity),
-        sr=measures.sr,
-        ir=measures.ir,
-        vol_annual=measures.fit_std * math.sqrt(trading_days),
-        return_fit_mean=measures.fit_mean,
-        return_fit_std=measures.fit_std,
+        vol_annual=measures.return_fit_std * math.sqrt(trading_days),
+        **measures._asdict(),
     )

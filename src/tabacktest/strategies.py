@@ -162,9 +162,9 @@ class KernelMemo:
 
     ``memo(kernel, *params)`` is ``kernel(memo.series, *params)``, stored
     under the call ``(kernel, params)``, so a repeated call does not run
-    the kernel again. Entries are kept as ``array('d')`` plus the warm-up
-    length, 8 bytes a value instead of a list slot and a float object.
-    Every call, hit or miss, hands out read-only views of the stored arrays,
+    the kernel again. Each entry is stored once, as IndicatorSeries over
+    read-only views of ``array('d')``s, 8 bytes a value instead of a list
+    slot and a float object, and every call hands out that stored entry,
     so no caller can change what the next one reads: a write raises
     TypeError.
     """
@@ -179,20 +179,17 @@ class KernelMemo:
         key = (kernel, params)
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = _pack(kernel(self.series, *params))
-        return _view(entry)
+            entry = self._entries[key] = _stored(kernel(self.series, *params))
+        return entry
 
 
-def _pack(result):
+def _stored(result):
+    """``result`` with each IndicatorSeries' values in an ``array('d')``
+    behind a read-only view."""
     if isinstance(result, IndicatorSeries):
-        return array("d", result.values), result.warmup_len
-    return tuple(_pack(part) for part in result)
-
-
-def _view(entry):
-    if isinstance(entry[0], array):
-        return IndicatorSeries(memoryview(entry[0]).toreadonly(), entry[1])
-    return tuple(_view(part) for part in entry)
+        return IndicatorSeries(memoryview(array("d", result.values)).toreadonly(),
+                               result.warmup_len)
+    return tuple(_stored(part) for part in result)
 
 
 def _alternate(buys: list[int], sells: list[int]) -> list[int]:

@@ -51,18 +51,17 @@ def _objective_value(measures: Measures, objective: str) -> Optional[float]:
 
 def _evaluate_cell(
     spec: SweepSpec,
-    closes: list[float],
-    ratios: list[float],
     sums: ReturnSums,
     trading_days: int,
     memo: KernelMemo,
     assignment: tuple[tuple[str, Any], ...],
 ) -> SweepRow | str:
     """The cell's row, or the kind of error that drops it."""
+    closes = memo.series.closes
     try:
         config = spec.cell_config(assignment)
         bars = generate_signals(memo.series, config, memo)
-        initial, runs = exposure_runs(closes, bars, ratios)
+        initial, runs = exposure_runs(closes, bars, sums.ratios)
         # the drawdown and the yearly block can no longer fail, and no row holds them
         measures = measures_from_sums(initial, runs, len(closes), sums, trading_days)
     except EngineError as exc:
@@ -100,9 +99,8 @@ def run_sweep(
         cells: list[SweepRow | str] = [exc.kind] * len(assignments)
     else:
         memo = KernelMemo(series)
-        ratios = close_ratios(closes)
-        sums = ReturnSums(ratios, benchmark_returns)
-        cells = [_evaluate_cell(spec, closes, ratios, sums, trading_days, memo, assignment)
+        sums = ReturnSums(close_ratios(closes), benchmark_returns)
+        cells = [_evaluate_cell(spec, sums, trading_days, memo, assignment)
                  for assignment in assignments]
 
     dropped = Counter(cell for cell in cells if isinstance(cell, str))

@@ -582,6 +582,73 @@ def test_a_benchmark_return_that_overflows_exits_3_before_any_artifact(
     assert not (tmp_path / "out").exists()
 
 
+def _refusal(argv, tmp_path, capsys):
+    """The exit code and the error of a command line that fails: one JSON
+    line on stdout, nothing on stderr and no output directory."""
+    code = main(argv + ["--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert captured.err == ""
+    assert not (tmp_path / "out").exists()
+    return code, json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("backtest", "strategy = rsi\nrsi.n = 5\nrsi.n = 9\n", [], "line 3: 'rsi.n' is set twice"),
+    ("indicators", None, ["a=sma 5", "a=ema 3"], "'indicator.a' is set twice"),
+    ("indicators", "indicator.a = sma 5\n", ["a=ema 3"], "'indicator.a' is set twice"),
+], ids=["config line", "repeated flag", "flag repeats a config column"])
+def test_a_key_set_twice_exits_2(command, config, flags, message, tmp_path, capsys):
+    # the later value does not replace the earlier one in silence
+    argv = [command, "--data", str(V_FIXTURE)]
+    if config is not None:
+        (tmp_path / "x.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "x.cfg")]
+    for flag in flags:
+        argv += ["--indicator", flag]
+    assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("a=sma 0", "indicator.a: arguments must be >= 1, got 'sma 0'"),
+    ("k=ama 5 10 3 1", "indicator.k: need timeperiod_long > timeperiod_short >= 1"),
+])
+def test_a_bad_indicator_spec_exits_2(flag, message, tmp_path, capsys):
+    argv = ["indicators", "--data", str(V_FIXTURE), "--indicator", flag]
+    assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
+
+
+def test_a_benchmark_of_another_length_exits_3(tmp_path, capsys):
+    argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
+            "--benchmark", str(DATA_DIR / "synthetic_sp500.csv")]
+    assert _refusal(argv, tmp_path, capsys) == (
+        3, {"kind": "LengthMismatch", "message": "benchmark has 2769 bars, data has 80"})
+
+
+def test_a_report_with_no_finite_json_form_exits_3(tmp_path, capsys):
+    # every return is 1e150 - 1.0, but rr_whole is 1e300 / 1e-300, which is inf
+    data = tmp_path / "extreme.csv"
+    _write_closes(data, [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    assert _refusal(["report", "--data", str(data)], tmp_path, capsys) == (3, {
+        "kind": "DomainError",
+        "message": "a result is not a finite number, so it has no JSON form"})
+
+
+def test_a_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(missing)]
+    assert _refusal(argv, tmp_path, capsys) == (
+        2, {"kind": "MissingInput", "message": f"no such config file: {missing}"})
+
+
+def test_an_empty_csv_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    assert _refusal(["ingest", "--data", str(empty)], tmp_path, capsys) == (
+        2, {"kind": "EmptySeries", "message": "file has no header row"})
+
+
 # (config, sha256 of stdout, sha256 of sweep.csv) of sweeps on synthetic_sp500.csv,
 # the pins the cross-interpreter checker holds
 SWEEP_PINS = {

@@ -23,8 +23,9 @@ from tabacktest.strategies import (
 )
 
 
-# a config text whose value is refused, and the message that says so
+# a config text whose line is refused, and the message that says so
 VALUE_ERRORS = [
+    ("= 5\n", "line 1: empty key"),
     ("a = \n", "line 1: empty value"),
     ("strategy = rsi\nrsi.n = 1:5\n", "line 2: range must be start:stop:step, got '1:5'"),
     ("a = 1\n# c\nb = 1:5:0\n", "line 3: range step must be > 0"),
@@ -70,6 +71,16 @@ class TestKvParser:
             parse_kv_text(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("strategy = rsi\nrsi.n = 5\nrsi.n = 9\n", "line 3: 'rsi.n' is set twice"),
+        ("a = 1\na = 1\n", "line 2: 'a' is set twice"),
+    ])
+    def test_a_key_is_set_once(self, text, message):
+        # the earlier value is not silently replaced, even by an equal one
+        with pytest.raises(errors.ConfigError) as info:
+            parse_kv_text(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text, message", VALUE_ERRORS)
     def test_a_bad_value_names_its_line(self, text, message):
         with pytest.raises(errors.ConfigError) as info:
@@ -99,6 +110,9 @@ class TestMaFromDict:
         with pytest.raises(errors.ConfigError):
             ma_from_dict({"kind": "sma", "period": 5, "bogus": 1}, "ma")
 
+
+# a two_average config whose fast.* section follows
+TWO_AVERAGE = "strategy = two_average\nslow.kind = sma\nslow.period = 20\n"
 
 STRATEGY_TEXTS = [
     (
@@ -148,6 +162,11 @@ class TestStrategyFromDict:
         with pytest.raises(errors.ConfigError):
             strategy_from_dict({"strategy": "hodl"})
 
+    def test_a_config_needs_a_strategy_line(self):
+        with pytest.raises(errors.ConfigError) as raised:
+            strategy_from_dict(parse_kv_text("rsi.n = 5\n"))
+        assert str(raised.value) == "config needs a 'strategy = <tag>' line"
+
     def test_invalid_params_surface_as_config_errors(self):
         text = "strategy = rsi\nrsi.n = 6\nrsi.down_thres = 80\nrsi.upper_thres = 70\n"
         with pytest.raises(errors.ConfigError):
@@ -194,6 +213,33 @@ class TestStrategyFromDict:
                 "ma.timeperiod_long = 24\nma.timeperiod_short = 8\nma.ada_win = 18\n")
         assert strategy_from_dict(parse_kv_text(text)) == BollingerConfig(AmaParams(24, 8, 18, 1))
 
+    # each check of a config class, reached through a config file
+    @pytest.mark.parametrize("text, message", [
+        (TWO_AVERAGE + "fast.kind = wma\nfast.period = 5\n", "unknown moving-average kind 'wma'"),
+        (TWO_AVERAGE + "fast.kind = sma\nfast.period = 0\n", "period must be >= 1"),
+        (TWO_AVERAGE + "fast.kind = ema\nfast.period = 5\nfast.smoothing = 0\n",
+         "smoothing factor must be > 0"),
+        ("strategy = rsi\nrsi.n = 0\n", "n must be >= 1"),
+        ("strategy = rsi\nrsi.n = 6\nrsi.down_thres = 80\nrsi.upper_thres = 70\n",
+         "need 0 <= down_thres < upper_thres <= 100"),
+        ("strategy = rsi\nrsi.n = 6\nrsi.upper_thres = 101\n",
+         "need 0 <= down_thres < upper_thres <= 100"),
+        ("strategy = rsi\nrsi.n = 6\nrsi.diff_rate = -0.1\n", "diff_rate must be >= 0"),
+        ("strategy = rsi\nrsi.n = 6\nrsi.rsitype = 3\n", "rsitype must be 1 or 2"),
+        ("strategy = rsi\nrsi.n = 6\nrsi.rsitype = 2\n", "rsitype 2 needs sma_n >= 1"),
+        ("strategy = aroon\naroon.n = 0\n", "n must be >= 1"),
+        ("strategy = aroon\naroon.n = 5\naroon.aroon_type = 3\n", "aroon_type must be 1 or 2"),
+        ("strategy = aroon\naroon.n = 5\naroon.weak_thres = 100\n",
+         "weak_thres must be in (0, 100)"),
+        ("strategy = bollinger\nbollinger.n = 0\n", "window must be >= 1"),
+        ("strategy = bollinger\nbollinger.n = 5\nbollinger.dev = -1\n", "dev must be >= 0"),
+        ("strategy = macd\nmacd.signal_n = 0\n", "macd periods must be >= 1"),
+    ], ids=lambda value: value.splitlines()[-1] if "=" in value else None)
+    def test_each_config_check_is_a_config_error(self, text, message):
+        with pytest.raises(errors.ConfigError) as raised:
+            strategy_from_dict(parse_kv_text(text))
+        assert str(raised.value) == message
+
     def test_integral_floats_and_ints_convert(self):
         config = strategy_from_dict(parse_kv_text(
             "strategy = rsi\nrsi.n = 6.0\nrsi.down_thres = 20\nrsi.sma_rate = 0\n"))
@@ -220,6 +266,23 @@ class TestIndicatorColumns:
             indicator_columns_from_dict(parse_kv_text("indicator.x = vwap 5\n"))
         with pytest.raises(errors.ConfigError):
             indicator_columns_from_dict({"indicator": {}})
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sma 0", "indicator.x: arguments must be >= 1, got 'sma 0'"),
+        ("ema -3", "indicator.x: arguments must be >= 1, got 'ema -3'"),
+        ("rsi 0", "indicator.x: arguments must be >= 1, got 'rsi 0'"),
+        ("rmi 14 0", "indicator.x: arguments must be >= 1, got 'rmi 14 0'"),
+        ("ama 30 0 10 1", "indicator.x: arguments must be >= 1, got 'ama 30 0 10 1'"),
+        ("ama 5 10 3 1", "indicator.x: need timeperiod_long > timeperiod_short >= 1"),
+        ("ama 30 2 10 3", "indicator.x: matype must be 1 or 2, got 3"),
+        ("sma five", "indicator.x: invalid literal for int() with base 10: 'five'"),
+        (5, "indicator.x must be a spec string"),
+    ])
+    def test_a_bad_spec_is_a_config_error(self, spec, message):
+        # refused while the config is read, as a strategy config's value is
+        with pytest.raises(errors.ConfigError) as raised:
+            indicator_columns_from_dict({"indicator": {"x": spec}})
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb", ""])
     def test_rejects_a_name_that_breaks_the_csv_header(self, name):
@@ -248,10 +311,15 @@ class TestSweepFromDict:
             "macd.long_n": (10, 20),
         }
         assert spec.grid_size() == 6
-        # a cell sets its axes on a copy of the tree and keeps every fixed value
+        # a cell's tree is its axis values and every fixed value; the spec's stays as it is
         cell = (("macd.short_n", 4), ("macd.long_n", 20))
         assert spec.cell_config(cell) == MacdConfig(short_n=4, long_n=20, signal_n=9)
         assert spec.tree["macd"] == {"short_n": [2, 4, 6], "long_n": [10, 20], "signal_n": 9}
+
+    def test_a_sweep_config_needs_a_strategy_line(self):
+        with pytest.raises(errors.ConfigError) as raised:
+            sweep_from_dict(parse_kv_text("rsi.n = 5,6\n"))
+        assert str(raised.value) == "sweep config needs a 'strategy = <tag>' line"
 
     def test_defaults_and_validation(self):
         spec = sweep_from_dict(parse_kv_text("strategy = aroon\naroon.n = 5,10\n"))

@@ -484,3 +484,22 @@ class TestExactContract:
         assert rolling_std([0.0, 3e-160, 1e-160], 3).values == [0.0, 0.0, 1.2472191289246472e-160]
         assert exact_rolling_std([0.0, 1e-200], 2) == [0.0, 5e-201]
         assert exact_rolling_std([0.0, 3e-160, 1e-160], 3) == [0.0, 0.0, 1.2472191289246472e-160]
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda x, s: efficiency_ratio(x, 0), errors.ZeroPeriod, "efficiency-ratio window must be >= 1"),
+    (lambda x, s: rsi(x, 0), errors.ZeroPeriod, "rsi period must be >= 1"),
+    (lambda x, s: rmi(x, 0, 1), errors.ZeroPeriod, "rmi period must be >= 1"),
+    (lambda x, s: rmi(x, 5, 0), errors.ZeroPeriod, "rmi look-back must be >= 1"),
+    (lambda x, s: aroon(s, 0), errors.ZeroPeriod, "aroon period must be >= 1"),
+    (lambda x, s: rolling_std(x, 0), errors.ZeroPeriod, "rolling std period must be >= 1"),
+    (lambda x, s: bollinger(s, 0), errors.ZeroPeriod, "bollinger period must be >= 1"),
+    (lambda x, s: macd(x, 12, 26, 0), errors.ZeroPeriod, "macd periods must be >= 1"),
+    (lambda x, s: ema(x, 5, 0.0), errors.InvalidParams, "smoothing factor must be > 0"),
+], ids=["efficiency_ratio", "rsi", "rmi period", "rmi look-back", "aroon", "rolling_std",
+        "bollinger", "macd", "ema smoothing"])
+def test_a_bad_period_is_refused_with_its_message(call, kind, message):
+    closes = [float(c) for c in range(1, 41)]
+    with pytest.raises(kind) as raised:
+        call(closes, make_series(closes))
+    assert type(raised.value) is kind and str(raised.value) == message

@@ -8,11 +8,13 @@ import oracles
 from tabacktest import errors
 from tabacktest.market_data import slice_years
 from tabacktest.metrics import (
+    ReturnSums,
     build_report,
     daily_returns,
     gaussian_fit,
     information_ratio_annual,
     max_drawdown,
+    measures_from_sums,
     sharpe_annual,
     yearly_rr,
 )
@@ -63,6 +65,10 @@ class TestMaxDrawdown:
             values = [rng.uniform(1.0, 50.0) for _ in range(n)]
             assert max_drawdown(values) == oracles.brute_force_mdd(values)
 
+    def test_an_empty_curve_is_too_short(self):
+        with pytest.raises(errors.TooShort, match="^need at least one value$"):
+            max_drawdown([])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_a_value_outside_the_positive_finite_range_raises(self, bad, where):
@@ -73,6 +79,10 @@ class TestMaxDrawdown:
 
 
 class TestSharpe:
+    def test_one_return_is_too_short(self):
+        with pytest.raises(errors.TooShort, match="^need at least two returns$"):
+            sharpe_annual([0.1])
+
     def test_symmetric_returns_zero(self):
         assert sharpe_annual([0.01, -0.01, 0.01, -0.01]) == 0.0
 
@@ -292,3 +302,13 @@ class TestBuildReport:
             build_report(curve, [10.0, 10.5, 11.0], buy_count=0)
         with pytest.raises(errors.TooShort):
             build_report(curve, [10.0], buy_count=0)  # and when the benchmark fails too
+
+    def test_a_benchmark_of_another_length_is_a_length_mismatch(self):
+        with pytest.raises(errors.LengthMismatch, match="^3 returns vs 2 benchmark returns$"):
+            build_report((10.0, 11.0, 12.0, 13.0), [10.0, 10.5, 11.0], buy_count=1)
+
+
+def test_the_measures_of_one_bar_are_too_short():
+    sums = ReturnSums([], [])
+    with pytest.raises(errors.TooShort, match="^need at least two values for returns$"):
+        measures_from_sums(10.0, [], 1, sums, 252)

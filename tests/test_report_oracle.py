@@ -16,7 +16,7 @@ from tabacktest import build_report, run
 from tabacktest.backtest import close_ratios, exposure_runs
 from tabacktest.config import parse_kv_text, sweep_from_dict
 from tabacktest.errors import DomainError, EmptyGridAfterFilter, EngineError
-from tabacktest.metrics import ReturnSums, daily_returns, measures_from_sums
+from tabacktest.metrics import Measures, ReturnSums, daily_returns, measures_from_sums
 from tabacktest.strategies import BUY, SELL, generate_signals
 from tabacktest.sweep import run_sweep
 
@@ -104,11 +104,6 @@ def test_build_report_equals_the_dense_oracle(case):
     assert _outcome(lambda: _engine_report(closes, signals, benchmark, trading_days)) == expected
 
 
-# the fields of ``metrics.Measures`` and their ``naive_report`` keys
-MEASURES = {"final": "final_price", "rr_whole": "rr_whole", "rr_per_year": "rr_per_year",
-            "fit_mean": "return_fit_mean", "fit_std": "return_fit_std", "sr": "sr", "ir": "ir"}
-
-
 @settings(max_examples=300, deadline=None)
 @given(_cases())
 @example((UP, [(1, BUY), (2, SELL), (4, BUY), (7, SELL), (8, BUY)], UP, 3))  # three runs
@@ -129,7 +124,7 @@ def test_the_measure_block_of_exposure_runs_equals_the_dense_oracle(case):
 
     def oracle():
         report = oracles.naive_report(closes, signals, benchmark, trading_days)
-        return {name: report[key] for name, key in MEASURES.items()}
+        return {name: report[name] for name in Measures._fields}
 
     assert _outcome(engine) == _outcome(oracle)
     message = _message(oracle)

@@ -498,6 +498,8 @@ def test_a_repeated_call_does_not_run_the_kernel_again():
     for n in (5, 5, 6, 5, 6):
         assert list(memo(counted, n).values) == sma(series.closes, n).values
     assert calls == [5, 6]
+    # a hit hands out the stored entry itself, not a new series or view
+    assert memo(counted, 5) is memo(counted, 5)
 
 
 def test_the_kernel_is_part_of_the_key():

@@ -134,6 +134,14 @@ def test_a_benchmark_return_that_overflows_drops_every_cell(series):
         run_sweep(series, sweep_from_dict(parse_kv_text(SWEEP_TEXT)), benchmark)
 
 
+@pytest.mark.parametrize("bars", [100, 400])
+def test_a_benchmark_of_another_length_drops_every_cell(series, bars):
+    # a shorter benchmark's sums end before the cells' runs do
+    benchmark = random_ohlcv(random.Random(6), bars).closes
+    with pytest.raises(errors.EmptyGridAfterFilter, match="'LengthMismatch': 6"):
+        run_sweep(series, sweep_from_dict(parse_kv_text(SWEEP_TEXT)), benchmark)
+
+
 # One small grid per strategy. rr_whole is never undefined and min_trades
 # is 0, so every cell that does not raise is ranked.
 STRATEGY_GRIDS = {
