@@ -117,11 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(load, path, **kwargs):
     """``load(path, **kwargs)``, with a path that exists but cannot be read
     as a file (a directory, no permission, ...) reported as an input
-    error."""
+    error. Both loaders raise ``MissingInput`` for a missing path before
+    they open it; a file removed after that check is a ``PathError``."""
     try:
         return load(path, **kwargs)
-    except FileNotFoundError:
-        raise
     except OSError as exc:
         raise PathError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -283,8 +282,6 @@ def main(argv=None) -> int:
         if getattr(args, "trading_days", 1) < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        return _fail(MissingInput(str(exc)))
     except EngineError as exc:
         return _fail(exc)
 

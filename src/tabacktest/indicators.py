@@ -5,13 +5,15 @@ without a full window are passed through unchanged (never NaN) and
 reported via ``warmup_len``. All kernels are pure functions of their
 inputs, so repeated runs are bit-identical.
 
-``sma`` and ``rolling_std`` run in O(n) on exact integer window sums,
-each one difference of prefix sums (``_exact.prefix_sums``); a series
+``sma``, ``rolling_std``, ``efficiency_ratio`` and ``ama`` matype 2 run
+in O(n) on exact integer window sums, each one difference of prefix sums
+(``_exact.prefix_sums``) or one step of a running integer sum; a series
 builds the prefix sums of its closes once (``OhlcvSeries.close_sums``),
-however many windows read them. Each SMA value is the exactly rounded
-window mean, and each sigma is the correctly rounded square root of the
-exactly rounded population variance, on every interpreter. ``aroon``
-finds its window extremes with a monotonic deque of indices (Lemire 2006).
+however many windows read them. Each SMA and adaptive mean, each
+efficiency ratio and each RSI/RMI seed mean is exactly rounded, and each
+sigma is the correctly rounded square root of the exactly rounded
+population variance, on every interpreter. ``aroon`` finds its window
+extremes with a monotonic deque of indices (Lemire 2006).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from itertools import accumulate, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import Sequence
 
-from ._exact import prefix_sums, root_of_ratio
+from ._exact import exact_ints, prefix_sums, root_of_ratio
 from .errors import DomainError, InvalidParams, TooShort, ZeroPeriod
 from .market_data import OhlcvSeries
 
@@ -46,9 +48,6 @@ class IndicatorSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,12 @@ def _column(data) -> tuple[Sequence[float], list[int], int]:
     return (x, *prefix_sums(x))
 
 
+def _ints(p: list[int], start: int):
+    """The integers whose prefix sums are ``p``, from index ``start`` on,
+    streamed."""
+    return map(sub, islice(p, start + 1, None), islice(p, start, None))
+
+
 def _sma(x: Sequence[float], p: list[int], scale: int, n: int) -> IndicatorSeries:
     if len(x) < n:
         return IndicatorSeries(list(x), len(x))
@@ -170,21 +175,27 @@ def efficiency_ratio(data, m: int) -> IndicatorSeries:
     Net change over the last m bars divided by the sum of absolute
     per-bar changes over the same window; zero until a full window
     exists. The denominator is floored at ER_NOISE_FLOOR so flat
-    stretches stay defined.
+    stretches stay defined. Both sums are exact integers of ``_column``
+    and each ratio is rounded once; the net change is never larger than
+    the noise, so no ratio leaves [-1, 1].
     """
     if m < 1:
         raise ZeroPeriod("efficiency-ratio window must be >= 1")
-    x = _values(data)
-    out = [0.0] * len(x)
-    for i in range(m, len(x)):
-        signal = x[i] - x[i - m]
-        noise = 0.0
-        for k in range(i - m + 1, i + 1):
-            noise += abs(x[k] - x[k - 1])
-        if noise < ER_NOISE_FLOOR:
-            noise = ER_NOISE_FLOOR
-        out[i] = max(-1.0, min(1.0, signal / noise))
-    return IndicatorSeries(out, min(m, len(x)))
+    p, scale = _column(data)[1:]  # the values, a copy for a plain sequence, go now
+    num, den = ER_NOISE_FLOOR.as_integer_ratio()
+    floor = num << scale
+
+    def moves(start: int):
+        """|a[k] - a[k-1]| of the integers a, for k from ``start`` on."""
+        return map(abs, map(sub, _ints(p, start), _ints(p, start - 1)))
+
+    signals = map(sub, _ints(p, m), _ints(p, 0))
+    noises = accumulate(map(sub, moves(m + 1), moves(1)), initial=sum(islice(moves(1), m)))
+    # s / (floor / den) for a noise below the floor; int / int rounds correctly
+    ratios = [s / w if w * den >= floor else s * den / floor for s, w in zip(signals, noises)]
+    warmup = min(m, len(p) - 1)
+    ratios[:0] = repeat(0.0, warmup)  # in place: no second list of n values
+    return IndicatorSeries(ratios, warmup)
 
 
 def adaptive_period(er_value: float, params: AmaParams) -> int:
@@ -207,23 +218,20 @@ def ama(data, params: AmaParams) -> IndicatorSeries:
     to an integer p and the output is the mean of the p+1 values ending at
     i inclusive; bars before index n1 pass through.
     """
-    x = _values(data)
     n1, n2 = params.timeperiod_long, params.timeperiod_short
-    er = efficiency_ratio(x, params.ada_win).values
+    er = efficiency_ratio(data, params.ada_win).values
     if params.matype == 1:
+        x = _values(data)
         fast_sc = 2.0 / (n2 + 1)
         slow_sc = 2.0 / (n1 + 1)
         diff_sc = fast_sc - slow_sc
         sscs = (slow_sc + abs(e) * diff_sc for e in islice(er, 1, None))
         return IndicatorSeries(_smooth(x, (ssc * ssc for ssc in sscs)), min(1, len(x)))
-    out: list[float] = []
-    for i, v in enumerate(x):
-        if i < n1:
-            out.append(v)
-            continue
+    x, p, scale = _column(data)
+    out = list(x[:n1])
+    for i in range(n1, len(x)):
         period = adaptive_period(er[i], params)
-        window = x[i - period : i + 1]
-        out.append(sum(window) / len(window))
+        out.append((p[i + 1] - p[i - period]) / ((period + 1) << scale))
     return IndicatorSeries(out, min(n1, len(x)))
 
 
@@ -243,9 +251,8 @@ def ma_reference_period(spec: MaLike) -> int:
 
 
 def true_range(series: OhlcvSeries) -> IndicatorSeries:
-    """Per-bar range including the overnight gap against the prior close."""
-    if len(series) < 1:
-        raise TooShort("true_range needs at least one bar")
+    """Per-bar range including the overnight gap against the prior close;
+    the first bar, which an ``OhlcvSeries`` always has, is its high - low."""
     highs, lows, closes = series.highs, series.lows, series.closes
     out = [highs[0] - lows[0]]
     for i in range(1, len(series)):
@@ -261,6 +268,13 @@ def atr(series: OhlcvSeries, n: int) -> IndicatorSeries:
 
 def typical_price(series: OhlcvSeries) -> list[float]:
     return [(h + l + c) / 3.0 for h, l, c in zip(series.highs, series.lows, series.closes)]
+
+
+def check_band_factor(value: float, name: str) -> None:
+    """Refuse a band multiplier or deviation ``name`` that is negative or
+    not finite (``InvalidParams``)."""
+    if not 0 <= value < math.inf:
+        raise InvalidParams(f"{name} must be " + (">= 0" if value < 0 else "finite"))
 
 
 def offset_bands(middle: IndicatorSeries, width: IndicatorSeries, mult: float) -> BandSet:
@@ -290,8 +304,7 @@ def keltner_parts(series: OhlcvSeries, ma_spec: MaLike) -> tuple[IndicatorSeries
 
 def keltner(series: OhlcvSeries, ma_spec: MaLike, mult: float = 2.0) -> BandSet:
     """Volatility channel: an MA of typical price offset by mult * ATR."""
-    if not 0 <= mult < math.inf:
-        raise InvalidParams("band multiplier must be " + (">= 0" if mult < 0 else "finite"))
+    check_band_factor(mult, "band multiplier")
     return offset_bands(*keltner_parts(series, ma_spec), mult)
 
 
@@ -326,22 +339,16 @@ def rmi(closes, n: int, m: int) -> IndicatorSeries:
 
 def _rmi(x: list[float], n: int, m: int) -> IndicatorSeries:
     """Wilder averages of the up and down moves close[i] - close[i-m],
-    seeded with the simple means of the first n moves."""
+    seeded with the exactly rounded means of the first n moves."""
     out = [50.0] * len(x)
     if len(x) < m + n:
         return IndicatorSeries(out, len(x))
     moves = zip(islice(x, m, None), x)  # (close[i], close[i-m]) for i >= m
-    ups: list[float] = []
-    downs: list[float] = []
-    for v, old in islice(moves, n):
-        if v > old:
-            ups.append(v - old)
-            downs.append(0.0)
-        else:
-            ups.append(0.0)
-            downs.append(old - v)
-    upavg = sum(ups) / n
-    dnavg = sum(downs) / n
+    # the up moves are the positive seed moves, the down moves the others negated
+    seed, scale = exact_ints([v - old for v, old in islice(moves, n)])
+    up = sum(filter((0).__lt__, seed))
+    upavg = up / (n << scale)
+    dnavg = (up - sum(seed)) / (n << scale)
     for i, (v, old) in enumerate(moves, m + n):
         if v > old:
             up, dn = v - old, 0.0
@@ -398,14 +405,10 @@ def _rolling_std(p: list[int], scale: int, n: int) -> IndicatorSeries:
     if size < n:
         return IndicatorSeries([0.0] * size, size)
 
-    def ints(start: int):
-        """The integers from index ``start`` on, streamed from ``p``."""
-        return map(sub, islice(p, start + 1, None), islice(p, start, None))
-
     # new**2 - old**2 == (new - old) * (new + old) streams the sums of
     # squares without a list of squares.
-    steps = map(mul, map(sub, ints(n), ints(0)), map(add, ints(n), ints(0)))
-    head = list(islice(ints(0), n))
+    steps = map(mul, map(sub, _ints(p, n), _ints(p, 0)), map(add, _ints(p, n), _ints(p, 0)))
+    head = list(islice(_ints(p, 0), n))
     square_sums = accumulate(steps, initial=sum(map(mul, head, head)))
     sums = map(sub, islice(p, n, None), p)
     # n * sum(x**2) - sum(x)**2 is n**2 times the variance, exact and >= 0
@@ -454,8 +457,7 @@ def bollinger_parts(
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:
     """Bands around a moving average of typical price, offset by dev
     population standard deviations of typical price."""
-    if not 0 <= dev < math.inf:
-        raise InvalidParams("dev must be " + (">= 0" if dev < 0 else "finite"))
+    check_band_factor(dev, "dev")
     return offset_bands(*bollinger_parts(series, window), dev)
 
 

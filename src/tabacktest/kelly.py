@@ -32,12 +32,13 @@ class KellyParams:
 
 
 def expected_log_return(x: float, params: KellyParams) -> float:
-    """p*ln(1 + L*x) + q*ln(1 - M*x), natural log, for a bet fraction x."""
+    """p*ln(1 + L*x) + q*ln(1 - M*x), natural log, for a bet fraction x.
+
+    With 0 < M <= 1 the float M*x is at most x, so for x < 1 the loss side
+    1 - M*x stays above 0: no fraction in [0, 1) risks total ruin."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"bet fraction {x} outside [0, 1)")
     loss_side = 1.0 - params.m_loss * x
-    if loss_side <= 0.0:
-        raise DomainError(f"bet fraction {x} risks total ruin (1 - M*x <= 0)")
     return params.p * math.log(1.0 + params.l_gain * x) + params.q * math.log(loss_side)
 
 

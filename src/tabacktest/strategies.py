@@ -15,7 +15,6 @@ close is strictly beyond the band.
 """
 from __future__ import annotations
 
-import math
 import re
 from array import array
 from bisect import bisect_right
@@ -30,6 +29,7 @@ from .indicators import (
     MaLike,
     aroon,
     bollinger_parts,
+    check_band_factor,
     keltner_parts,
     macd,
     moving_average,
@@ -70,8 +70,7 @@ class KeltnerConfig:
     mult: float = 2.0
 
     def __post_init__(self):
-        if not 0 <= self.mult < math.inf:
-            raise InvalidParams("mult must be " + (">= 0" if self.mult < 0 else "finite"))
+        check_band_factor(self.mult, "mult")
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,7 @@ class BollingerConfig:
     def __post_init__(self):
         if isinstance(self.window, int) and self.window < 1:
             raise InvalidParams("window must be >= 1")
-        if not 0 <= self.dev < math.inf:
-            raise InvalidParams("dev must be " + (">= 0" if self.dev < 0 else "finite"))
+        check_band_factor(self.dev, "dev")
 
 
 @dataclass(frozen=True)

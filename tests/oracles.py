@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,14 +46,22 @@ def naive_ema(x, n, s=2.0):
     return out
 
 
+def _rational_prefix(values):
+    """Exact sums of the first 0, 1, ..., len(values) rationals."""
+    return list(accumulate(values, initial=Fraction(0)))
+
+
 def naive_er(x, m, floor=1e-4):
+    """Efficiency ratio from its definition, in exact rationals: the net
+    change x[i] - x[i-m] over the sum of |x[k] - x[k-1]| for the m bars
+    ending at i, that sum floored at the float ``floor``, clipped to
+    [-1, 1] and rounded once. Bars before m read 0."""
+    c = [Fraction(v) for v in x]
+    noise = _rational_prefix([Fraction(0)] + [abs(c[k] - c[k - 1]) for k in range(1, len(c))])
     out = [0.0] * len(x)
     for i in range(m, len(x)):
-        signal = x[i] - x[i - m]
-        noise = sum(abs(x[k] - x[k - 1]) for k in range(i - m + 1, i + 1))
-        denominator = noise if noise >= floor else floor
-        ratio = signal / denominator
-        out[i] = min(1.0, max(-1.0, ratio))
+        denominator = max(noise[i + 1] - noise[i - m + 1], Fraction(floor))
+        out[i] = float(min(Fraction(1), max(Fraction(-1), (c[i] - c[i - m]) / denominator)))
     return out
 
 
@@ -72,7 +81,12 @@ def naive_ama1(x, long_n, short_n, ada_win):
 
 
 def naive_ama2(x, long_n, short_n, ada_win):
+    """SMA-based adaptive average: bars before long_n pass through, then
+    the exact mean of the period + 1 values ending at i, rounded once,
+    where period is int() of short_n + |ER| * (long_n - short_n) with the
+    float ER, and at least 1."""
     er = naive_er(x, ada_win)
+    sums = _rational_prefix(Fraction(v) for v in x)
     out = []
     for i, v in enumerate(x):
         if i < long_n:
@@ -81,20 +95,20 @@ def naive_ama2(x, long_n, short_n, ada_win):
         period = int(short_n + abs(er[i]) * (long_n - short_n))
         if period < 1:
             period = 1
-        window = [x[j] for j in range(i - period, i + 1)]
-        out.append(sum(window) / len(window))
+        out.append(float((sums[i + 1] - sums[i - period]) / (period + 1)))
     return out
 
 
 def rsi_transcription(closes, n):
     """Line-by-line port of the up/down averaging recurrence, seeded with
-    simple means of the first n moves; bars through the seed report 50."""
+    the exact means of the first n float moves, each rounded once; bars
+    through the seed report 50."""
     out = [50.0] * len(closes)
     if len(closes) <= n:
         return out
     moves = [closes[i] - closes[i - 1] for i in range(1, n + 1)]
-    upavg = sum(m if m > 0 else 0.0 for m in moves) / n
-    dnavg = sum(-m if m <= 0 else 0.0 for m in moves) / n
+    upavg = float(sum(Fraction(m) for m in moves if m > 0) / n)
+    dnavg = float(sum(Fraction(-m) for m in moves if m <= 0) / n)
     for i in range(n + 1, len(closes)):
         if closes[i] > closes[i - 1]:
             up = closes[i] - closes[i - 1]

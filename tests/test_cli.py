@@ -5,6 +5,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -640,6 +641,26 @@ def test_a_missing_config_file_exits_2(tmp_path, capsys):
     argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(missing)]
     assert _refusal(argv, tmp_path, capsys) == (
         2, {"kind": "MissingInput", "message": f"no such config file: {missing}"})
+
+
+@pytest.mark.parametrize("command", ["backtest", "sweep"])
+def test_a_command_without_its_config_exits_2(command, tmp_path, capsys):
+    assert _refusal([command, "--data", str(V_FIXTURE)], tmp_path, capsys) == (
+        2, {"kind": "MissingInput", "message": "this command needs --config"})
+
+
+def test_a_file_removed_after_its_check_exits_2(tmp_path, capsys, monkeypatch):
+    # the loader finds the path, and it is gone by the time it is opened
+    gone = tmp_path / "gone.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "exists", lambda self: True)
+        code = main(["ingest", "--data", str(gone), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert captured.out.splitlines() == [json.dumps({"error": {
+        "kind": "PathError", "message": f"cannot read {gone}: No such file or directory"}},
+        sort_keys=True)]
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_empty_csv_exits_2(tmp_path, capsys):

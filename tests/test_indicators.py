@@ -10,6 +10,7 @@ from conftest import DATA_DIR, make_series, random_ohlcv, random_walk
 from tabacktest import errors
 from tabacktest.indicators import (
     AmaParams,
+    IndicatorSeries,
     MaSpec,
     ama,
     aroon,
@@ -55,6 +56,9 @@ class TestSma:
 
 
 class TestEma:
+    def test_empty_input(self):
+        assert ema([], 3) == IndicatorSeries([], 0)
+
     def test_identity_when_weight_capped(self):
         assert ema([3.0, 1.0, 4.0], 1).values == [3.0, 1.0, 4.0]
 
@@ -123,6 +127,10 @@ class TestAma:
         out = ama(x, AmaParams(8, 2, 3, 2))
         assert out.values[:8] == x[:8]
         assert out.warmup_len == 8
+
+    @pytest.mark.parametrize("matype", [1, 2])
+    def test_empty_input(self, matype):
+        assert ama([], AmaParams(5, 2, 3, matype)) == IndicatorSeries([], 0)
 
     def test_invalid_params(self):
         with pytest.raises(errors.InvalidParams):
@@ -335,18 +343,16 @@ class TestOracleEquivalence:
             assert_close_lists(sma(closes, period).values, oracles.naive_sma(closes, period))
             assert_close_lists(ema(closes, period).values, oracles.naive_ema(closes, period))
             m = rng.randint(1, 7)
-            assert_close_lists(
-                efficiency_ratio(closes, m).values, oracles.naive_er(closes, m)
-            )
+            # exactly rounded, so bit for bit
+            assert efficiency_ratio(closes, m).values == oracles.naive_er(closes, m)
             short_n = rng.randint(1, 5)
             long_n = short_n + rng.randint(1, 10)
             assert_close_lists(
                 ama(closes, AmaParams(long_n, short_n, m, 1)).values,
                 oracles.naive_ama1(closes, long_n, short_n, m),
             )
-            assert_close_lists(
-                ama(closes, AmaParams(long_n, short_n, m, 2)).values,
-                oracles.naive_ama2(closes, long_n, short_n, m),
+            assert ama(closes, AmaParams(long_n, short_n, m, 2)).values == oracles.naive_ama2(
+                closes, long_n, short_n, m
             )
             if n > period + 1:
                 assert_close_lists(
@@ -400,14 +406,24 @@ wide_floats = st.one_of(
 )
 
 
+def assert_exact_adaptive_kernels(x, m, short_n, long_n):
+    """The efficiency ratio and the SMA-based adaptive average equal the
+    rational oracles bit for bit."""
+    assert efficiency_ratio(x, m).values == oracles.naive_er(x, m)
+    params = AmaParams(long_n, short_n, m, 2)
+    assert ama(x, params).values == oracles.naive_ama2(x, long_n, short_n, m)
+
+
 class TestExactContract:
-    """sma and rolling_std are exactly rounded; aroon equals its oracle."""
+    """sma, rolling_std, the efficiency ratio and ama matype 2 are exactly
+    rounded; aroon equals its oracle."""
 
     @pytest.mark.parametrize("name", ["synthetic_sp500", "v_fixture", "regime_fixture"])
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_fixtures(self, name, n):
         series = parse_csv(DATA_DIR / f"{name}.csv").series
         assert_exact_windowed_kernels(series, n)
+        assert_exact_adaptive_kernels(series.closes, n, n, 5 * n)
         up, down, osc = aroon(series, n)
         expected_up, expected_down = oracles.naive_aroon(series.highs, series.lows, n)
         assert up.values == expected_up
@@ -422,6 +438,14 @@ class TestExactContract:
     def test_sma_and_std_on_wide_values(self, x, n):
         assert sma(x, n).values == oracles.exact_sma(x, n)
         assert rolling_std(x, n).values == exact_rolling_std(x, n)
+
+    @given(x=st.lists(wide_floats, max_size=40), m=st.integers(1, 45),
+           short_n=st.integers(1, 5), extra=st.integers(1, 10))
+    # a noise below the floor, and a long window of the suite's shape
+    @example(x=[1.0, 1.00001, 1.00002, 1.0], m=3, short_n=1, extra=1)
+    @example(x=[float(v % 7) for v in range(40)], m=30, short_n=5, extra=10)
+    def test_er_and_adaptive_mean_on_wide_values(self, x, m, short_n, extra):
+        assert_exact_adaptive_kernels(x, m, short_n, short_n + extra)
 
     @given(closes=st.lists(wide_floats.map(abs).filter(bool), min_size=1, max_size=40),
            n=st.integers(1, 45))
@@ -460,7 +484,7 @@ class TestExactContract:
 
     def test_non_finite_input_is_domain_error(self):
         for bad in (math.inf, -math.inf, math.nan):
-            for kernel in (sma, rolling_std):
+            for kernel in (sma, rolling_std, efficiency_ratio):
                 with pytest.raises(errors.DomainError):
                     kernel([1.0, bad, 2.0], 2)
                 with pytest.raises(errors.DomainError):

@@ -1,16 +1,14 @@
-"""sha256 pins of the sma, rolling_std, aroon, ema and ama matype 1 bits,
-of the middle, upper and lower lines of three band sets, of the
-``signals.csv`` and ``equity.csv`` bytes of seven backtests, of the stdout
-and every artifact of a backtest, four ingests (two of which fail), two
-reports, a kelly run and an indicator dump, and of the stdout and
-``sweep.csv`` of seven sweeps, one per strategy, on committed fixtures or
-on two small CSVs written here.
+"""sha256 pins of the sma, rolling_std, aroon, ema, efficiency_ratio and
+ama matype 1 and 2 bits, of the middle, upper and lower lines of three
+band sets, of the ``signals.csv`` and ``equity.csv`` bytes of seven
+backtests, of the stdout and every artifact of a backtest, four ingests
+(two of which fail), two reports, a kelly run and two indicator dumps,
+and of the stdout and ``sweep.csv`` of seven sweeps, one per strategy, on
+committed fixtures or on two small CSVs written here.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
 bar, and never use float ``sum()``, whose rounding changed in Python 3.12;
-the rsi sweep's grid is one whose bytes are the same although its seed
-means do come from float ``sum()``;
 a backtest's signals and equity are built from those kernels and running
 products, and the measure block's means and deviations from exact integer
 sums. The parser reads only ``YYYY-MM-DD`` dates and stops at a NUL on
@@ -35,7 +33,7 @@ from tabacktest.backtest import equity_to_csv, run
 from tabacktest.cli import main
 from tabacktest.config import parse_kv_text, strategy_from_dict
 from tabacktest.indicators import (
-    AmaParams, MaSpec, ama, aroon, bollinger, ema, keltner, rolling_std, sma,
+    AmaParams, MaSpec, ama, aroon, bollinger, efficiency_ratio, ema, keltner, rolling_std, sma,
 )
 from tabacktest.market_data import parse_csv
 from tabacktest.strategies import generate_signals, signals_to_csv
@@ -116,11 +114,12 @@ CLI_RUNS = {
                           "--benchmark", str(DATA / "v_fixture.csv")], ["report.json"], 0),
     "kelly": (["kelly", "--p", "0.55", "--l-gain", "1.2", "--m-loss", "1.0"],
               ["kelly_curve.csv", "kelly.json"], 0),
-    # no `ama ... 2` column: its float sum() mean differs from 3.12 on
     "indicators": (["indicators", "--data", str(SP500), "--indicator", "sma50=sma 50",
                     "--indicator", "ema20=ema 20", "--indicator", "rsi14=rsi 14",
                     "--indicator", "rmi14=rmi 14 4", "--indicator", "kama=ama 30 2 10 1"],
                    ["indicators.csv"], 0),
+    "indicators ama 2": (["indicators", "--data", str(SP500), "--indicator", "ama2=ama 30 2 10 2"],
+                         ["indicators.csv"], 0),
 }
 
 PINNED = {
@@ -129,6 +128,9 @@ PINNED = {
     "aroon 25": "7588de081e4576b82fcdbbc6250ac8f2fe259ec377ecc18502bf741e1a3bec46",
     "ema 20": "94044ab14945004503f46d0c6eaaa58e098960256aa51945ebff96497b6aff6e",
     "ama 30 2 10 1": "ba95d507e54d9aa8e741b81596b1f755e8325b41e954baa6507900c5689fd21e",
+    "ama 30 2 10 2": "4541b1d90aa3624c483389ea4b00f974c33eb12f512c9c7814b2cbce609c7644",
+    "ama 51 5 12 2": "37ce403e7cd61e8af5b3f0d357b3d832fe4f2f49ec06794444e2b2c1b5342876",
+    "efficiency_ratio 50": "49d05b5e8140e5a1b315034785717d9afd20228e17e2a5d1467ef372469e8589",
     "bollinger 20 2.0": "819c636a0a44ba6e876a7356db812eece0c09401dba2b2ecac917eb04cf8bd1d",
     "bollinger ama 24 8 18 1 2.6":
         "988e66e7d45ef57ce13c872959a9ece616c0401752153e21372ef2a45eb7f17d",
@@ -171,6 +173,9 @@ PINNED = {
     "indicators stdout": "cb89b280618b05688fd153d64010d0622924406499f47e0f2aa8bf8c6fa4eb5c",
     "indicators indicators.csv":
         "ff7f0cb953118fb0c2415f598b2d3d8ddefd744535415174f2f05e1ff626dae3",
+    "indicators ama 2 stdout": "25e63bdb42ba4b42bf95f82bef95881ebc3c22a763a49fe480d40a5cbd00ab0e",
+    "indicators ama 2 indicators.csv":
+        "d6272703911cb7d4981698e2f4d386e656799d21e8ce0742c9761045c16028ec",
     "two_average sweep stdout": "910eadbe7f2f02fc006781a4fd2a968fc9b1b3f1a1ebb1848b92c2b210430835",
     "two_average sweep.csv": "253f2dc78844ce0f71e5aefff7db324879f045257eb122d24e34d44cc65d2cd7",
     "keltner sweep stdout": "cafcd9a8c27f79a5ada95c240fee620296ca39488a181f66f4b042ae789f5181",
@@ -204,6 +209,9 @@ def kernel_digests() -> dict[str, str]:
         "aroon 25": [v for part in aroon(series, 25) for v in part.values],
         "ema 20": ema(closes, 20).values,
         "ama 30 2 10 1": ama(closes, AmaParams(30, 2, 10, 1)).values,
+        "ama 30 2 10 2": ama(closes, AmaParams(30, 2, 10, 2)).values,
+        "ama 51 5 12 2": ama(closes, AmaParams(51, 5, 12, 2)).values,
+        "efficiency_ratio 50": efficiency_ratio(closes, 50).values,
         "bollinger 20 2.0": _bands(bollinger(series, 20, 2.0)),
         "bollinger ama 24 8 18 1 2.6": _bands(bollinger(series, AmaParams(24, 8, 18, 1), 2.6)),
         "keltner ema 20 2.0": _bands(keltner(series, MaSpec("ema", 20), 2.0)),

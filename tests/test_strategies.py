@@ -206,6 +206,21 @@ def test_a_band_config_factor_must_be_finite(factor):
         BollingerConfig(window=5, dev=factor)
 
 
+@pytest.mark.parametrize("factor, rule", [(-1.0, ">= 0"), (math.inf, "finite"), (math.nan, "finite")])
+def test_each_band_factor_names_itself(factor, rule):
+    # the kernels and the configs share one check, each under its own name
+    series = random_ohlcv(random.Random(5), 40)
+    for name, make in [
+        ("band multiplier", lambda: keltner(series, MaSpec("sma", 5), factor)),
+        ("dev", lambda: bollinger(series, 5, factor)),
+        ("mult", lambda: KeltnerConfig(ma=MaSpec("sma", 5), mult=factor)),
+        ("dev", lambda: BollingerConfig(window=5, dev=factor)),
+    ]:
+        with pytest.raises(errors.InvalidParams) as raised:
+            make()
+        assert str(raised.value) == f"{name} must be {rule}"
+
+
 class TestRsiStrategy:
     def make_oversold_plateau(self):
         # long drift down to force RSI under the threshold, then a flat pair
@@ -520,6 +535,14 @@ def test_a_memo_of_another_series_is_refused():
     with pytest.raises(errors.InvalidParams):
         generate_signals(series, config, memo)
     assert generate_signals(other, config, memo) == generate_signals(other, config)
+
+
+def test_an_unknown_config_object_is_refused():
+    series = random_ohlcv(random.Random(9), 80)
+    with pytest.raises(errors.InvalidParams) as raised:
+        generate_signals(series, object())
+    assert type(raised.value) is errors.InvalidParams
+    assert str(raised.value) == "unknown strategy config object"
 
 
 def _band_values(bands):
