@@ -28,8 +28,8 @@ from .errors import (
 from .indicators import sma  # noqa: F401
 from .kelly import KellyParams, curve_to_csv, expected_log_return, kelly_curve, optimal_fraction
 from .market_data import parse_csv, serialize_csv
-from .metrics import build_report
-from .strategies import generate_signals, signals_to_csv
+from .metrics import TRADING_DAYS_PER_YEAR, build_report
+from .strategies import KernelMemo, generate_signals, signals_to_csv
 from .sweep import run_sweep, sweep_to_csv
 
 
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", help="key-value tree config file")
     measure = argparse.ArgumentParser(add_help=False)
-    measure.add_argument("--trading-days", type=int, default=252,
+    measure.add_argument("--trading-days", type=int, default=TRADING_DAYS_PER_YEAR,
                          help="bars per year for annualization and year slicing")
     measure.add_argument("--benchmark", default="self",
                          help="'self' or a CSV path for the information-ratio benchmark")
@@ -162,11 +162,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _indicators_to_csv(closes: list[float], values: list[tuple[str, list[float]]], handle) -> None:
-    handle.write(",".join(["index", "close"] + [name for name, _ in values]) + "\n")
-    for i in range(len(closes)):
-        row = [str(i), repr(closes[i])] + [repr(vals[i]) for _, vals in values]
-        handle.write(",".join(row) + "\n")
+def _indicators_to_csv(closes, columns: dict, handle) -> None:
+    handle.write(",".join(["index", "close", *columns]) + "\n")
+    handle.writelines(",".join(map(repr, row)) + "\n"
+                      for row in zip(range(len(closes)), closes, *columns.values()))
 
 
 def cmd_indicators(args) -> int:
@@ -180,18 +179,17 @@ def cmd_indicators(args) -> int:
             # a dotted name would nest as a table under indicator.<first part>
             raise InvalidArgument(f"--indicator NAME must not contain '.', got {name!r}")
         cfg.set_leaf(tree, f"indicator.{name}", spec)
-    columns = cfg.indicator_columns_from_dict(tree)
     series = parsed.series
-    closes = series.closes
+    memo = KernelMemo(series)
     # looked up by name at call time, so a rebinding of the module
     # attribute (as the benchmark's span tracer does) sees every call
-    values = [(name, getattr(indicators, kind)(closes, *kernel_args).values)
-              for name, kind, kernel_args in columns]
-    _save(args.out_dir, "indicators.csv", _indicators_to_csv, closes, values)
+    columns = {name: memo(getattr(indicators, kind), *kernel_args).values
+               for name, kind, kernel_args in cfg.indicator_columns_from_dict(tree)}
+    _save(args.out_dir, "indicators.csv", _indicators_to_csv, series.closes, columns)
     _emit({
         "command": "indicators",
         "bars": len(series),
-        "columns": ["index", "close"] + [name for name, _ in values],
+        "columns": ["index", "close", *columns],
         "output": "indicators.csv",
     })
     return 0

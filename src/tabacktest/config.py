@@ -20,6 +20,7 @@ adaptive (`matype` + `timeperiod_long` + `timeperiod_short` + `ada_win`).
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -29,7 +30,11 @@ from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
 from .indicators import AmaParams, MaLike, MaSpec
 from .strategies import STRATEGIES, BollingerConfig, StrategyConfig
 
-OBJECTIVES = ("sharpe_annual", "ir_annual", "rr_whole")
+# Each sweep objective and the `metrics.Measures` field it ranks by.
+OBJECTIVES = {"sharpe_annual": "sr", "ir_annual": "ir", "rr_whole": "rr_whole"}
+
+# The most values a range, and the most cells a sweep grid, may hold.
+MAX_GRID = 100_000
 
 
 def _parse_scalar(token: str) -> Any:
@@ -56,24 +61,24 @@ def _parse_value(raw: str) -> Any:
         return [_parse_scalar(tok) for tok in raw.split(",")]
     if ":" in raw:
         parts = [_parse_scalar(tok) for tok in raw.split(":")]
-        if len(parts) != 3 or not all(isinstance(p, (int, float)) for p in parts):
+        if len(parts) != 3 or not all(type(p) in (int, float) for p in parts):
             raise ConfigError(f"range must be start:stop:step, got {raw!r}")
         start, stop, step = parts
         if step <= 0:
             raise ConfigError("range step must be > 0")
+        slack = 0
+        if not all(isinstance(p, int) for p in parts):
+            try:
+                start, stop, step = map(float, parts)
+            except OverflowError:
+                raise ConfigError(f"range {raw!r} has an integer too large for a float") from None
+            slack = 1e-12
         values: list[Any] = []
-        if all(isinstance(p, int) for p in parts):
-            v = start
-            while v <= stop:
-                values.append(v)
-                v += step
-        else:
-            v = float(start)
-            count = 0
-            while v <= float(stop) + 1e-12:
-                values.append(round(v, 12))
-                count += 1
-                v = float(start) + count * float(step)
+        # round(v, 12) of an int is v, so an all-int range stays ints
+        while (v := start + len(values) * step) <= stop + slack:
+            if len(values) == MAX_GRID:
+                raise ConfigError(f"range {raw!r} has more than {MAX_GRID} values")
+            values.append(round(v, 12))
         if not values:
             raise ConfigError(f"range {raw!r} is empty")
         return values
@@ -214,8 +219,8 @@ def _sweep_keys(tree: dict) -> tuple[str, int]:
     both readers check them, as one value each, although only a sweep
     reads them."""
     objective = tree.get("objective", "sharpe_annual")
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+    if not isinstance(objective, str) or objective not in OBJECTIVES:
+        raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
     min_trades = tree.get("min_trades", 0)
     if isinstance(min_trades, list):
         raise ConfigError("min_trades cannot be a sweep axis: give it one value")
@@ -341,10 +346,7 @@ class SweepSpec:
     min_trades: int
 
     def grid_size(self) -> int:
-        size = 1
-        for _, values in self.axes:
-            size *= len(values)
-        return size
+        return math.prod(len(values) for _, values in self.axes)
 
     def cell_config(self, assignment: Iterable[tuple[str, Any]]) -> StrategyConfig:
         """The strategy config of the grid cell that sets each axis path
@@ -383,4 +385,7 @@ def sweep_from_dict(tree: dict) -> SweepSpec:
     _check_names(tree, tag)
     axes = tuple((path, tuple(value)) for path, value in sorted(_walk_leaves(tree))
                  if isinstance(value, list))
-    return SweepSpec(tag, tree, axes, objective, min_trades)
+    spec = SweepSpec(tag, tree, axes, objective, min_trades)
+    if spec.grid_size() > MAX_GRID:
+        raise ConfigError(f"sweep grid has {spec.grid_size()} cells, more than {MAX_GRID}")
+    return spec

@@ -469,17 +469,11 @@ def macd(
     for period in (short_n, long_n, signal_n):
         if period < 1:
             raise ZeroPeriod("macd periods must be >= 1")
-    x = _values(closes)
-    fast = ema(x, short_n).values
-    slow = ema(x, long_n).values
-    line = [f - s for f, s in zip(fast, slow)]
-    line_warmup = min(1, len(x))
+    fast = ema(closes, short_n).values
+    slow = ema(closes, long_n).values
+    line = IndicatorSeries([f - s for f, s in zip(fast, slow)], min(1, len(fast)))
     signal = sma(line, signal_n)
-    signal_warmup = max(line_warmup, signal.warmup_len)
-    hist = [m - s for m, s in zip(line, signal.values)]
-    return (
-        IndicatorSeries(line, line_warmup),
-        IndicatorSeries(signal.values, signal_warmup),
-        IndicatorSeries(hist, signal_warmup),
-    )
+    signal_warmup = max(line.warmup_len, signal.warmup_len)
+    hist = [m - s for m, s in zip(line.values, signal.values)]
+    return line, IndicatorSeries(signal.values, signal_warmup), IndicatorSeries(hist, signal_warmup)
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .backtest import close_ratios, exposure_runs
-from .config import SweepSpec
+from .config import OBJECTIVES, SweepSpec
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
 from .market_data import OhlcvSeries
-from .metrics import Measures, ReturnSums, daily_returns, measures_from_sums
+from .metrics import TRADING_DAYS_PER_YEAR, ReturnSums, daily_returns, measures_from_sums
 from .strategies import KernelMemo, generate_signals
 
 
@@ -41,14 +41,6 @@ class SweepResult:
     below_min_trades: int
 
 
-def _objective_value(measures: Measures, objective: str) -> Optional[float]:
-    if objective == "sharpe_annual":
-        return measures.sr
-    if objective == "ir_annual":
-        return measures.ir
-    return measures.rr_whole
-
-
 def _evaluate_cell(
     spec: SweepSpec,
     sums: ReturnSums,
@@ -66,7 +58,7 @@ def _evaluate_cell(
         measures = measures_from_sums(initial, runs, len(closes), sums, trading_days)
     except EngineError as exc:
         return exc.kind
-    value = _objective_value(measures, spec.objective)
+    value = getattr(measures, OBJECTIVES[spec.objective])
     if value is None:
         # only a ratio is ever None: its volatility was zero
         return ZeroVolatility.__name__
@@ -77,7 +69,7 @@ def run_sweep(
     series: OhlcvSeries,
     spec: SweepSpec,
     benchmark_closes: Sequence[float] | None = None,
-    trading_days: int = 252,
+    trading_days: int = TRADING_DAYS_PER_YEAR,
 ) -> SweepResult:
     """Evaluate every grid cell, filter by min_trades, rank by objective.
 

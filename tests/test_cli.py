@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
+from tabacktest import _exact, indicators, market_data
 from tabacktest.cli import build_parser, main
+from tabacktest.config import SweepSpec
 from test_config import VALUE_ERRORS
 from test_kernel_digests import PINNED, SWEEPS
 
@@ -232,6 +234,45 @@ class TestIndicatorsCommand:
         assert json.loads(lines[0]) == {"error": {"kind": "InvalidArgument", "message": message}}
         assert captured.err == ""
         assert not (tmp_path / "out").exists()
+
+    def test_a_dump_converts_its_closes_once(self, tmp_path, capsys, monkeypatch):
+        # every column reads the series' one set of prefix sums
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return original(values)
+
+        original = _exact.prefix_sums
+        monkeypatch.setattr(indicators, "prefix_sums", counting)
+        monkeypatch.setattr(market_data, "prefix_sums", counting)
+        code, _ = run_cli(
+            capsys, "indicators", "--data", str(DATA_DIR / "synthetic_sp500.csv"),
+            "--indicator", "a=sma 50", "--indicator", "b=sma 20",
+            "--indicator", "c=ama 30 2 10 1", "--indicator", "d=ama 30 2 10 2",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_a_spec_named_twice_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(data, n):
+            calls.append(n)
+            return original(data, n)
+
+        original = indicators.sma
+        monkeypatch.setattr(indicators, "sma", counting)
+        code, _ = run_cli(
+            capsys, "indicators", "--data", str(V_FIXTURE),
+            "--indicator", "a=sma 5", "--indicator", "b=sma 5", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert calls == [5]
+        rows = [line.split(",") for line in (tmp_path / "indicators.csv").read_text().splitlines()]
+        assert rows[0] == ["index", "close", "a", "b"]
+        assert all(a == b for _, _, a, b in rows[1:])
 
     def test_dump_round_trip_is_idempotent(self, tmp_path, capsys):
         config = tmp_path / "ind.cfg"
@@ -608,6 +649,19 @@ def test_a_key_set_twice_exits_2(command, config, flags, message, tmp_path, caps
         argv += ["--config", str(tmp_path / "x.cfg")]
     for flag in flags:
         argv += ["--indicator", flag]
+    assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
+
+
+def test_a_grid_above_the_limit_exits_2_before_any_cell(tmp_path, capsys, monkeypatch):
+    def no_cell(self, assignment):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(SweepSpec, "cell_config", no_cell)
+    (tmp_path / "x.cfg").write_text("strategy = two_average\nfast.kind = sma\n"
+                                    "fast.period = 1:400:1\nslow.kind = sma\n"
+                                    "slow.period = 1:400:1\n")
+    argv = ["sweep", "--data", str(V_FIXTURE), "--config", str(tmp_path / "x.cfg")]
+    message = "sweep grid has 160000 cells, more than 100000"
     assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from tabacktest import errors
 from tabacktest.config import (
+    MAX_GRID,
     indicator_columns_from_dict,
     ma_from_dict,
     parse_kv_file,
@@ -30,6 +31,14 @@ VALUE_ERRORS = [
     ("strategy = rsi\nrsi.n = 1:5\n", "line 2: range must be start:stop:step, got '1:5'"),
     ("a = 1\n# c\nb = 1:5:0\n", "line 3: range step must be > 0"),
     ("a = 5:1:1\n", "line 1: range '5:1:1' is empty"),
+    # a bool is no number here, though `true` parses as True and True == 1
+    ("strategy = rsi\nrsi.n = true:3:1\n", "line 2: range must be start:stop:step, got 'true:3:1'"),
+    # refused after 100,000 values, before any more are built
+    ("a = 1\n# c\nfast.period = 1:100001:1\n",
+     "line 3: range '1:100001:1' has more than 100000 values"),
+    pytest.param(f"a = 0:{'9' * 400}:0.5\n",
+                 f"line 1: range '0:{'9' * 400}:0.5' has an integer too large for a float",
+                 id="an integer end too large for a float range"),
 ]
 
 
@@ -55,6 +64,18 @@ class TestKvParser:
         assert tree["xs"] == [1, 2, 3]
         assert tree["ys"] == [2, 4, 6, 8]
         assert tree["zs"] == [0.5, 1.0, 1.5]
+
+    def test_a_range_of_ints_stays_ints_and_any_float_makes_floats(self):
+        tree = parse_kv_text("ys = -3:3:3\nzs = 1:2:0.5\nws = 0:0.3:0.1\n")
+        assert [(type(v), v) for v in tree["ys"]] == [(int, -3), (int, 0), (int, 3)]
+        assert [(type(v), v) for v in tree["zs"]] == [(float, 1.0), (float, 1.5), (float, 2.0)]
+        # each value is start + k * step, rounded to 12 places; the end holds within 1e-12
+        assert tree["ws"] == [0.0, 0.1, 0.2, 0.3]
+
+    def test_a_range_of_the_limit_is_read_whole(self):
+        assert MAX_GRID == 100_000
+        values = parse_kv_text(f"a = 1:{MAX_GRID}:1\n")["a"]
+        assert values == list(range(1, MAX_GRID + 1))
 
     def test_bad_lines(self):
         with pytest.raises(errors.ConfigError):
@@ -316,6 +337,14 @@ class TestSweepFromDict:
         assert spec.cell_config(cell) == MacdConfig(short_n=4, long_n=20, signal_n=9)
         assert spec.tree["macd"] == {"short_n": [2, 4, 6], "long_n": [10, 20], "signal_n": 9}
 
+    def test_a_grid_holds_at_most_the_limit_of_cells(self):
+        text = ("strategy = two_average\nfast.kind = sma\nfast.period = 1:400:1\n"
+                "slow.kind = sma\nslow.period = ")
+        assert sweep_from_dict(parse_kv_text(text + "1:250:1\n")).grid_size() == MAX_GRID
+        with pytest.raises(errors.ConfigError) as raised:
+            sweep_from_dict(parse_kv_text(text + "1:400:1\n"))
+        assert str(raised.value) == "sweep grid has 160000 cells, more than 100000"
+
     def test_a_sweep_config_needs_a_strategy_line(self):
         with pytest.raises(errors.ConfigError) as raised:
             sweep_from_dict(parse_kv_text("rsi.n = 5,6\n"))
@@ -327,6 +356,11 @@ class TestSweepFromDict:
         assert spec.min_trades == 0
         with pytest.raises(errors.ConfigError):
             sweep_from_dict(parse_kv_text("strategy = aroon\nobjective = vibes\n"))
+        # a list is no objective name, and no TypeError either
+        with pytest.raises(errors.ConfigError) as raised:
+            sweep_from_dict(parse_kv_text("strategy = aroon\nobjective = a,b\n"))
+        assert str(raised.value) == ("objective must be one of ('sharpe_annual', 'ir_annual', "
+                                     "'rr_whole'), got ['a', 'b']")
         with pytest.raises(errors.ConfigError):
             sweep_from_dict(parse_kv_text("strategy = aroon\nmin_trades = -1\n"))
 
