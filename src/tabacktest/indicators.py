@@ -99,6 +99,18 @@ class AmaParams:
 MaLike = MaSpec | AmaParams
 
 
+@dataclass(frozen=True)
+class _Column:
+    """Values with the prefix sums of their integers and the scale
+    (``_exact.prefix_sums``), made once for every kernel that reads them.
+    Not a tuple: ``perfbench``'s span tracer hashes a tuple argument of a
+    kernel, and the sums are a list."""
+
+    values: Sequence[float]
+    sums: list[int]
+    scale: int
+
+
 def _values(data) -> list[float]:
     """Accept an IndicatorSeries, an OHLCV series (closes), or any sequence."""
     if isinstance(data, IndicatorSeries):
@@ -108,13 +120,15 @@ def _values(data) -> list[float]:
     return [float(v) for v in data]
 
 
-def _column(data) -> tuple[Sequence[float], list[int], int]:
-    """The values of ``data`` with the prefix sums of their integers and
-    the scale (``_exact.prefix_sums``); a series' closes keep theirs."""
+def _column(data) -> _Column:
+    """The ``_Column`` of ``data``; a series' closes keep their sums, and
+    a ``_Column`` is itself."""
+    if isinstance(data, _Column):
+        return data
     if isinstance(data, OhlcvSeries):
-        return (data.closes, *data.close_sums)
+        return _Column(data.closes, *data.close_sums)
     x = _values(data)
-    return (x, *prefix_sums(x))
+    return _Column(x, *prefix_sums(x))
 
 
 def _ints(p: list[int], start: int):
@@ -123,7 +137,8 @@ def _ints(p: list[int], start: int):
     return map(sub, islice(p, start + 1, None), islice(p, start, None))
 
 
-def _sma(x: Sequence[float], p: list[int], scale: int, n: int) -> IndicatorSeries:
+def _sma(column: _Column, n: int) -> IndicatorSeries:
+    x, p, scale = column.values, column.sums, column.scale
     if len(x) < n:
         return IndicatorSeries(list(x), len(x))
     # int / int true division rounds correctly
@@ -136,7 +151,7 @@ def sma(data, n: int) -> IndicatorSeries:
     exactly rounded."""
     if n < 1:
         raise ZeroPeriod("sma period must be >= 1")
-    return _sma(*_column(data), n)
+    return _sma(_column(data), n)
 
 
 def _smooth(x: list[float], weights) -> list[float]:
@@ -181,7 +196,9 @@ def efficiency_ratio(data, m: int) -> IndicatorSeries:
     """
     if m < 1:
         raise ZeroPeriod("efficiency-ratio window must be >= 1")
-    p, scale = _column(data)[1:]  # the values, a copy for a plain sequence, go now
+    column = _column(data)
+    p, scale = column.sums, column.scale
+    del column  # the values, a copy for a plain sequence, go now
     num, den = ER_NOISE_FLOOR.as_integer_ratio()
     floor = num << scale
 
@@ -219,15 +236,15 @@ def ama(data, params: AmaParams) -> IndicatorSeries:
     i inclusive; bars before index n1 pass through.
     """
     n1, n2 = params.timeperiod_long, params.timeperiod_short
-    er = efficiency_ratio(data, params.ada_win).values
+    column = _column(data)
+    er = efficiency_ratio(column, params.ada_win).values
+    x, p, scale = column.values, column.sums, column.scale
     if params.matype == 1:
-        x = _values(data)
         fast_sc = 2.0 / (n2 + 1)
         slow_sc = 2.0 / (n1 + 1)
         diff_sc = fast_sc - slow_sc
         sscs = (slow_sc + abs(e) * diff_sc for e in islice(er, 1, None))
         return IndicatorSeries(_smooth(x, (ssc * ssc for ssc in sscs)), min(1, len(x)))
-    x, p, scale = _column(data)
     out = list(x[:n1])
     for i in range(n1, len(x)):
         period = adaptive_period(er[i], params)
@@ -400,7 +417,8 @@ def _recent_argmax(values: list[float], n: int) -> list[int]:
     return out
 
 
-def _rolling_std(p: list[int], scale: int, n: int) -> IndicatorSeries:
+def _rolling_std(column: _Column, n: int) -> IndicatorSeries:
+    p, scale = column.sums, column.scale
     size = len(p) - 1
     if size < n:
         return IndicatorSeries([0.0] * size, size)
@@ -432,8 +450,7 @@ def rolling_std(data, n: int) -> IndicatorSeries:
     a full window read 0.0."""
     if n < 1:
         raise ZeroPeriod("rolling std period must be >= 1")
-    _, p, scale = _column(data)
-    return _rolling_std(p, scale, n)
+    return _rolling_std(_column(data), n)
 
 
 def bollinger_parts(
@@ -445,13 +462,12 @@ def bollinger_parts(
     A plain integer window uses an SMA middle; AmaParams swap in the
     adaptive middle, with the deviation window tied to its long period.
     """
-    tp = typical_price(series)
+    if not isinstance(window, AmaParams) and window < 1:
+        raise ZeroPeriod("bollinger period must be >= 1")
+    tp = _column(typical_price(series))
     if isinstance(window, AmaParams):
         return ama(tp, window), rolling_std(tp, window.timeperiod_long)
-    if window < 1:
-        raise ZeroPeriod("bollinger period must be >= 1")
-    p, scale = prefix_sums(tp)
-    return _sma(tp, p, scale, window), _rolling_std(p, scale, window)
+    return _sma(tp, window), _rolling_std(tp, window)
 
 
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:

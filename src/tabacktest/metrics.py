@@ -338,7 +338,9 @@ def build_report(
     except EngineError:
         daily_returns(equity)  # a fault of the curve itself is reported first
         raise
-    returns = daily_returns(equity)
+    # a report of a series against itself (``report`` with the default
+    # benchmark) reads one list of returns twice
+    returns = benchmark_returns if equity is benchmark_closes else daily_returns(equity)
     growth = _growth(equity[0], equity[-1], len(equity), len(benchmark_returns), trading_days)
     # a zero adds nothing to a sum, and fl(r - b) is r - b while below 1
     # in magnitude, where every multiple of 2**-53 is a float

@@ -427,6 +427,30 @@ class OracleParseError(Exception):
         self.row = row
 
 
+def _records(text):
+    """(number, record) for each csv record of ``text``, read as a file
+    is read, the header numbered 0. A record the csv module cannot read,
+    or one on a line holding a NUL, is an ``UnparsableRow`` that ends
+    the records."""
+    def lines_before_nul():
+        for line in io.StringIO(text, newline=""):
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+
+    reader = csv.reader(lines_before_nul())
+    number = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            raise OracleParseError("UnparsableRow", number) from None
+        yield number, record
+        number += 1
+
+
 def naive_parse(text, mode, use_adjusted=False):
     """Row-by-row parse of a daily OHLCV CSV, following the rules stated in
     the ``parse_csv`` docstring one at a time.
@@ -434,10 +458,11 @@ def naive_parse(text, mode, use_adjusted=False):
     Returns ``(rows, warnings)`` with rows as (date, open, high, low, close,
     volume) tuples, or raises ``OracleParseError``.
     """
-    records = list(csv.reader(io.StringIO(text)))
-    if not records:
+    records = _records(text)
+    header = next(records, None)
+    if header is None:
         raise OracleParseError("EmptySeries")
-    names = [name.strip().lower() for name in records[0]]
+    names = [name.strip().lower() for name in header[1]]
     needed = ["date", "open", "high", "low", "close", "volume"]
     if use_adjusted:
         needed.append("adj_close")
@@ -453,7 +478,7 @@ def naive_parse(text, mode, use_adjusted=False):
     rows = []
     warnings = 0
     last_date = None
-    for number, record in enumerate(records[1:], start=1):
+    for number, record in records:
         if all(not c.strip() for c in record):
             continue
         texts = [cell(record, name) for name in ("open", "high", "low", close_name)]

@@ -7,7 +7,8 @@ from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import DATA_DIR, make_series, random_ohlcv, random_walk
-from tabacktest import errors
+from tabacktest import errors, indicators
+from tabacktest._exact import prefix_sums
 from tabacktest.indicators import (
     AmaParams,
     IndicatorSeries,
@@ -139,6 +140,24 @@ class TestAma:
             AmaParams(5, 2, 0, 1)
         with pytest.raises(errors.InvalidParams):
             AmaParams(5, 2, 3, 7)
+
+
+def test_adaptive_kernels_convert_their_values_once(monkeypatch):
+    # ER, the adaptive means and the Bollinger sigma read one set of prefix sums
+    series = parse_csv(DATA_DIR / "synthetic_sp500.csv").series
+    params = AmaParams(30, 2, 10, 2)
+    expected = ama(list(series.closes), params), bollinger(series, params)
+    calls = []
+
+    def counting(values):
+        calls.append(len(values))
+        return prefix_sums(values)
+
+    monkeypatch.setattr(indicators, "prefix_sums", counting)
+    assert ama(list(series.closes), params) == expected[0]
+    assert len(calls) == 1
+    assert bollinger(series, params) == expected[1]
+    assert len(calls) == 2
 
 
 class TestTrueRangeAtr:

@@ -1,10 +1,10 @@
 """sha256 pins of the sma, rolling_std, aroon, ema, efficiency_ratio and
 ama matype 1 and 2 bits, of the middle, upper and lower lines of three
 band sets, of the ``signals.csv`` and ``equity.csv`` bytes of seven
-backtests, of the stdout and every artifact of a backtest, four ingests
+backtests, of the stdout and every artifact of a backtest, five ingests
 (two of which fail), two reports, a kelly run and two indicator dumps,
 and of the stdout and ``sweep.csv`` of seven sweeps, one per strategy, on
-committed fixtures or on two small CSVs written here.
+committed fixtures or on three small CSVs written here.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
@@ -86,6 +86,22 @@ DIRTY_CSV = (
 )
 DIRTY = "<the DIRTY_CSV file>"
 
+# a plain file (no quote, CR or NUL) with one row each of a swapped
+# low/high, an open above high, a close below low and a negative volume,
+# and no row that lenient ingest drops: it repairs all four in its chunks
+# of whole columns, never in the row loop
+PLAIN_DIRTY_CSV = (
+    "date,open,high,low,close,adj_close,volume\n"
+    "2021-01-04,10.0,10.5,9.5,10.2,10.1,100\n"
+    "2021-01-05,10.2,9.8,10.6,10.4,10.3,120\n"
+    "2021-01-06,11.4,10.9,10.1,10.6,10.5,90\n"
+    "2021-01-07,10.6,11.0,10.5,10.25,10.2,110\n"
+    "2021-01-08,10.7,11.1,10.6,10.3,10.2,105\n"
+    "2021-01-11,10.8,11.2,10.7,11.0,10.9,-7\n"
+    "2021-01-12,11.0,11.4,10.9,11.2,11.1,130\n"
+)
+PLAIN_DIRTY = "<the PLAIN_DIRTY_CSV file>"
+
 # a good row, then dates that Python 3.11+ fromisoformat reads but that
 # are not YYYY-MM-DD, then a NUL in the unread adj_close cell, which the
 # csv module reads into the cell from 3.11 on: strict ingest stops at the
@@ -107,6 +123,7 @@ CLI_RUNS = {
                   ["report.json", "equity.csv", "signals.csv"], 0),
     "ingest": (["ingest", "--data", str(SP500)], ["ingested.csv"], 0),
     "ingest lenient": (["ingest", "--data", DIRTY, "--lenient"], ["ingested.csv"], 0),
+    "ingest lenient plain": (["ingest", "--data", PLAIN_DIRTY, "--lenient"], ["ingested.csv"], 0),
     "ingest nul strict": (["ingest", "--data", NUL, "--strict"], [], 2),
     "ingest nul lenient": (["ingest", "--data", NUL, "--lenient"], [], 2),
     "report": (["report", "--data", str(SP500)], ["report.json"], 0),
@@ -159,6 +176,9 @@ PINNED = {
     "ingest lenient stdout": "b8318d7204b28688a5db2a59e8cf03f75cdb30c62e5ba2822302560f59e0644e",
     "ingest lenient ingested.csv":
         "da3eb1fe64e7d8212493c3c4d046ec304c2c02cf6d2d649cd34d42c4453591b6",
+    "ingest lenient plain stdout": "6c1c17c29f5e1969aa6949fafa7e00d3bd6944618f21d5a8b63b99b2f3909d2d",
+    "ingest lenient plain ingested.csv":
+        "19bfc819588b7a0036c1c100bab1d9d52afd17ba2d8f4c4f83a69ddf1751d23a",
     # the bytes of Python 3.10, whose fromisoformat and csv refuse these rows themselves
     "ingest nul strict stdout": "16d5896d297836a7db6f9c42c8d9d734eab4d58dc7e1d0ca8e86b5816e1f7727",
     "ingest nul lenient stdout": "f19cb277f8ce67f2e08314ca9e487abb03a9405adf1864284f5bcd61761f3249",
@@ -242,7 +262,8 @@ def cli_digests() -> dict[str, str]:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        inputs = {DIRTY: (out / "dirty.csv", DIRTY_CSV), NUL: (out / "nul.csv", NUL_CSV)}
+        inputs = {DIRTY: (out / "dirty.csv", DIRTY_CSV), NUL: (out / "nul.csv", NUL_CSV),
+                  PLAIN_DIRTY: (out / "plain_dirty.csv", PLAIN_DIRTY_CSV)}
         for path, text in inputs.values():
             path.write_text(text, encoding="utf-8")
         for name, (argv, artifacts, exit_code) in CLI_RUNS.items():

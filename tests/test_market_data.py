@@ -1,15 +1,17 @@
+import csv
 import datetime as dt
 import io
 import os
 import random
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import make_series, random_ohlcv
-from tabacktest import errors
+from tabacktest import errors, market_data
 from tabacktest.market_data import (
     STRICT,
     OhlcvSeries,
@@ -21,8 +23,38 @@ from tabacktest.market_data import (
 
 
 def parse_text(text, mode=STRICT, use_adjusted=False, symbol="series"):
-    """``parse_csv`` of a file holding ``text``, read from memory."""
+    """``parse_csv`` of a file holding ``text``, read from memory by the
+    row loop alone."""
     return _parse_stream(io.StringIO(text), mode, use_adjusted, symbol)
+
+
+def readers(directory):
+    """``parse_text``, and ``parse_csv`` of a file in ``directory`` holding
+    the text: its scan, its decoding and, for a plain file, its chunks."""
+    path = directory / "series.csv"
+
+    def parse_file(text, mode=STRICT, use_adjusted=False):
+        path.write_bytes(text.encode("utf-8"))
+        return parse_csv(path, mode=mode, use_adjusted=use_adjusted)
+
+    return parse_text, parse_file
+
+
+def outcome(parse, text, mode, use_adjusted=False):
+    """The rows and warnings of a parse as ``naive_parse`` gives them, or
+    the error kind and row."""
+    try:
+        parsed = parse(text, mode=mode, use_adjusted=use_adjusted)
+    except errors.EngineError as exc:
+        return exc.kind, getattr(exc, "row", None)
+    return _columns(parsed.series), parsed.warnings
+
+
+def expected_outcome(text, mode, use_adjusted=False):
+    try:
+        return oracles.naive_parse(text, mode, use_adjusted=use_adjusted)
+    except oracles.OracleParseError as exc:
+        return exc.kind, exc.row
 
 
 def serialize_text(series):
@@ -83,14 +115,15 @@ def test_unparsable_row_strict_vs_lenient():
 
 
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
-def test_record_over_csv_field_limit_is_unparsable_row(mode):
+def test_record_over_csv_field_limit_is_unparsable_row(mode, tmp_path):
     long_row = "2021-01-07," + "1" * 200_000 + ",12.0,10.5,11.5,900\n"
-    with pytest.raises(errors.UnparsableRow) as err:
-        parse_text(WELL_FORMED + long_row, mode=mode)
-    assert err.value.row == 4
-    with pytest.raises(errors.UnparsableRow) as err:
-        parse_text("date,open,high,low,close,volume," + "x" * 200_000 + "\n", mode=mode)
-    assert err.value.row == 0
+    for parse in readers(tmp_path):
+        with pytest.raises(errors.UnparsableRow) as err:
+            parse(WELL_FORMED + long_row, mode=mode)
+        assert err.value.row == 4
+        with pytest.raises(errors.UnparsableRow) as err:
+            parse("date,open,high,low,close,volume," + "x" * 200_000 + "\n", mode=mode)
+        assert err.value.row == 0
 
 
 def test_non_utf8_file_is_undecodable_input(tmp_path):
@@ -331,31 +364,30 @@ def _columns(series):
     ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(text=dirty_csv(), mode=st.sampled_from(["strict", "lenient"]), adjusted=st.booleans())
-def test_parse_matches_naive_oracle(text, mode, adjusted):
-    try:
-        expected = oracles.naive_parse(text, mode, use_adjusted=adjusted)
-    except oracles.OracleParseError as exc:
-        expected = (exc.kind, exc.row)
-    try:
-        parsed = parse_text(text, mode=mode, use_adjusted=adjusted)
-        got = (_columns(parsed.series), parsed.warnings)
-    except errors.EngineError as exc:
-        got = (exc.kind, getattr(exc, "row", None))
-    assert got == expected
+def test_parse_matches_naive_oracle(tmp_path):
+    parsers = readers(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=dirty_csv(), mode=st.sampled_from(["strict", "lenient"]), adjusted=st.booleans())
+    def check(text, mode, adjusted):
+        expected = expected_outcome(text, mode, adjusted)
+        for parse in parsers:
+            assert outcome(parse, text, mode, adjusted) == expected
+
+    check()
 
 
 @pytest.mark.parametrize("date", ["20210107", "2021-W01-4", "2021-01-7", " 2021-01-07x",
                                   "2021W01", "2021-W01", "2021W011"])
-def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date):
+def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date, tmp_path):
     text = WELL_FORMED + f"{date},11.5,12.5,11.0,12.0,800\n"
-    with pytest.raises(errors.UnparsableRow) as err:
-        parse_text(text, mode="strict")
-    assert str(err.value) == f"row 4: Invalid isoformat string: {date.strip()!r}"
-    parsed = parse_text(text, mode="lenient")
-    assert len(parsed.series) == 3
-    assert parsed.warnings == 1
+    for parse in readers(tmp_path):
+        with pytest.raises(errors.UnparsableRow) as err:
+            parse(text, mode="strict")
+        assert str(err.value) == f"row 4: Invalid isoformat string: {date.strip()!r}"
+        parsed = parse(text, mode="lenient")
+        assert len(parsed.series) == 3
+        assert parsed.warnings == 1
 
 
 @pytest.mark.parametrize("header, short_row, good_row, message", [
@@ -364,14 +396,16 @@ def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date):
     ("open,high,low,close,volume,date", "10.0,11.0,9.5,10.5,1000",
      "10.5,11.5,10.0,11.0,1100,2021-01-05", "Invalid isoformat string: ''"),
 ], ids=["volume", "date"])
-def test_a_cell_missing_from_a_short_row_reads_as_empty(header, short_row, good_row, message):
+def test_a_cell_missing_from_a_short_row_reads_as_empty(header, short_row, good_row, message,
+                                                       tmp_path):
     text = f"{header}\n{short_row}\n{good_row}\n"
-    with pytest.raises(errors.UnparsableRow) as err:
-        parse_text(text, mode="strict")
-    assert str(err.value) == f"row 1: {message}"
-    parsed = parse_text(text, mode="lenient")
-    assert parsed.series.dates == (dt.date(2021, 1, 5),)
-    assert parsed.warnings == 1
+    for parse in readers(tmp_path):
+        with pytest.raises(errors.UnparsableRow) as err:
+            parse(text, mode="strict")
+        assert str(err.value) == f"row 1: {message}"
+        parsed = parse(text, mode="lenient")
+        assert parsed.series.dates == (dt.date(2021, 1, 5),)
+        assert parsed.warnings == 1
 
 
 ADJUSTED = "date,open,high,low,close,adj_close,volume\n"
@@ -443,3 +477,149 @@ def test_fuzzed_bytes_raise_only_engine_errors(tmp_path):
                     pass
 
     check()
+
+
+# a csv field limit that the clean rows below stay within, and lines that
+# break it, so that a test cell can pass it without 131072 characters
+SMALL_FIELD_LIMIT = 64
+
+# each fault a plain chunk refuses, or that lenient mode repairs in one
+_CHUNK_FAULTS = ("short row", "long row", "blank line", "bad cell", "20210104", "old date",
+                 "non-positive", "over the field limit", "low above high", "open above high",
+                 "close below low", "negative volume")
+
+
+@st.composite
+def chunked_csv(draw):
+    """CSV text with adj_close (an unread column without use_adjusted) of
+    clean rows and, at random rows, one of ``_CHUNK_FAULTS`` each; the
+    text may then lose its last line break, quote a header name, end its
+    lines with CRLF or hold a NUL."""
+    rows = ["date,open,high,low,close,adj_close,volume"]
+    day = dt.date(2021, 1, 4)
+    for _ in range(draw(st.integers(1, 30))):
+        low = draw(st.integers(1, 400)) / 4.0
+        high = low + draw(st.integers(0, 40)) / 4.0
+        open_, close = (low + draw(st.integers(0, 4)) * (high - low) / 4.0 for _ in range(2))
+        cells = [day.isoformat(), repr(open_), repr(high), repr(low), repr(close), repr(close),
+                 str(draw(st.integers(0, 10**6)))]
+        fault = draw(st.sampled_from(_CHUNK_FAULTS + ("",) * 24))
+        if fault == "short row":
+            cells = cells[:draw(st.integers(1, 6))]
+        elif fault == "long row":
+            cells.append(draw(st.sampled_from(["", "1", "2021-01-04"])))
+        elif fault == "blank line":
+            rows.append(draw(st.sampled_from(["", ",,,,,,"])))
+        elif fault == "bad cell":
+            bad = draw(st.sampled_from(["", "abc", "nan", "1e999", "2.5"]))
+            cells[draw(st.integers(1, 6))] = bad
+        elif fault == "20210104":
+            cells[0] = day.strftime("%Y%m%d")
+        elif fault == "old date":
+            cells[0] = (day - dt.timedelta(days=draw(st.integers(1, 3)))).isoformat()
+        elif fault == "non-positive":
+            cells[draw(st.integers(1, 5))] = draw(st.sampled_from(["0", "-1.5", "0.0"]))
+        elif fault == "over the field limit":
+            cells[5] = "9" * (SMALL_FIELD_LIMIT + 1)
+        elif fault == "low above high":
+            cells[2], cells[3] = cells[3], cells[2]
+        elif fault == "open above high":
+            cells[1] = repr(high * 2.0)
+        elif fault == "close below low":
+            cells[4] = repr(low / 2.0)
+        elif fault == "negative volume":
+            cells[6] = "-" + cells[6]
+        rows.append(",".join(cells))
+        day += dt.timedelta(days=draw(st.integers(1, 3)))
+    text = "\n".join(rows) + "\n"
+    variant = draw(st.sampled_from(["", "", "no last line break", "quote", "crlf", "nul"]))
+    if variant == "no last line break":
+        text = text[:-1]
+    elif variant == "quote":
+        text = text.replace("open", '"open"', 1)
+    elif variant == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif variant == "nul":
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + "\0" + text[at:]
+    return text
+
+
+def test_a_chunked_file_matches_the_naive_oracle(tmp_path):
+    """Chunks of one to a few lines put each fault of a plain file in a
+    later chunk than the first, and each date check across a chunk's
+    edge; the files that are not plain take the row loop whole."""
+    parse_file = readers(tmp_path)[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=chunked_csv(), chunk=st.integers(1, 160),
+           mode=st.sampled_from(["strict", "lenient"]), adjusted=st.booleans())
+    def check(text, chunk, mode, adjusted):
+        limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+        try:
+            with mock.patch.object(market_data, "_CHUNK_CHARS", chunk):
+                got = outcome(parse_file, text, mode, adjusted)
+            expected = expected_outcome(text, mode, adjusted)
+        finally:
+            csv.field_size_limit(limit)
+        assert got == expected
+
+    check()
+
+
+@pytest.mark.parametrize("lines", [
+    # a row of 13 cells and one of 1 cell hold as many cells as two rows
+    ["2021-01-04,10,11,9,10,10,100,0,2021-01-05,10,11,9,10", "100"],
+    # breaks that str.splitlines() sees and the csv module does not
+    ["2021-01-04,10\x0b,11,9,10,1\x1c2,100", "2021-01-05,10,11\x0c,9,10,1\x1d2\x1e,100"],
+    ["2021-01-04,10,11,9,10,10,100\x1c2021-01-05,10,11,9,10,10,100"],
+], ids=["cancelling widths", "splitlines breaks", "splitlines rows"])
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_plain_chunk_splits_lines_as_the_csv_module(lines, mode, tmp_path):
+    text = "date,open,high,low,close,adj_close,volume\n" + "\n".join(lines) + "\n"
+    expected = expected_outcome(text, mode)
+    for parse in readers(tmp_path):
+        assert outcome(parse, text, mode) == expected
+
+
+def daily_bars(seed, bars, dirty_share):
+    """CSV text of a random walk of daily bars with six-decimal prices and
+    adj_close; a ``dirty_share`` of the rows has one fault that lenient
+    mode repairs: low above high, open above high, close below low or a
+    negative volume."""
+    rng = random.Random(seed)
+    lines = ["date,open,high,low,close,adj_close,volume\n"]
+    day, close = dt.date(1990, 1, 1), 100.0
+    for _ in range(bars):
+        open_, close = close, close * (1.0 + rng.gauss(0.0, 0.01))
+        high = max(open_, close) * (1.0 + rng.random() / 100.0)
+        low = min(open_, close) * (1.0 - rng.random() / 100.0)
+        cells = [f"{v:.6f}" for v in (open_, high, low, close)] + [str(rng.randint(1, 10**6))]
+        if rng.random() < dirty_share:
+            fault = rng.randrange(4)
+            if fault == 0:
+                cells[1], cells[2] = cells[2], cells[1]
+            elif fault == 1:
+                cells[0] = f"{high * 1.01:.6f}"
+            elif fault == 2:
+                cells[3] = f"{low * 0.99:.6f}"
+            else:
+                cells[4] = "-" + cells[4]
+        lines.append(f"{day.isoformat()},{','.join(cells[:4])},{cells[3]},{cells[4]}\n")
+        day += dt.timedelta(days=1)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mode, dirty_share", [("strict", 0.0), ("lenient", 0.02)])
+def test_a_plain_file_takes_no_step_of_the_csv_module(mode, dirty_share, tmp_path, monkeypatch):
+    text = daily_bars(11, 3_000, dirty_share)
+    expected = parse_text(text, mode=mode)
+    assert expected.warnings > 0 or dirty_share == 0.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file reached csv.reader")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    path = tmp_path / "series.csv"
+    path.write_text(text, encoding="utf-8")
+    assert parse_csv(path, mode=mode) == expected

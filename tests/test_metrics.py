@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from tabacktest import errors
+from tabacktest import errors, metrics
 from tabacktest.market_data import slice_years
 from tabacktest.metrics import (
     ReturnSums,
@@ -306,6 +306,22 @@ class TestBuildReport:
     def test_a_benchmark_of_another_length_is_a_length_mismatch(self):
         with pytest.raises(errors.LengthMismatch, match="^3 returns vs 2 benchmark returns$"):
             build_report((10.0, 11.0, 12.0, 13.0), [10.0, 10.5, 11.0], buy_count=1)
+
+    def test_a_curve_against_itself_takes_its_returns_once(self, monkeypatch):
+        rng = random.Random(3)
+        curve = tuple(100.0 * (1.0 + rng.random()) for _ in range(600))
+        expected = build_report(curve, list(curve), buy_count=0)
+        calls = []
+
+        def counting(values):
+            calls.append(values)
+            return daily_returns(values)
+
+        monkeypatch.setattr(metrics, "daily_returns", counting)
+        assert build_report(curve, curve, buy_count=0) == expected
+        assert calls == [curve]
+        with pytest.raises(errors.NonPositivePrice):
+            build_report((10.0, 0.0), (10.0, 0.0), buy_count=0)
 
 
 def test_the_measures_of_one_bar_are_too_short():
