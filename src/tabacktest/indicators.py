@@ -177,8 +177,11 @@ def ema(data, n: int, s: float = 2.0) -> IndicatorSeries:
         raise ZeroPeriod("ema period must be >= 1")
     if s <= 0:
         raise InvalidParams("smoothing factor must be > 0")
+    if not math.isfinite(s):
+        raise InvalidParams("smoothing factor must be finite")
     x = _values(data)
-    k = s / (n + 1)
+    num, den = s.as_integer_ratio()
+    k = num / (den * (n + 1))  # int / int: no period is too large for it
     if k >= 1.0:
         return IndicatorSeries(list(x), 0)
     return IndicatorSeries(_smooth(x, repeat(k)), min(1, len(x)))
@@ -199,6 +202,7 @@ def efficiency_ratio(data, m: int) -> IndicatorSeries:
     column = _column(data)
     p, scale = column.sums, column.scale
     del column  # the values, a copy for a plain sequence, go now
+    m = min(m, len(p) - 1)  # a longer window is never full either
     num, den = ER_NOISE_FLOOR.as_integer_ratio()
     floor = num << scale
 
@@ -240,8 +244,8 @@ def ama(data, params: AmaParams) -> IndicatorSeries:
     er = efficiency_ratio(column, params.ada_win).values
     x, p, scale = column.values, column.sums, column.scale
     if params.matype == 1:
-        fast_sc = 2.0 / (n2 + 1)
-        slow_sc = 2.0 / (n1 + 1)
+        fast_sc = 2 / (n2 + 1)
+        slow_sc = 2 / (n1 + 1)
         diff_sc = fast_sc - slow_sc
         sscs = (slow_sc + abs(e) * diff_sc for e in islice(er, 1, None))
         return IndicatorSeries(_smooth(x, (ssc * ssc for ssc in sscs)), min(1, len(x)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import MAX_GRID
 from .errors import DomainError, InvalidParams
 
 
@@ -55,6 +56,8 @@ def kelly_curve(params: KellyParams, grid_points: int = 101) -> list[tuple[float
     """
     if grid_points < 2:
         raise InvalidParams("grid_points must be >= 2")
+    if grid_points > MAX_GRID:
+        raise InvalidParams(f"grid_points must be <= {MAX_GRID}")
     boundary = min(1.0, 1.0 / params.m_loss)
     x_max = boundary * (1.0 - 1e-9)
     step = x_max / (grid_points - 1)

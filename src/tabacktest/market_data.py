@@ -6,6 +6,7 @@ increasing. A series stores one tuple per field.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -133,26 +134,33 @@ def _parse_volume(cell: str) -> int:
 def _parse_date(cell: str) -> dt.date:
     """A ``YYYY-MM-DD`` date; other ISO 8601 forms that Python 3.11+ reads,
     such as ``20210104`` and ``2021-W01-1``, fail with 3.10's message. The
-    whole rule stands here: a cell the fast path refuses may be any string."""
+    whole rule stands here: a cell the chunks refuse may be any string."""
     if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
         raise ValueError(f"Invalid isoformat string: {cell!r}")
     return dt.date.fromisoformat(cell)
 
 
 def _scan(raw) -> tuple[bool, bool]:
-    """Whether a binary file holds a NUL byte, and whether it is plain:
-    ASCII with no NUL, double quote or carriage return, so that the
-    ``csv`` module reads each of its lines as the line split at every
-    comma, and no line can fail to decode. Read in 64 KiB chunks up to
-    the first NUL, then rewound."""
-    plain = True
+    """Whether a binary file holds a NUL byte, and whether it is plain: no
+    NUL, no double quote and no carriage return but the first half of a
+    CRLF, so that the ``csv`` module reads each of its lines as the line
+    split at every comma. Reads the whole file in 64 KiB chunks, raises
+    ``UnicodeDecodeError`` if it is not UTF-8, then rewinds it. Only the
+    chunks that are not ASCII are decoded, and a chunk after one that ends
+    inside a character."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    nul, plain = False, True
     for chunk in iter(lambda: raw.read(1 << 16), b""):
-        if b"\0" in chunk:
-            raw.seek(0)
-            return True, False
-        plain = plain and chunk.isascii() and b'"' not in chunk and b"\r" not in chunk
+        if chunk.endswith(b"\r"):  # whether it starts a CRLF
+            chunk += raw.read(1)
+        if not chunk.isascii() or decoder.getstate()[0]:
+            decoder.decode(chunk)
+        nul = nul or b"\0" in chunk
+        plain = plain and b'"' not in chunk and (
+            b"\r" not in chunk or chunk.count(b"\r") == chunk.count(b"\r\n"))
+    decoder.decode(b"", final=True)
     raw.seek(0)
-    return False, plain
+    return nul, plain and not nul
 
 
 def _refuse_nul(lines):
@@ -205,24 +213,27 @@ def parse_csv(
     longer than its field size limit, raises ``UnparsableRow`` in both
     modes (row 0 is the header). So does the first line that holds a NUL
     character, and reading stops there. A file that is not UTF-8 raises
-    ``UndecodableInput``.
+    ``UndecodableInput``: a file that can be rewound is checked whole
+    before any row is read, so whatever else is wrong with it.
 
-    A plain file, one that can be rewound and is ASCII with no NUL, double
-    quote or carriage return, is read in chunks of whole lines of about
-    ``_CHUNK_CHARS`` characters, and each chunk is split, converted and
-    checked one column at a time. The first chunk with a row that breaks
-    a rule above, other than one that lenient mode repairs, goes to the
-    row loop with every line after it, and so does every other file as a
-    whole: the row loop decides every error, row number and dropped row.
+    A plain file, one that can be rewound and holds no NUL, no double
+    quote and no carriage return outside a CRLF, is read in chunks of
+    whole lines of about ``_CHUNK_CHARS`` characters, and each chunk is
+    split, converted and checked one column at a time. A chunk with a row
+    that breaks a rule above, other than one that lenient mode repairs,
+    goes to the row loop, and the next chunk is read as a chunk again.
+    Every other file (quoted, with a NUL or a lone carriage return, or
+    one that cannot be rewound) goes to the row loop whole: the row loop
+    decides every error, row number and dropped row.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
     with path.open("rb") as raw:
-        # only a file with a NUL, or one that cannot be rewound, is checked line by line
-        nul, plain = _scan(raw) if raw.seekable() else (True, False)
-        handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         try:
+            # only a file with a NUL, or one that cannot be rewound, is checked line by line
+            nul, plain = _scan(raw) if raw.seekable() else (True, False)
+            handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
             return _parse_stream(_refuse_nul(handle) if nul else handle,
                                  mode, use_adjusted, symbol or path.stem, plain)
         except UnicodeDecodeError as exc:
@@ -232,7 +243,7 @@ def parse_csv(
 def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
                   plain: bool = False) -> ParseResult:
     """``parse_csv`` of an iterator of text lines; with ``plain``, a text
-    file of a plain file, whose data lines ``_plain_chunks`` reads first."""
+    file of a plain file, whose data lines ``_plain_chunks`` reads."""
     if mode not in (STRICT, LENIENT):
         raise InvalidArgument(f"unknown parse mode {mode!r}")
     strict = mode == STRICT
@@ -240,7 +251,7 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
     first = next(lines, "") if plain else ""
     plain = 0 < len(first) <= csv.field_size_limit()
     if plain:
-        header = first.rstrip("\n").split(",")
+        header = first.rstrip("\r\n").split(",")
     else:
         reader = csv.reader(chain((first,), lines) if first else lines)
         try:
@@ -252,14 +263,10 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
     picks = _pick_columns(header, use_adjusted)
 
     columns: tuple[list, ...] = ([], [], [], [], [], [])
-    row_no, prev_date, warnings = 0, None, 0
     if plain:
-        rest, row_no, prev_date, warnings = _plain_chunks(lines, strict, len(header), picks,
-                                                          columns)
-        reader = rest and csv.reader(rest)
-    if reader is not None:
-        warnings = _parse_rows(reader, strict, len(header), picks, columns,
-                               row_no, prev_date, warnings)
+        warnings = _plain_chunks(lines, strict, len(header), picks, columns)
+    else:
+        warnings = _parse_rows(reader, strict, len(header), picks, columns, 0, None, 0)[2]
     if not columns[0]:
         raise EmptySeries("no valid data rows")
     return ParseResult(OhlcvSeries(symbol, *columns), warnings)
@@ -278,26 +285,28 @@ def _pick_columns(header: list[str], use_adjusted: bool) -> tuple[int, ...]:
     return tuple(columns.index(name) for name in ("date", "open", "high", "low", close, "volume"))
 
 
-def _plain_chunks(handle, strict: bool, width: int, picks, columns):
+def _plain_chunks(handle, strict: bool, width: int, picks, columns) -> int:
     """Append the rows of the rest of a plain text file to ``columns``, one
-    chunk of about ``_CHUNK_CHARS`` characters of whole lines at a time,
-    while ``_plain_chunk`` takes each chunk. Returns the lines from the
-    first chunk it refuses on (None at the end of the file), and the rows
-    read, the last date and the warnings before that chunk."""
+    chunk of about ``_CHUNK_CHARS`` characters of whole lines at a time:
+    ``_plain_chunk`` takes a chunk, or the row loop takes the chunk it
+    refuses. Returns the warnings."""
     row_no, prev_date, warnings = 0, None, 0
     while text := handle.read(_CHUNK_CHARS):
         if not text.endswith("\n"):
             text += handle.readline()
         parsed = _plain_chunk(text, strict, width, picks, prev_date, row_no)
         if parsed is None:
-            return chain(io.StringIO(text), handle), row_no, prev_date, warnings
+            row_no, prev_date, warnings = _parse_rows(
+                csv.reader(io.StringIO(text)), strict, width, picks, columns,
+                row_no, prev_date, warnings)
+            continue
         *parts, repairs = parsed
         for column, part in zip(columns, parts):
             column.extend(part)
         row_no += len(parts[0])
         prev_date = columns[0][-1]
         warnings += repairs
-    return None, row_no, prev_date, warnings
+    return warnings
 
 
 def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: int):
@@ -310,6 +319,8 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
     runs over a whole column in C; only a row that lenient mode repairs
     takes a Python step of its own, with the row loop's rules
     (``_repair``)."""
+    if "\r" in text:  # CRLF lines; on an LF chunk this test costs far less than the replace
+        text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):  # the last line of the file
         text += "\n"
     limit = csv.field_size_limit()
@@ -385,14 +396,15 @@ def _repair(row_no: int, open_: float, high: float, low: float, close: float, vo
 
 
 def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
-                prev_date: dt.date | None, warnings: int) -> int:
-    """The row loop: append the rows of ``reader``, numbered from
-    ``row_no + 1``, to ``columns``, one row at a time. Returns the
-    warnings, counted on from ``warnings``."""
-    date_col, open_col, high_col, low_col, close_col, volume_col = picks
+                prev_date: dt.date | None, warnings: int):
+    """The row loop, the judge of every row the chunks do not take: append
+    the rows of ``reader``, numbered from ``row_no + 1``, to ``columns``,
+    taking the checks of ``parse_csv`` one at a time and in their order, to
+    name the first violation or drop or repair its row. Returns the last
+    row number, the last date (a row dropped for a price <= 0 sets it too)
+    and the warnings, each counted on from its argument."""
+    date_col, *price_cols, volume_col = picks
     dates, opens, highs, lows, closes, volumes = columns
-    fromisoformat = dt.date.fromisoformat
-    inf = math.inf
 
     def fault(error: EngineError) -> None:
         """Raise ``error`` in strict mode; count one warning in lenient mode."""
@@ -401,46 +413,16 @@ def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
             raise error
         warnings += 1
 
-    # The try wraps the whole loop, not each read, to keep the per-row
-    # cost of clean rows at zero; only the reader raises csv.Error.
+    # The try wraps the whole loop, not each read; only the reader raises
+    # csv.Error.
     try:
         for row_no, row in enumerate(reader, start=row_no + 1):
-            # Fast path: a row that passes every check as it stands. float()
-            # ignores the surrounding whitespace that the checks below strip.
-            # Of the forms fromisoformat reads, only YYYY-MM-DD has a dash
-            # at index 7 (3.11+'s 2021W01 has no index 7 at all).
-            try:
-                date_cell = row[date_col]
-                date = fromisoformat(date_cell)
-                dash = date_cell[7]
-                open_ = float(row[open_col])
-                high = float(row[high_col])
-                low = float(row[low_col])
-                close = float(row[close_col])
-                volume = float(row[volume_col])
-            except (ValueError, IndexError):
-                pass
-            else:
-                if (0.0 < low <= open_ <= high < inf and low <= close <= high
-                        and volume >= 0.0 and volume.is_integer()
-                        and (prev_date is None or date > prev_date) and dash == "-"):
-                    dates.append(date)
-                    opens.append(open_)
-                    highs.append(high)
-                    lows.append(low)
-                    closes.append(close)
-                    volumes.append(int(volume))
-                    prev_date = date
-                    continue
-
-            # Every other row takes the checks one at a time, in the
-            # documented order, to name the first violation or repair it.
             cells = [cell.strip() for cell in row]
             if not any(cells):
                 continue
             cells += [""] * (width - len(cells))
             try:
-                price_cells = [cells[col] for col in (open_col, high_col, low_col, close_col)]
+                price_cells = [cells[col] for col in price_cols]
                 if not any(price_cells):
                     raise ValueError("all price cells empty")
                 date = _parse_date(cells[date_col])
@@ -468,7 +450,7 @@ def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
 
     except csv.Error as exc:
         raise UnparsableRow(row_no + 1, str(exc)) from None
-    return warnings
+    return row_no, prev_date, warnings
 
 
 def serialize_csv(series: OhlcvSeries, handle) -> None:

@@ -554,6 +554,14 @@ class TestKellyCommand:
         assert json.loads(out)["error"]["kind"] == "InvalidParams"
         assert not (tmp_path / "kelly_curve.csv").exists()
 
+    def test_more_grid_points_than_a_grid_holds_are_invalid_params(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "kelly", "--p", "0.6", "--l-gain", "2",
+                            "--grid-points", "100001", "--out-dir", str(tmp_path))
+        assert code == 3
+        assert json.loads(out)["error"] == {"kind": "InvalidParams",
+                                            "message": "grid_points must be <= 100000"}
+        assert not (tmp_path / "kelly_curve.csv").exists()
+
 
 class TestReportCommand:
     def test_series_self_report(self, tmp_path, capsys):
@@ -828,6 +836,13 @@ def _assert_contract(argv):
     assert len(lines) == 1 and stdout.getvalue().endswith("\n")
     json.loads(lines[0], parse_constant=_forbid_constant)
     assert stderr.getvalue() == ""
+
+
+@pytest.mark.parametrize("spec", ["ema " + "9" * 401, "ama " + "9" * 401 + " 2 10 1",
+                                  f"ama 30 2 {10**30} 1"], ids=["ema", "ama long", "ama window"])
+def test_huge_kernel_arguments_meet_the_error_contract(spec, tmp_path):
+    _assert_contract(["indicators", "--data", str(V_FIXTURE), "--indicator", f"x={spec}",
+                      "--out-dir", str(tmp_path / "out")])
 
 
 def test_fuzzed_configs_meet_the_error_contract(tmp_path):

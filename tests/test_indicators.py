@@ -73,6 +73,14 @@ class TestEma:
         with pytest.raises(errors.ZeroPeriod):
             ema([1.0], 0)
 
+    @given(n=st.integers(1, 2**53 - 2), s=st.floats(min_value=5e-324, max_value=1e308))
+    def test_the_weight_is_the_float_quotient_below_2_53(self, n, s):
+        k = s / (n + 1)
+        assert ema([0.0, 1.0], n, s).values[1] == min(k, 1.0)
+
+    def test_a_period_past_the_float_range(self):
+        assert ema([1.0, 2.0, 4.0], 10**400).values == [1.0, 1.0, 1.0]
+
 
 class TestEfficiencyRatio:
     def test_perfect_trend(self):
@@ -87,6 +95,10 @@ class TestEfficiencyRatio:
     def test_signed(self):
         assert efficiency_ratio([5, 4, 3, 2, 1], 4).values[4] == -1.0
 
+    def test_a_window_past_the_series_is_never_full(self):
+        for m in (3, 4, 10**30):
+            assert efficiency_ratio([1.0, 2.0, 4.0], m) == IndicatorSeries([0.0] * 3, 3)
+
     def test_noise_floor_on_flat_prefix(self):
         values = efficiency_ratio([2.0, 2.0, 2.0, 2.0, 2.0 + 1e-6], 4).values
         assert values[4] == pytest.approx(1e-6 / 1e-4)
@@ -98,6 +110,12 @@ class TestAma:
         for matype in (1, 2):
             params = AmaParams(10, 2, 5, matype)
             assert ama([7.0] * 30, params).values == [7.0] * 30
+
+    def test_periods_past_the_float_range(self):
+        x = [float(v) for v in random_walk(random.Random(5), 40)]
+        for matype in (1, 2):
+            assert ama(x, AmaParams(30, 2, 10**30, matype)) == ama(x, AmaParams(30, 2, 40, matype))
+        assert ama(x, AmaParams(10**400, 2, 10, 1)) == ama(x, AmaParams(2**1100, 2, 10, 1))
 
     def test_matype1_degenerates_to_fast_weight_on_perfect_trend(self):
         # |ER| == 1 makes the scaled constant equal the fast one
@@ -539,8 +557,9 @@ class TestExactContract:
     (lambda x, s: bollinger(s, 0), errors.ZeroPeriod, "bollinger period must be >= 1"),
     (lambda x, s: macd(x, 12, 26, 0), errors.ZeroPeriod, "macd periods must be >= 1"),
     (lambda x, s: ema(x, 5, 0.0), errors.InvalidParams, "smoothing factor must be > 0"),
+    (lambda x, s: ema(x, 5, math.inf), errors.InvalidParams, "smoothing factor must be finite"),
 ], ids=["efficiency_ratio", "rsi", "rmi period", "rmi look-back", "aroon", "rolling_std",
-        "bollinger", "macd", "ema smoothing"])
+        "bollinger", "macd", "ema smoothing", "ema infinite smoothing"])
 def test_a_bad_period_is_refused_with_its_message(call, kind, message):
     closes = [float(c) for c in range(1, 41)]
     with pytest.raises(kind) as raised:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tabacktest import errors
+from tabacktest.config import MAX_GRID
 from tabacktest.kelly import KellyParams, expected_log_return, kelly_curve, optimal_fraction
 
 BLACKJACK = KellyParams(p=0.9, l_gain=1.1, m_loss=1.0)
@@ -69,6 +70,12 @@ class TestKellyCurve:
         curve = kelly_curve(params, grid_points=200)
         values = [v for _, v in curve]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_grid_points_are_bounded(self):
+        for points in (1, MAX_GRID + 1):
+            with pytest.raises(errors.InvalidParams):
+                kelly_curve(BLACKJACK, grid_points=points)
+        assert len(kelly_curve(BLACKJACK, grid_points=MAX_GRID)) == MAX_GRID
 
     def test_grid_spans_domain(self):
         curve = kelly_curve(BLACKJACK, grid_points=11)

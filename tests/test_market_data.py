@@ -483,10 +483,11 @@ def test_fuzzed_bytes_raise_only_engine_errors(tmp_path):
 # break it, so that a test cell can pass it without 131072 characters
 SMALL_FIELD_LIMIT = 64
 
-# each fault a plain chunk refuses, or that lenient mode repairs in one
+# each fault a plain chunk refuses, or that lenient mode repairs in one, and
+# a non-ASCII cell, which may or may not convert
 _CHUNK_FAULTS = ("short row", "long row", "blank line", "bad cell", "20210104", "old date",
                  "non-positive", "over the field limit", "low above high", "open above high",
-                 "close below low", "negative volume")
+                 "close below low", "negative volume", "non-ASCII cell")
 
 
 @st.composite
@@ -494,7 +495,7 @@ def chunked_csv(draw):
     """CSV text with adj_close (an unread column without use_adjusted) of
     clean rows and, at random rows, one of ``_CHUNK_FAULTS`` each; the
     text may then lose its last line break, quote a header name, end its
-    lines with CRLF or hold a NUL."""
+    lines with CRLF, end one line with a lone CR or hold a NUL."""
     rows = ["date,open,high,low,close,adj_close,volume"]
     day = dt.date(2021, 1, 4)
     for _ in range(draw(st.integers(1, 30))):
@@ -529,16 +530,23 @@ def chunked_csv(draw):
             cells[4] = repr(low / 2.0)
         elif fault == "negative volume":
             cells[6] = "-" + cells[6]
+        elif fault == "non-ASCII cell":
+            cells[draw(st.integers(1, 6))] = draw(st.sampled_from(
+                ["\u00e9", "\uff11\uff12.5", "12\x85", "\u20283", "\u2029", "\u6caa\u6df1300"]))
         rows.append(",".join(cells))
         day += dt.timedelta(days=draw(st.integers(1, 3)))
     text = "\n".join(rows) + "\n"
-    variant = draw(st.sampled_from(["", "", "no last line break", "quote", "crlf", "nul"]))
+    variant = draw(st.sampled_from(["", "", "no last line break", "quote", "crlf", "lone cr",
+                                    "nul"]))
     if variant == "no last line break":
         text = text[:-1]
     elif variant == "quote":
         text = text.replace("open", '"open"', 1)
     elif variant == "crlf":
         text = text.replace("\n", "\r\n")
+    elif variant == "lone cr":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == "\n"]))
+        text = text[:at] + "\r" + text[at + 1:]
     elif variant == "nul":
         at = draw(st.integers(0, len(text) - 1))
         text = text[:at] + "\0" + text[at:]
@@ -573,7 +581,12 @@ def test_a_chunked_file_matches_the_naive_oracle(tmp_path):
     # breaks that str.splitlines() sees and the csv module does not
     ["2021-01-04,10\x0b,11,9,10,1\x1c2,100", "2021-01-05,10,11\x0c,9,10,1\x1d2\x1e,100"],
     ["2021-01-04,10,11,9,10,10,100\x1c2021-01-05,10,11,9,10,10,100"],
-], ids=["cancelling widths", "splitlines breaks", "splitlines rows"])
+    # the same for the breaks of a file that is not ASCII
+    ["2021-01-04,10\x85,11,9,10,1\u20282,100", "2021-01-05,10,11\u2029,9,10,1\x852,100"],
+    ["2021-01-04,10,11,9,10,10,100\u20282021-01-05,10,11,9,10,10,100",
+     "2021-01-06,10,11,9,10,10\u2029,100\x852021-01-07,10,11,9,10,10,100"],
+], ids=["cancelling widths", "splitlines breaks", "splitlines rows", "unicode breaks",
+        "unicode rows"])
 @pytest.mark.parametrize("mode", ["strict", "lenient"])
 def test_a_plain_chunk_splits_lines_as_the_csv_module(lines, mode, tmp_path):
     text = "date,open,high,low,close,adj_close,volume\n" + "\n".join(lines) + "\n"
@@ -612,14 +625,105 @@ def daily_bars(seed, bars, dirty_share):
 
 @pytest.mark.parametrize("mode, dirty_share", [("strict", 0.0), ("lenient", 0.02)])
 def test_a_plain_file_takes_no_step_of_the_csv_module(mode, dirty_share, tmp_path, monkeypatch):
+    """An LF file, a CRLF file and a UTF-8 file with a non-ASCII column."""
     text = daily_bars(11, 3_000, dirty_share)
-    expected = parse_text(text, mode=mode)
-    assert expected.warnings > 0 or dirty_share == 0.0
+    texts = [text, text.replace("\n", "\r\n"), text.replace("\n", ",\u6caa\u6df1300\n")]
+    expected = [parse_text(text, mode=mode) for text in texts]
+    assert expected[0].warnings > 0 or dirty_share == 0.0
 
     def refuse(*args, **kwargs):
         raise AssertionError("a plain file reached csv.reader")
 
     monkeypatch.setattr(csv, "reader", refuse)
     path = tmp_path / "series.csv"
+    for text, parsed in zip(texts, expected):
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_csv(path, mode=mode) == parsed
+
+
+def test_a_refused_chunk_sends_only_its_own_rows_to_the_row_loop(tmp_path, monkeypatch):
+    """Empty prices in data row 3 of a plain file: the row loop judges the
+    first chunk, and the chunks take the rest."""
+    header, body = daily_bars(11, 3_000, 0.02).split("\n", 1)
+    lines = body.split("\n")
+    lines[2] = lines[2].split(",", 1)[0] + ",,,,,,1"
+    body = "\n".join(lines)
+    text = header + "\n" + body
+    first_chunk = body[:body.index("\n", market_data._CHUNK_CHARS - 1) + 1]
+    judged = []
+    judge = market_data._parse_rows
+
+    def counting(reader, *args):
+        rows = list(reader)
+        judged.extend(rows)
+        return judge(iter(rows), *args)
+
+    monkeypatch.setattr(market_data, "_parse_rows", counting)
+    path = tmp_path / "series.csv"
     path.write_text(text, encoding="utf-8")
-    assert parse_csv(path, mode=mode) == expected
+    parsed = parse_csv(path, mode="lenient", symbol="series")
+    assert judged == list(csv.reader(io.StringIO(first_chunk)))
+    assert 0 < len(judged) < 200
+    assert parsed == parse_text(text, mode="lenient")
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 13], ids=["a chunk a line", "one chunk"])
+def test_a_row_dropped_for_its_price_sets_the_date_for_the_next_chunk(chunk, tmp_path):
+    text = ("date,open,high,low,close,volume\n2021-01-04,1,2,1,1,5\n"
+            "2021-01-05,0,2,1,1,5\n2021-01-05,1,2,1,1,5\n")
+    parse_file = readers(tmp_path)[1]
+    with mock.patch.object(market_data, "_CHUNK_CHARS", chunk):
+        got = outcome(parse_file, text, "lenient")
+    assert got == expected_outcome(text, "lenient") == ("NonMonotonicDates", 3)
+
+
+def test_the_scan_reads_across_its_64_kib_chunks(tmp_path, monkeypatch):
+    """A CRLF split by the scan's first 64 KiB is plain; a character split
+    there is decoded with the chunk after it, even an ASCII one."""
+    edge = (1 << 16) - 1
+    text = daily_bars(13, 2_500, 0.0).replace("\n", "\r\n")
+    pad = edge - text.rindex("\r", 0, edge)
+    cells = text.split(",", 6)
+    cells[5] += "x" * pad  # adj_close, which is not read
+    text = ",".join(cells)
+    assert text[edge:edge + 2] == "\r\n"
+    expected = parse_text(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file reached csv.reader")
+
+    path = tmp_path / "series.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", refuse)
+        assert parse_csv(path, symbol="series") == expected
+
+    # low above high in data row 2; 0xc3 then ASCII is no UTF-8, though
+    # the next chunk that is not ASCII starts with a continuation byte
+    lines = daily_bars(13, 2_500, 0.0).encode().split(b"\n")
+    cells = lines[2].split(b",")
+    cells[2], cells[3] = cells[3], cells[2]
+    lines[2] = b",".join(cells)
+    data = b"\n".join(lines)
+    data = data[:edge] + b"\xc3" + data[edge:]
+    data = data[:2 * edge + 2] + b"\xa9" + data[2 * edge + 2:]
+    path.write_bytes(data)
+    with pytest.raises(errors.UndecodableInput):
+        parse_csv(path)
+
+
+@pytest.mark.parametrize("bars", [20, 220], ids=["1.4 KB", "15 KB"])
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_file_that_is_not_utf8_is_undecodable_whatever_else_is_wrong(bars, mode, tmp_path):
+    """Low above high in data row 2 and a 0xff byte in the last row: the
+    file is checked whole before any row is read, so the distance between
+    the two does not pick the error."""
+    lines = daily_bars(12, bars, 0.0).encode().split(b"\n")
+    cells = lines[2].split(b",")
+    cells[2], cells[3] = cells[3], cells[2]
+    lines[2] = b",".join(cells)
+    lines[-2] = lines[-2].replace(b",", b",\xff", 1)
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(errors.UndecodableInput):
+        parse_csv(path, mode=mode)
