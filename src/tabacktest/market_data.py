@@ -2,7 +2,8 @@
 
 Canonical CSV columns are ``date,open,high,low,close,adj_close,volume``
 with ``adj_close`` optional. Dates are ``YYYY-MM-DD`` and must be strictly
-increasing. A series stores one tuple per field.
+increasing. A series stores each of its four price columns as a
+read-only view of an ``array('d')``, and its dates and volumes as tuples.
 """
 from __future__ import annotations
 
@@ -12,10 +13,15 @@ import datetime as dt
 import io
 import math
 import operator
+import shutil
+import tempfile
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
+from typing import Sequence
 
 from ._exact import prefix_sums
 from .errors import (
@@ -46,7 +52,14 @@ _CHUNK_CHARS = 1 << 13
 
 @dataclass(frozen=True)
 class OhlcvSeries:
-    """Daily bars stored column by column, each column a tuple.
+    """Daily bars stored column by column.
+
+    Each price column (``opens``, ``highs``, ``lows``, ``closes``) is a
+    read-only view of its own ``array('d')``, 8 bytes a price: a write to
+    it raises ``TypeError``, an int price given to the constructor is
+    stored as its float, and columns compare by value. ``dates`` and
+    ``volumes`` are tuples; a volume is an int count of any size. A series
+    compares by value and is not hashable (``TypeError``).
 
     Invariants, checked once per column on construction: at least one bar,
     equal column lengths, strictly increasing dates, finite and strictly
@@ -58,17 +71,22 @@ class OhlcvSeries:
 
     symbol: str
     dates: tuple[dt.date, ...]
-    opens: tuple[float, ...]
-    highs: tuple[float, ...]
-    lows: tuple[float, ...]
-    closes: tuple[float, ...]
+    opens: Sequence[float]
+    highs: Sequence[float]
+    lows: Sequence[float]
+    closes: Sequence[float]
     volumes: tuple[int, ...]
 
+    # not the generated hash, which would raise ValueError on a 'd' view
+    __hash__ = None
+
     def __post_init__(self):
-        names = ("dates", "opens", "highs", "lows", "closes", "volumes")
-        columns = [tuple(getattr(self, name)) for name in names]
-        _validate(*columns)
-        for name, column in zip(names, columns):
+        columns = {"dates": tuple(self.dates), "volumes": tuple(self.volumes)}
+        for name in ("opens", "highs", "lows", "closes"):
+            # array("d", ...) of an array("d") is a memcpy
+            columns[name] = memoryview(array("d", getattr(self, name))).toreadonly()
+        _validate(**columns)
+        for name, column in columns.items():
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -98,7 +116,9 @@ def _validate(dates, opens, highs, lows, closes, volumes) -> None:
             row, f"dates must strictly increase: {dates[row - 2]} -> {dates[row - 1]}"
         )
     for column in (opens, highs, lows, closes):
-        if not (all(map(math.isfinite, column)) and min(column) > 0.0):
+        # a sum is finite only if all its terms are; only an overflow looks further
+        if (not (math.isfinite(sum(column)) or all(map(math.isfinite, column)))
+                or min(column) <= 0.0):
             row = _first(math.isfinite(p) and p > 0.0 for p in column)
             raise InvariantViolation(
                 row, f"prices must be finite and positive, got {column[row - 1]}"
@@ -163,6 +183,19 @@ def _scan(raw) -> tuple[bool, bool]:
     return nul, plain and not nul
 
 
+@contextmanager
+def _rewindable(source):
+    """A binary file itself if it can be rewound; else a temporary file
+    holding its bytes, copied block by block, rewound, and closed on exit."""
+    if source.seekable():
+        yield source
+        return
+    with tempfile.TemporaryFile() as spool:
+        shutil.copyfileobj(source, spool)
+        spool.seek(0)
+        yield spool
+
+
 def _refuse_nul(lines):
     """The lines, up to one holding a NUL, where the ``csv`` module's
     Python 3.10 error is raised: from 3.11 on it reads a NUL into its cell."""
@@ -213,26 +246,26 @@ def parse_csv(
     longer than its field size limit, raises ``UnparsableRow`` in both
     modes (row 0 is the header). So does the first line that holds a NUL
     character, and reading stops there. A file that is not UTF-8 raises
-    ``UndecodableInput``: a file that can be rewound is checked whole
-    before any row is read, so whatever else is wrong with it.
+    ``UndecodableInput``: the file is checked whole before any row is
+    read, so whatever else is wrong with it. An input that cannot be
+    rewound, such as a named pipe, is first copied to a temporary file,
+    which holds its bytes on disk, and is then read as that file.
 
-    A plain file, one that can be rewound and holds no NUL, no double
-    quote and no carriage return outside a CRLF, is read in chunks of
-    whole lines of about ``_CHUNK_CHARS`` characters, and each chunk is
-    split, converted and checked one column at a time. A chunk with a row
-    that breaks a rule above, other than one that lenient mode repairs,
-    goes to the row loop, and the next chunk is read as a chunk again.
-    Every other file (quoted, with a NUL or a lone carriage return, or
-    one that cannot be rewound) goes to the row loop whole: the row loop
-    decides every error, row number and dropped row.
+    A plain file, one that holds no NUL, no double quote and no carriage
+    return outside a CRLF, is read in chunks of whole lines of about
+    ``_CHUNK_CHARS`` characters, and each chunk is split, converted and
+    checked one column at a time. A chunk with a row that breaks a rule
+    above, other than one that lenient mode repairs, goes to the row
+    loop, and the next chunk is read as a chunk again. Every other file
+    (quoted, with a NUL or a lone carriage return) goes to the row loop
+    whole: the row loop decides every error, row number and dropped row.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such file: {path}")
-    with path.open("rb") as raw:
+    with path.open("rb") as source, _rewindable(source) as raw:
         try:
-            # only a file with a NUL, or one that cannot be rewound, is checked line by line
-            nul, plain = _scan(raw) if raw.seekable() else (True, False)
+            nul, plain = _scan(raw)
             handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
             return _parse_stream(_refuse_nul(handle) if nul else handle,
                                  mode, use_adjusted, symbol or path.stem, plain)
@@ -262,7 +295,8 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
             raise UnparsableRow(0, f"header: {exc}") from None
     picks = _pick_columns(header, use_adjusted)
 
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    # dates and volumes in lists, prices straight into the arrays the series copies
+    columns = ([], array("d"), array("d"), array("d"), array("d"), [])
     if plain:
         warnings = _plain_chunks(lines, strict, len(header), picks, columns)
     else:
@@ -300,11 +334,13 @@ def _plain_chunks(handle, strict: bool, width: int, picks, columns) -> int:
                 csv.reader(io.StringIO(text)), strict, width, picks, columns,
                 row_no, prev_date, warnings)
             continue
-        *parts, repairs = parsed
-        for column, part in zip(columns, parts):
-            column.extend(part)
-        row_no += len(parts[0])
-        prev_date = columns[0][-1]
+        dates, *prices, volumes, repairs = parsed
+        columns[0].extend(dates)
+        for column, part in zip(columns[1:5], prices):
+            column.fromlist(part)  # array.extend grows the array a value at a time
+        columns[5].extend(volumes)
+        row_no += len(dates)
+        prev_date = dates[-1]
         warnings += repairs
     return warnings
 

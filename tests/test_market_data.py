@@ -4,6 +4,7 @@ import io
 import os
 import random
 import threading
+from array import array
 from unittest import mock
 
 import pytest
@@ -81,7 +82,7 @@ def test_well_formed_round_trip():
     assert len(parsed.series) == 3
     assert parsed.warnings == 0
     assert parsed.series.dates[0] == dt.date(2021, 1, 4)
-    assert parsed.series.closes == (10.5, 11.0, 11.5)
+    assert tuple(parsed.series.closes) == (10.5, 11.0, 11.5)
 
 
 def test_strict_rejects_close_above_high_with_row_number():
@@ -221,24 +222,72 @@ def test_series_invariants_raise_engine_errors(change, kind, row):
     assert getattr(err.value, "row", None) == row
 
 
-def test_series_columns_are_immutable_tuples():
+def test_series_prices_are_read_only_views_and_dates_and_volumes_tuples():
     columns = {"dates": _DAYS[:2], "opens": [2.0, 2.0], "highs": [3.0, 3.0],
                "lows": [1.0, 1.0], "closes": [2.0, 2.5], "volumes": [1, 1]}
     series = OhlcvSeries("s", **columns)
     with pytest.raises(AttributeError):
         series.closes.append(3.0)
+    with pytest.raises(TypeError):
+        series.closes[0] = 3.0
     with pytest.raises(AttributeError):
         series.closes = (5.0, 6.0)
     with pytest.raises(AttributeError):
         series.symbol = "other"
     columns["closes"].append(3.0)
     columns["closes"][0] = 1.5
-    assert series.closes == (2.0, 2.5)
+    assert tuple(series.closes) == (2.0, 2.5)
     assert series.volumes == (1, 1)
+    assert series.dates == tuple(_DAYS[:2])
     assert len(series) == 2
     assert series == OhlcvSeries("s", _DAYS[:2], (2.0, 2.0), (3.0, 3.0), (1.0, 1.0),
                                  (2.0, 2.5), (1, 1))
     assert series != OhlcvSeries("s", **{**columns, "closes": [2.0, 2.25]})
+
+
+def test_an_int_price_is_stored_as_its_float_and_a_series_is_not_hashable():
+    series = OhlcvSeries("s", _DAYS[:2], [2, 2], [3, 3], [1, 1], [2, 3], [1, 1])
+    assert [type(price) for price in series.closes] == [float, float]
+    assert series == OhlcvSeries("s", _DAYS[:2], [2.0] * 2, [3.0] * 2, [1.0] * 2, [2.0, 3.0],
+                                 [1, 1])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(series)
+
+
+@pytest.mark.parametrize("text", [WELL_FORMED, WELL_FORMED.replace(",1000", ',"1000"')],
+                         ids=["chunks", "row loop"])
+def test_parsed_prices_are_float64_views_of_arrays(text, tmp_path, monkeypatch):
+    """The parse appends the prices to arrays, never to a list of them all,
+    and the series keeps its copy of each behind a read-only view."""
+    given = []
+
+    def recording(symbol, dates, *columns):
+        given.append(columns)
+        return OhlcvSeries(symbol, dates, *columns)
+
+    monkeypatch.setattr(market_data, "OhlcvSeries", recording)
+    series = readers(tmp_path)[1](text).series
+    assert [type(column) for column in given[0]] == [array] * 4 + [list]
+    for column in (series.opens, series.highs, series.lows, series.closes):
+        assert isinstance(column, memoryview) and isinstance(column.obj, array)
+        assert column.format == "d" and column.readonly
+        assert column.nbytes == 8 * len(series)
+
+
+def test_a_volume_past_64_bits_survives_a_round_trip(tmp_path):
+    text = WELL_FORMED.replace(",1100", f",{10**19}")
+    for parse in readers(tmp_path):
+        parsed = parse(text).series
+        assert parsed.volumes[1] == 10**19
+        again = parse(serialize_text(parsed)).series
+        assert again == parsed and again.volumes[1] == 10**19
+
+
+def test_a_series_built_from_lists_equals_the_parsed_one(tmp_path):
+    built = OhlcvSeries("series", _DAYS, [10.0, 10.5, 11.0], [11.0, 11.5, 12.0],
+                        [9.5, 10.0, 10.5], [10.5, 11.0, 11.5], [1000, 1100, 900])
+    for parse in readers(tmp_path):
+        assert parse(WELL_FORMED).series == built
 
 
 @pytest.mark.parametrize("length, bars_per_year", [(10, 0), (-1, 252)])
@@ -427,23 +476,6 @@ def test_a_nul_ends_the_parse_as_an_unparsable_row(text, row, mode, tmp_path):
         parse_csv(path, mode=mode)
     assert err.value.row == row
     assert str(err.value).endswith("line contains NUL")
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-@pytest.mark.parametrize("text", [WELL_FORMED, WELL_FORMED + "2021-01-07,11,12,10,11,5,\x00\n"],
-                         ids=["clean", "nul"])
-def test_a_pipe_that_cannot_be_rewound_is_checked_line_by_line(text, tmp_path):
-    path = tmp_path / "bars.csv"
-    os.mkfifo(path)
-    writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
-    writer.start()
-    try:
-        parsed = parse_csv(path)
-    except errors.UnparsableRow as exc:
-        assert "\x00" in text and exc.row == 4
-    else:
-        assert "\x00" not in text and parsed.series == parse_text(WELL_FORMED, symbol="bars").series
-    writer.join(timeout=10)
 
 
 def _mutated_csv(draw):
@@ -718,12 +750,51 @@ def test_a_file_that_is_not_utf8_is_undecodable_whatever_else_is_wrong(bars, mod
     """Low above high in data row 2 and a 0xff byte in the last row: the
     file is checked whole before any row is read, so the distance between
     the two does not pick the error."""
+    path = tmp_path / "series.csv"
+    path.write_bytes(_undecodable_bars(bars))
+    with pytest.raises(errors.UndecodableInput):
+        parse_csv(path, mode=mode)
+
+
+def _undecodable_bars(bars):
+    """The bytes of ``daily_bars(12, bars, 0.0)`` with low above high in
+    data row 2 and a 0xff byte in the last row; 15.4 KB for 220 bars."""
     lines = daily_bars(12, bars, 0.0).encode().split(b"\n")
     cells = lines[2].split(b",")
     cells[2], cells[3] = cells[3], cells[2]
     lines[2] = b",".join(cells)
     lines[-2] = lines[-2].replace(b",", b",\xff", 1)
-    path = tmp_path / "series.csv"
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(errors.UndecodableInput):
-        parse_csv(path, mode=mode)
+    return b"\n".join(lines)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("data, mode", [
+    (WELL_FORMED.encode(), "strict"),
+    ((WELL_FORMED + "2021-01-07,11,12,10,11,5,\x00\n").encode(), "strict"),
+    (_undecodable_bars(220), "strict"),
+    (_undecodable_bars(220), "lenient"),
+], ids=["clean", "nul", "15.4 KB not utf8 strict", "15.4 KB not utf8 lenient"])
+def test_a_pipe_is_spooled_and_parsed_as_a_file(data, mode, tmp_path, monkeypatch):
+    """A named pipe cannot be rewound: its bytes are copied to a temporary
+    file first, so it is scanned whole and a plain one takes the chunks."""
+    path = tmp_path / "bars.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    expected = parse_text(WELL_FORMED, symbol="bars")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file reached csv.reader")
+
+    if data == WELL_FORMED.encode():
+        monkeypatch.setattr(csv, "reader", refuse)
+    try:
+        parsed = parse_csv(path, mode=mode)
+    except errors.UnparsableRow as exc:
+        assert b"\x00" in data and exc.row == 4
+    except errors.UndecodableInput:
+        assert b"\xff" in data
+    else:
+        assert data == WELL_FORMED.encode() and parsed.series == expected.series
+    writer.join(timeout=10)
+    assert not writer.is_alive()
