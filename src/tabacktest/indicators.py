@@ -206,12 +206,11 @@ def efficiency_ratio(data, m: int) -> IndicatorSeries:
     num, den = ER_NOISE_FLOOR.as_integer_ratio()
     floor = num << scale
 
-    def moves(start: int):
-        """|a[k] - a[k-1]| of the integers a, for k from ``start`` on."""
-        return map(abs, map(sub, _ints(p, start), _ints(p, start - 1)))
-
+    # |a[k] - a[k-1]| of the integers a, for k from 1 on: each window's
+    # noise is the last one's plus the move that enters less the one that leaves
+    moves = list(map(abs, map(sub, _ints(p, 1), _ints(p, 0))))
     signals = map(sub, _ints(p, m), _ints(p, 0))
-    noises = accumulate(map(sub, moves(m + 1), moves(1)), initial=sum(islice(moves(1), m)))
+    noises = accumulate(map(sub, islice(moves, m, None), moves), initial=sum(islice(moves, m)))
     # s / (floor / den) for a noise below the floor; int / int rounds correctly
     ratios = [s / w if w * den >= floor else s * den / floor for s, w in zip(signals, noises)]
     warmup = min(m, len(p) - 1)

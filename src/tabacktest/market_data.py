@@ -61,12 +61,14 @@ class OhlcvSeries:
     ``volumes`` are tuples; a volume is an int count of any size. A series
     compares by value and is not hashable (``TypeError``).
 
-    Invariants, checked once per column on construction: at least one bar,
-    equal column lengths, strictly increasing dates, finite and strictly
-    positive prices, low <= high and volume >= 0. A violation raises
-    ``EmptySeries`` or ``LengthMismatch``, or ``NonMonotonicDates`` or
-    ``InvariantViolation`` whose row is the 1-based position of the first
-    bad bar.
+    Invariants: at least one bar, equal column lengths, strictly
+    increasing dates, finite and strictly positive prices, low <= high and
+    volume >= 0. A series built by hand is checked once per column by this
+    constructor: a violation raises ``EmptySeries`` or ``LengthMismatch``,
+    or ``NonMonotonicDates`` or ``InvariantViolation`` whose row is the
+    1-based position of the first bad bar. A parsed series is checked once,
+    by the parse, bar by bar or chunk by chunk, and is built by
+    ``_from_parse`` without a second check.
     """
 
     symbol: str
@@ -88,6 +90,19 @@ class OhlcvSeries:
         _validate(**columns)
         for name, column in columns.items():
             object.__setattr__(self, name, column)
+
+    @classmethod
+    def _from_parse(cls, symbol: str, dates: list, opens: array, highs: array, lows: array,
+                    closes: array, volumes: list) -> OhlcvSeries:
+        """The series of columns a parse has proven to hold every invariant:
+        its own four arrays go behind read-only views, not copied, its date
+        and volume lists become tuples, and ``_validate`` does not run."""
+        series = object.__new__(cls)
+        series.__dict__.update(
+            symbol=symbol, dates=tuple(dates), volumes=tuple(volumes),
+            opens=memoryview(opens).toreadonly(), highs=memoryview(highs).toreadonly(),
+            lows=memoryview(lows).toreadonly(), closes=memoryview(closes).toreadonly())
+        return series
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -145,10 +160,41 @@ def _parse_price(cell: str) -> float:
 
 
 def _parse_volume(cell: str) -> int:
-    value = float(cell)
-    if not math.isfinite(value) or value != int(value):
-        raise ValueError(f"volume is not an integer count: {cell!r}")
-    return int(value)
+    """The whole number a volume cell holds. An integer literal such as
+    ``10000000000000000001`` is read exactly; any other cell, such as
+    ``1000.0`` or ``1e3``, through its float, which must be whole. Either
+    must be inside the float range, where the float of the cell is finite."""
+    try:
+        value = int(cell)
+        float(value)  # OverflowError past the float range
+        return value
+    except OverflowError:
+        pass
+    except ValueError:  # not an integer literal, or past int's digit limit
+        number = float(cell)
+        if number.is_integer():
+            return int(number)
+    raise ValueError(f"volume is not an integer count: {cell!r}")
+
+
+def _whole_numbers(cells: list[str]) -> list[int]:
+    """``_parse_volume`` of each cell, with its conversions run over the
+    whole column. Raises ``ValueError`` if it refuses a cell, and
+    ``OverflowError`` if the magnitudes of the volumes sum past the float
+    range, though it may refuse none of them: the row loop then decides."""
+    try:
+        volumes = list(map(int, cells))
+    except ValueError:  # a cell such as 1000.0 or 1e3 is read through its float
+        floats = list(map(float, cells))
+        if not all(map(float.is_integer, floats)):
+            raise ValueError("a volume is not an integer count") from None
+        # below 2**53 the float of an integer literal is its exact value
+        if max(map(abs, floats)) < 2.0 ** 53:
+            return list(map(int, floats))
+        return list(map(_parse_volume, cells))
+    # each |volume| is at most the sum, so a sum inside the float range proves them all
+    float(sum(map(abs, volumes)))
+    return volumes
 
 
 def _parse_date(cell: str) -> dt.date:
@@ -227,7 +273,9 @@ def parse_csv(
     2. The row is unparsable if all four price cells are empty, the date
        is not a valid ``YYYY-MM-DD`` date (other ISO 8601 forms such as
        ``20210104`` are refused), a price is not a finite float, or the
-       volume is not a finite whole number (``UnparsableRow``).
+       volume is not a whole number inside the float range
+       (``UnparsableRow``). A volume that is an integer literal is read
+       exactly; any other, such as ``1e3``, through its float.
     3. A date that does not follow the previous parsed row's date raises
        ``NonMonotonicDates`` in both modes. Unparsable rows set no date.
     4. A price <= 0 makes the row unrepairable (``InvariantViolation``);
@@ -259,6 +307,9 @@ def parse_csv(
     loop, and the next chunk is read as a chunk again. Every other file
     (quoted, with a NUL or a lone carriage return) goes to the row loop
     whole: the row loop decides every error, row number and dropped row.
+    Each row is checked once: the rows the chunks and the row loop accept
+    hold every invariant of an ``OhlcvSeries``, which is built from their
+    columns without checking them again.
     """
     path = Path(path)
     if not path.exists():
@@ -295,7 +346,7 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
             raise UnparsableRow(0, f"header: {exc}") from None
     picks = _pick_columns(header, use_adjusted)
 
-    # dates and volumes in lists, prices straight into the arrays the series copies
+    # dates and volumes in lists, prices straight into the arrays the series keeps
     columns = ([], array("d"), array("d"), array("d"), array("d"), [])
     if plain:
         warnings = _plain_chunks(lines, strict, len(header), picks, columns)
@@ -303,7 +354,8 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
         warnings = _parse_rows(reader, strict, len(header), picks, columns, 0, None, 0)[2]
     if not columns[0]:
         raise EmptySeries("no valid data rows")
-    return ParseResult(OhlcvSeries(symbol, *columns), warnings)
+    # the chunks and the row loop have checked every invariant of a series
+    return ParseResult(OhlcvSeries._from_parse(symbol, *columns), warnings)
 
 
 def _pick_columns(header: list[str], use_adjusted: bool) -> tuple[int, ...]:
@@ -354,7 +406,10 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
     or a row that lenient mode drops. Each split, conversion and check
     runs over a whole column in C; only a row that lenient mode repairs
     takes a Python step of its own, with the row loop's rules
-    (``_repair``)."""
+    (``_repair``). Volumes are read as ``_parse_volume`` reads them,
+    an integer literal exactly (``_whole_numbers``). The rows it returns
+    hold every invariant of a series and its first date follows
+    ``prev_date``: nothing checks them again."""
     if "\r" in text:  # CRLF lines; on an LF chunk this test costs far less than the replace
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):  # the last line of the file
@@ -376,8 +431,8 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
     try:
         dates = list(map(dt.date.fromisoformat, date_cells))
         prices = [list(map(float, cells[col::stride])) for col in price_cols]
-        volumes = list(map(float, cells[volume_col::stride]))
-    except ValueError:
+        volumes = _whole_numbers(cells[volume_col::stride])
+    except (ValueError, OverflowError):
         return None
     # Of the forms fromisoformat reads, only YYYY-MM-DD has ten characters
     # and a dash at index 7. A sum is finite only if all its terms are; one
@@ -385,17 +440,19 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
     if (list(map(len, date_cells)).count(10) != n or "".join(date_cells)[7::10] != "-" * n
             or prev_date is not None and dates[0] <= prev_date
             or not all(map(operator.lt, dates, islice(dates, 1, None)))
-            or not math.isfinite(sum(map(sum, prices)))
-            or not all(map(float.is_integer, volumes))):
+            or not math.isfinite(sum(map(sum, prices)))):
         return None
     opens, highs, lows, closes = prices
-    volumes = list(map(int, volumes))
+    # a row with a low <= 0 is refused below in either mode
+    if min(lows) <= 0.0:
+        return None
 
     # A row is clean if 0 < low <= open <= high, low <= close <= high and
     # volume >= 0; each rule names the rows, all finite, that break it.
-    rules = ((operator.ge, repeat(0.0), lows), (operator.gt, lows, opens),
-             (operator.gt, opens, highs), (operator.gt, lows, closes),
-             (operator.gt, closes, highs), (operator.gt, repeat(0), volumes))
+    rules = [(operator.gt, lows, opens), (operator.gt, opens, highs),
+             (operator.gt, lows, closes), (operator.gt, closes, highs)]
+    if min(volumes) < 0:
+        rules.append((operator.gt, repeat(0), volumes))
     flagged: set[int] = set()
     for broken, left, right in rules:
         if any(map(broken, left, right)):

@@ -343,8 +343,10 @@ def build_report(
     returns = benchmark_returns if equity is benchmark_closes else daily_returns(equity)
     growth = _growth(equity[0], equity[-1], len(equity), len(benchmark_returns), trading_days)
     # a zero adds nothing to a sum, and fl(r - b) is r - b while below 1
-    # in magnitude, where every multiple of 2**-53 is a float
-    diff = list(filter(None, map(sub, returns, benchmark_returns)))
+    # in magnitude, where every multiple of 2**-53 is a float; against
+    # itself every difference is a zero
+    diff = ([] if returns is benchmark_returns
+            else list(filter(None, map(sub, returns, benchmark_returns))))
     if -1.0 < min(diff, default=0.0) and max(diff, default=0.0) < 1.0:
         d = scaled_ints(diff, RETURN_SCALE)
     else:

@@ -494,6 +494,10 @@ def naive_parse(text, mode, use_adjusted=False):
                 raise ValueError("non-finite price")
             if not math.isfinite(volume) or volume != math.floor(volume):
                 raise ValueError("volume is no whole number")
+            try:
+                volume = int(cell(record, "volume"))  # an integer literal, read exactly
+            except ValueError:
+                pass
         except ValueError:
             if strict:
                 raise OracleParseError("UnparsableRow", number) from None

@@ -150,6 +150,14 @@ class TestIngestCommand:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "InvariantViolation"
 
+    def test_an_integer_volume_round_trips_exactly(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("date,open,high,low,close,volume\n"
+                        f"2021-01-04,10.0,11.0,9.5,10.5,{10**19 + 1}\n")
+        code, _ = run_cli(capsys, "ingest", "--data", str(data), "--out-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "ingested.csv").read_text() == data.read_text()
+
 
 class TestIndicatorsCommand:
     def test_column_schema(self, tmp_path, capsys):

@@ -1,10 +1,10 @@
 """sha256 pins of the sma, rolling_std, aroon, ema, efficiency_ratio and
 ama matype 1 and 2 bits, of the middle, upper and lower lines of three
 band sets, of the ``signals.csv`` and ``equity.csv`` bytes of seven
-backtests, of the stdout and every artifact of a backtest, five ingests
+backtests, of the stdout and every artifact of a backtest, six ingests
 (two of which fail), two reports, a kelly run and two indicator dumps,
 and of the stdout and ``sweep.csv`` of seven sweeps, one per strategy, on
-committed fixtures or on three small CSVs written here.
+committed fixtures or on four small CSVs written here.
 
 The same digests must hold on every supported interpreter: these kernels
 sum exact integers, compare indices or run one float recurrence bar by
@@ -115,6 +115,17 @@ NUL_CSV = (
 )
 NUL = "<the NUL_CSV file>"
 
+# volumes past 2**53, which an ingest reads and writes back exactly, and
+# whole floats, which it reads through their floats
+EXACT_CSV = (
+    "date,open,high,low,close,volume\n"
+    "2021-01-04,10.0,10.5,9.5,10.2,10000000000000000001\n"
+    "2021-01-05,10.2,10.8,10.0,10.4,9007199254740993\n"
+    "2021-01-06,10.4,10.9,10.1,10.6,1e3\n"
+    "2021-01-07,10.6,11.0,10.5,10.7,120.0\n"
+)
+EXACT = "<the EXACT_CSV file>"
+
 # CLI runs whose stdout and artifacts are pinned: argv without --out-dir,
 # the artifacts the run writes and its exit code
 CLI_RUNS = {
@@ -126,6 +137,7 @@ CLI_RUNS = {
     "ingest lenient plain": (["ingest", "--data", PLAIN_DIRTY, "--lenient"], ["ingested.csv"], 0),
     "ingest nul strict": (["ingest", "--data", NUL, "--strict"], [], 2),
     "ingest nul lenient": (["ingest", "--data", NUL, "--lenient"], [], 2),
+    "ingest exact volumes": (["ingest", "--data", EXACT], ["ingested.csv"], 0),
     "report": (["report", "--data", str(SP500)], ["report.json"], 0),
     "report benchmark": (["report", "--data", str(DATA / "v_fixture.csv"),
                           "--benchmark", str(DATA / "v_fixture.csv")], ["report.json"], 0),
@@ -182,6 +194,11 @@ PINNED = {
     # the bytes of Python 3.10, whose fromisoformat and csv refuse these rows themselves
     "ingest nul strict stdout": "16d5896d297836a7db6f9c42c8d9d734eab4d58dc7e1d0ca8e86b5816e1f7727",
     "ingest nul lenient stdout": "f19cb277f8ce67f2e08314ca9e487abb03a9405adf1864284f5bcd61761f3249",
+    # the volumes 10000000000000000001 and 9007199254740993 written back whole
+    "ingest exact volumes stdout":
+        "bf1bc2f44c01d07b946cf9d12140f1469ec6263716f76c833f6e9005dbadbd16",
+    "ingest exact volumes ingested.csv":
+        "aac877ad66bc0852c28ac06f96e0cc9d19c850e6b31a31da93e5972655bf8c98",
     "report stdout": "9030a360f8f7a19f82696158307fe748e0583b0a8cbce6fd24435f6809ca92c8",
     "report report.json": "19b41b57e4fa70ac5a76a27d8a48a18357724483c404eb75d4de16602d4d714c",
     "report benchmark stdout": "b9e54e8390a9982d12fb65b00f019a48d4f5242eaf3608c5b5d8bed8784778d9",
@@ -263,7 +280,8 @@ def cli_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         inputs = {DIRTY: (out / "dirty.csv", DIRTY_CSV), NUL: (out / "nul.csv", NUL_CSV),
-                  PLAIN_DIRTY: (out / "plain_dirty.csv", PLAIN_DIRTY_CSV)}
+                  PLAIN_DIRTY: (out / "plain_dirty.csv", PLAIN_DIRTY_CSV),
+                  EXACT: (out / "exact.csv", EXACT_CSV)}
         for path, text in inputs.values():
             path.write_text(text, encoding="utf-8")
         for name, (argv, artifacts, exit_code) in CLI_RUNS.items():

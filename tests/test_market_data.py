@@ -43,12 +43,16 @@ def readers(directory):
 
 def outcome(parse, text, mode, use_adjusted=False):
     """The rows and warnings of a parse as ``naive_parse`` gives them, or
-    the error kind and row."""
+    the error kind and row. A parsed series, which the parse alone checks,
+    must also pass every check of the public constructor unchanged."""
     try:
         parsed = parse(text, mode=mode, use_adjusted=use_adjusted)
     except errors.EngineError as exc:
         return exc.kind, getattr(exc, "row", None)
-    return _columns(parsed.series), parsed.warnings
+    series = parsed.series
+    assert OhlcvSeries(series.symbol, series.dates, series.opens, series.highs, series.lows,
+                       series.closes, series.volumes) == series
+    return _columns(series), parsed.warnings
 
 
 def expected_outcome(text, mode, use_adjusted=False):
@@ -222,6 +226,42 @@ def test_series_invariants_raise_engine_errors(change, kind, row):
     assert getattr(err.value, "row", None) == row
 
 
+# one row after WELL_FORMED that breaks one rule of the parse, and the
+# error of a strict parse: with no check of the series after the parse,
+# each rule stands on the parse's own checks alone
+_BROKEN_ROWS = {
+    "low 0": ("2021-01-07,1.0,2.0,0,1.5,10", "InvariantViolation"),
+    "low < 0": ("2021-01-07,1.0,2.0,-1.0,1.5,10", "InvariantViolation"),
+    "open 0": ("2021-01-07,0.0,12.0,10.0,11.0,10", "InvariantViolation"),
+    "high < 0 below low": ("2021-01-07,5.0,-1.0,4.0,4.5,10", "InvariantViolation"),
+    "open < low": ("2021-01-07,9.0,12.0,10.0,11.0,10", "InvariantViolation"),
+    "open > high": ("2021-01-07,13.0,12.0,10.0,11.0,10", "InvariantViolation"),
+    "close < low": ("2021-01-07,11.0,12.0,10.0,9.0,10", "InvariantViolation"),
+    "close > high": ("2021-01-07,11.0,12.0,10.0,13.0,10", "InvariantViolation"),
+    "low > high": ("2021-01-07,11.0,10.0,12.0,11.0,10", "InvariantViolation"),
+    "volume < 0": ("2021-01-07,11.0,12.0,10.0,11.0,-10", "InvariantViolation"),
+    "nan price": ("2021-01-07,11.0,nan,10.0,11.0,10", "UnparsableRow"),
+    "inf price": ("2021-01-07,11.0,12.0,10.0,1e999,10", "UnparsableRow"),
+    "repeated date": ("2021-01-06,11.0,12.0,10.0,11.0,10", "NonMonotonicDates"),
+    "earlier date": ("2021-01-05,11.0,12.0,10.0,11.0,10", "NonMonotonicDates"),
+    "fractional volume": ("2021-01-07,11.0,12.0,10.0,11.0,2.5", "UnparsableRow"),
+    "volume 1e400": ("2021-01-07,11.0,12.0,10.0,11.0,1e400", "UnparsableRow"),
+    "volume past the float range": ("2021-01-07,11.0,12.0,10.0,11.0," + "9" * 400,
+                                    "UnparsableRow"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 13], ids=["a chunk a line", "one chunk"])
+@pytest.mark.parametrize("broken", list(_BROKEN_ROWS))
+def test_each_rule_of_a_series_is_proven_by_the_parse(broken, chunk, tmp_path):
+    row, kind = _BROKEN_ROWS[broken]
+    text = WELL_FORMED + row + "\n" + "2021-01-08,11.0,12.0,10.0,11.0,10\n"
+    with mock.patch.object(market_data, "_CHUNK_CHARS", chunk):
+        for parse in readers(tmp_path):
+            assert outcome(parse, text, "strict") == (kind, 4)
+            assert outcome(parse, text, "lenient") == expected_outcome(text, "lenient")
+
+
 def test_series_prices_are_read_only_views_and_dates_and_volumes_tuples():
     columns = {"dates": _DAYS[:2], "opens": [2.0, 2.0], "highs": [3.0, 3.0],
                "lows": [1.0, 1.0], "closes": [2.0, 2.5], "volumes": [1, 1]}
@@ -258,20 +298,23 @@ def test_an_int_price_is_stored_as_its_float_and_a_series_is_not_hashable():
                          ids=["chunks", "row loop"])
 def test_parsed_prices_are_float64_views_of_arrays(text, tmp_path, monkeypatch):
     """The parse appends the prices to arrays, never to a list of them all,
-    and the series keeps its copy of each behind a read-only view."""
+    and the series keeps those very arrays behind read-only views."""
     given = []
+    from_parse = OhlcvSeries._from_parse.__func__
 
-    def recording(symbol, dates, *columns):
+    def recording(cls, symbol, dates, *columns):
         given.append(columns)
-        return OhlcvSeries(symbol, dates, *columns)
+        return from_parse(cls, symbol, dates, *columns)
 
-    monkeypatch.setattr(market_data, "OhlcvSeries", recording)
+    monkeypatch.setattr(OhlcvSeries, "_from_parse", classmethod(recording))
     series = readers(tmp_path)[1](text).series
     assert [type(column) for column in given[0]] == [array] * 4 + [list]
-    for column in (series.opens, series.highs, series.lows, series.closes):
+    for column, parsed in zip((series.opens, series.highs, series.lows, series.closes),
+                              given[0]):
         assert isinstance(column, memoryview) and isinstance(column.obj, array)
         assert column.format == "d" and column.readonly
         assert column.nbytes == 8 * len(series)
+        assert column.obj is parsed
 
 
 def test_a_volume_past_64_bits_survives_a_round_trip(tmp_path):
@@ -281,6 +324,31 @@ def test_a_volume_past_64_bits_survives_a_round_trip(tmp_path):
         assert parsed.volumes[1] == 10**19
         again = parse(serialize_text(parsed)).series
         assert again == parsed and again.volumes[1] == 10**19
+
+
+@pytest.mark.parametrize("first", ["1000", "1e3", "1000.0"])
+def test_an_integer_volume_is_read_exactly(first, tmp_path):
+    """Also beside a volume that is read through its float."""
+    text = (WELL_FORMED.replace(",1000", f",{first}").replace(",1100", f",{10**19 + 1}")
+            .replace(",900", f",{2**53 + 1}"))
+    for parse in readers(tmp_path):
+        for mode in ("strict", "lenient"):
+            parsed = parse(text, mode=mode).series
+            assert parsed.volumes == (1000, 10**19 + 1, 2**53 + 1)
+            assert parse(serialize_text(parsed)).series == parsed
+
+
+@pytest.mark.parametrize("volume", ["1" + "0" * 4999, "1" + "0" * 400, "-" + "9" * 400],
+                         ids=["past int's digit limit", "past the float range", "negative"])
+def test_a_volume_past_the_float_range_is_unparsable(volume, tmp_path):
+    text = WELL_FORMED.replace(",1100", f",{volume}")
+    for parse in readers(tmp_path):
+        with pytest.raises(errors.UnparsableRow) as err:
+            parse(text, mode="strict")
+        assert str(err.value) == f"row 2: volume is not an integer count: {volume!r}"
+        parsed = parse(text, mode="lenient")
+        assert parsed.series.volumes == (1000, 900)
+        assert parsed.warnings == 1
 
 
 def test_a_series_built_from_lists_equals_the_parsed_one(tmp_path):
@@ -365,7 +433,8 @@ def test_first_bad_price_cell_is_reported():
 
 
 _BAD_PRICES = ("", " ", "nan", "inf", "-inf", "0", "-1.5", "abc", "1e999")
-_VOLUMES = ("1000", "0", " 250 ", "1e3", "-5", "2.5", "", "nan", "abc")
+_VOLUMES = ("1000", "0", " 250 ", "1e3", "-5", "2.5", "", "nan", "abc", "10000000000000000001",
+            "1" + "0" * 400, "-" + "9" * 400)
 
 
 @st.composite
@@ -519,7 +588,7 @@ SMALL_FIELD_LIMIT = 64
 # a non-ASCII cell, which may or may not convert
 _CHUNK_FAULTS = ("short row", "long row", "blank line", "bad cell", "20210104", "old date",
                  "non-positive", "over the field limit", "low above high", "open above high",
-                 "close below low", "negative volume", "non-ASCII cell")
+                 "close below low", "negative volume", "non-ASCII cell", "volume form")
 
 
 @st.composite
@@ -562,6 +631,9 @@ def chunked_csv(draw):
             cells[4] = repr(low / 2.0)
         elif fault == "negative volume":
             cells[6] = "-" + cells[6]
+        elif fault == "volume form":
+            cells[6] = draw(st.sampled_from(["10000000000000000001", "-10000000000000000001",
+                                             "9" * 40, "1000.0", "1e3", "1_000", "+7", "1e400"]))
         elif fault == "non-ASCII cell":
             cells[draw(st.integers(1, 6))] = draw(st.sampled_from(
                 ["\u00e9", "\uff11\uff12.5", "12\x85", "\u20283", "\u2029", "\u6caa\u6df1300"]))
