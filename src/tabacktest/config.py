@@ -156,10 +156,9 @@ def _coerce(value: Any, kind: type, key: str) -> Any:
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _check_keys(cls, node: dict, namespace: str, given=()) -> list:
-    """The fields of ``cls`` that ``node`` is read for, all but ``given``;
-    a key that names none of them, or a missing field without a default,
-    is a ConfigError."""
+def _check_keys(cls, node: dict, namespace: str, given=()) -> None:
+    """A ConfigError if a key of ``node`` names no field of ``cls`` outside
+    ``given``, or such a field without a default is missing."""
     read = [f for f in fields(cls) if f.name not in given]
     unknown = set(node) - {f.name for f in read}
     if unknown:
@@ -167,15 +166,16 @@ def _check_keys(cls, node: dict, namespace: str, given=()) -> list:
     missing = [f.name for f in read if f.name not in node and f.default is MISSING]
     if missing:
         raise ConfigError(f"{namespace} missing keys: {sorted(missing)}")
-    return read
 
 
-def _from_fields(cls, node: dict, namespace: str, **given: Any):
-    """``cls(**given)`` with every other field read from ``node``."""
+def _from_fields(cls, node: dict, namespace: str, cell: dict, **given: Any):
+    """``cls(**given)`` with every field ``node`` sets, whose key names
+    ``_check_keys`` has passed, coerced in field order; a path that
+    ``cell`` sets reads its value there."""
     types = _FIELD_TYPES[cls]
-    values = {f.name: _coerce(node[f.name], types[f.name], f"{namespace}.{f.name}")
-              for f in _check_keys(cls, node, namespace, given) if f.name in node}
-    return cls(**given, **values)
+    paths = {f.name: f"{namespace}.{f.name}" for f in fields(cls) if f.name in node}
+    return cls(**given, **{name: _coerce(cell.get(path, node[name]), types[name], path)
+                           for name, path in paths.items()})
 
 
 def _ma_class(node: dict) -> type:
@@ -184,14 +184,9 @@ def _ma_class(node: dict) -> type:
 
 def ma_from_dict(node: dict, namespace: str) -> MaLike:
     """An adaptive average when ``node`` has a ``matype``, else a plain one."""
-    return _from_fields(_ma_class(node), node, namespace)
-
-
-def _section(tree: dict, name: str) -> dict:
-    node = tree.get(name, {})
-    if not isinstance(node, dict):
-        raise ConfigError(f"{name} must be a table of keys")
-    return dict(node)
+    cls = _ma_class(node)
+    _check_keys(cls, node, namespace)
+    return _from_fields(cls, node, namespace, {})
 
 
 # resolved once: get_type_hints evaluates the annotation strings on every call
@@ -201,23 +196,15 @@ _FIELD_TYPES = {cls: get_type_hints(cls)
 # Fields that hold a moving average; each reads its own `<field>.*` namespace.
 _MA_FIELDS = ("fast", "slow", "ma")
 
-
-def _bollinger_window(tree: dict, params: dict) -> int | AmaParams:
-    """``bollinger.n``, or else the adaptive ``ma.*``; taking ``n`` out of ``params``."""
-    if "n" in params:
-        return _coerce(params.pop("n"), int, "bollinger.n")
-    return ma_from_dict(tree["ma"], "ma")
-
-
 # Top-level keys any strategy config may hold besides its namespaces; a
 # sweep reads the last two.
 _COMMON_KEYS = ("strategy", "objective", "min_trades")
 
 
 def _sweep_keys(tree: dict) -> tuple[str, int]:
-    """The sweep keys ``objective`` and ``min_trades``, with their defaults;
-    both readers check them, as one value each, although only a sweep
-    reads them."""
+    """The sweep keys ``objective`` and ``min_trades``, with their defaults,
+    checked as one value each once per config read; a backtest config,
+    the sweep of one cell, is held to them too."""
     objective = tree.get("objective", "sharpe_annual")
     if not isinstance(objective, str) or objective not in OBJECTIVES:
         raise ConfigError(f"objective must be one of {tuple(OBJECTIVES)}, got {objective!r}")
@@ -230,13 +217,14 @@ def _sweep_keys(tree: dict) -> tuple[str, int]:
     return objective, min_trades
 
 
-def _check_names(tree: dict, tag: str) -> type:
-    """The config class of the ``tag`` strategy, once every key name of
+def _check_names(tree: dict, tag: str) -> None:
+    """A ConfigError unless ``tag`` names a strategy, every key name of
     ``tree`` is one it reads, no required key is missing and every
     namespace it reads is a table.
 
-    Only key names decide these checks, never values, so they hold for
-    every cell of a sweep alike.
+    Only key names decide these checks, never values, so they run once
+    per config read and hold for every cell of its sweep alike: a cell
+    reads values only (``SweepSpec.cell_config``).
     """
     if tag not in STRATEGIES:
         raise ConfigError(f"unknown strategy tag {tag!r}")
@@ -248,13 +236,15 @@ def _check_names(tree: dict, tag: str) -> type:
     unknown = set(tree) - known
     if unknown:
         raise ConfigError(f"unknown top-level keys for strategy {tag}: {sorted(unknown)}")
-    params = _section(tree, tag)
+    params = tree.get(tag, {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{tag} must be a table of keys")
     if cls is BollingerConfig:
         if ("n" in params) == ("ma" in tree):
             raise ConfigError("bollinger needs exactly one of bollinger.n or ma.* (adaptive)")
         if "ma" in tree:
             namespaces.append("ma")
-        params.pop("n", None)  # the plain window
+        params = {key: params[key] for key in params if key != "n"}  # the plain window
     for name in namespaces:
         node = tree.get(name)
         if not isinstance(node, dict):
@@ -263,30 +253,6 @@ def _check_names(tree: dict, tag: str) -> type:
             raise ConfigError("bollinger ma.* must be adaptive (matype et al.)")
         _check_keys(_ma_class(node), node, name)
     _check_keys(cls, params, tag, (*_MA_FIELDS, "window"))
-    return cls
-
-
-def strategy_from_dict(tree: dict) -> StrategyConfig:
-    """Build a strategy config from a parsed tree (see module docstring).
-
-    Moving-average fields come from their own namespaces and every scalar
-    field from the `<tag>.*` section, with the defaults the config class
-    declares.
-    """
-    tag = tree.get("strategy")
-    if not isinstance(tag, str):
-        raise ConfigError("config needs a 'strategy = <tag>' line")
-    _sweep_keys(tree)
-    cls = _check_names(tree, tag)
-    params = _section(tree, tag)
-    try:
-        given = {f.name: ma_from_dict(tree[f.name], f.name)
-                 for f in fields(cls) if f.name in _MA_FIELDS}
-        if cls is BollingerConfig:
-            given["window"] = _bollinger_window(tree, params)
-        return _from_fields(cls, params, tag, **given)
-    except InvalidParams as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # -- indicator dump specs ----------------------------------------------------
@@ -350,12 +316,26 @@ class SweepSpec:
 
     def cell_config(self, assignment: Iterable[tuple[str, Any]]) -> StrategyConfig:
         """The strategy config of the grid cell that sets each axis path
-        of ``assignment`` to its value: a new tree holds every other leaf
-        of the spec's as it is, so an axis left out is still a list."""
-        tree: dict = {}
-        for path, value in {**dict(_walk_leaves(self.tree)), **dict(assignment)}.items():
-            set_leaf(tree, path, value)
-        return strategy_from_dict(tree)
+        of ``assignment`` to its value; every other leaf is the spec's, so
+        an axis left out is still a list, which no field takes.
+
+        The one builder of a strategy config. It reads values only, as the
+        key names are checked: moving-average fields from their own
+        namespaces, every other field from `<tag>.*` or its default."""
+        cell = dict(assignment)
+        tree, tag = self.tree, self.strategy_tag
+        cls = STRATEGIES[tag][0]
+        params = tree.get(tag, {})
+        try:
+            given = {f.name: _from_fields(_ma_class(tree[f.name]), tree[f.name], f.name, cell)
+                     for f in fields(cls) if f.name in _MA_FIELDS}
+            if cls is BollingerConfig:  # `bollinger.n`, or else the adaptive `ma.*`
+                given["window"] = (
+                    _coerce(cell.get("bollinger.n", params["n"]), int, "bollinger.n")
+                    if "n" in params else _from_fields(AmaParams, tree["ma"], "ma", cell))
+            return _from_fields(cls, params, tag, cell, **given)
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _walk_leaves(node: dict, prefix: str = "") -> list[tuple[str, Any]]:
@@ -370,22 +350,38 @@ def _walk_leaves(node: dict, prefix: str = "") -> list[tuple[str, Any]]:
     return leaves
 
 
+def _sweep_of(tree: dict, tag: str) -> SweepSpec:
+    """The sweep of the ``tag`` strategy's ``tree``, of any size. A wrong key
+    name would fail every cell, and an axis no cell reads would rank copies
+    of one cell: both are refused here, before any cell is built."""
+    objective, min_trades = _sweep_keys(tree)
+    _check_names(tree, tag)
+    axes = tuple((path, tuple(value)) for path, value in sorted(_walk_leaves(tree))
+                 if isinstance(value, list))
+    return SweepSpec(tag, tree, axes, objective, min_trades)
+
+
+def strategy_from_dict(tree: dict) -> StrategyConfig:
+    """The strategy config of a parsed tree (see module docstring): the
+    one cell of its sweep, so a list leaf is a ConfigError that names its
+    key, whatever the size of the grid the lists would make."""
+    tag = tree.get("strategy")
+    if not isinstance(tag, str):
+        raise ConfigError("config needs a 'strategy = <tag>' line")
+    return _sweep_of(tree, tag).cell_config(())
+
+
 def sweep_from_dict(tree: dict) -> SweepSpec:
     """The sweep of a strategy config tree, which the spec keeps as it is.
 
     Every list-valued leaf becomes an axis; `objective` and `min_trades`,
-    one value each, control ranking and filtering.
+    one value each, control ranking and filtering. Key names are checked
+    here, once, and each cell reads values only.
     """
     tag = tree.get("strategy")
     if not isinstance(tag, str):
         raise ConfigError("sweep config needs a 'strategy = <tag>' line")
-    objective, min_trades = _sweep_keys(tree)
-    # a wrong key name would fail every cell, and an axis no cell reads
-    # would rank copies of one cell
-    _check_names(tree, tag)
-    axes = tuple((path, tuple(value)) for path, value in sorted(_walk_leaves(tree))
-                 if isinstance(value, list))
-    spec = SweepSpec(tag, tree, axes, objective, min_trades)
+    spec = _sweep_of(tree, tag)
     if spec.grid_size() > MAX_GRID:
         raise ConfigError(f"sweep grid has {spec.grid_size()} cells, more than {MAX_GRID}")
     return spec

@@ -137,21 +137,18 @@ def _ints(p: list[int], start: int):
     return map(sub, islice(p, start + 1, None), islice(p, start, None))
 
 
-def _sma(column: _Column, n: int) -> IndicatorSeries:
+def sma(data, n: int) -> IndicatorSeries:
+    """Simple moving average of the previous n values (window ending at i),
+    exactly rounded."""
+    if n < 1:
+        raise ZeroPeriod("sma period must be >= 1")
+    column = _column(data)
     x, p, scale = column.values, column.sums, column.scale
     if len(x) < n:
         return IndicatorSeries(list(x), len(x))
     # int / int true division rounds correctly
     means = map(truediv, map(sub, islice(p, n, None), p), repeat(n << scale))
     return IndicatorSeries([*x[: n - 1], *means], n - 1)
-
-
-def sma(data, n: int) -> IndicatorSeries:
-    """Simple moving average of the previous n values (window ending at i),
-    exactly rounded."""
-    if n < 1:
-        raise ZeroPeriod("sma period must be >= 1")
-    return _sma(_column(data), n)
 
 
 def _smooth(x: list[float], weights) -> list[float]:
@@ -221,10 +218,10 @@ def efficiency_ratio(data, m: int) -> IndicatorSeries:
 def adaptive_period(er_value: float, params: AmaParams) -> int:
     """SMA-based AMA window for one efficiency-ratio value.
 
-    Truncated to an integer and always inside [short, long]."""
+    Truncated to an integer and always inside [short, long], so at least
+    1: ``AmaParams`` holds ``timeperiod_short >= 1``."""
     n1, n2 = params.timeperiod_long, params.timeperiod_short
-    period = int(n2 + abs(er_value) * (n1 - n2))
-    return period if period >= 1 else 1
+    return int(n2 + abs(er_value) * (n1 - n2))
 
 
 def ama(data, params: AmaParams) -> IndicatorSeries:
@@ -420,7 +417,14 @@ def _recent_argmax(values: list[float], n: int) -> list[int]:
     return out
 
 
-def _rolling_std(column: _Column, n: int) -> IndicatorSeries:
+def rolling_std(data, n: int) -> IndicatorSeries:
+    """Population standard deviation of the n values ending at i: the
+    square root of the exactly rounded variance, or within one step of the
+    true root where the variance is below the normal floats. Bars without
+    a full window read 0.0."""
+    if n < 1:
+        raise ZeroPeriod("rolling std period must be >= 1")
+    column = _column(data)
     p, scale = column.sums, column.scale
     size = len(p) - 1
     if size < n:
@@ -446,16 +450,6 @@ def _rolling_std(column: _Column, n: int) -> IndicatorSeries:
     return IndicatorSeries([0.0] * (n - 1) + sigma, n - 1)
 
 
-def rolling_std(data, n: int) -> IndicatorSeries:
-    """Population standard deviation of the n values ending at i: the
-    square root of the exactly rounded variance, or within one step of the
-    true root where the variance is below the normal floats. Bars without
-    a full window read 0.0."""
-    if n < 1:
-        raise ZeroPeriod("rolling std period must be >= 1")
-    return _rolling_std(_column(data), n)
-
-
 def bollinger_parts(
     series: OhlcvSeries, window: int | AmaParams
 ) -> tuple[IndicatorSeries, IndicatorSeries]:
@@ -470,7 +464,7 @@ def bollinger_parts(
     tp = _column(typical_price(series))
     if isinstance(window, AmaParams):
         return ama(tp, window), rolling_std(tp, window.timeperiod_long)
-    return _sma(tp, window), _rolling_std(tp, window)
+    return sma(tp, window), rolling_std(tp, window)
 
 
 def bollinger(series: OhlcvSeries, window: int | AmaParams, dev: float = 2.0) -> BandSet:

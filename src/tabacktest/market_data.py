@@ -434,10 +434,12 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
         volumes = _whole_numbers(cells[volume_col::stride])
     except (ValueError, OverflowError):
         return None
-    # Of the forms fromisoformat reads, only YYYY-MM-DD has ten characters
-    # and a dash at index 7. A sum is finite only if all its terms are; one
+    # A cell fromisoformat reads has at most 10 characters, and only
+    # YYYY-MM-DD has a dash at index 7, so a dash at every 10th joined
+    # position from 7 passes a column of YYYY-MM-DD alone: the first shorter
+    # cell breaks the step. A sum is finite only if all its terms are; one
     # past the float range only sends the chunk to the row loop.
-    if (list(map(len, date_cells)).count(10) != n or "".join(date_cells)[7::10] != "-" * n
+    if ("".join(date_cells)[7::10] != "-" * n
             or prev_date is not None and dates[0] <= prev_date
             or not all(map(operator.lt, dates, islice(dates, 1, None)))
             or not math.isfinite(sum(map(sum, prices)))):

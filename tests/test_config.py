@@ -1,8 +1,9 @@
+import itertools
 import re
 
 import pytest
 
-from tabacktest import errors
+from tabacktest import config, errors
 from tabacktest.config import (
     MAX_GRID,
     indicator_columns_from_dict,
@@ -379,6 +380,13 @@ class TestSweepFromDict:
         with pytest.raises(errors.ConfigError, match=re.escape(
                 "aroon.n must be a single value here (lists belong in sweep configs)")):
             strategy_from_dict(parse_kv_text(text))
+        # also where the lists would make a grid past the limit
+        text = ("strategy = two_average\nfast.kind = sma\nfast.period = 1:400:1\n"
+                "slow.kind = sma\nslow.period = 1:400:1\n")
+        with pytest.raises(errors.ConfigError) as raised:
+            strategy_from_dict(parse_kv_text(text))
+        assert str(raised.value) == ("fast.period must be a single value here "
+                                     "(lists belong in sweep configs)")
         with pytest.raises(errors.ConfigError) as raised:
             sweep_from_dict(parse_kv_text(text + "min_trades = 1,2\n"))
         assert str(raised.value) == "min_trades cannot be a sweep axis: give it one value"
@@ -417,3 +425,33 @@ class TestSweepFromDict:
         with pytest.raises(errors.ConfigError) as raised:
             strategy_from_dict(parse_kv_text(first_cell))
         assert str(raised.value) == message
+
+    def test_key_names_are_checked_once_per_config_read(self, monkeypatch):
+        calls = {"_check_names": 0, "_check_keys": 0}
+        for name in calls:
+            def counting(*args, _check=getattr(config, name), _name=name):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(config, name, counting)
+        text = ("strategy = two_average\nfast.kind = sma\nfast.period = 1:10:1\n"
+                "slow.kind = sma\nslow.period = 20:110:10\n")
+        spec = sweep_from_dict(parse_kv_text(text))
+        names = [path for path, _ in spec.axes]
+        cells = [spec.cell_config(zip(names, values))
+                 for values in itertools.product(*(values for _, values in spec.axes))]
+        assert len(cells) == 100 and cells[-1] == TwoAverageConfig(MaSpec("sma", 10),
+                                                                    MaSpec("sma", 110))
+        # one check of the top-level names, and one of each of three namespaces
+        assert calls == {"_check_names": 1, "_check_keys": 3}
+        calls.update(dict.fromkeys(calls, 0))
+        strategy_from_dict(parse_kv_text(re.sub(r":[^\n]*", "", text)))
+        assert calls == {"_check_names": 1, "_check_keys": 3}
+
+    def test_a_cell_reads_every_value_as_a_backtest_does(self):
+        # an empty table, which no config file can hold, is a value no field takes
+        tree = {"strategy": "bollinger", "bollinger": {"n": [5, 10], "dev": {}}}
+        message = "bollinger.dev must be a finite number, got {}"
+        with pytest.raises(errors.ConfigError, match=re.escape(message)):
+            sweep_from_dict(tree).cell_config([("bollinger.n", 5)])
+        with pytest.raises(errors.ConfigError, match=re.escape(message)):
+            strategy_from_dict({"strategy": "bollinger", "bollinger": {"n": 5, "dev": {}}})

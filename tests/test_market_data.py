@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import itertools
 import os
 import random
 import threading
@@ -351,6 +352,37 @@ def test_a_volume_past_the_float_range_is_unparsable(volume, tmp_path):
         assert parsed.warnings == 1
 
 
+def test_a_chunk_of_volumes_written_as_floats_reads_them_in_one_pass(tmp_path, monkeypatch):
+    """Every volume of the chunk is a whole float below 2**53: the chunk
+    reads the column through its floats, with no cell-by-cell step."""
+    text = (WELL_FORMED.replace(",1000", ",1000.0").replace(",1100", ",1.1e3")
+            .replace(",900", ",9e2"))
+    for mode in ("strict", "lenient"):
+        expected = expected_outcome(text, mode)
+        assert expected[0][-1][-1] == 900
+        for parse in readers(tmp_path):
+            assert outcome(parse, text, mode) == expected
+        monkeypatch.setattr(market_data, "_parse_volume", None)
+        assert outcome(readers(tmp_path)[1], text, mode) == expected
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_a_header_over_the_field_limit_with_short_fields_is_read(mode, tmp_path):
+    """The header line alone is longer than the csv field limit; the parse
+    of the file then matches the row loop's."""
+    text = WELL_FORMED.replace("volume\n", "volume" + ",extra" * 12 + "\n").replace(
+        "0\n", "0" + ",1" * 12 + "\n")
+    limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+    try:
+        assert len(text.split("\n")[0]) > SMALL_FIELD_LIMIT >= max(map(len, text.split("\n")[1:]))
+        expected = outcome(parse_text, text, mode)
+        assert expected[0][-1][-1] == 900
+        assert outcome(readers(tmp_path)[1], text, mode) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
 def test_a_series_built_from_lists_equals_the_parsed_one(tmp_path):
     built = OhlcvSeries("series", _DAYS, [10.0, 10.5, 11.0], [11.0, 11.5, 12.0],
                         [9.5, 10.0, 10.5], [10.5, 11.0, 11.5], [1000, 1100, 900])
@@ -495,8 +527,11 @@ def test_parse_matches_naive_oracle(tmp_path):
     check()
 
 
+# 2021010700 and 20210107\u00e9 (nine characters, ten UTF-8 bytes) are dates
+# to Python 3.11+ fromisoformat, which reads a basic date and any two bytes
 @pytest.mark.parametrize("date", ["20210107", "2021-W01-4", "2021-01-7", " 2021-01-07x",
-                                  "2021W01", "2021-W01", "2021W011"])
+                                  "2021W01", "2021-W01", "2021W011", "2021010700",
+                                  "20210107\u00e9"])
 def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date, tmp_path):
     text = WELL_FORMED + f"{date},11.5,12.5,11.0,12.0,800\n"
     for parse in readers(tmp_path):
@@ -506,6 +541,36 @@ def test_a_date_other_than_yyyy_mm_dd_is_unparsable(date, tmp_path):
         parsed = parse(text, mode="lenient")
         assert len(parsed.series) == 3
         assert parsed.warnings == 1
+
+
+def _date_shapes():
+    """The shapes (each character but a dash written x) of the cells that
+    this interpreter's ``date.fromisoformat`` reads among the strings of up
+    to ten digits, dashes and Ws, each also with one more character."""
+    shapes = set()
+    for size in range(1, 11):
+        for chars in itertools.product("1-W", repeat=size):
+            for tail in ("", "\u00e9", "\u20ac", "T", " ", "Z", "+"):
+                cell = "".join(chars) + tail
+                try:
+                    dt.date.fromisoformat(cell)
+                except ValueError:
+                    continue
+                shapes.add("".join("-" if c == "-" else "x" for c in cell))
+    return sorted(shapes)
+
+
+def test_the_date_dash_test_passes_only_columns_of_yyyy_mm_dd():
+    """``_plain_chunk`` checks a date column by the dash at every 10th
+    joined position from 7 alone: of the cells fromisoformat reads, that
+    passes only a column whose every cell is YYYY-MM-DD, as
+    ``_parse_date`` requires. Every column of one to six cells is walked."""
+    shapes = _date_shapes()
+    assert "xxxx-xx-xx" in shapes
+    for n in range(1, 7):
+        for column in itertools.product(shapes, repeat=n):
+            if "".join(column)[7::10] == "-" * n:
+                assert column == ("xxxx-xx-xx",) * n
 
 
 @pytest.mark.parametrize("header, short_row, good_row, message", [
