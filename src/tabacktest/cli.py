@@ -163,7 +163,7 @@ def cmd_ingest(args) -> int:
 
 
 def _indicators_to_csv(closes, columns: dict, handle) -> None:
-    handle.write(",".join(["index", "close", *columns]) + "\n")
+    handle.write(",".join([*cfg.INDICATOR_FIXED_COLUMNS, *columns]) + "\n")
     handle.writelines(",".join(map(repr, row)) + "\n"
                       for row in zip(range(len(closes)), closes, *columns.values()))
 
@@ -189,7 +189,7 @@ def cmd_indicators(args) -> int:
     _emit({
         "command": "indicators",
         "bars": len(series),
-        "columns": ["index", "close", *columns],
+        "columns": [*cfg.INDICATOR_FIXED_COLUMNS, *columns],
         "output": "indicators.csv",
     })
     return 0

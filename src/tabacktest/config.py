@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Iterable, get_type_hints
 
 from .errors import ConfigError, InvalidParams, MissingInput, UndecodableInput
-from .indicators import AmaParams, MaLike, MaSpec
+from .indicators import AmaParams, MaSpec
 from .strategies import STRATEGIES, BollingerConfig, StrategyConfig
 
 # Each sweep objective and the `metrics.Measures` field it ranks by.
@@ -179,14 +179,8 @@ def _from_fields(cls, node: dict, namespace: str, cell: dict, **given: Any):
 
 
 def _ma_class(node: dict) -> type:
-    return AmaParams if "matype" in node else MaSpec
-
-
-def ma_from_dict(node: dict, namespace: str) -> MaLike:
     """An adaptive average when ``node`` has a ``matype``, else a plain one."""
-    cls = _ma_class(node)
-    _check_keys(cls, node, namespace)
-    return _from_fields(cls, node, namespace, {})
+    return AmaParams if "matype" in node else MaSpec
 
 
 # resolved once: get_type_hints evaluates the annotation strings on every call
@@ -264,6 +258,9 @@ _INDICATOR_ARGS = {"sma": 1, "ema": 1, "rsi": 1, "rmi": 2, "ama": 4}
 # Characters a column name cannot hold unquoted in indicators.csv's header.
 _UNSAFE_NAME = ',"\r\n'
 
+# The columns indicators.csv writes before the dump's own, in this order.
+INDICATOR_FIXED_COLUMNS = ("index", "close")
+
 
 def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
     """Columns for the indicator dump, e.g. `indicator.sma50 = sma 50`, as
@@ -272,9 +269,13 @@ def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
     Tokens: `sma N`, `ema N`, `rsi N`, `rmi N M`, `ama LONG SHORT ADAWIN MATYPE`
     (one `AmaParams` argument); every argument is an integer >= 1, and the
     `ama` arguments must make valid `AmaParams`.
-    A name is a CSV header field as it stands: not empty, and without a
-    comma, a double quote or a line break.
+    A name is a CSV header field as it stands: not empty, without a
+    comma, a double quote or a line break, and none of
+    ``INDICATOR_FIXED_COLUMNS``. The tree holds no key but ``indicator``.
     """
+    unknown = set(tree) - {"indicator"}
+    if unknown:
+        raise ConfigError(f"unknown top-level keys for an indicator dump: {sorted(unknown)}")
     section = tree.get("indicator")
     if not isinstance(section, dict) or not section:
         raise ConfigError("indicator dump config needs at least one 'indicator.<name> = <spec>' line")
@@ -284,6 +285,8 @@ def indicator_columns_from_dict(tree: dict) -> list[tuple[str, str, tuple]]:
         if not name or any(c in name for c in _UNSAFE_NAME):
             raise ConfigError(f"indicator name {name!r} is empty or holds a comma, "
                               "quote or line break")
+        if name in INDICATOR_FIXED_COLUMNS:
+            raise ConfigError(f"indicator.{name}: the dump already writes a column {name!r}")
         if not isinstance(raw, str):
             raise ConfigError(f"indicator.{name} must be a spec string")
         kind, *tokens = raw.split() or [""]

@@ -131,9 +131,7 @@ def _validate(dates, opens, highs, lows, closes, volumes) -> None:
             row, f"dates must strictly increase: {dates[row - 2]} -> {dates[row - 1]}"
         )
     for column in (opens, highs, lows, closes):
-        # a sum is finite only if all its terms are; only an overflow looks further
-        if (not (math.isfinite(sum(column)) or all(map(math.isfinite, column)))
-                or min(column) <= 0.0):
+        if not all(map(math.isfinite, column)) or min(column) <= 0.0:
             row = _first(math.isfinite(p) and p > 0.0 for p in column)
             raise InvariantViolation(
                 row, f"prices must be finite and positive, got {column[row - 1]}"
@@ -327,7 +325,11 @@ def parse_csv(
 def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
                   plain: bool = False) -> ParseResult:
     """``parse_csv`` of an iterator of text lines; with ``plain``, a text
-    file of a plain file, whose data lines ``_plain_chunks`` reads."""
+    file of a plain file. The one judge loop: each judge takes and returns
+    the state ``(row_no, prev_date, warnings)``. A plain file's data lines
+    are read about ``_CHUNK_CHARS`` characters of whole lines at a time,
+    and each chunk is taken by ``_plain_chunk`` or, if it refuses it, by
+    ``_parse_rows``; any other file goes to ``_parse_rows`` whole."""
     if mode not in (STRICT, LENIENT):
         raise InvalidArgument(f"unknown parse mode {mode!r}")
     strict = mode == STRICT
@@ -344,18 +346,24 @@ def _parse_stream(lines, mode: str, use_adjusted: bool, symbol: str,
             raise EmptySeries("file has no header row") from None
         except csv.Error as exc:
             raise UnparsableRow(0, f"header: {exc}") from None
-    picks = _pick_columns(header, use_adjusted)
+    width, picks = len(header), _pick_columns(header, use_adjusted)
 
     # dates and volumes in lists, prices straight into the arrays the series keeps
     columns = ([], array("d"), array("d"), array("d"), array("d"), [])
+    state = (0, None, 0)
     if plain:
-        warnings = _plain_chunks(lines, strict, len(header), picks, columns)
+        while text := lines.read(_CHUNK_CHARS):
+            if not text.endswith("\n"):
+                text += lines.readline()
+            state = (_plain_chunk(text, strict, width, picks, columns, *state)
+                     or _parse_rows(csv.reader(io.StringIO(text)), strict, width, picks,
+                                    columns, *state))
     else:
-        warnings = _parse_rows(reader, strict, len(header), picks, columns, 0, None, 0)[2]
+        state = _parse_rows(reader, strict, width, picks, columns, *state)
     if not columns[0]:
         raise EmptySeries("no valid data rows")
     # the chunks and the row loop have checked every invariant of a series
-    return ParseResult(OhlcvSeries._from_parse(symbol, *columns), warnings)
+    return ParseResult(OhlcvSeries._from_parse(symbol, *columns), state[2])
 
 
 def _pick_columns(header: list[str], use_adjusted: bool) -> tuple[int, ...]:
@@ -371,45 +379,21 @@ def _pick_columns(header: list[str], use_adjusted: bool) -> tuple[int, ...]:
     return tuple(columns.index(name) for name in ("date", "open", "high", "low", close, "volume"))
 
 
-def _plain_chunks(handle, strict: bool, width: int, picks, columns) -> int:
-    """Append the rows of the rest of a plain text file to ``columns``, one
-    chunk of about ``_CHUNK_CHARS`` characters of whole lines at a time:
-    ``_plain_chunk`` takes a chunk, or the row loop takes the chunk it
-    refuses. Returns the warnings."""
-    row_no, prev_date, warnings = 0, None, 0
-    while text := handle.read(_CHUNK_CHARS):
-        if not text.endswith("\n"):
-            text += handle.readline()
-        parsed = _plain_chunk(text, strict, width, picks, prev_date, row_no)
-        if parsed is None:
-            row_no, prev_date, warnings = _parse_rows(
-                csv.reader(io.StringIO(text)), strict, width, picks, columns,
-                row_no, prev_date, warnings)
-            continue
-        dates, *prices, volumes, repairs = parsed
-        columns[0].extend(dates)
-        for column, part in zip(columns[1:5], prices):
-            column.fromlist(part)  # array.extend grows the array a value at a time
-        columns[5].extend(volumes)
-        row_no += len(dates)
-        prev_date = dates[-1]
-        warnings += repairs
-    return warnings
-
-
-def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: int):
-    """The six columns of the rows of ``text``, whole plain lines from row
-    ``row_no + 1`` on, and its warnings; or None if any row needs the row
-    loop: a row of another width or a blank line, a cell that does not
-    convert, a date that is not ``YYYY-MM-DD`` or does not follow the one
-    before, a line longer than the csv field limit, a strict violation,
-    or a row that lenient mode drops. Each split, conversion and check
-    runs over a whole column in C; only a row that lenient mode repairs
-    takes a Python step of its own, with the row loop's rules
-    (``_repair``). Volumes are read as ``_parse_volume`` reads them,
-    an integer literal exactly (``_whole_numbers``). The rows it returns
-    hold every invariant of a series and its first date follows
-    ``prev_date``: nothing checks them again."""
+def _plain_chunk(text: str, strict: bool, width: int, picks, columns, row_no: int,
+                 prev_date: dt.date | None, warnings: int):
+    """The fast judge: append the rows of ``text``, whole plain lines
+    numbered from ``row_no + 1``, to ``columns``, and return the state as
+    ``_parse_rows`` does; or return None and append nothing if any row
+    needs the row loop: a row of another width or a blank line, a cell
+    that does not convert, a date that is not ``YYYY-MM-DD`` or does not
+    follow the one before, a line longer than the csv field limit, a
+    strict violation, or a row that lenient mode drops. Each split,
+    conversion and check runs over a whole column in C; only a row that
+    lenient mode repairs takes a Python step of its own, with the row
+    loop's rules (``_repair``). Volumes are read as ``_parse_volume``
+    reads them, an integer literal exactly (``_whole_numbers``). The rows
+    it appends hold every invariant of a series and its first date
+    follows ``prev_date``: nothing checks them again."""
     if "\r" in text:  # CRLF lines; on an LF chunk this test costs far less than the replace
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):  # the last line of the file
@@ -467,7 +451,11 @@ def _plain_chunk(text: str, strict: bool, width: int, picks, prev_date, row_no: 
             return None
         opens[i], highs[i], lows[i], closes[i], volumes[i] = _repair(
             row_no + i + 1, opens[i], highs[i], lows[i], closes[i], volumes[i], remedies.append)
-    return dates, opens, highs, lows, closes, volumes, len(remedies)
+    columns[0].extend(dates)
+    for column, part in zip(columns[1:5], prices):
+        column.fromlist(part)  # array.extend grows the array a value at a time
+    columns[5].extend(volumes)
+    return row_no + n, dates[-1], warnings + len(remedies)
 
 
 def _repair(row_no: int, open_: float, high: float, low: float, close: float, volume: int,
@@ -492,12 +480,13 @@ def _repair(row_no: int, open_: float, high: float, low: float, close: float, vo
 
 def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
                 prev_date: dt.date | None, warnings: int):
-    """The row loop, the judge of every row the chunks do not take: append
-    the rows of ``reader``, numbered from ``row_no + 1``, to ``columns``,
-    taking the checks of ``parse_csv`` one at a time and in their order, to
-    name the first violation or drop or repair its row. Returns the last
-    row number, the last date (a row dropped for a price <= 0 sets it too)
-    and the warnings, each counted on from its argument."""
+    """The row loop, the judge of every row ``_plain_chunk`` does not
+    take: append the rows of ``reader``, numbered from ``row_no + 1``, to
+    ``columns``, taking the checks of ``parse_csv`` one at a time and in
+    their order, to name the first violation or drop or repair its row.
+    Returns the state ``(row_no, prev_date, warnings)``: the last row
+    number, the last date (a row dropped for a price <= 0 sets it too) and
+    the warnings, each counted on from its argument."""
     date_col, *price_cols, volume_col = picks
     dates, opens, highs, lows, closes, volumes = columns
 

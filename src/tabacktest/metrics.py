@@ -106,13 +106,6 @@ def _annualized_ratio(mean: float, std: float, what: str, trading_days: int) -> 
     return ratio
 
 
-def _moments(xs: Sequence[float]) -> tuple[float, float]:
-    """Exactly rounded mean and the square root of the exactly rounded
-    population variance."""
-    ints, scale = exact_ints(xs)
-    return moments(len(ints), sum(ints), sum(map(mul, ints, ints)), scale)
-
-
 def _require_two(returns: Sequence[float]) -> None:
     if len(returns) < 2:
         raise TooShort("need at least two returns")
@@ -123,9 +116,9 @@ def sharpe_annual(
     rf_daily: float = 0.0,
     trading_days: int = TRADING_DAYS_PER_YEAR,
 ) -> float:
-    """Annualized excess return per unit of return volatility."""
-    _require_two(returns)
-    mean, std = _moments(returns)
+    """Annualized excess return per unit of return volatility: the
+    ``gaussian_fit`` mean less ``rf_daily``, over its standard deviation."""
+    mean, std = gaussian_fit(returns)
     return _annualized_ratio(mean - rf_daily, std, "returns", trading_days)
 
 
@@ -154,9 +147,12 @@ def yearly_rr(equity: Sequence[float], ranges: Sequence[tuple[int, int]]) -> lis
 
 
 def gaussian_fit(returns: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and population standard deviation of daily returns."""
+    """Sample mean and population standard deviation of at least two daily
+    returns: the exactly rounded mean and the square root of the exactly
+    rounded population variance, from exact integer sums."""
     _require_two(returns)
-    return _moments(returns)
+    ints, scale = exact_ints(returns)
+    return moments(len(ints), sum(ints), sum(map(mul, ints, ints)), scale)
 
 
 @dataclass(frozen=True)

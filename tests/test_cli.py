@@ -690,6 +690,31 @@ def test_a_bad_indicator_spec_exits_2(flag, message, tmp_path, capsys):
     assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    (None, ["close=sma 5", "index=ema 3"],
+     "indicator.close: the dump already writes a column 'close'"),
+    (None, ["a=sma 5", "index=ema 3"], "indicator.index: the dump already writes a column 'index'"),
+    ("indicator.sma5 = sma 5\nindicator.close = sma 5\n", [],
+     "indicator.close: the dump already writes a column 'close'"),
+    ("indicator.index = ema 3\n", ["a=sma 5"],
+     "indicator.index: the dump already writes a column 'index'"),
+    ("indicator.sma5 = sma 5\nindicatr.ema3 = ema 3\nstrategy = rsi\n", [],
+     "unknown top-level keys for an indicator dump: ['indicatr', 'strategy']"),
+    ("strategy = rsi\n", ["a=sma 5"], "unknown top-level keys for an indicator dump: ['strategy']"),
+], ids=["flag close", "flag index", "config close", "config index", "misspelt section",
+        "strategy key beside a flag"])
+def test_an_indicator_dump_it_would_write_wrong_exits_2(config, flags, message, tmp_path, capsys):
+    # the dump writes `index` and `close` first, and a misspelt section
+    # would drop its column in silence
+    argv = ["indicators", "--data", str(V_FIXTURE)]
+    if config is not None:
+        (tmp_path / "ind.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "ind.cfg")]
+    for flag in flags:
+        argv += ["--indicator", flag]
+    assert _refusal(argv, tmp_path, capsys) == (2, {"kind": "ConfigError", "message": message})
+
+
 def test_a_benchmark_of_another_length_exits_3(tmp_path, capsys):
     argv = ["backtest", "--data", str(V_FIXTURE), "--config", str(V_CONFIG),
             "--benchmark", str(DATA_DIR / "synthetic_sp500.csv")]

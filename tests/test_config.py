@@ -7,7 +7,6 @@ from tabacktest import config, errors
 from tabacktest.config import (
     MAX_GRID,
     indicator_columns_from_dict,
-    ma_from_dict,
     parse_kv_file,
     parse_kv_text,
     strategy_from_dict,
@@ -116,21 +115,27 @@ class TestKvParser:
             parse_kv_file(path)
 
 
-class TestMaFromDict:
+class TestMovingAverageReader:
+    """A moving-average table is read by the strategy reader alone."""
+
+    @staticmethod
+    def read(ma: dict):
+        return strategy_from_dict({"strategy": "price_cross", "ma": ma}).ma
+
     def test_plain(self):
-        assert ma_from_dict({"kind": "sma", "period": 5}, "ma") == MaSpec("sma", 5)
+        assert self.read({"kind": "sma", "period": 5}) == MaSpec("sma", 5)
 
     def test_adaptive(self):
-        got = ma_from_dict(
-            {"matype": 2, "timeperiod_long": 51, "timeperiod_short": 5, "ada_win": 12}, "ma"
-        )
+        got = self.read({"matype": 2, "timeperiod_long": 51, "timeperiod_short": 5, "ada_win": 12})
         assert got == AmaParams(51, 5, 12, 2)
 
     def test_missing_and_unknown_keys(self):
-        with pytest.raises(errors.ConfigError):
-            ma_from_dict({"kind": "sma"}, "ma")
-        with pytest.raises(errors.ConfigError):
-            ma_from_dict({"kind": "sma", "period": 5, "bogus": 1}, "ma")
+        with pytest.raises(errors.ConfigError) as info:
+            self.read({"kind": "sma"})
+        assert str(info.value) == "ma missing keys: ['period']"
+        with pytest.raises(errors.ConfigError) as info:
+            self.read({"kind": "sma", "period": 5, "bogus": 1})
+        assert str(info.value) == "unknown ma keys: ['bogus']"
 
 
 # a two_average config whose fast.* section follows

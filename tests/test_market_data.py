@@ -836,6 +836,29 @@ def test_a_refused_chunk_sends_only_its_own_rows_to_the_row_loop(tmp_path, monke
     assert parsed == parse_text(text, mode="lenient")
 
 
+def test_both_judges_take_and_return_one_state():
+    """``_plain_chunk`` and ``_parse_rows`` append a chunk's rows to the same
+    columns and carry ``(row_no, prev_date, warnings)`` on alike; a chunk
+    ``_plain_chunk`` refuses appends nothing."""
+    picks = (0, 1, 2, 3, 4, 6)
+    state = (3, dt.date(2021, 1, 4), 1)
+    # the second row has low and high swapped: one lenient repair
+    text = "2021-01-05,10,11,9,10,10,100\n2021-01-06,10,9,11,10,10,100\n"
+    judged = []
+    for judge in (lambda *args: market_data._plain_chunk(text, *args),
+                  lambda *args: market_data._parse_rows(csv.reader(io.StringIO(text)), *args)):
+        columns = ([], array("d"), array("d"), array("d"), array("d"), [])
+        assert judge(False, 7, picks, columns, *state) == (5, dt.date(2021, 1, 6), 2)
+        judged.append(columns)
+    assert judged[0] == judged[1]
+    assert judged[0][2] == array("d", [11.0, 11.0])
+
+    columns = ([], array("d"), array("d"), array("d"), array("d"), [])
+    refused = "2021-01-05,10,11,9,10,10,100\n2021-01-06,,,,,,1\n"
+    assert market_data._plain_chunk(refused, False, 7, picks, columns, *state) is None
+    assert columns == ([], array("d"), array("d"), array("d"), array("d"), [])
+
+
 @pytest.mark.parametrize("chunk", [1, 1 << 13], ids=["a chunk a line", "one chunk"])
 def test_a_row_dropped_for_its_price_sets_the_date_for_the_next_chunk(chunk, tmp_path):
     text = ("date,open,high,low,close,volume\n2021-01-04,1,2,1,1,5\n"
