@@ -45,9 +45,9 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(_json(payload))
 
 
-def _save(out_dir: str, name: str, write, *data) -> None:
+def _save(out_dir: str, name: str, write, *data) -> str:
     """Write the artifact ``name`` in ``out_dir`` as ``write(*data, handle)``:
-    UTF-8, with ``\\n`` line ends on every platform."""
+    UTF-8, with ``\\n`` line ends on every platform. Returns ``name``."""
     path = Path(out_dir) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -56,6 +56,7 @@ def _save(out_dir: str, name: str, write, *data) -> None:
         raise PathError(f"cannot write {path}: {exc.strerror or exc}") from None
     with handle:
         write(*data, handle)
+    return name
 
 
 def _write_text(text: str, handle) -> None:
@@ -72,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # flag groups shared as parents: each subcommand takes only the flags it reads
+    # flag groups shared as parents: each subcommand takes only the flags it reads,
+    # and its `run` is the cmd_* function the module holds when the parser is built
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", required=True, help="OHLCV CSV file")
     data.add_argument("--strict", dest="mode", action="store_const", const="strict",
@@ -94,23 +96,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tabacktest", description="Deterministic technical-analysis backtesting")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest", parents=[data, out],
-                   help="parse, validate and normalize an OHLCV CSV")
+                   help="parse, validate and normalize an OHLCV CSV").set_defaults(run=cmd_ingest)
     p = sub.add_parser("indicators", parents=[data, config, out],
                        help="dump indicator columns aligned to the input")
+    p.set_defaults(run=cmd_indicators)
     p.add_argument("--indicator", action="append", default=[],
                    metavar="NAME=SPEC", help="extra column, e.g. sma50='sma 50'")
     sub.add_parser("backtest", parents=[data, config, measure, out],
-                   help="run one strategy and write its report")
+                   help="run one strategy and write its report").set_defaults(run=cmd_backtest)
     sub.add_parser("sweep", parents=[data, config, measure, out],
-                   help="evaluate a parameter grid and rank the cells")
+                   help="evaluate a parameter grid and rank the cells").set_defaults(run=cmd_sweep)
     p = sub.add_parser("kelly", parents=[out],
                        help="optimal bet fraction and expected log-return curve")
+    p.set_defaults(run=cmd_kelly)
     p.add_argument("--p", type=float, required=True, help="win probability")
     p.add_argument("--l-gain", type=float, required=True, help="gain multiple on a win")
     p.add_argument("--m-loss", type=float, default=1.0, help="loss multiple on a loss")
     p.add_argument("--grid-points", type=int, default=101)
-    sub.add_parser("report", parents=[data, measure, out],
-                   help="measure block and return-fit of the series itself")
+    sub.add_parser("report", parents=[data, measure, out], help="measure block and "
+                   "return-fit of the series itself").set_defaults(run=cmd_report)
     return parser
 
 
@@ -125,19 +129,23 @@ def _read_input(load, path, **kwargs):
         raise PathError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_series(args):
-    return _read_input(parse_csv, args.data, mode=args.mode, use_adjusted=args.use_adjusted)
+def _load_series(args, path=None):
+    """``parse_csv`` of ``path``, by default ``--data``, as the flags ask."""
+    return _read_input(parse_csv, path or args.data, mode=args.mode, use_adjusted=args.use_adjusted)
 
 
 def _load_benchmark_closes(args, series):
+    """The closes of ``--benchmark``: the data's own, or a CSV's of the same dates."""
     if args.benchmark == "self":
         return series.closes
-    bench = _read_input(parse_csv, args.benchmark, mode=args.mode, use_adjusted=args.use_adjusted)
-    if len(bench.series) != len(series):
-        raise LengthMismatch(
-            f"benchmark has {len(bench.series)} bars, data has {len(series)}"
-        )
-    return bench.series.closes
+    bench = _load_series(args, args.benchmark).series
+    if len(bench) != len(series):
+        raise LengthMismatch(f"benchmark has {len(bench)} bars, data has {len(series)}")
+    if bench.dates != series.dates:
+        bar = next(i for i, (b, d) in enumerate(zip(bench.dates, series.dates)) if b != d)
+        raise LengthMismatch(f"benchmark bar {bar} is dated {bench.dates[bar]}, "
+                             f"data bar {bar} is dated {series.dates[bar]}")
+    return bench.closes
 
 
 def _config_tree(args) -> dict:
@@ -146,20 +154,17 @@ def _config_tree(args) -> dict:
     return _read_input(cfg.parse_kv_file, args.config)
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     parsed = _load_series(args)
-    _save(args.out_dir, "ingested.csv", serialize_csv, parsed.series)
-    dates = parsed.series.dates
-    _emit({
-        "command": "ingest",
-        "symbol": parsed.series.symbol,
-        "bars": len(parsed.series),
-        "first_date": dates[0].isoformat(),
-        "last_date": dates[-1].isoformat(),
+    series = parsed.series
+    return {
+        "output": _save(args.out_dir, "ingested.csv", serialize_csv, series),
+        "symbol": series.symbol,
+        "bars": len(series),
+        "first_date": series.dates[0].isoformat(),
+        "last_date": series.dates[-1].isoformat(),
         "warnings": parsed.warnings,
-        "output": "ingested.csv",
-    })
-    return 0
+    }
 
 
 def _indicators_to_csv(closes, columns: dict, handle) -> None:
@@ -168,7 +173,7 @@ def _indicators_to_csv(closes, columns: dict, handle) -> None:
                       for row in zip(range(len(closes)), closes, *columns.values()))
 
 
-def cmd_indicators(args) -> int:
+def cmd_indicators(args) -> dict:
     parsed = _load_series(args)
     tree = _read_input(cfg.parse_kv_file, args.config) if args.config else {}
     for extra in args.indicator:
@@ -185,45 +190,36 @@ def cmd_indicators(args) -> int:
     # attribute (as the benchmark's span tracer does) sees every call
     columns = {name: memo(getattr(indicators, kind), *kernel_args).values
                for name, kind, kernel_args in cfg.indicator_columns_from_dict(tree)}
-    _save(args.out_dir, "indicators.csv", _indicators_to_csv, series.closes, columns)
-    _emit({
-        "command": "indicators",
+    return {
+        "output": _save(args.out_dir, "indicators.csv", _indicators_to_csv, series.closes, columns),
         "bars": len(series),
         "columns": [*cfg.INDICATOR_FIXED_COLUMNS, *columns],
-        "output": "indicators.csv",
-    })
-    return 0
+    }
 
 
-def cmd_backtest(args) -> int:
-    parsed = _load_series(args)
-    series = parsed.series
+def cmd_backtest(args) -> dict:
+    series = _load_series(args).series
     strategy = cfg.strategy_from_dict(_config_tree(args))
     benchmark_closes = _load_benchmark_closes(args, series)
     signals = generate_signals(series, strategy)
     result = run(series, signals)
-    report = build_report(result.equity, benchmark_closes, result.buy_count, args.trading_days)
-    _save(args.out_dir, "report.json", _write_text, _json(report.to_dict(), indent=2))
-    _save(args.out_dir, "equity.csv", equity_to_csv, result, series)
-    _save(args.out_dir, "signals.csv", signals_to_csv, signals)
-    _emit({
-        "command": "backtest",
-        "report": report.to_dict(),
-        "outputs": ["report.json", "equity.csv", "signals.csv"],
-    })
-    return 0
+    report = build_report(result.equity, benchmark_closes, result.buy_count,
+                          args.trading_days).to_dict()
+    return {"report": report, "outputs": [
+        _save(args.out_dir, "report.json", _write_text, _json(report, indent=2)),
+        _save(args.out_dir, "equity.csv", equity_to_csv, result, series),
+        _save(args.out_dir, "signals.csv", signals_to_csv, signals),
+    ]}
 
 
-def cmd_sweep(args) -> int:
-    parsed = _load_series(args)
-    series = parsed.series
+def cmd_sweep(args) -> dict:
+    series = _load_series(args).series
     spec = cfg.sweep_from_dict(_config_tree(args))
     benchmark_closes = _load_benchmark_closes(args, series)
     result = run_sweep(series, spec, benchmark_closes, args.trading_days)
-    _save(args.out_dir, "sweep.csv", sweep_to_csv, result.rows, spec)
     best = result.rows[0]
-    _emit({
-        "command": "sweep",
+    return {
+        "output": _save(args.out_dir, "sweep.csv", sweep_to_csv, result.rows, spec),
         "cells_ranked": len(result.rows),
         "dropped_by_kind": result.dropped,
         "below_min_trades": result.below_min_trades,
@@ -231,55 +227,43 @@ def cmd_sweep(args) -> int:
         "objective": spec.objective,
         "best_params": {path: value for path, value in best.params},
         "best_objective": best.objective_value,
-        "output": "sweep.csv",
-    })
-    return 0
+    }
 
 
-def cmd_kelly(args) -> int:
+def cmd_kelly(args) -> dict:
     params = KellyParams(p=args.p, l_gain=args.l_gain, m_loss=args.m_loss)
     best = optimal_fraction(params)
     curve = kelly_curve(params, args.grid_points)
-    _save(args.out_dir, "kelly_curve.csv", curve_to_csv, curve)
+    # kelly.json holds the stdout payload, "command" included
     payload = {
         "command": "kelly",
+        "output": _save(args.out_dir, "kelly_curve.csv", curve_to_csv, curve),
         "p": params.p,
         "l_gain": params.l_gain,
         "m_loss": params.m_loss,
         "optimal_fraction": best,
         "expected_log_return_at_optimum": expected_log_return(best, params) if best < 1.0 else None,
-        "output": "kelly_curve.csv",
     }
     _save(args.out_dir, "kelly.json", _write_text, _json(payload, indent=2))
-    _emit(payload)
-    return 0
+    return payload
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict:
     series = _load_series(args).series
     benchmark_closes = _load_benchmark_closes(args, series)
-    report = build_report(series.closes, benchmark_closes, 0, args.trading_days)
-    _save(args.out_dir, "report.json", _write_text, _json(report.to_dict(), indent=2))
-    _emit({"command": "report", "report": report.to_dict(), "output": "report.json"})
-    return 0
-
-
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "indicators": cmd_indicators,
-    "backtest": cmd_backtest,
-    "sweep": cmd_sweep,
-    "kelly": cmd_kelly,
-    "report": cmd_report,
-}
+    report = build_report(series.closes, benchmark_closes, 0, args.trading_days).to_dict()
+    return {"report": report,
+            "output": _save(args.out_dir, "report.json", _write_text, _json(report, indent=2))}
 
 
 def main(argv=None) -> int:
+    """Run one command line: print its one JSON line and return its exit code."""
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "trading_days", 1) < 1:
             raise InvalidArgument(f"--trading-days must be >= 1, got {args.trading_days}")
-        return _COMMANDS[args.command](args)
+        _emit({"command": args.command, **args.run(args)})
+        return 0
     except EngineError as exc:
         return _fail(exc)
 

@@ -123,11 +123,12 @@ def set_leaf(tree: dict, path: str, value: Any) -> None:
 
 
 def parse_kv_file(path: str | Path) -> dict:
+    """``parse_kv_text`` of a UTF-8 file; a leading byte-order mark is dropped."""
     path = Path(path)
     if not path.exists():
         raise MissingInput(f"no such config file: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UndecodableInput(f"{path} is not UTF-8 text ({exc.reason})") from None
     return parse_kv_text(text)

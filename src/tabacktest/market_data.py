@@ -291,11 +291,12 @@ def parse_csv(
     A record the ``csv`` module cannot read, such as one with a field
     longer than its field size limit, raises ``UnparsableRow`` in both
     modes (row 0 is the header). So does the first line that holds a NUL
-    character, and reading stops there. A file that is not UTF-8 raises
-    ``UndecodableInput``: the file is checked whole before any row is
-    read, so whatever else is wrong with it. An input that cannot be
-    rewound, such as a named pipe, is first copied to a temporary file,
-    which holds its bytes on disk, and is then read as that file.
+    character, and reading stops there. A leading UTF-8 byte-order mark is
+    dropped. A file that is not UTF-8 raises ``UndecodableInput``: the
+    file is checked whole before any row is read, so whatever else is
+    wrong with it. An input that cannot be rewound, such as a named pipe,
+    is first copied to a temporary file, which holds its bytes on disk,
+    and is then read as that file.
 
     A plain file, one that holds no NUL, no double quote and no carriage
     return outside a CRLF, is read in chunks of whole lines of about
@@ -315,7 +316,7 @@ def parse_csv(
     with path.open("rb") as source, _rewindable(source) as raw:
         try:
             nul, plain = _scan(raw)
-            handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+            handle = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
             return _parse_stream(_refuse_nul(handle) if nul else handle,
                                  mode, use_adjusted, symbol or path.stem, plain)
         except UnicodeDecodeError as exc:

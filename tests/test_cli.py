@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
-from tabacktest import _exact, indicators, market_data
+from tabacktest import _exact, cli, indicators, market_data
 from tabacktest.cli import build_parser, main
 from tabacktest.config import SweepSpec
 from test_config import VALUE_ERRORS
@@ -20,6 +21,7 @@ from test_kernel_digests import PINNED, SWEEPS
 V_FIXTURE = DATA_DIR / "v_fixture.csv"
 V_CONFIG = DATA_DIR / "v_strategy.cfg"
 V_GOLDEN = DATA_DIR / "v_golden_report.json"
+README = DATA_DIR.parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -507,11 +509,42 @@ UNREAD_FLAGS = [
 ]
 
 
+def _subcommands():
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_each_command_declares_only_the_flags_it_reads():
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction)).choices
     assert {name: {action.dest for action in command._actions if action.dest != "help"}
-            for name, command in commands.items()} == COMMAND_DESTS
+            for name, command in _subcommands().items()} == COMMAND_DESTS
+
+
+def test_the_readme_synopsis_names_each_command_and_flag_of_the_parser():
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+    data = re.search(r"^DATA = (.*)$", block, re.M)[1]
+    synopsis = {}
+    for line in re.findall(r"^tabacktest .*$", block, re.M):
+        _, name, usage = line.split(None, 2)
+        synopsis[name] = set(re.findall(r"--[a-z-]+", re.sub(r"\bDATA\b", data, usage)))
+    assert synopsis == {
+        name: {flag for action in command._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"}
+        for name, command in _subcommands().items()}
+
+
+def test_main_looks_up_each_command_when_it_runs(tmp_path, capsys, monkeypatch):
+    # a rebinding of cli.cmd_kelly, as the benchmark's span tracer makes, is what runs
+    calls = []
+
+    def spy(args):
+        calls.append(args.command)
+        return {"spied": True}
+
+    monkeypatch.setattr(cli, "cmd_kelly", spy)
+    code = main(["kelly", "--p", "0.6", "--l-gain", "2", "--out-dir", str(tmp_path)])
+    assert (code, calls) == (0, ["kelly"])
+    assert json.loads(capsys.readouterr().out) == {"command": "kelly", "spied": True}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flags", UNREAD_FLAGS,
@@ -720,6 +753,31 @@ def test_a_benchmark_of_another_length_exits_3(tmp_path, capsys):
             "--benchmark", str(DATA_DIR / "synthetic_sp500.csv")]
     assert _refusal(argv, tmp_path, capsys) == (
         3, {"kind": "LengthMismatch", "message": "benchmark has 2769 bars, data has 80"})
+
+
+def _shifted_fixture(path, days, first_bar):
+    """``v_fixture.csv`` with every date from bar ``first_bar`` on moved by ``days``."""
+    header, *rows = V_FIXTURE.read_text().splitlines()
+    for bar in range(first_bar, len(rows)):
+        date, rest = rows[bar].split(",", 1)
+        rows[bar] = f"{dt.date.fromisoformat(date) + dt.timedelta(days=days)},{rest}"
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("command", ["backtest", "sweep", "report"])
+@pytest.mark.parametrize("days, bar, dates", [
+    (3650, 0, ("2031-01-02", "2021-01-04")),
+    (1, 79, ("2021-04-24", "2021-04-23")),
+], ids=["every bar 3650 days later", "last bar a day later"])
+def test_a_benchmark_of_other_dates_exits_3(command, days, bar, dates, tmp_path, capsys):
+    # as many bars as the data, so the count check alone would pair them bar by bar
+    _shifted_fixture(tmp_path / "shifted.csv", days, bar)
+    argv = [command, "--data", str(V_FIXTURE), "--benchmark", str(tmp_path / "shifted.csv")]
+    if command != "report":
+        argv += ["--config", str(V_CONFIG)]
+    assert _refusal(argv, tmp_path, capsys) == (3, {
+        "kind": "LengthMismatch",
+        "message": f"benchmark bar {bar} is dated {dates[0]}, data bar {bar} is dated {dates[1]}"})
 
 
 def test_a_report_with_no_finite_json_form_exits_3(tmp_path, capsys):

@@ -108,6 +108,13 @@ class TestKvParser:
             parse_kv_text(text)
         assert str(info.value) == message
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = "strategy = macd\nmacd.short_n = 12\n"
+        path = tmp_path / "strategy.cfg"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert parse_kv_file(path) == parse_kv_text(text) == {
+            "strategy": "macd", "macd": {"short_n": 12}}
+
     def test_non_utf8_file_is_undecodable_input(self, tmp_path):
         path = tmp_path / "strategy.cfg"
         path.write_bytes(b"strategy = macd\nmacd.short_n = 12\xff\n")

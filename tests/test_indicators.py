@@ -30,6 +30,7 @@ from tabacktest.indicators import (
     true_range,
 )
 from tabacktest.market_data import parse_csv
+from tabacktest.strategies import BollingerConfig, KeltnerConfig, generate_signals
 
 
 def assert_close_lists(actual, expected, tol=1e-12):
@@ -338,6 +339,21 @@ def test_a_band_factor_must_be_finite(factor):
         keltner(series, MaSpec("sma", 5), factor)
     with pytest.raises(errors.InvalidParams):
         bollinger(series, 5, factor)
+
+
+def test_an_overflowing_band_is_infinite_and_never_nan():
+    # a finite factor times a finite width can pass the float range: that
+    # bar's bands are +/-inf, which no close breaks out of
+    series = parse_csv(DATA_DIR / "synthetic_sp500.csv").series
+    cases = [(keltner(series, MaSpec("sma", 5), 1e308), 2769),
+             (bollinger(series, 5, 1e307), 544)]
+    for bands, infinite in cases:
+        upper, lower = bands.upper.values, bands.lower.values
+        assert not any(map(math.isnan, upper + lower))
+        assert [u == math.inf for u in upper] == [low == -math.inf for low in lower]
+        assert sum(map(math.isinf, upper)) == infinite
+    assert generate_signals(series, KeltnerConfig(MaSpec("sma", 5), 1e308)) == []
+    assert generate_signals(series, BollingerConfig(5, 1e307)) == []
 
 
 class TestMacd:

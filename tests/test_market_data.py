@@ -958,3 +958,25 @@ def test_a_pipe_is_spooled_and_parsed_as_a_file(data, mode, tmp_path, monkeypatc
         assert data == WELL_FORMED.encode() and parsed.series == expected.series
     writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_a_leading_byte_order_mark_is_dropped(quoted, mode, tmp_path, monkeypatch):
+    """Excel's "CSV UTF-8" starts a file with a BOM: a plain file still takes
+    the chunks, and either file parses as it does without the BOM."""
+    text = daily_bars(13, 500, 0.02 if mode == "lenient" else 0.0)
+    if quoted:
+        text = text.replace("date,", '"date",', 1)
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = parse_csv(path, mode=mode)
+    assert expected.warnings > 0 or mode == "strict"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file reached csv.reader")
+
+    if not quoted:
+        monkeypatch.setattr(csv, "reader", refuse)
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert parse_csv(path, mode=mode) == expected
