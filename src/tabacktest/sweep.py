@@ -1,15 +1,26 @@
 """Parameter-grid evaluation over one series.
 
-Cells are evaluated one after another; the result is sorted by the
-objective (descending) with a lexicographic tie-break on the parameter
-assignment, so output never depends on evaluation order.
+A cell is evaluated in two steps. Its signals come from
+``generate_signals`` in the calling process, through the sweep's one
+``KernelMemo``, so each distinct indicator is computed once. Its
+measures (``exposure_runs`` and ``measures_from_sums``) share nothing
+with other cells, so the grid is split into contiguous parts, one per
+CPU this process may run on: forked children measure every part but
+the last, and the calling process measures the last. The result is
+sorted by the objective (descending) with a lexicographic tie-break on
+the parameter assignment, so output never depends on which process
+measured a cell.
 """
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from .backtest import close_ratios, exposure_runs
 from .config import OBJECTIVES, SweepSpec
@@ -41,18 +52,26 @@ class SweepResult:
     below_min_trades: int
 
 
-def _evaluate_cell(
+def _cell_signals(spec: SweepSpec, memo: KernelMemo, assignment) -> list[int] | str:
+    """The cell's signal bars, or the kind of error that drops it."""
+    try:
+        return generate_signals(memo.series, spec.cell_config(assignment), memo)
+    except EngineError as exc:
+        return exc.kind
+
+
+def _measure(
     spec: SweepSpec,
     sums: ReturnSums,
     trading_days: int,
-    memo: KernelMemo,
+    closes: Sequence[float],
     assignment: tuple[tuple[str, Any], ...],
+    bars: list[int] | str,
 ) -> SweepRow | str:
-    """The cell's row, or the kind of error that drops it."""
-    closes = memo.series.closes
+    """The row of a cell with these signal bars, or the kind of error that drops it."""
+    if isinstance(bars, str):
+        return bars
     try:
-        config = spec.cell_config(assignment)
-        bars = generate_signals(memo.series, config, memo)
         initial, runs = exposure_runs(closes, bars, sums.ratios)
         # the drawdown and the yearly block can no longer fail, and no row holds them
         measures = measures_from_sums(initial, runs, len(closes), sums, trading_days)
@@ -63,6 +82,116 @@ def _evaluate_cell(
         # only a ratio is ever None: its volatility was zero
         return ZeroVolatility.__name__
     return SweepRow(assignment, len(runs), measures.rr_whole, measures.sr, measures.ir, value)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot say, or where
+    another thread runs, since a forked child holds only the forking
+    thread and so keeps any lock another thread held."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    return cpus if threads == 1 else 1
+
+
+def _fork(measure: Callable, cells: list) -> Optional[tuple[int, int]]:
+    """(pid, read end of its pipe) of a forked child that measures each
+    ``(assignment, bars)`` of ``cells`` and writes the rows down the pipe
+    in one ``marshal`` payload; None when no child can be forked. The
+    child exits 0 once every byte is written, and 1 on any exception."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            rows = [measure(*cell) for cell in cells]
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps([row if isinstance(row, str) else vars(row)
+                                          for row in rows]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _sent_rows(child: Optional[tuple[int, int]]) -> Optional[list[SweepRow | str]]:
+    """The rows a forked child sent down its pipe, read to the end, once
+    the child is reaped. None where no child was forked or it sent no
+    complete payload: a child that raised sends nothing, and one killed
+    while writing sends a prefix, which does not load."""
+    if child is None:
+        return None
+    pid, read_end = child
+    with open(read_end, "rb") as pipe:
+        payload = pipe.read()
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:  # SIGCHLD is ignored, so nothing is left to reap
+        pass
+    try:
+        cells = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    # a row comes as its fields, a dropped cell as its kind
+    return [cell if isinstance(cell, str) else SweepRow(**cell) for cell in cells]
+
+
+def _measured_cells(
+    assignments: list, signals: Callable, measure: Callable
+) -> list[SweepRow | str]:
+    """``measure(a, signals(a))`` of each assignment ``a``, in grid order.
+
+    ``signals`` runs in this process for every cell, in grid order, so
+    the memo it reads computes each indicator once. The grid is split
+    into contiguous parts, one per ``_cpus()``. For each part but the
+    last, this process computes the signals, forks a child to measure
+    them, and drops them; then it measures the last part itself. A part
+    that raised here, or whose child sent no complete payload, is
+    measured here once the children are reaped, in grid order, so a bug
+    raises the exception one process would raise, and a killed child
+    costs time, not rows. Every child is reaped before the call returns
+    or raises, and killed first if this process is interrupted.
+    """
+    count = len(assignments)
+    parts = max(1, min(_cpus(), count))
+    bounds = [count * k // parts for k in range(parts + 1)]
+    grid = [assignments[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    children = []  # per part but the last: (pid, read end of its pipe), or None
+    try:
+        for part in grid[:-1]:
+            # the signals are dropped here once the child holds them
+            try:
+                children.append(_fork(measure, [(a, signals(a)) for a in part]))
+            except Exception:  # measured again below, where it raises in grid order
+                children.append(None)
+        try:
+            own = [measure(a, signals(a)) for a in grid[-1]]
+        except Exception:  # measured again below, after every part before it
+            own = None
+    except BaseException:
+        import signal  # here alone: a run that is never interrupted does not load it
+
+        for child in filter(None, children):
+            os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        sent = [_sent_rows(child) for child in children]
+    rows = []
+    for part, part_rows in zip(grid, sent + [own]):
+        rows += [measure(a, signals(a)) for a in part] if part_rows is None else part_rows
+    return rows
 
 
 def run_sweep(
@@ -76,7 +205,10 @@ def run_sweep(
     Cells share one list of close ratios, one set of return sums (see
     ``metrics.ReturnSums``) and one computation of each distinct
     indicator series, and each cell's equity stays in exposure runs, so
-    the result is the same as evaluating each cell on its own.
+    the result is the same as evaluating each cell on its own. Forked
+    children may measure some of the cells (see ``_measured_cells``);
+    the result, and every byte written from it, is the same as when this
+    process measures them all.
     """
     closes = series.closes
     benchmark = closes if benchmark_closes is None else benchmark_closes
@@ -92,8 +224,8 @@ def run_sweep(
     else:
         memo = KernelMemo(series)
         sums = ReturnSums(close_ratios(closes), benchmark_returns)
-        cells = [_evaluate_cell(spec, sums, trading_days, memo, assignment)
-                 for assignment in assignments]
+        cells = _measured_cells(assignments, partial(_cell_signals, spec, memo),
+                                partial(_measure, spec, sums, trading_days, closes))
 
     dropped = Counter(cell for cell in cells if isinstance(cell, str))
     evaluated = [cell for cell in cells if not isinstance(cell, str)]

@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 import random
 from pathlib import Path
 from typing import NamedTuple
@@ -57,3 +58,24 @@ def random_ohlcv(rng: random.Random, n: int, start: float = 100.0):
 @pytest.fixture
 def rng():
     return random.Random(137)
+
+
+def _a_child_process_is_left() -> bool:
+    """Whether this process has a child, running or exited; none is reaped."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_is_left():
+    """Fail a test that leaves a child process, running or not yet reaped;
+    one left by an earlier test is that test's failure, not this one's."""
+    if not hasattr(os, "waitid") or _a_child_process_is_left():
+        yield
+        return
+    yield
+    if _a_child_process_is_left():
+        pytest.fail("the test left a child process")

@@ -1,11 +1,19 @@
 import dataclasses
+import functools
 import io
+import itertools
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import random_ohlcv
-from tabacktest import _exact, errors, strategies
+from tabacktest import _exact, errors, strategies, sweep
 from tabacktest.backtest import run
 from tabacktest.config import parse_kv_text, strategy_from_dict, sweep_from_dict
 from tabacktest.metrics import build_report
@@ -147,13 +155,13 @@ def test_a_benchmark_of_another_length_drops_every_cell(series, bars):
 STRATEGY_GRIDS = {
     "two_average": "fast.kind = sma,ema\nfast.period = 3,5\nslow.kind = sma\nslow.period = 15,25\n",
     "price_cross": "ma.matype = 1,2\nma.timeperiod_long = 21,31\nma.timeperiod_short = 3\n"
-                   "ma.ada_win = 8\n",
+                   "ma.ada_win = 8,12\n",
     "keltner": "ma.kind = ema\nma.period = 10,20\nkeltner.mult = 0.5,1,2\n",
     "rsi": "rsi.n = 7,14\nrsi.down_thres = 30,45\nrsi.upper_thres = 55,70\nrsi.rsitype = 2\n"
            "rsi.sma_n = 10,20\nrsi.diff_rate = 0.02\n",
     "aroon": "aroon.n = 10,25\naroon.aroon_type = 1,2\naroon.weak_thres = 30,45\n",
     "bollinger": "bollinger.n = 10,20\nbollinger.dev = 0.5,1,2\n",
-    "macd": "macd.short_n = 6,12\nmacd.long_n = 26\nmacd.signal_n = 5,9\n",
+    "macd": "macd.short_n = 6,12\nmacd.long_n = 20,26\nmacd.signal_n = 5,9\n",
 }
 
 
@@ -240,3 +248,235 @@ def test_band_parts_are_shared_across_widths(series, monkeypatch, strategy, part
     run_sweep(series, spec)
     assert len(calls) == 2
     assert len(set(calls)) == 2
+
+
+FORK = getattr(os, "fork", None)
+needs_fork = pytest.mark.skipif(FORK is None, reason="no os.fork")
+
+
+def _forced_cpus(monkeypatch, cpus):
+    """Measure in ``cpus`` parts from now on; return the list each fork appends to."""
+    forks = []
+
+    def counting():
+        forks.append(None)
+        return FORK()
+
+    monkeypatch.setattr(sweep, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("strategy", sorted(STRATEGY_GRIDS))
+def test_measuring_in_parts_gives_the_serial_result(strategy, monkeypatch):
+    # seed 4 and min_trades 3 give drops on aroon and keltner, and cells
+    # below min_trades on aroon, keltner, bollinger and rsi
+    series = random_ohlcv(random.Random(4), 320)
+    text = f"strategy = {strategy}\nobjective = sharpe_annual\nmin_trades = 3\n"
+    spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
+    results = []
+    for cpus in (1, 2, 3):
+        forks = _forced_cpus(monkeypatch, cpus)
+        results.append(run_sweep(series, spec))
+        assert len(forks) == cpus - 1
+        _no_child_is_left()
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@needs_fork
+def test_a_grid_of_one_cell_forks_nothing(series, monkeypatch):
+    text = SWEEP_TEXT.replace("2:4:1", "3").replace("12,20", "15")
+    forks = _forced_cpus(monkeypatch, 3)
+    assert len(run_sweep(series, sweep_from_dict(parse_kv_text(text))).rows) == 1
+    assert forks == []
+
+
+# where each step of a cell takes the cell's assignment
+_ASSIGNMENT_ARG = {"_cell_signals": -1, "_measure": -2}
+
+
+def _faulty(monkeypatch, step, fault):
+    """Have ``fault(assignment)`` run before ``step`` of each cell."""
+    original = getattr(sweep, step)
+
+    def faulty(*args):
+        fault(args[_ASSIGNMENT_ARG[step]])
+        return original(*args)
+
+    monkeypatch.setattr(sweep, step, faulty)
+
+
+@needs_fork
+@pytest.mark.parametrize("faults", [
+    # (step, cell) pairs that raise, the one raised in grid order first
+    [("_cell_signals", 0)],
+    [("_cell_signals", 5)],
+    [("_measure", 0)],
+    [("_measure", 5)],
+    [("_measure", 2), ("_measure", 5)],
+    [(step, cell) for cell in range(6) for step in ("_cell_signals", "_measure")],
+    [("_measure", cell) for cell in range(6)],
+    [("_measure", 1), ("_cell_signals", 3)],
+])
+def test_a_bug_raises_the_serial_exception(series, monkeypatch, faults):
+    # in 3 parts the children measure cells 0-1 and 2-3, and the caller
+    # computes every cell's signals and measures cells 4-5
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    names = [path for path, _ in spec.axes]
+    grid = [tuple(zip(names, combo)) for combo in itertools.product(*(v for _, v in spec.axes))]
+    faulty = {(step, grid[cell]) for step, cell in faults}
+
+    def fault(step, assignment):
+        if (step, assignment) in faulty:
+            raise KeyError(f"no {step} for {assignment}")
+
+    for step in _ASSIGNMENT_ARG:
+        _faulty(monkeypatch, step, functools.partial(fault, step))
+    first_step, first_cell = faults[0]
+    for cpus in (1, 2, 3):
+        _forced_cpus(monkeypatch, cpus)
+        with pytest.raises(KeyError) as info:
+            run_sweep(series, spec)
+        assert info.type is KeyError
+        assert info.value.args == (f"no {first_step} for {grid[first_cell]}",)
+        _no_child_is_left()
+
+
+@needs_fork
+def test_a_drop_measured_in_a_child_is_counted(series, monkeypatch):
+    # in 3 parts the children measure the flat 5/5 cell and the 5/15 cell,
+    # and the caller the 5/400 cell, whose signals are too short
+    text = DEGENERATE_TEXT.replace("5,15", "5,15,400") + "objective = sharpe_annual\n"
+    caller, measured_here = os.getpid(), []
+
+    def fault(assignment):
+        if os.getpid() == caller:
+            measured_here.append(dict(assignment)["slow.period"])
+
+    _faulty(monkeypatch, "_measure", fault)
+    forks = _forced_cpus(monkeypatch, 3)
+    result = run_sweep(series, sweep_from_dict(parse_kv_text(text)))
+    assert result.dropped == {"TooShort": 1, "ZeroVolatility": 1}
+    assert [dict(row.params)["slow.period"] for row in result.rows] == [15]
+    assert len(forks) == 2
+    assert measured_here == [400]
+
+
+@needs_fork
+@pytest.mark.parametrize("code", [0, 1])
+def test_a_child_that_exits_without_rows_leaves_the_serial_result(series, monkeypatch, code):
+    spec = sweep_from_dict(parse_kv_text(DEGENERATE_TEXT.replace("5,15", "5,15,400")))
+    serial = run_sweep(series, spec)
+    caller = os.getpid()
+
+    def fault(assignment):
+        if os.getpid() != caller:
+            os._exit(code)
+
+    _faulty(monkeypatch, "_measure", fault)
+    forks = _forced_cpus(monkeypatch, 3)
+    assert run_sweep(series, spec) == serial
+    assert len(forks) == 2
+    _no_child_is_left()
+
+
+@needs_fork
+def test_an_interrupted_caller_kills_its_children(series, monkeypatch):
+    # the children would measure for a minute; the caller's own part is interrupted
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    caller = os.getpid()
+
+    def fault(assignment):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    exit_codes = []
+    waitpid = os.waitpid
+
+    def recording(pid, options):
+        reaped = waitpid(pid, options)
+        exit_codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    _faulty(monkeypatch, "_measure", fault)
+    _forced_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "waitpid", recording)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(series, spec)
+    assert exit_codes == [-signal.SIGKILL] * 2
+    monkeypatch.undo()
+    _no_child_is_left()
+
+
+@needs_fork
+def test_a_part_that_cannot_fork_is_measured_by_the_caller(series, monkeypatch):
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    serial = run_sweep(series, spec)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(sweep, "_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_sweep(series, spec) == serial
+    _no_child_is_left()
+
+
+@needs_fork
+def test_children_reaped_by_an_ignored_sigchld_still_send_their_rows(series, monkeypatch):
+    # with SIGCHLD ignored the kernel reaps each child, and waitpid finds none
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    serial = run_sweep(series, spec)
+    caller, measured_here = os.getpid(), []
+
+    def fault(assignment):
+        if os.getpid() == caller:
+            measured_here.append(assignment)
+
+    _faulty(monkeypatch, "_measure", fault)
+    forks = _forced_cpus(monkeypatch, 3)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        result = run_sweep(series, spec)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert result == serial
+    assert len(forks) == 2
+    assert len(measured_here) == 2  # the caller's own part: both children's rows arrived
+    _no_child_is_left()
+
+
+CPUS_SCRIPT = """
+import os, threading
+from tabacktest import sweep
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+print(sweep._cpus())
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+print(sweep._cpus())
+stop.set()
+thread.join()
+os.sched_getaffinity = lambda pid: {0}
+print(sweep._cpus())
+del os.sched_getaffinity
+print(sweep._cpus())
+"""
+
+
+def test_only_a_lone_thread_with_several_cpus_measures_in_parts():
+    # in a fresh interpreter: this one may run threads of its own (a BLAS pool)
+    src = Path(sweep.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", CPUS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["3", "1", "1", "1"]
