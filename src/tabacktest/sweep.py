@@ -4,23 +4,23 @@ A cell is evaluated in two steps. Its signals come from
 ``generate_signals`` in the calling process, through the sweep's one
 ``KernelMemo``, so each distinct indicator is computed once. Its
 measures (``exposure_runs`` and ``measures_from_sums``) share nothing
-with other cells, so the grid is split into contiguous parts, one per
-CPU this process may run on: forked children measure every part but
-the last, and the calling process measures the last. The result is
-sorted by the objective (descending) with a lexicographic tie-break on
-the parameter assignment, so output never depends on which process
-measured a cell.
+with other cells, so where this process may run on more than one CPU,
+forked children measure contiguous parts of the grid while the caller
+computes the signals of later parts, and the caller measures the rest
+(see ``_measured_cells``). The result is sorted by the objective
+(descending) with a lexicographic tie-break on the parameter
+assignment, so output never depends on which process measured a cell.
 """
 from __future__ import annotations
 
 import itertools
 import marshal
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from time import perf_counter
+from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from .backtest import close_ratios, exposure_runs
 from .config import OBJECTIVES, SweepSpec
@@ -85,61 +85,82 @@ def _measure(
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot say, or where
-    another thread runs, since a forked child holds only the forking
-    thread and so keeps any lock another thread held."""
+    """The CPUs this process may run on, less one for each other task
+    that is runnable now, so a busy host gets no fork that only waits for
+    a CPU. 1 where it cannot say, or where another thread runs, since a
+    forked child holds only the forking thread and so keeps any lock
+    another thread held."""
     try:
         cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        return 1
-    try:
         threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    return cpus if threads == 1 else 1
+        with open("/proc/loadavg") as loadavg:
+            # the fourth field is runnable/all tasks, this one among the runnable
+            runnable = int(loadavg.read().split()[3].partition("/")[0])
+    except (AttributeError, OSError):  # no sched_getaffinity outside Linux
+        return 1
+    return max(1, cpus + 1 - runnable) if threads == 1 else 1
 
 
-def _fork(measure: Callable, cells: list) -> Optional[tuple[int, int]]:
+def _share(cells: int, processes: int, signal_s: float, measure_s: float) -> float:
+    """How many of the next ``cells`` the next child should measure, when
+    ``processes`` (this one included) measure them and a cell's signals
+    take ``signal_s`` and its measures ``measure_s``.
+
+    A child starts once this process has computed its part's signals,
+    and this process starts on the last part last. So that every process
+    finishes together, each part is ``r = measure_s / (signal_s +
+    measure_s)`` times the one before it, and the first is ``cells / (1 +
+    r + ... + r ** (processes - 1))``.
+    """
+    ratio = measure_s / (signal_s + measure_s)
+    return cells / sum(ratio ** k for k in range(processes))
+
+
+def _fork(measure: Callable, cells: list) -> Optional[tuple[int, BinaryIO]]:
     """(pid, read end of its pipe) of a forked child that measures each
     ``(assignment, bars)`` of ``cells`` and writes the rows down the pipe
     in one ``marshal`` payload; None when no child can be forked. The
-    child exits 0 once every byte is written, and 1 on any exception."""
+    child exits 0 once every byte is written and 1 on anything else:
+    whatever it raises, and wherever, it never returns from here."""
+    caller = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
+        if pid == 0:
             os.close(read_end)
             rows = [measure(*cell) for cell in cells]
             with open(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps([row if isinstance(row, str) else vars(row)
                                           for row in rows]))
-            status = 0
-        finally:
-            os._exit(status)
+            os._exit(0)
+    except OSError:
+        pid = None
+    finally:
+        if os.getpid() != caller:
+            os._exit(1)
     os.close(write_end)
-    return pid, read_end
-
-
-def _sent_rows(child: Optional[tuple[int, int]]) -> Optional[list[SweepRow | str]]:
-    """The rows a forked child sent down its pipe, read to the end, once
-    the child is reaped. None where no child was forked or it sent no
-    complete payload: a child that raised sends nothing, and one killed
-    while writing sends a prefix, which does not load."""
-    if child is None:
+    if pid is None:
+        os.close(read_end)
         return None
-    pid, read_end = child
-    with open(read_end, "rb") as pipe:
-        payload = pipe.read()
+    return pid, open(read_end, "rb")
+
+
+def _reap(pid: int) -> None:
     try:
         os.waitpid(pid, 0)
-    except ChildProcessError:  # SIGCHLD is ignored, so nothing is left to reap
+    except ChildProcessError:  # reaped already, or by the kernel: SIGCHLD is ignored
         pass
+
+
+def _sent_rows(child: tuple[int, BinaryIO]) -> Optional[list[SweepRow | str]]:
+    """The rows a forked child sent down its pipe, read to the end, once
+    the child is reaped. None where it sent no complete payload: a child
+    that raised sends nothing, and one killed while writing sends a
+    prefix, which does not load."""
+    pid, pipe = child
+    with pipe:
+        payload = pipe.read()
+    _reap(pid)
     try:
         cells = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
@@ -148,50 +169,91 @@ def _sent_rows(child: Optional[tuple[int, int]]) -> Optional[list[SweepRow | str
     return [cell if isinstance(cell, str) else SweepRow(**cell) for cell in cells]
 
 
+def _stop(children: list[tuple[int, BinaryIO]]) -> None:
+    """Kill each child not yet reaped, close its pipe and reap it. Where
+    SIGCHLD is ignored the kernel reaps a child as it exits and may give
+    its pid to another process, so none is killed: each is awaited, and
+    fails when it writes to its closed pipe."""
+    import signal  # here alone: a run that is never interrupted does not load it
+
+    killing = signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
+    for pid, pipe in children:
+        pipe.close()
+        try:
+            # an exited child keeps its pid until it is reaped; only a running one is killed
+            if killing and os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+                os.kill(pid, signal.SIGKILL)
+        except ChildProcessError:  # reaped already
+            continue
+        _reap(pid)
+
+
 def _measured_cells(
     assignments: list, signals: Callable, measure: Callable
 ) -> list[SweepRow | str]:
     """``measure(a, signals(a))`` of each assignment ``a``, in grid order.
 
-    ``signals`` runs in this process for every cell, in grid order, so
-    the memo it reads computes each indicator once. The grid is split
-    into contiguous parts, one per ``_cpus()``. For each part but the
-    last, this process computes the signals, forks a child to measure
-    them, and drops them; then it measures the last part itself. A part
-    that raised here, or whose child sent no complete payload, is
-    measured here once the children are reaped, in grid order, so a bug
-    raises the exception one process would raise, and a killed child
-    costs time, not rows. Every child is reaped before the call returns
-    or raises, and killed first if this process is interrupted.
-    """
-    count = len(assignments)
-    parts = max(1, min(_cpus(), count))
-    bounds = [count * k // parts for k in range(parts + 1)]
-    grid = [assignments[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    children = []  # per part but the last: (pid, read end of its pipe), or None
-    try:
-        for part in grid[:-1]:
-            # the signals are dropped here once the child holds them
-            try:
-                children.append(_fork(measure, [(a, signals(a)) for a in part]))
-            except Exception:  # measured again below, where it raises in grid order
-                children.append(None)
-        try:
-            own = [measure(a, signals(a)) for a in grid[-1]]
-        except Exception:  # measured again below, after every part before it
-            own = None
-    except BaseException:
-        import signal  # here alone: a run that is never interrupted does not load it
+    ``signals`` runs here for every cell, in grid order, so the memo it
+    reads computes each indicator once. Where ``_cpus()`` gives 1, every
+    cell is measured here as soon as its signals are computed. Where it
+    gives more, the first cell whose signals could be built is measured
+    here too, and its time and the mean signal time so far size the next
+    part (``_share``). Once a part's signals are computed, a forked child
+    measures that part and the signals are dropped, until ``_cpus()``
+    processes measure, this one included; this process measures the
+    cells after the last child's part. A part whose measures would take
+    no longer than the last fork took is not forked, so many CPUs give
+    no fork that saves nothing.
 
-        for child in filter(None, children):
-            os.kill(child[0], signal.SIGKILL)
+    A part that raised here, or whose child sent no complete payload, is
+    measured again here once every child is reaped, in grid order, so a
+    bug raises the exception one process would raise, and a killed child
+    costs time, not rows. Every child is reaped before the call returns
+    or raises; on an interrupt each is killed first (see ``_stop``).
+    """
+    processes = _cpus()  # this one and the children it may still fork
+    # [start, stop, rows measured here | (pid, pipe) of a child | None: measure it again]
+    parts: list[list] = []
+    pending: list = []  # (assignment, bars) of the next child's part, from cell ``done``
+    done = 0
+    signal_s = measure_s = fork_s = 0.0
+    try:
+        try:
+            for index, assignment in enumerate(assignments):
+                start = perf_counter()
+                bars = signals(assignment)
+                signal_s += perf_counter() - start
+                if processes == 1 or not measure_s:
+                    start = perf_counter()
+                    row = measure(assignment, bars)
+                    if not isinstance(bars, str):
+                        measure_s = measure_s or perf_counter() - start
+                    if not (parts and isinstance(parts[-1][2], list)):
+                        parts.append([index, index, []])
+                    parts[-1][1] = done = index + 1
+                    parts[-1][2].append(row)
+                    continue
+                pending.append((assignment, bars))
+                share = _share(len(assignments) - done, processes, signal_s / (index + 1), measure_s)
+                if len(pending) >= share and len(pending) * measure_s > fork_s:
+                    start = perf_counter()
+                    parts.append([done, index + 1, _fork(measure, pending)])
+                    fork_s = perf_counter() - start
+                    done, pending = index + 1, []
+                    processes = processes - 1 if parts[-1][2] else 1
+            if pending:  # too few cells were left to be worth a fork
+                parts.append([done, len(assignments), [measure(*cell) for cell in pending]])
+        except Exception:  # measured again below, where it raises in grid order
+            parts.append([done, len(assignments), None])
+        sent = [_sent_rows(source) if isinstance(source, tuple) else source
+                for *_, source in parts]
+    except BaseException:
+        _stop([source for *_, source in parts if isinstance(source, tuple)])
         raise
-    finally:
-        sent = [_sent_rows(child) for child in children]
-    rows = []
-    for part, part_rows in zip(grid, sent + [own]):
-        rows += [measure(a, signals(a)) for a in part] if part_rows is None else part_rows
-    return rows
+    cells: list[SweepRow | str] = []
+    for (start, stop, _), rows in zip(parts, sent):
+        cells += [measure(a, signals(a)) for a in assignments[start:stop]] if rows is None else rows
+    return cells
 
 
 def run_sweep(

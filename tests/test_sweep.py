@@ -254,22 +254,37 @@ FORK = getattr(os, "fork", None)
 needs_fork = pytest.mark.skipif(FORK is None, reason="no os.fork")
 
 
-def _forced_cpus(monkeypatch, cpus):
-    """Measure in ``cpus`` parts from now on; return the list each fork appends to."""
-    forks = []
+def _forced_cpus(monkeypatch, cpus, fork_s=1, ticking=True):
+    """Measure with ``cpus`` CPUs from now on; return the list each fork
+    appends to. A ticking clock moves one second a reading, so a cell's
+    signals and its measures take one second each, parts go 1 : 1/2 :
+    1/4 ... (``sweep._share``), and a fork takes ``fork_s`` seconds."""
+    forks, now = [], [0]
+
+    def clock():
+        now[0] += 1
+        return now[0]
 
     def counting():
         forks.append(None)
+        now[0] += fork_s - 1
         return FORK()
 
     monkeypatch.setattr(sweep, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counting)
+    if ticking:
+        monkeypatch.setattr(sweep, "perf_counter", clock)
     return forks
 
 
 def _no_child_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _grid(spec):
+    names = [path for path, _ in spec.axes]
+    return [tuple(zip(names, combo)) for combo in itertools.product(*(v for _, v in spec.axes))]
 
 
 @needs_fork
@@ -280,14 +295,44 @@ def test_measuring_in_parts_gives_the_serial_result(strategy, monkeypatch):
     series = random_ohlcv(random.Random(4), 320)
     text = f"strategy = {strategy}\nobjective = sharpe_annual\nmin_trades = 3\n"
     spec = sweep_from_dict(parse_kv_text(text + STRATEGY_GRIDS[strategy]))
-    results = []
+    serial = run_sweep(series, spec)
     for cpus in (1, 2, 3):
-        forks = _forced_cpus(monkeypatch, cpus)
-        results.append(run_sweep(series, spec))
-        assert len(forks) == cpus - 1
+        for ticking in (True, False):
+            forks = _forced_cpus(monkeypatch, cpus, ticking=ticking)
+            assert run_sweep(series, spec) == serial
+            assert len(forks) <= cpus - 1
+            assert len(forks) == cpus - 1 or not ticking
+            _no_child_is_left()
+
+
+def test_parts_shrink_so_that_every_process_finishes_together():
+    signal_s, measure_s = 1.0, 3.0
+    ratio = measure_s / (signal_s + measure_s)
+    # two processes: the child measures k cells while this one computes
+    # the signals of the other 60 - k and measures them
+    k = sweep._share(60, 2, signal_s, measure_s)
+    assert k * measure_s == pytest.approx((60 - k) * (signal_s + measure_s))
+    cells, parts = 60.0, []
+    for processes in (4, 3, 2, 1):
+        parts.append(sweep._share(cells, processes, signal_s, measure_s))
+        cells -= parts[-1]
+    assert cells == pytest.approx(0)
+    assert [b / a for a, b in zip(parts, parts[1:])] == pytest.approx([ratio] * 3)
+    # where signals take no time, every process measures as many cells
+    assert sweep._share(60, 4, 0.0, measure_s) == 15
+
+
+@needs_fork
+def test_a_part_is_forked_only_if_measuring_it_takes_longer_than_a_fork(series, monkeypatch):
+    # with a one-second fork, cell 0 is measured here and children measure
+    # cells 1-3 and 4-5; after a fork of 100 s the last two cells stay here
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    serial = run_sweep(series, spec)
+    for fork_s, forked in ((1, 2), (100, 1)):
+        forks = _forced_cpus(monkeypatch, 8, fork_s)
+        assert run_sweep(series, spec) == serial
+        assert len(forks) == forked
         _no_child_is_left()
-    assert results[1] == results[0]
-    assert results[2] == results[0]
 
 
 @needs_fork
@@ -324,13 +369,14 @@ def _faulty(monkeypatch, step, fault):
     [(step, cell) for cell in range(6) for step in ("_cell_signals", "_measure")],
     [("_measure", cell) for cell in range(6)],
     [("_measure", 1), ("_cell_signals", 3)],
+    [("_measure", 3), ("_cell_signals", 4)],
 ])
 def test_a_bug_raises_the_serial_exception(series, monkeypatch, faults):
-    # in 3 parts the children measure cells 0-1 and 2-3, and the caller
-    # computes every cell's signals and measures cells 4-5
+    # this process computes every cell's signals and measures cell 0; in
+    # 2 parts a child measures cells 1-4 and this process cell 5, and in 3
+    # parts children measure cells 1-3 and 4-5
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
-    names = [path for path, _ in spec.axes]
-    grid = [tuple(zip(names, combo)) for combo in itertools.product(*(v for _, v in spec.axes))]
+    grid = _grid(spec)
     faulty = {(step, grid[cell]) for step, cell in faults}
 
     def fault(step, assignment):
@@ -351,9 +397,9 @@ def test_a_bug_raises_the_serial_exception(series, monkeypatch, faults):
 
 @needs_fork
 def test_a_drop_measured_in_a_child_is_counted(series, monkeypatch):
-    # in 3 parts the children measure the flat 5/5 cell and the 5/15 cell,
-    # and the caller the 5/400 cell, whose signals are too short
-    text = DEGENERATE_TEXT.replace("5,15", "5,15,400") + "objective = sharpe_annual\n"
+    # this process measures the 5/15 cell; a child the flat 5/5 cell and
+    # the 5/400 cell, whose signals are too short
+    text = DEGENERATE_TEXT.replace("5,15", "15,5,400") + "objective = sharpe_annual\n"
     caller, measured_here = os.getpid(), []
 
     def fault(assignment):
@@ -365,14 +411,14 @@ def test_a_drop_measured_in_a_child_is_counted(series, monkeypatch):
     result = run_sweep(series, sweep_from_dict(parse_kv_text(text)))
     assert result.dropped == {"TooShort": 1, "ZeroVolatility": 1}
     assert [dict(row.params)["slow.period"] for row in result.rows] == [15]
-    assert len(forks) == 2
-    assert measured_here == [400]
+    assert len(forks) == 1
+    assert measured_here == [15]
 
 
 @needs_fork
 @pytest.mark.parametrize("code", [0, 1])
 def test_a_child_that_exits_without_rows_leaves_the_serial_result(series, monkeypatch, code):
-    spec = sweep_from_dict(parse_kv_text(DEGENERATE_TEXT.replace("5,15", "5,15,400")))
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     serial = run_sweep(series, spec)
     caller = os.getpid()
 
@@ -387,31 +433,117 @@ def test_a_child_that_exits_without_rows_leaves_the_serial_result(series, monkey
     _no_child_is_left()
 
 
-@needs_fork
-def test_an_interrupted_caller_kills_its_children(series, monkeypatch):
-    # the children would measure for a minute; the caller's own part is interrupted
-    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
-    caller = os.getpid()
-
-    def fault(assignment):
-        if os.getpid() != caller:
-            time.sleep(60)
-        raise KeyboardInterrupt
-
-    exit_codes = []
-    waitpid = os.waitpid
+def _exit_codes(monkeypatch):
+    """The exit code of each child os.waitpid reaps from now on."""
+    codes, waitpid = [], os.waitpid
 
     def recording(pid, options):
         reaped = waitpid(pid, options)
-        exit_codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
         return reaped
 
-    _faulty(monkeypatch, "_measure", fault)
-    _forced_cpus(monkeypatch, 3)
     monkeypatch.setattr(os, "waitpid", recording)
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(series, spec)
-    assert exit_codes == [-signal.SIGKILL] * 2
+    return codes
+
+
+def _interrupt_in(seconds):
+    """Raise KeyboardInterrupt here in ``seconds``, as Ctrl-C would."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus, exit_codes", [(2, [-signal.SIGKILL]), (3, [0, -signal.SIGKILL])])
+def test_an_interrupted_caller_kills_its_children(series, monkeypatch, cpus, exit_codes):
+    # in 2 parts the child sleeps a minute a cell, and this process is
+    # interrupted measuring its own last cell; in 3 parts the second child
+    # sleeps on the last cell, and this process is interrupted reading its
+    # pipe, once the first child is reaped
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    last, caller = _grid(spec)[-1], os.getpid()
+
+    def fault(assignment):
+        if os.getpid() == caller:
+            if assignment == last:
+                raise KeyboardInterrupt
+        elif cpus == 2 or assignment == last:
+            time.sleep(60)
+
+    _faulty(monkeypatch, "_measure", fault)
+    forks = _forced_cpus(monkeypatch, cpus)
+    reaped = _exit_codes(monkeypatch)
+    previous = signal.getsignal(signal.SIGALRM)
+    if cpus == 3:
+        _interrupt_in(0.5)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(series, spec)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == cpus - 1
+    assert reaped == exit_codes
+    monkeypatch.undo()
+    _no_child_is_left()
+
+
+@needs_fork
+def test_an_interrupt_with_sigchld_ignored_awaits_the_children(series, monkeypatch):
+    # the kernel reaps each child as it exits and may reuse its pid, so
+    # none is killed: the child measures its cells, fails to write its
+    # rows to the closed pipe, and exits
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    last, caller, kills = _grid(spec)[-1], os.getpid(), []
+
+    def fault(assignment):
+        if os.getpid() != caller:
+            time.sleep(0.2)
+        elif assignment == last:
+            raise KeyboardInterrupt
+
+    _faulty(monkeypatch, "_measure", fault)
+    forks = _forced_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    started = time.monotonic()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(series, spec)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert time.monotonic() - started >= 0.2 * 4  # the child's four cells
+    assert len(forks) == 1
+    assert kills == []
+    _no_child_is_left()
+
+
+@needs_fork
+def test_a_child_interrupted_as_it_starts_never_returns_to_the_caller(series, monkeypatch):
+    spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
+    serial = run_sweep(series, spec)
+    caller = os.getpid()
+    forks = _forced_cpus(monkeypatch, 3)
+    counting = os.fork
+
+    def fork_then_interrupt():
+        pid = counting()
+        if pid == 0:
+            raise KeyboardInterrupt
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_interrupt)
+    exit_codes = _exit_codes(monkeypatch)
+    try:
+        result = run_sweep(series, spec)
+    finally:
+        if os.getpid() != caller:  # a child got out of the sweep into this test
+            os._exit(3)
+    assert result == serial
+    assert len(forks) == 2
+    assert exit_codes == [1, 1]
     monkeypatch.undo()
     _no_child_is_left()
 
@@ -420,13 +552,15 @@ def test_an_interrupted_caller_kills_its_children(series, monkeypatch):
 def test_a_part_that_cannot_fork_is_measured_by_the_caller(series, monkeypatch):
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     serial = run_sweep(series, spec)
+    forks = _forced_cpus(monkeypatch, 3)
 
-    def no_fork():
+    def no_child():
+        forks.append(None)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(sweep, "_cpus", lambda: 3)
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", no_child)
     assert run_sweep(series, spec) == serial
+    assert len(forks) == 1  # no fork is tried after one fails
     _no_child_is_left()
 
 
@@ -450,21 +584,35 @@ def test_children_reaped_by_an_ignored_sigchld_still_send_their_rows(series, mon
         signal.signal(signal.SIGCHLD, previous)
     assert result == serial
     assert len(forks) == 2
-    assert len(measured_here) == 2  # the caller's own part: both children's rows arrived
+    assert measured_here == _grid(spec)[:1]  # both children's rows arrived
     _no_child_is_left()
 
 
 CPUS_SCRIPT = """
-import os, threading
+import io, os, threading
 from tabacktest import sweep
+
+def runnable(count):
+    line = f"0.00 0.00 0.00 {count}/90 1234\\n"
+    sweep.open = lambda path: io.StringIO(line)
+
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-print(sweep._cpus())
+for count in (1, 2, 3, 7):
+    runnable(count)
+    print(sweep._cpus())
+runnable(1)
 stop = threading.Event()
 thread = threading.Thread(target=stop.wait)
 thread.start()
 print(sweep._cpus())
 stop.set()
 thread.join()
+listdir = os.listdir
+def unreadable(path):
+    raise PermissionError(13, "Permission denied", path)
+os.listdir = unreadable
+print(sweep._cpus())
+os.listdir = listdir
 os.sched_getaffinity = lambda pid: {0}
 print(sweep._cpus())
 del os.sched_getaffinity
@@ -472,11 +620,13 @@ print(sweep._cpus())
 """
 
 
-def test_only_a_lone_thread_with_several_cpus_measures_in_parts():
+def test_only_a_lone_thread_with_idle_cpus_measures_in_parts():
     # in a fresh interpreter: this one may run threads of its own (a BLAS pool)
     src = Path(sweep.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", CPUS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["3", "1", "1", "1"]
+    # 3 CPUs with 1, 2, 3 and 7 tasks runnable, this one included; then
+    # a second thread, no /proc/self/task, one CPU and no sched_getaffinity
+    assert done.stdout.split() == ["3", "2", "1", "1", "1", "1", "1", "1"]
