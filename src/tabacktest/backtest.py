@@ -12,6 +12,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import lt, mul, truediv
 from typing import Optional, Sequence
 
+from . import _parts
 from .errors import IndexOutOfRange, NonAlternatingSignals
 from .market_data import OhlcvSeries
 
@@ -101,7 +102,15 @@ def run(series: OhlcvSeries, bars: Sequence[int]) -> BacktestResult:
 
 
 def equity_to_csv(result: BacktestResult, series: OhlcvSeries, handle) -> None:
-    """Write `bar_index,equity,close` rows for figure reproduction to an open text handle."""
+    """Write `bar_index,equity,close` rows for figure reproduction to an
+    open text handle. Forked children may format ranges of the rows
+    (``_parts.write_rows``); the bytes are the same whatever the number
+    of processes."""
+    equity, closes = result.equity, series.closes
+
+    def rows(start: int, stop: int):
+        return (f"{i},{value!r},{close!r}\n"
+                for i, value, close in zip(range(start, stop), equity[start:stop], closes[start:stop]))
+
     handle.write("bar_index,equity,close\n")
-    for i, (value, close) in enumerate(zip(result.equity, series.closes)):
-        handle.write(f"{i},{value!r},{close!r}\n")
+    _parts.write_rows(handle, rows, min(len(equity), len(closes)))

@@ -23,6 +23,7 @@ from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
+from . import _parts
 from ._exact import prefix_sums
 from .errors import (
     EmptySeries,
@@ -540,13 +541,19 @@ def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
 
 def serialize_csv(series: OhlcvSeries, handle) -> None:
     """Write a series in canonical column order to an open text handle;
-    parse(serialize(s)) == s."""
+    parse(serialize(s)) == s. Forked children may format ranges of the
+    rows (``_parts.write_rows``); the bytes are the same whatever the
+    number of processes."""
+    columns = (series.dates, series.opens, series.highs, series.lows, series.closes,
+               series.volumes)
+
+    def rows(start: int, stop: int):
+        return (f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
+                for date, open_, high, low, close, volume
+                in zip(*(column[start:stop] for column in columns)))
+
     handle.write("date,open,high,low,close,volume\n")
-    handle.writelines(
-        f"{date.isoformat()},{open_!r},{high!r},{low!r},{close!r},{volume}\n"
-        for date, open_, high, low, close, volume in zip(
-            series.dates, series.opens, series.highs, series.lows, series.closes, series.volumes)
-    )
+    _parts.write_rows(handle, rows, len(series))
 
 
 def slice_years(series_or_length, bars_per_year: int) -> list[tuple[int, int]]:

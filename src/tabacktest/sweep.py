@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import marshal
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Any, BinaryIO, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
+from . import _parts
 from .backtest import close_ratios, exposure_runs
 from .config import OBJECTIVES, SweepSpec
 from .errors import EmptyGridAfterFilter, EngineError, ZeroVolatility
@@ -84,23 +84,6 @@ def _measure(
     return SweepRow(assignment, len(runs), measures.rr_whole, measures.sr, measures.ir, value)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on, less one for each other task
-    that is runnable now, so a busy host gets no fork that only waits for
-    a CPU. 1 where it cannot say, or where another thread runs, since a
-    forked child holds only the forking thread and so keeps any lock
-    another thread held."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        threads = len(os.listdir("/proc/self/task"))
-        with open("/proc/loadavg") as loadavg:
-            # the fourth field is runnable/all tasks, this one among the runnable
-            runnable = int(loadavg.read().split()[3].partition("/")[0])
-    except (AttributeError, OSError):  # no sched_getaffinity outside Linux
-        return 1
-    return max(1, cpus + 1 - runnable) if threads == 1 else 1
-
-
 def _share(cells: int, processes: int, signal_s: float, measure_s: float) -> float:
     """How many of the next ``cells`` the next child should measure, when
     ``processes`` (this one included) measure them and a cell's signals
@@ -116,76 +99,21 @@ def _share(cells: int, processes: int, signal_s: float, measure_s: float) -> flo
     return cells / sum(ratio ** k for k in range(processes))
 
 
-def _fork(measure: Callable, cells: list) -> Optional[tuple[int, BinaryIO]]:
-    """(pid, read end of its pipe) of a forked child that measures each
-    ``(assignment, bars)`` of ``cells`` and writes the rows down the pipe
-    in one ``marshal`` payload; None when no child can be forked. The
-    child exits 0 once every byte is written and 1 on anything else:
-    whatever it raises, and wherever, it never returns from here."""
-    caller = os.getpid()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            os.close(read_end)
-            rows = [measure(*cell) for cell in cells]
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps([row if isinstance(row, str) else vars(row)
-                                          for row in rows]))
-            os._exit(0)
-    except OSError:
-        pid = None
-    finally:
-        if os.getpid() != caller:
-            os._exit(1)
-    os.close(write_end)
-    if pid is None:
-        os.close(read_end)
-        return None
-    return pid, open(read_end, "rb")
+def _child_rows(measure: Callable, cells: list) -> bytes:
+    """What a forked child sends of each ``(assignment, bars)`` of
+    ``cells``: a row as its fields, a dropped cell as its kind, all
+    marshalled into one bytes object, which ``_parts.sent`` loads from
+    the pipe in one read where a list of rows would take a read a field."""
+    return marshal.dumps([row if isinstance(row, str) else vars(row)
+                          for row in itertools.starmap(measure, cells)])
 
 
-def _reap(pid: int) -> None:
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:  # reaped already, or by the kernel: SIGCHLD is ignored
-        pass
-
-
-def _sent_rows(child: tuple[int, BinaryIO]) -> Optional[list[SweepRow | str]]:
-    """The rows a forked child sent down its pipe, read to the end, once
-    the child is reaped. None where it sent no complete payload: a child
-    that raised sends nothing, and one killed while writing sends a
-    prefix, which does not load."""
-    pid, pipe = child
-    with pipe:
-        payload = pipe.read()
-    _reap(pid)
-    try:
-        cells = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return None
-    # a row comes as its fields, a dropped cell as its kind
-    return [cell if isinstance(cell, str) else SweepRow(**cell) for cell in cells]
-
-
-def _stop(children: list[tuple[int, BinaryIO]]) -> None:
-    """Kill each child not yet reaped, close its pipe and reap it. Where
-    SIGCHLD is ignored the kernel reaps a child as it exits and may give
-    its pid to another process, so none is killed: each is awaited, and
-    fails when it writes to its closed pipe."""
-    import signal  # here alone: a run that is never interrupted does not load it
-
-    killing = signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
-    for pid, pipe in children:
-        pipe.close()
-        try:
-            # an exited child keeps its pid until it is reaped; only a running one is killed
-            if killing and os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
-                os.kill(pid, signal.SIGKILL)
-        except ChildProcessError:  # reaped already
-            continue
-        _reap(pid)
+def _sent_rows(child: _parts.Child) -> Optional[list[SweepRow | str]]:
+    """The rows a forked child sent (``_parts.sent``), or None where it
+    sent no complete payload."""
+    payload = _parts.sent(child)
+    return None if payload is None else [
+        cell if isinstance(cell, str) else SweepRow(**cell) for cell in marshal.loads(payload)]
 
 
 def _measured_cells(
@@ -194,29 +122,29 @@ def _measured_cells(
     """``measure(a, signals(a))`` of each assignment ``a``, in grid order.
 
     ``signals`` runs here for every cell, in grid order, so the memo it
-    reads computes each indicator once. Where ``_cpus()`` gives 1, every
+    reads computes each indicator once. Where ``_parts.cpus()`` gives 1, every
     cell is measured here as soon as its signals are computed. Where it
     gives more, the first cell whose signals could be built is measured
     here too, and its time and the mean signal time so far size the next
     part (``_share``). Once a part's signals are computed, a forked child
-    measures that part and the signals are dropped, until ``_cpus()``
+    measures that part and the signals are dropped, until ``_parts.cpus()``
     processes measure, this one included; this process measures the
     cells after the last child's part. A part whose measures would take
-    no longer than the last fork took is not forked, so many CPUs give
-    no fork that saves nothing.
+    no longer than the last fork took is not forked (``_parts.pays``),
+    so many CPUs give no fork that saves nothing.
 
     A part that raised here, or whose child sent no complete payload, is
     measured again here once every child is reaped, in grid order, so a
     bug raises the exception one process would raise, and a killed child
     costs time, not rows. Every child is reaped before the call returns
-    or raises; on an interrupt each is killed first (see ``_stop``).
+    or raises; on an interrupt each is killed first (see ``_parts.stop``).
     """
-    processes = _cpus()  # this one and the children it may still fork
+    processes = _parts.cpus()  # this one and the children it may still fork
     # [start, stop, rows measured here | (pid, pipe) of a child | None: measure it again]
     parts: list[list] = []
     pending: list = []  # (assignment, bars) of the next child's part, from cell ``done``
     done = 0
-    signal_s = measure_s = fork_s = 0.0
+    signal_s = measure_s = 0.0
     try:
         try:
             for index, assignment in enumerate(assignments):
@@ -235,10 +163,8 @@ def _measured_cells(
                     continue
                 pending.append((assignment, bars))
                 share = _share(len(assignments) - done, processes, signal_s / (index + 1), measure_s)
-                if len(pending) >= share and len(pending) * measure_s > fork_s:
-                    start = perf_counter()
-                    parts.append([done, index + 1, _fork(measure, pending)])
-                    fork_s = perf_counter() - start
+                if len(pending) >= share and _parts.pays(len(pending) * measure_s):
+                    parts.append([done, index + 1, _parts.fork(partial(_child_rows, measure, pending))])
                     done, pending = index + 1, []
                     processes = processes - 1 if parts[-1][2] else 1
             if pending:  # too few cells were left to be worth a fork
@@ -248,7 +174,7 @@ def _measured_cells(
         sent = [_sent_rows(source) if isinstance(source, tuple) else source
                 for *_, source in parts]
     except BaseException:
-        _stop([source for *_, source in parts if isinstance(source, tuple)])
+        _parts.stop([source for *_, source in parts if isinstance(source, tuple)])
         raise
     cells: list[SweepRow | str] = []
     for (start, stop, _), rows in zip(parts, sent):

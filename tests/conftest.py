@@ -1,11 +1,13 @@
 import datetime as dt
 import os
 import random
+import signal
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+from tabacktest import _parts, sweep
 from tabacktest.market_data import OhlcvSeries
 from tabacktest.strategies import BUY, SELL
 
@@ -79,3 +81,60 @@ def no_child_process_is_left():
     yield
     if _a_child_process_is_left():
         pytest.fail("the test left a child process")
+
+
+FORK = getattr(os, "fork", None)
+needs_fork = pytest.mark.skipif(FORK is None, reason="no os.fork")
+
+
+def forced_cpus(monkeypatch, cpus, fork_s=1, ticking=True):
+    """Work in ``cpus`` processes from now on, with no fork timed yet;
+    return the list each fork appends to. A ticking clock moves one second
+    a reading, so a sweep cell's signals and its measures take one second
+    each, parts go 1 : 1/2 : 1/4 ... (``sweep._share``), a writer's first
+    row takes one second, and a fork takes ``fork_s`` seconds."""
+    forks, now = [], [0]
+
+    def clock():
+        now[0] += 1
+        return now[0]
+
+    def counting():
+        forks.append(None)
+        now[0] += fork_s - 1
+        return FORK()
+
+    monkeypatch.setattr(_parts, "cpus", lambda: cpus)
+    monkeypatch.setattr(_parts, "_last_fork_s", 0.0)
+    monkeypatch.setattr(os, "fork", counting)
+    if ticking:
+        monkeypatch.setattr(sweep, "perf_counter", clock)
+        monkeypatch.setattr(_parts, "perf_counter", clock)
+    return forks
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def exit_codes_of_reaped(monkeypatch):
+    """The exit code of each child os.waitpid reaps from now on."""
+    codes, waitpid = [], os.waitpid
+
+    def recording(pid, options):
+        reaped = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    monkeypatch.setattr(os, "waitpid", recording)
+    return codes
+
+
+def interrupt_in(seconds):
+    """Raise KeyboardInterrupt here in ``seconds``, as Ctrl-C would."""
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)

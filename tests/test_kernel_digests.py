@@ -13,8 +13,11 @@ a backtest's signals and equity are built from those kernels and running
 products, and the measure block's means and deviations from exact integer
 sums. The parser reads only ``YYYY-MM-DD`` dates and stops at a NUL on
 each interpreter, though the ``datetime`` and ``csv`` modules of 3.11+
-accept more. The module needs no pytest, so an interpreter without it
-checks the pins with
+accept more. Every digest is taken twice, with the bar writers and the
+sweeps forced to work in one process and in two (see ``PROCESSES``), so
+the pins hold through the forked path and the single-process path
+whatever the load on the host. The module needs no pytest, so an
+interpreter without it checks the pins with
 
     PYTHONPATH=src python tests/test_kernel_digests.py
 
@@ -26,9 +29,10 @@ import io
 import struct
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
+from tabacktest import _parts
 from tabacktest.backtest import equity_to_csv, run
 from tabacktest.cli import main
 from tabacktest.config import parse_kv_text, strategy_from_dict
@@ -304,16 +308,37 @@ def cli_digests() -> dict[str, str]:
     return digests
 
 
-def all_digests() -> dict[str, str]:
-    return {**kernel_digests(), **cli_digests()}
+# the number of processes each writer of a series' bars and each sweep is
+# forced to work in, whatever _parts.cpus() would give on this host
+PROCESSES = (1, 2)
+
+
+@contextmanager
+def _processes(count: int):
+    cpus = _parts.cpus
+    _parts.cpus = lambda: count
+    try:
+        yield
+    finally:
+        _parts.cpus = cpus
+
+
+def all_digests(processes: int) -> dict[str, str]:
+    with _processes(processes):
+        return {**kernel_digests(), **cli_digests()}
 
 
 def test_kernel_bits_are_pinned():
-    assert all_digests() == PINNED
+    for processes in PROCESSES:
+        assert all_digests(processes) == PINNED, f"in {processes} processes"
 
 
 if __name__ == "__main__":
-    digests = all_digests()
-    for name, pinned in PINNED.items():
-        print(f"{name}: {digests[name]} {'ok' if digests[name] == pinned else 'DIFFERS'}")
-    sys.exit(0 if digests == PINNED else 1)
+    held = True
+    for processes in PROCESSES:
+        digests = all_digests(processes)
+        for name, pinned in PINNED.items():
+            print(f"{name} ({processes} processes): {digests[name]} "
+                  f"{'ok' if digests[name] == pinned else 'DIFFERS'}")
+        held = held and digests == PINNED
+    sys.exit(0 if held else 1)

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_ohlcv
-from tabacktest import _exact, errors, strategies, sweep
+from conftest import (
+    exit_codes_of_reaped, forced_cpus, interrupt_in, needs_fork, no_child_is_left, random_ohlcv,
+)
+from tabacktest import _exact, _parts, errors, strategies, sweep
 from tabacktest.backtest import run
 from tabacktest.config import parse_kv_text, strategy_from_dict, sweep_from_dict
 from tabacktest.metrics import build_report
@@ -250,38 +252,6 @@ def test_band_parts_are_shared_across_widths(series, monkeypatch, strategy, part
     assert len(set(calls)) == 2
 
 
-FORK = getattr(os, "fork", None)
-needs_fork = pytest.mark.skipif(FORK is None, reason="no os.fork")
-
-
-def _forced_cpus(monkeypatch, cpus, fork_s=1, ticking=True):
-    """Measure with ``cpus`` CPUs from now on; return the list each fork
-    appends to. A ticking clock moves one second a reading, so a cell's
-    signals and its measures take one second each, parts go 1 : 1/2 :
-    1/4 ... (``sweep._share``), and a fork takes ``fork_s`` seconds."""
-    forks, now = [], [0]
-
-    def clock():
-        now[0] += 1
-        return now[0]
-
-    def counting():
-        forks.append(None)
-        now[0] += fork_s - 1
-        return FORK()
-
-    monkeypatch.setattr(sweep, "_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counting)
-    if ticking:
-        monkeypatch.setattr(sweep, "perf_counter", clock)
-    return forks
-
-
-def _no_child_is_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _grid(spec):
     names = [path for path, _ in spec.axes]
     return [tuple(zip(names, combo)) for combo in itertools.product(*(v for _, v in spec.axes))]
@@ -298,11 +268,11 @@ def test_measuring_in_parts_gives_the_serial_result(strategy, monkeypatch):
     serial = run_sweep(series, spec)
     for cpus in (1, 2, 3):
         for ticking in (True, False):
-            forks = _forced_cpus(monkeypatch, cpus, ticking=ticking)
+            forks = forced_cpus(monkeypatch, cpus, ticking=ticking)
             assert run_sweep(series, spec) == serial
             assert len(forks) <= cpus - 1
             assert len(forks) == cpus - 1 or not ticking
-            _no_child_is_left()
+            no_child_is_left()
 
 
 def test_parts_shrink_so_that_every_process_finishes_together():
@@ -329,16 +299,16 @@ def test_a_part_is_forked_only_if_measuring_it_takes_longer_than_a_fork(series, 
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     serial = run_sweep(series, spec)
     for fork_s, forked in ((1, 2), (100, 1)):
-        forks = _forced_cpus(monkeypatch, 8, fork_s)
+        forks = forced_cpus(monkeypatch, 8, fork_s)
         assert run_sweep(series, spec) == serial
         assert len(forks) == forked
-        _no_child_is_left()
+        no_child_is_left()
 
 
 @needs_fork
 def test_a_grid_of_one_cell_forks_nothing(series, monkeypatch):
     text = SWEEP_TEXT.replace("2:4:1", "3").replace("12,20", "15")
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
     assert len(run_sweep(series, sweep_from_dict(parse_kv_text(text))).rows) == 1
     assert forks == []
 
@@ -387,12 +357,12 @@ def test_a_bug_raises_the_serial_exception(series, monkeypatch, faults):
         _faulty(monkeypatch, step, functools.partial(fault, step))
     first_step, first_cell = faults[0]
     for cpus in (1, 2, 3):
-        _forced_cpus(monkeypatch, cpus)
+        forced_cpus(monkeypatch, cpus)
         with pytest.raises(KeyError) as info:
             run_sweep(series, spec)
         assert info.type is KeyError
         assert info.value.args == (f"no {first_step} for {grid[first_cell]}",)
-        _no_child_is_left()
+        no_child_is_left()
 
 
 @needs_fork
@@ -407,7 +377,7 @@ def test_a_drop_measured_in_a_child_is_counted(series, monkeypatch):
             measured_here.append(dict(assignment)["slow.period"])
 
     _faulty(monkeypatch, "_measure", fault)
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
     result = run_sweep(series, sweep_from_dict(parse_kv_text(text)))
     assert result.dropped == {"TooShort": 1, "ZeroVolatility": 1}
     assert [dict(row.params)["slow.period"] for row in result.rows] == [15]
@@ -427,32 +397,10 @@ def test_a_child_that_exits_without_rows_leaves_the_serial_result(series, monkey
             os._exit(code)
 
     _faulty(monkeypatch, "_measure", fault)
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
     assert run_sweep(series, spec) == serial
     assert len(forks) == 2
-    _no_child_is_left()
-
-
-def _exit_codes(monkeypatch):
-    """The exit code of each child os.waitpid reaps from now on."""
-    codes, waitpid = [], os.waitpid
-
-    def recording(pid, options):
-        reaped = waitpid(pid, options)
-        codes.append(os.waitstatus_to_exitcode(reaped[1]))
-        return reaped
-
-    monkeypatch.setattr(os, "waitpid", recording)
-    return codes
-
-
-def _interrupt_in(seconds):
-    """Raise KeyboardInterrupt here in ``seconds``, as Ctrl-C would."""
-    def interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGALRM, interrupt)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    no_child_is_left()
 
 
 @needs_fork
@@ -473,11 +421,11 @@ def test_an_interrupted_caller_kills_its_children(series, monkeypatch, cpus, exi
             time.sleep(60)
 
     _faulty(monkeypatch, "_measure", fault)
-    forks = _forced_cpus(monkeypatch, cpus)
-    reaped = _exit_codes(monkeypatch)
+    forks = forced_cpus(monkeypatch, cpus)
+    reaped = exit_codes_of_reaped(monkeypatch)
     previous = signal.getsignal(signal.SIGALRM)
     if cpus == 3:
-        _interrupt_in(0.5)
+        interrupt_in(0.5)
     try:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(series, spec)
@@ -487,7 +435,7 @@ def test_an_interrupted_caller_kills_its_children(series, monkeypatch, cpus, exi
     assert len(forks) == cpus - 1
     assert reaped == exit_codes
     monkeypatch.undo()
-    _no_child_is_left()
+    no_child_is_left()
 
 
 @needs_fork
@@ -505,7 +453,7 @@ def test_an_interrupt_with_sigchld_ignored_awaits_the_children(series, monkeypat
             raise KeyboardInterrupt
 
     _faulty(monkeypatch, "_measure", fault)
-    forks = _forced_cpus(monkeypatch, 2)
+    forks = forced_cpus(monkeypatch, 2)
     monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     started = time.monotonic()
@@ -517,7 +465,7 @@ def test_an_interrupt_with_sigchld_ignored_awaits_the_children(series, monkeypat
     assert time.monotonic() - started >= 0.2 * 4  # the child's four cells
     assert len(forks) == 1
     assert kills == []
-    _no_child_is_left()
+    no_child_is_left()
 
 
 @needs_fork
@@ -525,7 +473,7 @@ def test_a_child_interrupted_as_it_starts_never_returns_to_the_caller(series, mo
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     serial = run_sweep(series, spec)
     caller = os.getpid()
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
     counting = os.fork
 
     def fork_then_interrupt():
@@ -535,7 +483,7 @@ def test_a_child_interrupted_as_it_starts_never_returns_to_the_caller(series, mo
         return pid
 
     monkeypatch.setattr(os, "fork", fork_then_interrupt)
-    exit_codes = _exit_codes(monkeypatch)
+    exit_codes = exit_codes_of_reaped(monkeypatch)
     try:
         result = run_sweep(series, spec)
     finally:
@@ -545,14 +493,14 @@ def test_a_child_interrupted_as_it_starts_never_returns_to_the_caller(series, mo
     assert len(forks) == 2
     assert exit_codes == [1, 1]
     monkeypatch.undo()
-    _no_child_is_left()
+    no_child_is_left()
 
 
 @needs_fork
 def test_a_part_that_cannot_fork_is_measured_by_the_caller(series, monkeypatch):
     spec = sweep_from_dict(parse_kv_text(SWEEP_TEXT))
     serial = run_sweep(series, spec)
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
 
     def no_child():
         forks.append(None)
@@ -561,7 +509,7 @@ def test_a_part_that_cannot_fork_is_measured_by_the_caller(series, monkeypatch):
     monkeypatch.setattr(os, "fork", no_child)
     assert run_sweep(series, spec) == serial
     assert len(forks) == 1  # no fork is tried after one fails
-    _no_child_is_left()
+    no_child_is_left()
 
 
 @needs_fork
@@ -576,7 +524,7 @@ def test_children_reaped_by_an_ignored_sigchld_still_send_their_rows(series, mon
             measured_here.append(assignment)
 
     _faulty(monkeypatch, "_measure", fault)
-    forks = _forced_cpus(monkeypatch, 3)
+    forks = forced_cpus(monkeypatch, 3)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         result = run_sweep(series, spec)
@@ -585,44 +533,44 @@ def test_children_reaped_by_an_ignored_sigchld_still_send_their_rows(series, mon
     assert result == serial
     assert len(forks) == 2
     assert measured_here == _grid(spec)[:1]  # both children's rows arrived
-    _no_child_is_left()
+    no_child_is_left()
 
 
 CPUS_SCRIPT = """
 import io, os, threading
-from tabacktest import sweep
+from tabacktest import _parts
 
 def runnable(count):
     line = f"0.00 0.00 0.00 {count}/90 1234\\n"
-    sweep.open = lambda path: io.StringIO(line)
+    _parts.open = lambda path: io.StringIO(line)
 
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 for count in (1, 2, 3, 7):
     runnable(count)
-    print(sweep._cpus())
+    print(_parts.cpus())
 runnable(1)
 stop = threading.Event()
 thread = threading.Thread(target=stop.wait)
 thread.start()
-print(sweep._cpus())
+print(_parts.cpus())
 stop.set()
 thread.join()
 listdir = os.listdir
 def unreadable(path):
     raise PermissionError(13, "Permission denied", path)
 os.listdir = unreadable
-print(sweep._cpus())
+print(_parts.cpus())
 os.listdir = listdir
 os.sched_getaffinity = lambda pid: {0}
-print(sweep._cpus())
+print(_parts.cpus())
 del os.sched_getaffinity
-print(sweep._cpus())
+print(_parts.cpus())
 """
 
 
 def test_only_a_lone_thread_with_idle_cpus_measures_in_parts():
     # in a fresh interpreter: this one may run threads of its own (a BLAS pool)
-    src = Path(sweep.__file__).resolve().parent.parent
+    src = Path(_parts.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", CPUS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=60)
