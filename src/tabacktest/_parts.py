@@ -1,16 +1,21 @@
-"""Forked parts: work a caller hands to forked children on idle CPUs.
+"""Forked parts: work a caller shares with forked children on idle CPUs.
 
-A child does one piece of work, sends its result down a pipe as one
-``marshal`` payload and leaves through ``os._exit``; a payload counts
-as sent only if it loads whole. Where a child sends none, the caller
-does that piece itself, so the result, and any exception, is what one
-process gives. The sweep measures parts of its grid this way (see
-``sweep._measured_cells``), and the writers whose rows are a series'
-bars format ranges of rows this way (see ``write_rows``).
+A child does its share of some work, sends its result down a pipe as
+one ``marshal`` payload and leaves through ``os._exit``; a payload
+counts as sent only if it loads whole. Where a child sends none, the
+caller does that share itself, so the result, and any exception, is
+what one process gives. The sweep measures parts of its grid this way
+(see ``sweep._measured_cells``). Work that is a numbered list of items
+is shared from both ends (see ``share``): the caller takes items from
+the front and a child from the back, until they meet. The writers whose
+rows are a series' bars share pieces of rows this way (see
+``write_rows``), and the indicator dump its distinct kernel calls (see
+``cli.cmd_indicators``).
 """
 from __future__ import annotations
 
 import marshal
+import mmap
 import os
 from functools import partial
 from time import perf_counter
@@ -18,8 +23,11 @@ from typing import Any, BinaryIO, Callable, Iterable, Optional
 
 Child = tuple[int, BinaryIO]  # (pid, read end of its pipe)
 
-# rows of a child's range that go into one piece of its text: the caller
-# holds a child's whole text, but encodes it one piece at a time
+# the rows of one piece of a writer's text: about 1/PIECES of the rows,
+# at least MIN_PIECE_ROWS and at most PIECE_ROWS, so an artifact of fewer
+# than 2 * MIN_PIECE_ROWS rows is one piece and forks nothing
+PIECES = 32
+MIN_PIECE_ROWS = 256
 PIECE_ROWS = 4096
 
 _last_fork_s = 0.0  # how long the last fork took this process, in seconds
@@ -148,50 +156,115 @@ def stop(children: list[Child]) -> None:
         reap(pid)
 
 
-def _pieces(rows: Callable[[int, int], Iterable[str]], begin: int, end: int) -> list[str]:
-    """The text of rows ``begin`` to ``end - 1``, in pieces of ``PIECE_ROWS`` rows."""
-    return ["".join(rows(first, min(first + PIECE_ROWS, end)))
-            for first in range(begin, end, PIECE_ROWS)]
+def _from_back(counters: memoryview, block: int, first: int, there: Callable[[int], Any]):
+    """What child ``block`` sends: ``(start, [there(i) for i from start to
+    the end of its block])``. It takes the block's items from the back,
+    each only while the caller has not taken it from the front, and
+    stops at the block's ``first`` item."""
+    results = []
+    item = counters[block] - 1
+    while item >= max(first, counters[0]):
+        counters[block] = item
+        results.append(there(item))
+        item -= 1
+    results.reverse()
+    return item + 1, results
+
+
+def share(count: int, here: Callable[[int], Any], there: Callable[[int], Any],
+          take: Callable[[int, Any], Any]) -> None:
+    """Do items 0 to ``count - 1``, in order: each is ``here(i)`` in this
+    process, or ``take(i, result)`` with ``result = there(i)`` from a
+    forked child (``fork``), which must be a ``marshal``-able value.
+
+    Where ``cpus()`` gives 1, or there is one item, this is ``here(i)``
+    for each item. Otherwise this process does item 0 and times it, and
+    splits items 1.. into one contiguous block a child: the first block
+    holds two processes' shares, this one's and its child's, and each
+    later block one. A child is forked for each block while its share of
+    the items would take longer here than the last fork took (``pays``);
+    the blocks after the first that does not pay stay here. Each child
+    takes its block's items from the back while this process takes
+    items from the front, block after block, and the two stop where they
+    meet, so neither waits on a split fixed in advance. Their progress
+    is two counters in shared memory, made before the fork: only this
+    process writes the front, only the child its back, and before each
+    item each reads the other's. Where this process meets a child, it
+    loads what the child sent, all at once, and goes on to the next
+    block.
+
+    The result never rests on the counters. This process runs ``here``
+    or ``take`` for every item, in order: ``here`` for the items it took,
+    ``take`` for the items the child sent, and ``here`` for any other
+    item, such as one whose child sent nothing. A stale read can only
+    make both processes do one item, never leave one out, so the
+    result, and any exception, is what one process gives, and this
+    process holds at most one child's results at a time. Every child is
+    reaped before the call returns or raises; on an interrupt each is
+    killed first (see ``stop``).
+    """
+    processes = min(cpus(), count)
+    if processes < 2:
+        for item in range(count):
+            here(item)
+        return
+    start = perf_counter()
+    here(0)
+    share_s = (perf_counter() - start) * (count - 1) / processes
+    ends = [1 + (count - 1) * k // processes for k in range(2, processes + 1)]
+    # [0]: the next item this process takes; [k]: the last item child k took
+    shared = mmap.mmap(-1, 8 * processes)
+    counters = memoryview(shared).cast("q")
+    counters[0] = 1
+    for block, end in enumerate(ends, 1):
+        counters[block] = end
+    children: list[Child] = []
+    try:
+        for block, first in enumerate([1, *ends[:-1]], 1):
+            child = fork(partial(_from_back, counters, block, first, there)) if pays(share_s) else None
+            if child is None:
+                break
+            children.append(child)
+        item = 1
+        for block, end in enumerate(ends, 1):
+            while item < counters[block]:
+                counters[0] = item + 1
+                here(item)
+                item += 1
+            payload = sent(children[block - 1]) if block <= len(children) else None
+            taken, results = payload or (end, [])  # the first item the child took, and its results
+            for rest in range(item, end):
+                if rest < taken:
+                    here(rest)
+                else:
+                    take(rest, results[rest - taken])
+            item = end
+    except BaseException:
+        stop(children)
+        raise
+    finally:
+        counters.release()
+        shared.close()
 
 
 def write_rows(handle, rows: Callable[[int, int], Iterable[str]], count: int) -> None:
     """Write the lines ``rows(0, count)`` to the open text handle, in order.
 
     ``rows(start, stop)`` gives the lines of rows ``start`` to ``stop -
-    1``, each line a function of its row alone. Where ``cpus()`` gives 1,
-    this is ``handle.writelines(rows(0, count))``. Where it gives more,
-    this process writes row 0 and times it, splits the other rows into
-    ``cpus()`` contiguous ranges, and forks a child (``fork``) that
-    formats each later range whose rows would take longer to format here
-    than the last fork took (``pays``); the rows after a range that does
-    not pay stay here. It streams the first range into the handle, then
-    writes each child's text in order, once that text has loaded whole,
-    and formats here any range whose child sent none. So the bytes, and
-    any exception, are what one process gives, and this process never
-    holds more of the text than one child's range. Children never touch
-    the handle. Every child is reaped before the call returns or raises;
-    on an interrupt each is killed first (see ``stop``).
+    1``, each line a function of its row alone. The rows go in pieces of
+    about ``count // PIECES`` rows (at least ``MIN_PIECE_ROWS``, at most
+    ``PIECE_ROWS``), shared with forked children from both ends
+    (``share``): this process streams each piece it takes into the
+    handle with ``writelines``, and a child joins each piece it takes
+    into one string and sends its pieces when it stops. So the bytes,
+    and any exception, are what one process gives: a row that raises
+    leaves exactly the rows before it in the handle. Children never
+    touch the handle, and an artifact of one piece forks nothing.
     """
-    processes = min(cpus(), count - 1)
-    if processes < 2:
-        handle.writelines(rows(0, count))
-        return
-    start = perf_counter()
-    handle.writelines(rows(0, 1))
-    row_s = perf_counter() - start
-    bounds = [1 + (count - 1) * k // processes for k in range(processes + 1)]
-    parts: list[tuple[int, int, Optional[Child]]] = []  # (begin, end, child or None: here)
-    try:
-        for begin, end in zip(bounds[1:-1], bounds[2:]):
-            child = fork(partial(_pieces, rows, begin, end)) if pays((end - begin) * row_s) else None
-            if child is None:
-                parts.append((begin, count, None))
-                break
-            parts.append((begin, end, child))
-        handle.writelines(rows(1, bounds[1]))
-        for begin, end, child in parts:
-            text = None if child is None else sent(child)
-            handle.writelines(rows(begin, end) if text is None else text)
-    except BaseException:
-        stop([child for *_, child in parts if child is not None])
-        raise
+    size = min(PIECE_ROWS, max(MIN_PIECE_ROWS, count // PIECES))
+
+    def piece(item: int) -> Iterable[str]:
+        return rows(item * size, min(item * size + size, count))
+
+    share(-(-count // size), lambda item: handle.writelines(piece(item)),
+          lambda item: "".join(piece(item)), lambda item, text: handle.write(text))

@@ -103,7 +103,8 @@ def run(series: OhlcvSeries, bars: Sequence[int]) -> BacktestResult:
 
 def equity_to_csv(result: BacktestResult, series: OhlcvSeries, handle) -> None:
     """Write `bar_index,equity,close` rows for figure reproduction to an
-    open text handle. Forked children may format ranges of the rows
+    open text handle. Forked children may format pieces of the rows,
+    taken from the back while this process takes them from the front
     (``_parts.write_rows``); the bytes are the same whatever the number
     of processes."""
     equity, closes = result.equity, series.closes

@@ -170,7 +170,8 @@ def cmd_ingest(args) -> dict:
 
 def _indicators_to_csv(closes, columns: dict, handle) -> None:
     """One row a bar: its index, its close and each column's value. Forked
-    children may format ranges of the rows (``_parts.write_rows``); the
+    children may format pieces of the rows, taken from the back while
+    this process takes them from the front (``_parts.write_rows``); the
     bytes are the same whatever the number of processes."""
     values = (closes, *columns.values())
 
@@ -182,7 +183,33 @@ def _indicators_to_csv(closes, columns: dict, handle) -> None:
     _parts.write_rows(handle, rows, min(map(len, values)))
 
 
+def _fill(memo: KernelMemo, calls: list) -> None:
+    """Store each ``(kernel name, arguments)`` of ``calls`` in ``memo``, in
+    order, shared with forked children from both ends
+    (``_parts.share``): a child sends each entry it computes as its
+    values' ``array('d')`` bytes and its warm-up length, and this process
+    stores it as its own call would (``KernelMemo.put``). So the first
+    call that fails in config order raises, as in one process."""
+    def call(item: int) -> tuple:
+        # looked up by name at call time, so a rebinding of the module
+        # attribute (as the benchmark's span tracer does) sees every call
+        kind, kernel_args = calls[item]
+        return (getattr(indicators, kind), *kernel_args)
+
+    def there(item: int) -> tuple[bytes, int]:
+        entry = memo(*call(item))
+        return entry.values.tobytes(), entry.warmup_len
+
+    _parts.share(len(calls), lambda item: memo(*call(item)), there,
+                 lambda item, sent: memo.put(sent, *call(item)))
+
+
 def cmd_indicators(args) -> dict:
+    """Dump the closes and the ``indicator.*`` columns as ``indicators.csv``.
+    Each distinct kernel call is computed once, the calls shared with
+    forked children from both ends (``_fill``), and the rows are written
+    in pieces shared the same way (``_parts.write_rows``); the bytes are
+    the same whatever the number of processes."""
     parsed = _load_series(args)
     tree = _read_input(cfg.parse_kv_file, args.config) if args.config else {}
     for extra in args.indicator:
@@ -194,11 +221,11 @@ def cmd_indicators(args) -> dict:
             raise InvalidArgument(f"--indicator NAME must not contain '.', got {name!r}")
         cfg.set_leaf(tree, f"indicator.{name}", spec)
     series = parsed.series
+    specs = cfg.indicator_columns_from_dict(tree)
     memo = KernelMemo(series)
-    # looked up by name at call time, so a rebinding of the module
-    # attribute (as the benchmark's span tracer does) sees every call
+    _fill(memo, list(dict.fromkeys((kind, kernel_args) for _, kind, kernel_args in specs)))
     columns = {name: memo(getattr(indicators, kind), *kernel_args).values
-               for name, kind, kernel_args in cfg.indicator_columns_from_dict(tree)}
+               for name, kind, kernel_args in specs}
     return {
         "output": _save(args.out_dir, "indicators.csv", _indicators_to_csv, series.closes, columns),
         "bars": len(series),

@@ -541,8 +541,9 @@ def _parse_rows(reader, strict: bool, width: int, picks, columns, row_no: int,
 
 def serialize_csv(series: OhlcvSeries, handle) -> None:
     """Write a series in canonical column order to an open text handle;
-    parse(serialize(s)) == s. Forked children may format ranges of the
-    rows (``_parts.write_rows``); the bytes are the same whatever the
+    parse(serialize(s)) == s. Forked children may format pieces of the
+    rows, taken from the back while this process takes them from the
+    front (``_parts.write_rows``); the bytes are the same whatever the
     number of processes."""
     columns = (series.dates, series.opens, series.highs, series.lows, series.closes,
                series.volumes)

@@ -180,14 +180,28 @@ class KernelMemo:
             entry = self._entries[key] = _stored(kernel(self.series, *params))
         return entry
 
+    def put(self, sent: tuple[bytes, int], kernel: Callable, *params) -> None:
+        """Store the entry of ``self(kernel, *params)``, for a kernel of one
+        IndicatorSeries, from ``sent``: the bytes of an entry's values
+        (``entry.values.tobytes()``) and its warm-up length, as a forked
+        child computed them. The entry is the one a call here stores."""
+        values, warmup_len = sent
+        column = array("d")
+        column.frombytes(values)
+        self._entries[(kernel, params)] = _readonly(column, warmup_len)
+
 
 def _stored(result):
     """``result`` with each IndicatorSeries' values in an ``array('d')``
     behind a read-only view."""
     if isinstance(result, IndicatorSeries):
-        return IndicatorSeries(memoryview(array("d", result.values)).toreadonly(),
-                               result.warmup_len)
+        return _readonly(array("d", result.values), result.warmup_len)
     return tuple(_stored(part) for part in result)
+
+
+def _readonly(column: array, warmup_len: int) -> IndicatorSeries:
+    """An IndicatorSeries over a read-only view of ``column``."""
+    return IndicatorSeries(memoryview(column).toreadonly(), warmup_len)
 
 
 def _alternate(buys: list[int], sells: list[int]) -> list[int]:

@@ -91,8 +91,9 @@ def forced_cpus(monkeypatch, cpus, fork_s=1, ticking=True):
     """Work in ``cpus`` processes from now on, with no fork timed yet;
     return the list each fork appends to. A ticking clock moves one second
     a reading, so a sweep cell's signals and its measures take one second
-    each, parts go 1 : 1/2 : 1/4 ... (``sweep._share``), a writer's first
-    row takes one second, and a fork takes ``fork_s`` seconds."""
+    each, parts go 1 : 1/2 : 1/4 ... (``sweep._share``), the first item
+    of ``_parts.share`` (a writer's first piece, the dump's first column)
+    takes one second, and a fork takes ``fork_s`` seconds."""
     forks, now = [], [0]
 
     def clock():
